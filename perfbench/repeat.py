@@ -3,15 +3,16 @@
 ``run.py`` starts this script once per repeat, so ``lru_cache``d
 contexts and the peak-RSS high-water mark never carry over from one
 repeat to the next.  A repeat imports the program and builds every
-context its workload needs (setup), runs the timed section once, and
-prints one JSON object as the last line of its standard output.  With
-``--trace 1`` it records spans around the calls into each layer (see
-``layers.py``), writes them to ``perfbench/out/`` and adds the traced
-per-layer metrics.
+context its workload needs (setup), then runs rounds of the timed
+section for ``--seconds``, at least one, timing every op of every
+round.  It prints one JSON object as the last line of its
+standard output.  With ``--trace 1`` it runs one round, records spans
+around the calls into each layer (see ``layers.py``), writes them to
+``perfbench/out/`` and adds the traced per-layer metrics.
 
 From the repository root::
 
-    PYTHONPATH=src python3 perfbench/repeat.py --workload systems --seed 1 --trace 0
+    PYTHONPATH=src python3 perfbench/repeat.py --workload systems --seed 1 --seconds 0 --trace 0
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _SLO_BATCHES = 12
 _WAIT_FRACTION = 2
 _BURST = 2.0
 
+# Longest stretch of ops between two calibrations (see suite.calibrate).
+_STRETCH_S = 1.0
+
 
 def _rss_mb() -> float:
     """Resident set size of this process now, in MiB."""
@@ -45,6 +49,14 @@ def _rss_mb() -> float:
 def _peak_rss_mb() -> float:
     # ru_maxrss is in KiB on Linux.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _digest(op: str, output) -> str:
+    if op.endswith("/assemble"):
+        text = "\n\n".join(table.render() for table in output)
+    else:
+        text = json.dumps(output, sort_keys=True)
+    return suite.digest(text)
 
 
 def _session_config(backend, session: suite.Session):
@@ -75,29 +87,60 @@ def _session_config(backend, session: suite.Session):
 
 
 class Repeat:
-    """The ops of one repeat, their outcomes and their outputs."""
+    """The ops of one round, with their outcomes, times and digests.
+
+    An untraced repeat calibrates the CPU speed between stretches of ops
+    (outside the ops' times) and gives each op of a stretch the mean of
+    the readings before and after it as ``cal``.
+    """
 
     def __init__(self, workload: str, seed: int, rec=None) -> None:
         self.workload = workload
         self.seed = seed
         self.rec = rec
         self.ops: list[dict] = []
-        self.outputs: dict[str, object] = {}
+        self.stretch: list[dict] = []
         self.serve = {"offered": 0, "batches": 0, "shed": 0, "in_slo": 0}
+
+    def begin_round(self) -> None:
+        self.ops, self.stretch = [], []
+        if self.rec is None:
+            self.cal = suite.calibrate()
+            self.stretch_start = time.perf_counter()
+
+    def end_stretch(self) -> None:
+        if self.rec is None and self.stretch:
+            cal = suite.calibrate()
+            for op in self.stretch:
+                op["cal"] = (self.cal + cal) / 2
+            self.cal = cal
+            self.stretch_start = time.perf_counter()
+        self.stretch = []
 
     def _span(self, name: str, metric: str | None = None):
         if self.rec is None:
             return contextlib.nullcontext()
         return self.rec.span(name, "exec", metric)
 
-    def _start(self, op: str) -> None:
+    def _start(self, op: str) -> float:
         if self.rec is not None:
             self.rec.op = op
+        return time.perf_counter()
 
-    def _record(self, op: str, failure: str | None, output=None) -> None:
-        self.ops.append({"op": op, "ok": failure is None, "error": failure})
-        if output is not None:
-            self.outputs[op] = output
+    def _record(self, op: str, started: float, failure: str | None,
+                output=None) -> None:
+        seconds = time.perf_counter() - started
+        self.ops.append({
+            "op": op,
+            "s": seconds,
+            "cal": None,
+            "error": failure,
+            "digest": None if output is None else _digest(op, output),
+        })
+        self.stretch.append(self.ops[-1])
+        if (self.rec is None
+                and time.perf_counter() - self.stretch_start >= _STRETCH_S):
+            self.end_stretch()
 
     # -- experiment workloads ------------------------------------------------
 
@@ -116,7 +159,7 @@ class Repeat:
             rows = []
             for i, (seed, config) in enumerate(cells):
                 op = f"{exp}/cell{i}"
-                self._start(op)
+                started = self._start(op)
                 if self.rec is not None:
                     self.rec.add(f"exec.cells.{exp}")
                 failure = None
@@ -125,9 +168,9 @@ class Repeat:
                         rows.append(spec.cell(ctx, config, seed))
                     except Exception:
                         failure = traceback.format_exc()
-                self._record(op, failure)
+                self._record(op, started, failure)
             op = f"{exp}/assemble"
-            self._start(op)
+            started = self._start(op)
             failure, tables = None, None
             with self._span(f"exec.assemble.{exp}", "exec.assemble_s"):
                 try:
@@ -136,7 +179,7 @@ class Repeat:
                     tables = spec.assemble(rows)
                 except Exception:
                     failure = traceback.format_exc()
-            self._record(op, failure, tables)
+            self._record(op, started, failure, tables)
 
     # -- serving workloads ---------------------------------------------------
 
@@ -154,9 +197,10 @@ class Repeat:
     def run_serving(self) -> None:
         from repro.serve import simulate_service
 
+        self.serve = dict.fromkeys(self.serve, 0)
         for index, session in enumerate(suite.WORKLOADS[self.workload]):
             op = session.name
-            self._start(op)
+            started = self._start(op)
             failure, row = None, None
             try:
                 backend = self.backends[session.backend]
@@ -171,28 +215,17 @@ class Repeat:
                     raise AssertionError(f"accounting identity broken: {row}")
             except Exception:
                 failure = traceback.format_exc()
-            self._record(op, failure, row)
+            self._record(op, started, failure, row)
             if row is not None:
                 for key in self.serve:
                     self.serve[key] += row[key]
-
-    # -- outputs -------------------------------------------------------------
-
-    def digests(self) -> dict[str, str]:
-        out = {}
-        for op, value in self.outputs.items():
-            if op.endswith("/assemble"):
-                text = "\n\n".join(table.render() for table in value)
-            else:
-                text = json.dumps(value, sort_keys=True)
-            out[op] = suite.digest(text)
-        return out
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=suite.WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=0.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
@@ -219,27 +252,36 @@ def main() -> None:
         rep.setup_experiments()
     setup_done = time.monotonic()
     rss_after_setup = _rss_mb()
+    setup_cal = suite.calibrate() if rec is None else None
     if rec is not None:
         rec.end()
         rec.phase = "run"
         events_before = events.value
         rec.begin("bench.run", "bench")
 
-    t0 = time.perf_counter()
-    if serving:
-        rep.run_serving()
-    else:
-        rep.run_experiments()
-    run_s = time.perf_counter() - t0
+    rounds = []
+    first = time.perf_counter()
+    while True:
+        rep.begin_round()
+        if serving:
+            rep.run_serving()
+        else:
+            rep.run_experiments()
+        rep.end_stretch()
+        rounds.append(rep.ops)
+        # Start no round that would likely end after --seconds.
+        elapsed = time.perf_counter() - first
+        if rec is not None or elapsed * (1 + 1 / len(rounds)) > args.seconds:
+            break
 
     result = {
         "setup_done": setup_done,
-        "run_s": run_s,
+        "setup_cal": setup_cal,
+        "round_s": [sum(op["s"] for op in ops) for ops in rounds],
         "peak_rss_mb": _peak_rss_mb(),
         "rss_after_setup_mb": rss_after_setup,
         "serve": rep.serve,
-        "ops": rep.ops,
-        "digests": rep.digests(),
+        "rounds": rounds,
     }
     if rec is not None:
         run_ns = rec.end()

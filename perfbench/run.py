@@ -6,12 +6,16 @@ From the repository root::
 
 Each repeat of the workload runs in a fresh ``python3`` process
 (``repeat.py``) with ``src`` on its import path, one BLAS thread, a
-fixed hash seed and every ``REPRO_*`` variable cleared.  Untraced runs
-repeat until ``--seconds`` have passed and at least ``MIN_REPEATS``
-repeats are done, and report the median of each end-to-end metric.
-A traced run (``--trace 1``) makes one untraced and one traced repeat
-and reports the per-layer metrics, with the tracing overhead measured
-against the untraced repeat.
+fixed hash seed and every ``REPRO_*`` variable cleared.  An untraced
+run makes ``SETUPS`` repeats one after another; each sets up
+once and then runs rounds of the timed section for its share of
+``--seconds``, at least one.  ``setup_s`` and ``peak_rss_mb`` are
+medians over the repeats, and ``run_s`` is the sum over the ops of each
+op's median time over all rounds; both times are calibrated to a
+reference CPU speed (see ``suite.calibrate``).  A traced run
+(``--trace 1``) makes one untraced and one traced repeat of one round
+each and reports the per-layer metrics, with the tracing overhead
+measured against the untraced round.
 
 Every op's output is checked against ``reference.json``; at seeds
 other than ``suite.DEFAULT_SEED`` the serving digests are printed
@@ -40,9 +44,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 REFERENCE = HERE / "reference.json"
 
-MIN_REPEATS = 3
 # Every run must end well within 180 s.
 DEADLINE_S = 165.0
+# Fresh processes per untraced run, each of which sets up once; the
+# dataplane's setup of about ten seconds allows no more.
+SETUPS = 2
 
 
 def _child_env() -> dict[str, str]:
@@ -56,13 +62,15 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _repeat(args, trace: int, deadline: float) -> dict | None:
+def _repeat(args, seconds: float, trace: int,
+            deadline: float) -> dict | None:
     """One repeat in a fresh process; None when it did not finish."""
     command = [
         sys.executable, str(HERE / "repeat.py"),
         "--workload", args.workload, "--seed", str(args.seed),
-        "--trace", str(trace),
+        "--seconds", repr(seconds), "--trace", str(trace),
     ]
+    cal = suite.calibrate() if not trace else None
     started = time.monotonic()
     proc = subprocess.Popen(
         command, cwd=ROOT, env=_child_env(), text=True,
@@ -81,24 +89,36 @@ def _repeat(args, trace: int, deadline: float) -> dict | None:
         return None
     result = json.loads(out.strip().splitlines()[-1])
     result["setup_s"] = result.pop("setup_done") - started
+    if cal is not None:
+        result["setup_s"] = suite.at_reference_speed(
+            result["setup_s"], (cal + result["setup_cal"]) / 2)
     return result
 
 
-def _check(args, repeats: list[dict | None],
-           reference: dict) -> tuple[int, int]:
-    """Count attempted and failed ops over all repeats."""
+def _check(args, repeats: list[dict | None], reference: dict):
+    """Check every op of every round of every repeat.
+
+    Returns the ops attempted, the ops failed and each op's times, as
+    measured and as at the reference CPU speed.
+    """
     attempted = failed = 0
-    first = next((r for r in repeats if r is not None), None)
+    seen: dict[str, str] = {}
+    times: dict[str, list[float]] = {}
+    calibrated: dict[str, list[float]] = {}
     for rep in repeats:
         if rep is None:
             attempted += 1
             failed += 1
             continue
-        for op in rep["ops"]:
+        for op in (op for ops in rep["rounds"] for op in ops):
             attempted += 1
             name = op["op"]
+            times.setdefault(name, []).append(op["s"])
+            if op["cal"] is not None:
+                calibrated.setdefault(name, []).append(
+                    suite.at_reference_speed(op["s"], op["cal"]))
             problem = op["error"]
-            got = rep["digests"].get(name)
+            got = op["digest"]
             if problem is None and got is not None:
                 try:
                     want = suite.expected_digest(
@@ -107,13 +127,19 @@ def _check(args, repeats: list[dict | None],
                 except KeyError:
                     want = "missing"
                 if want is None:
-                    want = first["digests"].get(name)
+                    want = seen.setdefault(name, got)
                 if got != want:
                     problem = f"digest {got} != expected {want}"
             if problem is not None:
                 failed += 1
                 print(f"op {name} failed: {problem}", file=sys.stderr)
-    return attempted, failed
+    return attempted, failed, times, calibrated
+
+
+def _digests(rep: dict) -> dict[str, str]:
+    """The digests of a repeat's first round."""
+    return {op["op"]: op["digest"] for op in rep["rounds"][0]
+            if op["digest"] is not None}
 
 
 def _write_reference(args, digests: dict[str, str]) -> None:
@@ -147,14 +173,12 @@ def main() -> int:
     start = time.monotonic()
     deadline = start + DEADLINE_S
     repeats: list[dict | None] = []
-    for trace in ((0, 1) if args.trace else ()):
-        repeats.append(_repeat(args, trace, deadline))
-    while not args.trace:
-        repeats.append(_repeat(args, 0, deadline))
+    if args.trace:
+        repeats = [_repeat(args, 0.0, trace, deadline) for trace in (0, 1)]
+    while not args.trace and len(repeats) < SETUPS:
+        repeats.append(_repeat(args, args.seconds / SETUPS, 0, deadline))
         now = time.monotonic()
         if repeats[-1] is None:
-            break
-        if len(repeats) >= MIN_REPEATS and now - start >= args.seconds:
             break
         if now + 1.5 * (now - start) / len(repeats) > deadline:
             break
@@ -164,11 +188,11 @@ def main() -> int:
         return 1
 
     if args.write_reference:
-        _write_reference(args, done[0]["digests"])
+        _write_reference(args, _digests(done[0]))
     reference = json.loads(REFERENCE.read_text())
-    attempted, failed = _check(args, repeats, reference)
+    attempted, failed, times, calibrated = _check(args, repeats, reference)
     if args.seed != suite.DEFAULT_SEED:
-        for op, value in sorted(done[0]["digests"].items()):
+        for op, value in sorted(_digests(done[0]).items()):
             print(f"digest {op} {value}")
 
     if args.trace:
@@ -178,11 +202,12 @@ def main() -> int:
         untraced, traced = repeats
         metrics = dict(traced["layers"])
         offered = untraced["serve"]["offered"]
+        untraced_s = untraced["round_s"][0]
         metrics.update({
             "serve.host_us_per_req":
-                untraced["run_s"] * 1e6 / offered if offered else 0.0,
+                untraced_s * 1e6 / offered if offered else 0.0,
             "mem.rss_after_setup_mb": untraced["rss_after_setup_mb"],
-            "trace.overhead": traced["run_s"] / untraced["run_s"] - 1.0,
+            "trace.overhead": traced["round_s"][0] / untraced_s - 1.0,
             "error_rate": failed / attempted,
         })
         units = {name: unit for name, unit, _ in suite.per_layer_metrics()}
@@ -190,12 +215,15 @@ def main() -> int:
     else:
         metrics = {
             "setup_s": _median(done, "setup_s"),
-            "run_s": _median(done, "run_s"),
+            "run_s": sum(statistics.median(t) for t in calibrated.values()),
             "peak_rss_mb": _median(done, "peak_rss_mb"),
             "op_success_rate": (attempted - failed) / attempted,
         }
         units = {"setup_s": "s", "run_s": "s", "peak_rss_mb": "MiB",
                  "op_success_rate": "ratio"}
+        measured = sum(statistics.median(t) for t in times.values())
+        print(f"timed section as measured (sum of per-op medians): "
+              f"{measured:.4f} s", file=sys.stderr)
     print(json.dumps({
         "correct": failed == 0,
         "attempted": attempted,

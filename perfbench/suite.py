@@ -7,10 +7,41 @@ Shared by ``run.py``, which must not import the program, and by
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 
 #: The seed whose serving-session digests are stored in the reference.
 DEFAULT_SEED = 1
+
+#: What ``calibrate()`` is taken to read at the reference CPU speed.
+REFERENCE_CAL_S = 0.015
+#: How closely the program's times follow the loop's: measured on a
+#: shared 2-core host, in log terms they move about 0.6 times as far.
+SENSITIVITY = 0.6
+_CAL_LOOPS = 200_000
+
+
+def calibrate() -> float:
+    """Seconds a fixed pure-Python loop takes now, the best of three.
+
+    The host's CPU speed drifts by a third within tens of seconds, and
+    the loop, which does not use the program, drifts with it.
+    """
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        x = 0
+        for i in range(_CAL_LOOPS):
+            x += i * i % 7
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def at_reference_speed(seconds: float, cal: float) -> float:
+    """``seconds`` measured when ``calibrate()`` read ``cal``, scaled to
+    the speed at which it reads ``REFERENCE_CAL_S``."""
+    return seconds * (REFERENCE_CAL_S / cal) ** SENSITIVITY
+
 
 # The experiment workloads run with the registry's own seeds, so their
 # tables do not depend on --seed and are checked on every run.
@@ -37,12 +68,14 @@ class Session:
 
 _BACKENDS = ("farview", "microrec")
 
+# Sessions are sized so that a round of a serving workload takes about
+# a second, which gives every session many timed samples in one run.
 WORKLOADS: dict[str, tuple] = {
     "dataplane": DATAPLANE,
     "systems": SYSTEMS,
-    "serve-sparse": tuple(Session(b, 0.01, 20_000) for b in _BACKENDS),
+    "serve-sparse": tuple(Session(b, 0.01, 4_000) for b in _BACKENDS),
     "serve-saturated": tuple(
-        Session(b, load, 100_000) for b in _BACKENDS for load in (0.7, 1.4)
+        Session(b, load, 20_000) for b in _BACKENDS for load in (0.7, 1.4)
     ),
 }
 

@@ -7,6 +7,7 @@ From the repository root::
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -89,6 +90,26 @@ def test_benchmark_json_matches_the_suite():
     assert [w["name"] for w in spec["workloads"]] == list(suite.WORKLOADS)
     assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] \
         == suite.per_layer_metrics()
+
+
+def test_check_calibrates_times_and_compares_rounds():
+    import run
+
+    def op(s, cal, digest):
+        return {"op": "farview@1x", "s": s, "cal": cal, "error": None,
+                "digest": digest}
+
+    args = argparse.Namespace(workload="serve-sparse", seed=7)
+    rounds = [[op(0.2, 0.03, "same")], [op(0.1, 0.015, "other")]]
+    attempted, failed, times, calibrated = run._check(
+        args, [{"rounds": rounds}, None], {"tables": {}, "sessions": {}}
+    )
+    assert (attempted, failed) == (3, 2)
+    assert times == {"farview@1x": [0.2, 0.1]}
+    assert calibrated["farview@1x"] == pytest.approx([
+        suite.at_reference_speed(0.2, 0.03),
+        suite.at_reference_speed(0.1, 0.015),
+    ])
 
 
 def test_install_records_functions_imported_by_name():
