@@ -137,12 +137,8 @@ class DistributedFanns:
                     codes = self.index.list_codes[list_id]
                     if len(codes) == 0:
                         continue
-                    if self.index.residual:
-                        table = self.index.pq.adc_table(
-                            query - centroids[list_id]
-                        )
-                    else:
-                        table = self.index.pq.adc_table(query)
+                    shift = centroids[list_id] if self.index.residual else 0
+                    table = self.index.pq.adc_table(query - shift)
                     ids_l.append(self.index.list_ids[list_id])
                     dists_l.append(self.index.pq.adc_distances(table, codes))
                 if not ids_l:

@@ -99,34 +99,24 @@ class IVFPQIndex:
                 stats.centroid_distances += self.nlist
             candidate_ids = []
             candidate_dists = []
-            if self.residual:
-                # Residual mode: one ADC table per probed list.
-                for list_id in probe:
-                    codes = self.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    table = self.pq.adc_table(query - self.centroids[list_id])
-                    dists = self.pq.adc_distances(table, codes)
-                    candidate_ids.append(self.list_ids[list_id])
-                    candidate_dists.append(dists)
-                    if stats is not None:
-                        stats.lut_entries += table.size
-                        stats.codes_scanned += len(codes)
-                        stats.code_bytes_scanned += codes.nbytes
-            else:
+            if not self.residual:
                 table = self.pq.adc_table(query)
                 if stats is not None:
                     stats.lut_entries += table.size
-                for list_id in probe:
-                    codes = self.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    dists = self.pq.adc_distances(table, codes)
-                    candidate_ids.append(self.list_ids[list_id])
-                    candidate_dists.append(dists)
+            for list_id in probe:
+                codes = self.list_codes[list_id]
+                if len(codes) == 0:
+                    continue
+                if self.residual:
+                    # Residual mode: one ADC table per probed list.
+                    table = self.pq.adc_table(query - self.centroids[list_id])
                     if stats is not None:
-                        stats.codes_scanned += len(codes)
-                        stats.code_bytes_scanned += codes.nbytes
+                        stats.lut_entries += table.size
+                candidate_ids.append(self.list_ids[list_id])
+                candidate_dists.append(self.pq.adc_distances(table, codes))
+                if stats is not None:
+                    stats.codes_scanned += len(codes)
+                    stats.code_bytes_scanned += codes.nbytes
             if not candidate_ids:
                 continue
             ids = np.concatenate(candidate_ids)

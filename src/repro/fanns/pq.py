@@ -10,6 +10,7 @@ code — the operation FANNS parallelises with PE arrays on the FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,15 +89,25 @@ class ProductQuantizer:
         ]
         return np.concatenate(parts, axis=1)
 
+    @cached_property
+    def _codebooks_by_dim(self) -> np.ndarray:
+        """``codebooks`` as ``(m, dsub, ksub)``: one ``(m, ksub)`` slab per dim."""
+        return np.ascontiguousarray(self.codebooks.transpose(0, 2, 1))
+
     def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """The (m, ksub) table of squared distances query-vs-centroids."""
+        """The (m, ksub) table of squared distances query-vs-centroids.
+
+        Equal bit for bit to a numpy sum of each centroid's squared
+        differences: numpy adds under 8 terms left to right, as the sum
+        over slabs here does, and 8 or more pairwise.
+        """
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
-        table = np.empty((self.m, self.ksub), dtype=np.float32)
-        for sub in range(self.m):
-            chunk = query[sub * self.dsub:(sub + 1) * self.dsub]
-            table[sub] = ((self.codebooks[sub] - chunk) ** 2).sum(axis=1)
-        return table
+        if self.dsub >= 8:
+            diff = self.codebooks - query.reshape(self.m, 1, self.dsub)
+            return (diff ** 2).sum(axis=-1)
+        diff = self._codebooks_by_dim - query.reshape(self.m, self.dsub, 1)
+        return np.square(diff, out=diff).sum(axis=1)
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Approximate squared distances of ``codes`` given an ADC table."""

@@ -98,7 +98,6 @@ class MicroRecAccelerator:
         self.plan = plan if plan is not None else plan_cartesian(spec, 0)
         if self.plan.spec != spec:
             raise ValueError("plan was built for a different model spec")
-        self._combined = self.plan.materialize(tables)
         self._row_bytes = self.plan.combined_row_bytes()
         sizes = self.plan.combined_table_bytes()
         sram_limit = min(
@@ -182,10 +181,9 @@ class MicroRecAccelerator:
         logits = self.mlp.forward(features)
         lookup_s = self.lookup_time_s(batch)
         dnn_s = self.dnn_time_s(batch)
-        latency = self.lookup_time_s(1) + self.dnn_time_s(1)
-        batch_time = max(lookup_s, dnn_s) + min(
-            self.lookup_time_s(1), self.dnn_time_s(1)
-        )
+        single = (self.lookup_time_s(1), self.dnn_time_s(1))
+        latency = single[0] + single[1]
+        batch_time = max(lookup_s, dnn_s) + min(single)
         return InferenceOutcome(
             logits=logits,
             lookup_s=lookup_s,

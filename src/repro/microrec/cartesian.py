@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..workloads.traces import RecModelSpec
-from .embedding import EmbeddingTables
+from .embedding import EmbeddingTables, check_trace
 
 __all__ = ["CartesianPlan", "plan_cartesian"]
 
@@ -101,18 +101,16 @@ class CartesianPlan:
     # -- rewriting ------------------------------------------------------------
 
     def rewrite_trace(self, trace: np.ndarray) -> np.ndarray:
-        """Map an original ``(batch, n_tables)`` trace to combined ids."""
-        trace = np.asarray(trace)
-        if trace.ndim != 2 or trace.shape[1] != self.spec.n_tables:
-            raise ValueError(
-                f"trace must be (batch, {self.spec.n_tables})"
-            )
-        out = np.empty((trace.shape[0], self.n_lookups), dtype=np.int64)
+        """Map an original ``(batch, n_tables)`` trace to combined ids.
+
+        Out-of-range member ids raise ``IndexError`` rather than alias
+        another row's combined id.
+        """
+        trace = check_trace(self.spec, trace)
+        out = np.zeros((len(trace), self.n_lookups), dtype=np.int64)
         for g, group in enumerate(self.groups):
-            combined = np.zeros(trace.shape[0], dtype=np.int64)
             for t in group:
-                combined = combined * self.spec.table_rows[t] + trace[:, t]
-            out[:, g] = combined
+                out[:, g] = out[:, g] * self.spec.table_rows[t] + trace[:, t]
         return out
 
     def materialize(self, tables: EmbeddingTables) -> list[np.ndarray]:
@@ -120,6 +118,8 @@ class CartesianPlan:
 
         Combined entry rows concatenate member embeddings in group
         order, consistent with :meth:`rewrite_trace`'s id encoding.
+        The reference layout: :meth:`lookup` never builds it, and sizes
+        come from :meth:`combined_table_bytes` alone.
         """
         if tables.spec is not self.spec and tables.spec != self.spec:
             raise ValueError("tables were built from a different spec")
@@ -138,22 +138,22 @@ class CartesianPlan:
     def lookup(self, tables: EmbeddingTables, trace: np.ndarray) -> np.ndarray:
         """Functional lookup through the combined layout.
 
-        Equivalent to ``tables.lookup(trace)`` up to a column
-        permutation (grouped tables concatenate adjacently); the result
-        here is returned in *original table order* so it is exactly
-        equal to the uncombined lookup.
+        Decodes each combined id back to its member row ids (last member
+        first) and gathers those rows, which is all a combined row holds;
+        the result, in *original table order*, equals the uncombined one.
         """
-        trace = np.asarray(trace)
-        combined_tables = self.materialize(tables)
+        if tables.spec is not self.spec and tables.spec != self.spec:
+            raise ValueError("tables were built from a different spec")
         combined_trace = self.rewrite_trace(trace)
         dim = self.spec.embedding_dim
         out = np.empty(
-            (trace.shape[0], self.spec.n_tables * dim), dtype=np.float32
+            (len(combined_trace), self.spec.n_tables * dim), dtype=np.float32
         )
         for g, group in enumerate(self.groups):
-            rows = combined_tables[g][combined_trace[:, g]]
-            for pos, t in enumerate(group):
-                out[:, t * dim:(t + 1) * dim] = rows[:, pos * dim:(pos + 1) * dim]
+            ids = combined_trace[:, g]
+            for t in reversed(group):
+                ids, member = np.divmod(ids, self.spec.table_rows[t])
+                out[:, t * dim:(t + 1) * dim] = tables.tables[t][member]
         return out
 
 

@@ -16,6 +16,20 @@ from ..workloads.traces import RecModelSpec
 __all__ = ["EmbeddingTables"]
 
 
+def check_trace(spec: RecModelSpec, trace: np.ndarray) -> np.ndarray:
+    """``trace`` as an array; ValueError on bad shape, IndexError on bad ids."""
+    trace = np.asarray(trace)
+    if trace.ndim != 2 or trace.shape[1] != spec.n_tables:
+        raise ValueError(
+            f"trace must be (batch, {spec.n_tables}), got {trace.shape}"
+        )
+    for t, rows in enumerate(spec.table_rows):
+        column = trace[:, t]
+        if column.size and (column.min() < 0 or column.max() >= rows):
+            raise IndexError(f"trace ids out of range for table {t}")
+    return trace
+
+
 class EmbeddingTables:
     """The embedding tables of one recommendation model."""
 
@@ -45,16 +59,6 @@ class EmbeddingTables:
         ``trace`` is ``(batch, n_tables)`` row ids; the result is
         ``(batch, n_tables * embedding_dim)`` float32.
         """
-        trace = np.asarray(trace)
-        if trace.ndim != 2 or trace.shape[1] != self.n_tables:
-            raise ValueError(
-                f"trace must be (batch, {self.n_tables}), got {trace.shape}"
-            )
-        for t in range(self.n_tables):
-            column = trace[:, t]
-            if column.size and (
-                column.min() < 0 or column.max() >= self.spec.table_rows[t]
-            ):
-                raise IndexError(f"trace ids out of range for table {t}")
+        trace = check_trace(self.spec, trace)
         parts = [self.tables[t][trace[:, t]] for t in range(self.n_tables)]
         return np.concatenate(parts, axis=1)

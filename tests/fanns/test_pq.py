@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fanns.pq import train_pq
+from repro.fanns.distributed import DistributedFanns
+from repro.fanns.ivf import build_ivfpq
+from repro.fanns.pq import ProductQuantizer, train_pq
+from repro.workloads.vectors import clustered_dataset
 
 
 def _vectors(n=600, dim=16, seed=0):
@@ -60,6 +63,55 @@ def test_adc_matches_decoded_distance():
     adc = pq.adc_distances(table, codes)
     exact = ((recon - query) ** 2).sum(axis=1)
     assert np.allclose(adc, exact, rtol=1e-4, atol=1e-4)
+
+
+def _adc_reference(pq, query):
+    """The per-subspace ADC loop that ``adc_table`` must equal exactly."""
+    query = np.ascontiguousarray(query, dtype=np.float32)
+    table = np.empty((pq.m, pq.ksub), dtype=np.float32)
+    for sub in range(pq.m):
+        chunk = query[sub * pq.dsub:(sub + 1) * pq.dsub]
+        table[sub] = ((pq.codebooks[sub] - chunk) ** 2).sum(axis=1)
+    return table
+
+
+@pytest.mark.parametrize("dsub", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_adc_table_bit_identical_to_per_subspace_loop(m, dsub):
+    rng = np.random.default_rng(100 * m + dsub)
+    for ksub in (1, 17, 255):
+        codebooks = rng.standard_normal((m, ksub, dsub)).astype(np.float32)
+        pq = ProductQuantizer(codebooks=codebooks)
+        for _ in range(4):
+            query = rng.standard_normal(m * dsub).astype(np.float32)
+            table = pq.adc_table(query)
+            assert table.dtype == np.float32
+            assert np.array_equal(table, _adc_reference(pq, query))
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("m", [2, 8, 16])
+def test_search_ids_unchanged_against_reference_adc(m, residual, monkeypatch):
+    data = clustered_dataset(
+        n=1500, dim=16, n_queries=12, gt_k=10, n_clusters=12,
+        cluster_std=0.2, seed=5,
+    )
+    index = build_ivfpq(
+        data.base, nlist=12, m=m, ksub=32, residual=residual, seed=5
+    )
+    dist = DistributedFanns(index, n_nodes=3)
+
+    def search():
+        return (
+            index.search(data.queries, 10, 4),
+            dist.shard_and_merge(data.queries, 10, 4),
+        )
+
+    fast = search()
+    monkeypatch.setattr(ProductQuantizer, "adc_table", _adc_reference)
+    reference = search()
+    for got, want in zip(fast, reference):
+        assert np.array_equal(got, want)
 
 
 def test_adc_empty_codes():

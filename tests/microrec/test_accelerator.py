@@ -1,10 +1,12 @@
 """Tests for the MicroRec accelerator and its CPU baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.microrec.accelerator import MicroRecAccelerator, MicroRecConfig
-from repro.microrec.cartesian import plan_cartesian
+from repro.microrec.cartesian import CartesianPlan, plan_cartesian
 from repro.microrec.cpu_baseline import CpuRecommender
 from repro.microrec.embedding import EmbeddingTables
 from repro.workloads.traces import (
@@ -59,10 +61,30 @@ def test_cartesian_plan_preserves_logits():
     assert plan.lookups_saved >= 1
     plain = MicroRecAccelerator(_TABLES, seed=3)
     combined = MicroRecAccelerator(_TABLES, plan=plan, seed=3)
-    assert np.allclose(
-        plain.infer(_TRACE).logits, combined.infer(_TRACE).logits,
-        rtol=1e-5, atol=1e-5,
+    assert np.array_equal(
+        plain.infer(_TRACE).logits, combined.infer(_TRACE).logits
     )
+
+
+def test_combined_tables_are_sized_not_allocated():
+    """Capacity overhead is arithmetic: deploying and querying a plan
+    whose combined tables would take >= 200 MB allocates a small
+    fraction of that."""
+    spec = RecModelSpec(table_rows=(2000, 2000, 50), embedding_dim=8)
+    plan = CartesianPlan(spec=spec, groups=((0, 1), (2,)))
+    assert plan.total_bytes >= 200_000_000
+    tables = EmbeddingTables(spec, seed=4)
+    trace = lookup_trace(spec, batch_size=64, seed=5)
+    tracemalloc.start()
+    try:
+        accel = MicroRecAccelerator(tables, plan=plan, seed=4)
+        logits = accel.infer(trace).logits
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * plan.total_bytes
+    plain = MicroRecAccelerator(tables, seed=4).infer(trace).logits
+    assert np.array_equal(logits, plain)
 
 
 def test_cartesian_reduces_hbm_lookups_and_lookup_time():

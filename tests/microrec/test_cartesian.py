@@ -80,7 +80,32 @@ def test_combined_lookup_equals_uncombined():
     plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
     assert plan.lookups_saved >= 1
     trace = lookup_trace(spec, batch_size=32, seed=4)
-    assert np.allclose(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
+
+
+def test_out_of_range_member_ids_raise_instead_of_aliasing():
+    """Row 8 of an 8-row table encodes to combined id 8, which is the
+    valid combined row (1, 0); negative ids alias the same way.  Both
+    must raise like the uncombined lookup does."""
+    spec = _spec(rows=(4, 8))
+    tables = EmbeddingTables(spec, seed=2)
+    plan = CartesianPlan(spec=spec, groups=((0, 1),))
+    for bad in ([[0, 8]], [[1, -1]], [[-1, 3]], [[4, 0]]):
+        trace = np.array(bad)
+        with pytest.raises(IndexError):
+            tables.lookup(trace)
+        with pytest.raises(IndexError):
+            plan.rewrite_trace(trace)
+        with pytest.raises(IndexError):
+            plan.lookup(tables, trace)
+
+
+def test_lookup_rejects_tables_of_another_spec():
+    spec = _spec(rows=(4, 8))
+    plan = CartesianPlan(spec=spec, groups=((0, 1),))
+    other = EmbeddingTables(_spec(rows=(4, 9)), seed=0)
+    with pytest.raises(ValueError):
+        plan.lookup(other, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_materialize_row_contents():
@@ -121,4 +146,4 @@ def test_property_plan_valid_and_lookup_exact(rows, budget_factor):
     # Functional equivalence on a small trace.
     tables = EmbeddingTables(spec, seed=0)
     trace = lookup_trace(spec, batch_size=5, seed=1)
-    assert np.allclose(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
