@@ -137,8 +137,12 @@ class DistributedFanns:
                     codes = self.index.list_codes[list_id]
                     if len(codes) == 0:
                         continue
-                    shift = centroids[list_id] if self.index.residual else 0
-                    table = self.index.pq.adc_table(query - shift)
+                    if self.index.residual:
+                        table = self.index.pq.adc_table(
+                            query - centroids[list_id]
+                        )
+                    else:
+                        table = self.index.pq.adc_table(query)
                     ids_l.append(self.index.list_ids[list_id])
                     dists_l.append(self.index.pq.adc_distances(table, codes))
                 if not ids_l:

@@ -10,7 +10,6 @@ code — the operation FANNS parallelises with PE arrays on the FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,25 +88,28 @@ class ProductQuantizer:
         ]
         return np.concatenate(parts, axis=1)
 
-    @cached_property
-    def _codebooks_by_dim(self) -> np.ndarray:
-        """``codebooks`` as ``(m, dsub, ksub)``: one ``(m, ksub)`` slab per dim."""
-        return np.ascontiguousarray(self.codebooks.transpose(0, 2, 1))
-
     def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """The (m, ksub) table of squared distances query-vs-centroids.
+        """The (m, ksub) float32 table of squared distances query-vs-centroids.
 
-        Equal bit for bit to a numpy sum of each centroid's squared
-        differences: numpy adds under 8 terms left to right, as the sum
-        over slabs here does, and 8 or more pairwise.
+        Equal bit for bit to summing each centroid's squared differences
+        along ``dsub``. numpy adds under 8 terms left to right, so for
+        small ``dsub`` whole ``(m, ksub)`` slabs are added in that order,
+        several times faster than numpy's reduction over a short last
+        axis; from 8 terms on numpy sums pairwise, so that sum is kept.
         """
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
         if self.dsub >= 8:
             diff = self.codebooks - query.reshape(self.m, 1, self.dsub)
-            return (diff ** 2).sum(axis=-1)
-        diff = self._codebooks_by_dim - query.reshape(self.m, self.dsub, 1)
-        return np.square(diff, out=diff).sum(axis=1)
+            table = (diff ** 2).sum(axis=-1)
+        else:
+            diff = np.subtract(
+                self.codebooks.transpose(0, 2, 1),
+                query.reshape(self.m, self.dsub, 1),
+                order="C",
+            )
+            table = np.square(diff, out=diff).sum(axis=1)
+        return table.astype(np.float32, copy=False)
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Approximate squared distances of ``codes`` given an ADC table."""

@@ -181,9 +181,10 @@ class MicroRecAccelerator:
         logits = self.mlp.forward(features)
         lookup_s = self.lookup_time_s(batch)
         dnn_s = self.dnn_time_s(batch)
-        single = (self.lookup_time_s(1), self.dnn_time_s(1))
-        latency = single[0] + single[1]
-        batch_time = max(lookup_s, dnn_s) + min(single)
+        latency = self.lookup_time_s(1) + self.dnn_time_s(1)
+        batch_time = max(lookup_s, dnn_s) + min(
+            self.lookup_time_s(1), self.dnn_time_s(1)
+        )
         return InferenceOutcome(
             logits=logits,
             lookup_s=lookup_s,

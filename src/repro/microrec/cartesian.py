@@ -138,23 +138,13 @@ class CartesianPlan:
     def lookup(self, tables: EmbeddingTables, trace: np.ndarray) -> np.ndarray:
         """Functional lookup through the combined layout.
 
-        Decodes each combined id back to its member row ids (last member
-        first) and gathers those rows, which is all a combined row holds;
-        the result, in *original table order*, equals the uncombined one.
+        A combined row holds only its member rows, so the result, in
+        *original table order*, is the uncombined gather; no combined
+        table is built.
         """
         if tables.spec is not self.spec and tables.spec != self.spec:
             raise ValueError("tables were built from a different spec")
-        combined_trace = self.rewrite_trace(trace)
-        dim = self.spec.embedding_dim
-        out = np.empty(
-            (len(combined_trace), self.spec.n_tables * dim), dtype=np.float32
-        )
-        for g, group in enumerate(self.groups):
-            ids = combined_trace[:, g]
-            for t in reversed(group):
-                ids, member = np.divmod(ids, self.spec.table_rows[t])
-                out[:, t * dim:(t + 1) * dim] = tables.tables[t][member]
-        return out
+        return tables.lookup(trace)
 
 
 def plan_cartesian(

@@ -79,8 +79,9 @@ def _adc_reference(pq, query):
 @pytest.mark.parametrize("m", [1, 4, 16])
 def test_adc_table_bit_identical_to_per_subspace_loop(m, dsub):
     rng = np.random.default_rng(100 * m + dsub)
-    for ksub in (1, 17, 255):
-        codebooks = rng.standard_normal((m, ksub, dsub)).astype(np.float32)
+    for ksub, dtype in ((1, np.float32), (17, np.float32), (255, np.float32),
+                        (17, np.float64)):
+        codebooks = rng.standard_normal((m, ksub, dsub)).astype(dtype)
         pq = ProductQuantizer(codebooks=codebooks)
         for _ in range(4):
             query = rng.standard_normal(m * dsub).astype(np.float32)

@@ -73,6 +73,20 @@ def test_rewrite_trace_mixed_radix():
         plan.rewrite_trace(np.zeros((2, 2), dtype=np.int64))
 
 
+def _lookup_via_combined_tables(plan, tables, trace):
+    """Gather from the materialised combined tables by combined id, then
+    put each member's columns back in original table order."""
+    combined_tables = plan.materialize(tables)
+    combined_trace = plan.rewrite_trace(trace)
+    dim = plan.spec.embedding_dim
+    out = np.empty((len(trace), plan.spec.n_tables * dim), dtype=np.float32)
+    for g, group in enumerate(plan.groups):
+        rows = combined_tables[g][combined_trace[:, g]]
+        for pos, t in enumerate(group):
+            out[:, t * dim:(t + 1) * dim] = rows[:, pos * dim:(pos + 1) * dim]
+    return out
+
+
 def test_combined_lookup_equals_uncombined():
     """The defining correctness property of the Cartesian rewrite."""
     spec = _spec(rows=(4, 6, 50, 200))
@@ -81,6 +95,9 @@ def test_combined_lookup_equals_uncombined():
     assert plan.lookups_saved >= 1
     trace = lookup_trace(spec, batch_size=32, seed=4)
     assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(
+        _lookup_via_combined_tables(plan, tables, trace), tables.lookup(trace)
+    )
 
 
 def test_out_of_range_member_ids_raise_instead_of_aliasing():
@@ -147,3 +164,6 @@ def test_property_plan_valid_and_lookup_exact(rows, budget_factor):
     tables = EmbeddingTables(spec, seed=0)
     trace = lookup_trace(spec, batch_size=5, seed=1)
     assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(
+        _lookup_via_combined_tables(plan, tables, trace), tables.lookup(trace)
+    )
