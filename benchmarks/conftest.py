@@ -9,8 +9,6 @@ builders are ``lru_cache``d, so the whole
 session scope here just avoids re-entering the cached call).
 """
 
-import os
-
 import pytest
 
 from repro.exec.experiments import (
@@ -21,33 +19,6 @@ from repro.exec.experiments import (
     microrec_tables,
     microrec_trace,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _obs_trace():
-    """Trace the whole bench session when ``REPRO_TRACE`` is set.
-
-    ``python -m repro run <ids> --trace OUT.json`` sets the variable;
-    every Simulator/BankedMemory the experiments construct then records
-    through one shared default tracer, and the collected events are
-    exported as Chrome ``trace_event`` JSON with a utilisation summary
-    printed at the end of the session.
-    """
-    path = os.environ.get("REPRO_TRACE")
-    if not path:
-        yield
-        return
-    from repro.obs import Tracer, set_default_tracer
-
-    tracer = Tracer()
-    set_default_tracer(tracer)
-    try:
-        yield
-    finally:
-        set_default_tracer(None)
-        tracer.export_chrome(path)
-        print()
-        print(tracer.utilisation_summary())
 
 
 @pytest.fixture(scope="session")

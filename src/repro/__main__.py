@@ -16,12 +16,9 @@ Subcommands:
   and shedding for the run.
 
 ``run --trace OUT.json`` records the run through the observability
-layer instead: it delegates to pytest over ``benchmarks/`` (which must
-be reachable from the current directory — i.e. run from the repository
-root), where ``benchmarks/conftest.py`` installs a shared tracer via
-the ``REPRO_TRACE`` environment variable and exports the collected
-trace as Chrome ``trace_event`` JSON — open it at
-https://ui.perfetto.dev or in ``chrome://tracing``.
+layer: the sweep runs serially and uncached under one shared default
+tracer, and the collected trace is exported as Chrome ``trace_event``
+JSON — open it at https://ui.perfetto.dev or in ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -29,9 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 from . import __version__
 
@@ -164,35 +159,6 @@ def _cmd_run_sweep(
     return 0
 
 
-def _cmd_run_pytest(ids: list[str], trace: str, faults: float | None) -> int:
-    """Delegate a traced run to pytest over ``benchmarks/``."""
-    from .exec import build_spec
-
-    bench_dir = Path("benchmarks")
-    if not bench_dir.is_dir():
-        print("error: benchmarks/ not found — run from the repository root",
-              file=sys.stderr)
-        return 2
-    targets = [str(bench_dir / build_spec(exp_id).bench) for exp_id in ids]
-    command = [
-        sys.executable, "-m", "pytest", *targets,
-        "--benchmark-only", "-q", "-s",
-    ]
-    env = os.environ.copy()
-    # benchmarks/conftest.py installs the default tracer when it sees
-    # this variable and exports the Chrome trace on teardown.
-    env["REPRO_TRACE"] = str(Path(trace).resolve())
-    if faults is not None:
-        # Fault-aware benches (e22) sweep {0, faults} instead of their
-        # default rate ladder.
-        env["REPRO_FAULT_RATE"] = repr(faults)
-    status = subprocess.call(command, env=env)
-    if status == 0:
-        print(f"trace written to {trace} "
-              "(open in chrome://tracing or https://ui.perfetto.dev)")
-    return status
-
-
 def _cmd_run(
     ids: list[str],
     trace: str | None = None,
@@ -211,11 +177,24 @@ def _cmd_run(
     keys = _resolve_ids(ids)
     if keys is None:
         return 2
-    if trace is not None:
-        # The sweep path can't record traces (workers are separate
-        # processes); traced runs go through the serial pytest path.
-        return _cmd_run_pytest(keys, trace, faults)
-    return _cmd_run_sweep(keys, parallel, no_cache, faults)
+    if trace is None:
+        return _cmd_run_sweep(keys, parallel, no_cache, faults)
+    # Worker processes and cached cells would record nothing, so a
+    # traced run is serial and uncached.
+    from .obs import Tracer, set_default_tracer
+
+    tracer = Tracer()
+    set_default_tracer(tracer)
+    try:
+        status = _cmd_run_sweep(keys, 1, True, faults)
+    finally:
+        set_default_tracer(None)
+    tracer.export_chrome(trace)
+    print()
+    print(tracer.utilisation_summary())
+    print(f"trace written to {trace} "
+          "(open in chrome://tracing or https://ui.perfetto.dev)")
+    return status
 
 
 def _cmd_serve(args) -> int:
@@ -324,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--trace", metavar="OUT.json", default=None,
         help="record the run through repro.obs and export a Chrome "
-             "trace_event JSON file (serial pytest path)",
+             "trace_event JSON file (serial, uncached)",
     )
     run.add_argument(
         "--faults", metavar="RATE", type=float, default=None,

@@ -10,8 +10,8 @@ engine and returns a :class:`ServiceReport`:
   .AdmissionController` — shed requests are accounted, not queued;
 * the :class:`~repro.serve.batcher.DynamicBatcher` forms batches into a
   bounded dispatch stream;
-* ``replicas`` replica processes pull batches and hold them for the
-  backend's ``batch_service_ps``; an optional
+* ``replicas`` replica processes take batches in the order they became
+  idle and hold each for the backend's ``batch_service_ps``; an optional
   :class:`~repro.serve.admission.ReplicaAutoscaler` moves the replica
   count at runtime;
 * an optional :class:`~repro.faults.FaultPlan` degrades service:
@@ -26,10 +26,10 @@ latency list; the same latencies also feed a
 :class:`~repro.obs.metrics.MetricsRegistry` histogram so serving runs
 show up in metrics snapshots next to every other instrumented layer.
 
-Replica processes use *bounded* stream gets (``dispatch.get(timeout)``)
-and re-check termination on :class:`~repro.core.stream.StreamTimeout`,
-so the service can never deadlock on a drained queue — the property the
-fault-path tests assert.
+Idle replicas block on the dispatch stream and never poll, so host cost
+scales with requests and batches, not with simulated idle time.  The
+run ends when the event heap drains, idle replicas still blocked; the
+report asserts that every request was accounted.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Any
 
 import numpy as np
 
-from ..core.sim import Simulator
-from ..core.stream import Stream, StreamTimeout
+from ..core.sim import Interrupt, Simulator
+from ..core.stream import Stream
 from ..obs.metrics import MetricsRegistry
 from ..workloads import ZipfSampler
 from .admission import (
@@ -166,13 +166,6 @@ class _OnlineService:
         self._failed = 0
         self._last_done_ps = 0
         self._waiters: dict[int, Any] = {}
-        # Idle replicas re-check termination at this cadence; it only
-        # sets how quickly the run winds down, never the results.
-        self._poll_ps = max(
-            1,
-            config.batch.max_wait_ps,
-            backend.batch_service_ps(backend.max_batch),
-        )
         # Metrics instruments (no-ops when the registry is disabled).
         reg = self.registry
         self._m_latency = reg.histogram("serve.latency_ps",
@@ -189,6 +182,9 @@ class _OnlineService:
         self.replica_target = 0
         self._live = 0
         self._next_rid = 0
+        self._procs: dict[int, Any] = {}
+        # (rid, pending get) per blocked replica, oldest idle first.
+        self._idle: list[tuple[int, Any]] = []
         self.autoscaler: ReplicaAutoscaler | None = None
         self.set_replicas(config.replicas)
         if config.autoscaler is not None:
@@ -218,11 +214,19 @@ class _OnlineService:
             raise ValueError("replica target must be >= 1")
         self.replica_target = target
         self._m_replicas.set(target)
+        # Retire surplus idle replicas now, most recently idle first, so
+        # the next batch still goes to the longest-idle one.  A replica
+        # already handed a batch is busy: it retires after that batch.
+        for rid, get in self._idle[::-1]:
+            if self._live > target and not get.triggered:
+                self._idle.remove((rid, get))
+                self._live -= 1
+                self._procs[rid].interrupt()
         while self._live < target:
             rid = self._next_rid
             self._next_rid += 1
             self._live += 1
-            self.sim.spawn(
+            self._procs[rid] = self.sim.spawn(
                 self._replica(rid),
                 name=f"serve.{self.backend.name}.r{rid}",
             )
@@ -235,15 +239,13 @@ class _OnlineService:
             if self._live > self.replica_target and self.dispatch.empty:
                 self._live -= 1
                 return
-            if self.finished or (
-                self.batcher.drained and self.dispatch.empty
-            ):
-                self._live -= 1
-                return
+            idle = (rid, self.dispatch.get())
+            self._idle.append(idle)
             try:
-                batch = yield self.dispatch.get(timeout=self._poll_ps)
-            except StreamTimeout:
-                continue
+                batch = yield idle[1]
+            except Interrupt:
+                return
+            self._idle.remove(idle)
             service_ps = backend.batch_service_ps(len(batch))
             dropped = False
             if self.plan is not None:

@@ -3,14 +3,21 @@
 A seeded :class:`FaultPlan` degrades the service — batch drops fail
 their requests, latency spikes stretch service times — and the
 serving loop must degrade *gracefully*: every request accounted, the
-run terminates (replicas poll with bounded stream gets, so a drained
-queue can never deadlock them), goodput stays strictly positive, and
+run terminates (idle replicas block on the dispatch stream and the run
+ends when the event heap drains), goodput stays strictly positive, and
 the whole degraded run replays byte-identically from the same plan.
 
-Also pins the stream-timeout race the replica loop leans on: a put
-landing at exactly the tick a ``get(timeout)`` expires must resolve
+Fault sites are per replica, so a plan's outcome depends on which
+replica serves each batch: batches go to replicas in the order they
+became idle, and a scale-down retires idle replicas at once.  A
+recording plan pins both.
+
+Also pins a stream-timeout race of the core engine: a put landing at
+exactly the tick a ``get(timeout)`` expires must resolve
 deterministically by FIFO order, without losing the item either way.
 """
+
+import dataclasses
 
 import pytest
 
@@ -26,6 +33,8 @@ from repro.serve import (
     capacity_qps,
     simulate_service,
 )
+from repro.serve.service import _OnlineService
+from repro.serve.traffic import Request
 
 
 def _setup(load=1.4, n_requests=2_000, burst=3.0):
@@ -48,6 +57,21 @@ def _setup(load=1.4, n_requests=2_000, burst=3.0):
 def _plan(seed=11):
     return FaultPlan(seed=seed, drop_rate=0.05, spike_rate=0.1,
                      spike_ps=(1_000_000, 5_000_000))
+
+
+class _RecordingPlan:
+    """A FaultPlan stand-in that injects nothing and records the site
+    (``serve.<backend>.r<rid>``) of every batch served."""
+
+    def __init__(self):
+        self.sites = []
+
+    def spike_delay_ps(self, site):
+        self.sites.append(site)
+        return 0
+
+    def drop(self, site):
+        return False
 
 
 def test_faulted_overload_degrades_gracefully():
@@ -129,7 +153,7 @@ def test_e24_fault_variant_keeps_the_service_alive(monkeypatch):
 
 
 def test_get_timeout_racing_same_tick_put_is_fifo_deterministic():
-    """The replica-poll race: put at exactly the timeout expiry tick.
+    """A put at exactly the tick a bounded get expires.
 
     Whichever event was scheduled first at that tick wins — and in
     neither order may the item be lost or the run deadlock.
@@ -166,3 +190,70 @@ def test_get_timeout_racing_same_tick_put_is_fifo_deterministic():
     # Getter spawned first: its timer (armed at t=0) fires before the
     # putter's same-tick put; the item stays buffered, nothing is lost.
     assert outcomes["timeout_first"] == ((("timeout",), ("put_done",)), 1)
+
+
+def test_batches_go_to_replicas_in_the_order_they_became_idle():
+    """At low load every batch finds both replicas idle, so they must
+    alternate; a wake cadence that re-queues idle replicas would not."""
+    backend, traffic, config = _setup(load=0.01, n_requests=40, burst=1.0)
+    plan = _RecordingPlan()
+    simulate_service(backend, traffic, config, seed=7, plan=plan)
+    served = "".join(site[-1] for site in plan.sites)
+    assert served == "01" * 17 + "0"
+
+
+def test_scale_down_retires_idle_replicas_at_once():
+    backend, _, config = _setup()
+    config = dataclasses.replace(config, replicas=3)
+    sim = Simulator()
+    plan = _RecordingPlan()
+    service = _OnlineService(sim, backend, config, expected=8, plan=plan)
+    replicas = [p for p in sim._processes if ".r" in p.name]
+    alive = []
+
+    def driver():
+        yield sim.timeout(1_000_000)
+        service.set_replicas(1)
+        yield sim.timeout(0)
+        alive.extend(p.is_alive for p in replicas)
+        for rid in range(8):
+            service.offer(Request(rid=rid, tenant=0, arrival_ps=sim.now,
+                                  deadline_ps=sim.now + 10**9))
+            yield sim.timeout(20_000_000)
+        service.batcher.close()
+
+    sim.spawn(driver(), name="driver")
+    sim.run()
+    # r0 went idle first, so r2 and r1 are the surplus; both are gone
+    # before the first request is offered.
+    assert alive == [True, False, False]
+    assert plan.sites == [f"serve.{backend.name}.r0"] * 8
+    report = service.report(8)
+    assert report.completed == 8 and report.replicas_final == 1
+
+
+def test_scale_down_keeps_replicas_already_handed_a_batch():
+    """Two batches reach r0 and r1 at one instant; a scale-down in that
+    same instant, before either resumes, may retire only idle r2."""
+    backend, _, config = _setup()
+    config = dataclasses.replace(config, replicas=3)
+    sim = Simulator()
+    plan = _RecordingPlan()
+    n = 2 * backend.max_batch
+    service = _OnlineService(sim, backend, config, expected=n, plan=plan)
+
+    def driver():
+        for rid in range(n):
+            service.offer(Request(rid=rid, tenant=0, arrival_ps=0,
+                                  deadline_ps=10**9))
+        # Let the batcher hand off both batches, then scale down.
+        yield sim.timeout(0)
+        yield sim.timeout(0)
+        service.set_replicas(1)
+        service.batcher.close()
+
+    sim.spawn(driver(), name="driver")
+    sim.run()
+    assert sorted(plan.sites) == [f"serve.{backend.name}.r{rid}"
+                                  for rid in (0, 1)]
+    assert service.report(n).completed == n

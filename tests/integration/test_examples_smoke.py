@@ -1,5 +1,7 @@
 """Smoke tests: the cheaper example scripts run to completion."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,14 @@ def test_cli_rejects_unknown_experiment(tmp_path):
     )
     assert result.returncode == 2
     assert "unknown experiment" in result.stderr
+
+
+def test_cli_trace_runs_outside_the_repository(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(_EXAMPLES.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "e19", "--trace", "t.json"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    trace = json.loads((tmp_path / "t.json").read_text())
+    assert len(trace["traceEvents"]) > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
@@ -114,6 +114,28 @@ def test_single_request_flushes_on_close_without_batch_wait():
     assert report.p50_us == pytest.approx(be.batch_service_ps(1) / 1e6)
     assert report.mean_batch == 1.0
     assert report.in_slo == 1
+
+
+class _EventCounter(Tracer):
+    """A tracer that counts engine events and keeps no trace slices."""
+
+    def instant(self, *args, **kwargs):
+        pass
+
+    def complete(self, *args, **kwargs):
+        pass
+
+
+@pytest.mark.parametrize("load", [1e-5, 1e-4, 1e-3, 0.5])
+def test_events_scale_with_work_not_idle_time(load):
+    """Idle replicas cost no events: a sparse session fires about as
+    many events per request as a busy one."""
+    be = SyntheticBackend()
+    tracer = _EventCounter()
+    report = simulate_service(be, _traffic(be, load, n_requests=200),
+                              _service(be), seed=1, tracer=tracer)
+    events = tracer.registry.counter("sim.events.fired").value
+    assert events / (report.offered + report.batches) <= 4
 
 
 def test_metrics_registry_wiring():
