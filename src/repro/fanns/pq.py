@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmeans import kmeans
+from .kmeans import _squared_distances_to, kmeans
 
 __all__ = ["ProductQuantizer", "train_pq"]
 
@@ -91,24 +91,15 @@ class ProductQuantizer:
     def adc_table(self, query: np.ndarray) -> np.ndarray:
         """The (m, ksub) float32 table of squared distances query-vs-centroids.
 
-        Equal bit for bit to summing each centroid's squared differences
-        along ``dsub``. numpy adds under 8 terms left to right, so for
-        small ``dsub`` whole ``(m, ksub)`` slabs are added in that order,
-        several times faster than numpy's reduction over a short last
-        axis; from 8 terms on numpy sums pairwise, so that sum is kept.
+        Entry ``[sub, c]`` is the squared distance from the query's
+        ``sub``-th subvector to centroid ``c`` of that subspace, summed
+        exactly as :func:`~repro.fanns.kmeans._squared_distances_to` sums.
         """
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
-        if self.dsub >= 8:
-            diff = self.codebooks - query.reshape(self.m, 1, self.dsub)
-            table = (diff ** 2).sum(axis=-1)
-        else:
-            diff = np.subtract(
-                self.codebooks.transpose(0, 2, 1),
-                query.reshape(self.m, self.dsub, 1),
-                order="C",
-            )
-            table = np.square(diff, out=diff).sum(axis=1)
+        table = _squared_distances_to(
+            self.codebooks, query.reshape(self.m, self.dsub)
+        )
         return table.astype(np.float32, copy=False)
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:

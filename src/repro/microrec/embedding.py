@@ -30,16 +30,34 @@ def check_trace(spec: RecModelSpec, trace: np.ndarray) -> np.ndarray:
     return trace
 
 
+# float64 normals drawn per chunk while filling a float32 table (512 KiB).
+_NORMAL_CHUNK = 1 << 16
+
+
 class EmbeddingTables:
-    """The embedding tables of one recommendation model."""
+    """The embedding tables of one recommendation model.
+
+    Table ``t`` holds ``standard_normal((rows, dim)).astype(float32)``,
+    drawn for each table in turn from one generator seeded with
+    ``seed``.  The normals are drawn ``_NORMAL_CHUNK`` at a time into one
+    float64 buffer and cast into the table, so no float64 copy of a
+    whole table exists; ``Generator``'s normals carry no state from one
+    draw to the next, so the values are the one-shot draw's bit for bit.
+    """
 
     def __init__(self, spec: RecModelSpec, seed: int = 0) -> None:
         self.spec = spec
         rng = np.random.default_rng(seed)
-        self.tables: list[np.ndarray] = [
-            rng.standard_normal((rows, spec.embedding_dim)).astype(np.float32)
-            for rows in spec.table_rows
-        ]
+        buf = np.empty(_NORMAL_CHUNK)
+        self.tables: list[np.ndarray] = []
+        for rows in spec.table_rows:
+            table = np.empty((rows, spec.embedding_dim), dtype=np.float32)
+            flat = table.reshape(-1)
+            for start in range(0, flat.size, _NORMAL_CHUNK):
+                part = buf[:flat.size - start]
+                rng.standard_normal(out=part)
+                flat[start:start + part.size] = part
+            self.tables.append(table)
 
     @property
     def n_tables(self) -> int:

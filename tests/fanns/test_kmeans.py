@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fanns.kmeans import kmeans, kmeans_pp_init
+from repro.fanns.kmeans import (
+    _squared_distances,
+    _squared_distances_to,
+    kmeans,
+    kmeans_pp_init,
+)
 
 
 def _blobs(n_per=50, k=4, dim=2, spread=0.05, seed=0):
@@ -98,3 +103,111 @@ def test_property_result_shapes_and_bounds(n, k, dim):
     assert result.assignments.min() >= 0
     assert result.assignments.max() < k
     assert result.inertia >= 0
+
+
+def _reference_pp_init(points, k, rng):
+    """k-means++ seeding with ``rng.choice`` doing the D^2 draw."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
+    centroids[0] = points[int(rng.integers(0, n))]
+    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            pick = int(rng.integers(0, n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centroids[i] = points[pick]
+        dist = ((points - centroids[i]) ** 2).sum(axis=1)
+        np.minimum(closest, dist, out=closest)
+    return centroids
+
+
+@pytest.mark.parametrize(
+    "n, dim, k, duplicate",
+    [
+        (500, 1, 40, False),
+        (500, 2, 255, False),
+        (400, 7, 60, False),
+        (400, 8, 60, False),
+        (300, 32, 100, False),
+        (300, 2, 50, True),    # half the points coincide
+        (40, 2, 10, "all"),    # every draw after the first is uniform
+        (40, 12, 40, False),   # k == n
+        (25, 3, 25, True),
+    ],
+)
+def test_kmeans_pp_init_matches_rng_choice_draws(n, dim, k, duplicate):
+    points = np.random.default_rng(n + dim).standard_normal((n, dim))
+    points = points.astype(np.float32)
+    if duplicate == "all":
+        points[:] = points[0]
+    elif duplicate:
+        points[n // 2:] = points[0]
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kmeans_pp_init(points, k, rng)
+        want = _reference_pp_init(points, k, ref_rng)
+        assert np.array_equal(got, want)
+        # The same number of draws was consumed.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_kmeans_pp_init_rejects_non_finite_distances(dim):
+    n, seed = 50, 3
+    first = int(np.random.default_rng(seed).integers(0, n))
+    clean = np.random.default_rng(dim).standard_normal((n, dim))
+    clean = clean.astype(np.float32)
+    nan_points = clean.copy()
+    nan_points[(first + 1) % n, 0] = np.nan
+    # Keep inf off the first pick, where inf - inf would itself be NaN.
+    inf_points = clean.copy()
+    inf_points[(first + 1) % n, -1] = np.inf
+    for points in (nan_points, inf_points):
+        with pytest.raises(ValueError, match="NaN"):
+            kmeans_pp_init(points, 4, np.random.default_rng(seed))
+    # Squared distances overflow float32 to inf; numpy reports that
+    # overflow itself, and the draw must still refuse.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN"):
+        kmeans_pp_init(clean * np.float32(1e20), 4,
+                       np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_squared_distances_to_is_the_plain_expression(lead):
+    rng = np.random.default_rng(len(lead))
+    for d in range(1, 21):
+        for n in (1, 5, 257):
+            points = rng.standard_normal(lead + (n, d)).astype(np.float32)
+            centre = rng.standard_normal(lead + (d,)).astype(np.float32)
+            got = _squared_distances_to(points, centre)
+            want = ((points - centre[..., None, :]) ** 2).sum(-1)
+            assert got.shape == lead + (n,)
+            assert np.array_equal(got, want)
+
+
+def test_squared_distances_matches_one_line_expression():
+    rng = np.random.default_rng(11)
+    for n, k, dim in ((1, 1, 1), (300, 17, 2), (200, 64, 32)):
+        points = rng.standard_normal((n, dim)).astype(np.float32)
+        centroids = rng.standard_normal((k, dim)).astype(np.float32)
+        centroids[0] = points[0]
+        p_sq = (points ** 2).sum(axis=1)[:, None]
+        c_sq = (centroids ** 2).sum(axis=1)[None, :]
+        want = np.maximum(p_sq + c_sq - 2.0 * (points @ centroids.T), 0.0)
+        got = _squared_distances(points, centroids)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Lloyd's loop stops after one iteration: the first convergence "
+    "test reads inf <= tolerance * inf.  Fixing it changes the e5/e6/e16 "
+    "and E14 tables and the benchmark's reference digests.",
+)
+def test_lloyd_runs_more_than_one_iteration():
+    points = np.random.default_rng(0).standard_normal((5000, 8))
+    result = kmeans(points.astype(np.float32), 32, max_iterations=25)
+    assert result.n_iterations > 1

@@ -1,10 +1,12 @@
 """Unit tests for embedding tables and the MLP head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.microrec.dnn import Mlp, fpga_mlp_latency_s
-from repro.microrec.embedding import EmbeddingTables
+from repro.microrec.embedding import _NORMAL_CHUNK, EmbeddingTables
 from repro.workloads.traces import RecModelSpec, lookup_trace
 
 
@@ -20,6 +22,30 @@ def test_tables_shapes_and_bytes():
     assert tables.tables[2].shape == (1000, 4)
     assert tables.table_nbytes(0) == 10 * 4 * 4
     assert tables.total_nbytes == (10 + 100 + 1000) * 16
+
+
+def test_tables_equal_one_shot_draw():
+    rows = (3, _NORMAL_CHUNK // 16 + 1, 2 * _NORMAL_CHUNK // 7, 5)
+    spec = RecModelSpec(table_rows=rows, embedding_dim=16, mlp_layers=(8,))
+    tables = EmbeddingTables(spec, seed=7)
+    rng = np.random.default_rng(7)
+    for n, table in zip(rows, tables.tables):
+        want = rng.standard_normal((n, 16)).astype(np.float32)
+        assert table.dtype == np.float32
+        assert np.array_equal(table, want)
+
+
+def test_tables_build_without_a_float64_copy():
+    # One table of ~32 MB: the build may hold the table and little else.
+    spec = RecModelSpec(table_rows=(500_009,), embedding_dim=16,
+                        mlp_layers=(8,))
+    tracemalloc.start()
+    try:
+        tables = EmbeddingTables(spec, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * tables.total_nbytes
 
 
 def test_lookup_gathers_and_concatenates():
