@@ -4,7 +4,7 @@ ACCL's claim is architectural: when the collective engine lives on the
 FPGA next to its 100G NIC, a message is *wire + firmware*; when the
 same FPGAs must communicate through their hosts, every message pays two
 PCIe crossings and a kernel TCP stack, and reductions burn host CPU.
-Both executors run the identical schedules from
+Both executors price the identical schedules from
 :mod:`repro.accl.collectives`; the difference is purely the per-step
 costing:
 
@@ -33,8 +33,11 @@ from .collectives import (
     broadcast_flat,
     broadcast_tree,
     gather_flat,
+    recursive_doubling_schedule,
     reduce_tree,
+    ring_allreduce_schedule,
     scatter_flat,
+    tree_allreduce_schedule,
 )
 
 __all__ = ["FpgaCluster", "HostStagedCluster"]
@@ -45,7 +48,7 @@ _FPGA_REDUCE_BANDWIDTH = 19.2e9
 
 
 class _ClusterBase:
-    """Shared schedule-execution machinery."""
+    """Shared schedule-pricing machinery."""
 
     def __init__(self, n_nodes: int, protocol: ProtocolModel) -> None:
         if n_nodes < 1:
@@ -59,13 +62,14 @@ class _ClusterBase:
                      reduction_bytes: int) -> float:
         raise NotImplementedError
 
-    def _execute(self, outcome: CollectiveOutcome) -> CollectiveOutcome:
-        reductions = outcome.reduction_bytes_per_step or [0] * len(outcome.steps)
+    def _price(self, steps: list[list[tuple[int, int, int]]],
+               reduction_bytes: list[int]) -> float:
+        """Seconds to run a schedule's steps one after another."""
+        reductions = reduction_bytes or [0] * len(steps)
         total = 0.0
-        for step, red in zip(outcome.steps, reductions):
+        for step, red in zip(steps, reductions):
             total += self._step_time_s(step, red)
-        outcome.time_s = total
-        return outcome
+        return total
 
     def _check_count(self, buffers: list[np.ndarray]) -> None:
         if len(buffers) != self.n_nodes:
@@ -73,58 +77,71 @@ class _ClusterBase:
                 f"expected {self.n_nodes} buffers, got {len(buffers)}"
             )
 
+    def _run(self, collective: Callable[..., CollectiveOutcome],
+             buffers: list[np.ndarray], *root: int) -> CollectiveOutcome:
+        self._check_count(buffers)
+        outcome = collective(buffers, *root)
+        outcome.time_s = self._price(
+            outcome.steps, outcome.reduction_bytes_per_step
+        )
+        return outcome
+
     # -- collectives ----------------------------------------------------------
 
     def broadcast(self, buffers: list[np.ndarray], root: int = 0,
                   algorithm: str = "tree") -> CollectiveOutcome:
         """Broadcast the root buffer; ``algorithm`` is 'tree' or 'flat'."""
-        self._check_count(buffers)
-        schedule = {"tree": broadcast_tree, "flat": broadcast_flat}
-        return self._run(schedule, algorithm, buffers, root)
+        return self._run(_pick(_BROADCASTS, algorithm), buffers, root)
 
     def reduce(self, buffers: list[np.ndarray],
                root: int = 0) -> CollectiveOutcome:
         """Sum-reduce every buffer into the root."""
-        self._check_count(buffers)
-        return self._execute(reduce_tree(buffers, root))
+        return self._run(reduce_tree, buffers, root)
 
     def scatter(self, buffers: list[np.ndarray],
                 root: int = 0) -> CollectiveOutcome:
         """Scatter equal chunks of the root buffer."""
-        self._check_count(buffers)
-        return self._execute(scatter_flat(buffers, root))
+        return self._run(scatter_flat, buffers, root)
 
     def gather(self, buffers: list[np.ndarray],
                root: int = 0) -> CollectiveOutcome:
         """Gather all buffers to the root (rank order)."""
-        self._check_count(buffers)
-        return self._execute(gather_flat(buffers, root))
+        return self._run(gather_flat, buffers, root)
 
     def allgather(self, buffers: list[np.ndarray]) -> CollectiveOutcome:
         """Ring allgather."""
-        self._check_count(buffers)
-        return self._execute(allgather_ring(buffers))
+        return self._run(allgather_ring, buffers)
 
     def allreduce(self, buffers: list[np.ndarray],
                   algorithm: str = "ring") -> CollectiveOutcome:
         """Sum-allreduce; ``algorithm``: 'ring', 'tree', or
         'recursive-doubling' (power-of-two clusters only)."""
-        self._check_count(buffers)
-        schedule: dict[str, Callable] = {
-            "ring": lambda bufs, _root: allreduce_ring(bufs),
-            "tree": lambda bufs, _root: allreduce_tree(bufs),
-            "recursive-doubling":
-                lambda bufs, _root: allreduce_recursive_doubling(bufs),
-        }
-        return self._run(schedule, algorithm, buffers, 0)
+        return self._run(_pick(_ALLREDUCES, algorithm)[0], buffers)
 
-    def _run(self, schedules: dict, algorithm: str,
-             buffers: list[np.ndarray], root: int) -> CollectiveOutcome:
-        if algorithm not in schedules:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; have {sorted(schedules)}"
-            )
-        return self._execute(schedules[algorithm](buffers, root))
+    def allreduce_time_s(self, nbytes: int, algorithm: str = "ring") -> float:
+        """Seconds to allreduce ``nbytes`` per node, priced from sizes
+        alone: equal to ``allreduce(buffers, algorithm).time_s`` for any
+        buffers of ``nbytes`` each."""
+        schedule = _pick(_ALLREDUCES, algorithm)[1]
+        return self._price(*schedule(self.n_nodes, nbytes))
+
+
+_BROADCASTS = {"tree": broadcast_tree, "flat": broadcast_flat}
+# Each allreduce algorithm: the collective and its size-only schedule.
+_ALLREDUCES = {
+    "ring": (allreduce_ring, ring_allreduce_schedule),
+    "tree": (allreduce_tree, tree_allreduce_schedule),
+    "recursive-doubling":
+        (allreduce_recursive_doubling, recursive_doubling_schedule),
+}
+
+
+def _pick(algorithms: dict, algorithm: str):
+    if algorithm not in algorithms:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; have {sorted(algorithms)}"
+        )
+    return algorithms[algorithm]
 
 
 class FpgaCluster(_ClusterBase):

@@ -28,7 +28,7 @@ import numpy as np
 from ..faults.plan import FaultPlan
 from ..obs.trace import Tracer
 from .cluster import FpgaCluster, HostStagedCluster, _ClusterBase
-from .collectives import CollectiveOutcome, allreduce_ring, allreduce_tree
+from .collectives import CollectiveOutcome, _chunk, ring_allreduce_schedule
 
 __all__ = ["ResilientAllreduce", "allreduce_with_faults"]
 
@@ -77,14 +77,13 @@ def allreduce_with_faults(
     ``detect_timeout_ps`` is the extra time charged whenever a drop or
     crash must first be *noticed* before recovery starts.
     """
+    cluster._check_count(buffers)
+    _chunk(buffers)  # reject payloads the ring cannot split up front
     p = cluster.n_nodes
-    schedule = allreduce_ring(buffers)
-    reductions = (
-        schedule.reduction_bytes_per_step or [0] * len(schedule.steps)
-    )
+    steps, reductions = ring_allreduce_schedule(p, buffers[0].nbytes)
     t_ps = float(start_ps)
     retries = 0
-    for i, (step, red) in enumerate(zip(schedule.steps, reductions)):
+    for i, (step, red) in enumerate(zip(steps, reductions)):
         dead = sorted(
             node for node in range(p) if faults.node_down(node, int(t_ps))
         )
@@ -98,8 +97,7 @@ def allreduce_with_faults(
             wasted_s = (t_ps - start_ps) / _PS_PER_S
             survivors = tuple(n for n in range(p) if n not in dead)
             sub = _subcluster(cluster, len(survivors))
-            rerun = allreduce_tree([buffers[n] for n in survivors])
-            rerun = sub._execute(rerun)
+            rerun = sub.allreduce([buffers[n] for n in survivors], "tree")
             rerun.time_s += wasted_s + detect_timeout_ps / _PS_PER_S
             return ResilientAllreduce(
                 outcome=rerun,
@@ -123,9 +121,10 @@ def allreduce_with_faults(
                 "latency_spike", site, at_ps=int(t_ps), delay_ps=spike
             )
         t_ps += step_s * _PS_PER_S + spike
-    schedule.time_s = (t_ps - start_ps) / _PS_PER_S
+    outcome = cluster.allreduce(buffers, "ring")
+    outcome.time_s = (t_ps - start_ps) / _PS_PER_S
     return ResilientAllreduce(
-        outcome=schedule,
+        outcome=outcome,
         survivors=tuple(range(p)),
         rerouted=False,
         retries=retries,

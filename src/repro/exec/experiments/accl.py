@@ -92,6 +92,8 @@ _E11_SMALL_FLOATS = 1 << 7
 _E11_LARGE_FLOATS = 1 << 20
 _E11_CROSSOVER_P = 16
 _E11_CROSSOVER_SIZES = (16, 1 << 10, 1 << 14, 1 << 18, 1 << 21)
+# The scaling points price float64 payloads from their sizes alone.
+_FLOAT_BYTES = 8
 
 
 def _e11_buffers(p: int, n_floats: int, seed: int = 0) -> list:
@@ -106,23 +108,15 @@ def e11_cell(config: dict, seed: int = 0) -> dict:
     if config["kind"] == "scaling":
         p = config["p"]
         cluster = FpgaCluster(p)
-        small = _e11_buffers(p, _E11_SMALL_FLOATS, seed)
-        large = _e11_buffers(p, _E11_LARGE_FLOATS, seed)
+        small = _E11_SMALL_FLOATS * _FLOAT_BYTES
+        large = _E11_LARGE_FLOATS * _FLOAT_BYTES
         return {
             "kind": "scaling",
             "p": p,
-            "tree_small_s": float(
-                cluster.allreduce(small, algorithm="tree").time_s
-            ),
-            "ring_small_s": float(
-                cluster.allreduce(small, algorithm="ring").time_s
-            ),
-            "tree_large_s": float(
-                cluster.allreduce(large, algorithm="tree").time_s
-            ),
-            "ring_large_s": float(
-                cluster.allreduce(large, algorithm="ring").time_s
-            ),
+            "tree_small_s": float(cluster.allreduce_time_s(small, "tree")),
+            "ring_small_s": float(cluster.allreduce_time_s(small, "ring")),
+            "tree_large_s": float(cluster.allreduce_time_s(large, "tree")),
+            "ring_large_s": float(cluster.allreduce_time_s(large, "ring")),
         }
     p = _E11_CROSSOVER_P
     cluster = FpgaCluster(p)

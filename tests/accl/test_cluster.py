@@ -68,15 +68,15 @@ def test_ring_vs_tree_crossover():
     ring (less data per step)."""
     p = 16
     cluster = FpgaCluster(p)
-    small = _buffers(p, n=p)  # 128 B per node
-    large = _buffers(p, n=1 << 20)  # 8 MiB per node
+    small = p * 8  # 128 B per node
+    large = 8 << 20  # 8 MiB per node
     assert (
-        cluster.allreduce(small, algorithm="tree").time_s
-        < cluster.allreduce(small, algorithm="ring").time_s
+        cluster.allreduce_time_s(small, algorithm="tree")
+        < cluster.allreduce_time_s(small, algorithm="ring")
     )
     assert (
-        cluster.allreduce(large, algorithm="ring").time_s
-        < cluster.allreduce(large, algorithm="tree").time_s
+        cluster.allreduce_time_s(large, algorithm="ring")
+        < cluster.allreduce_time_s(large, algorithm="tree")
     )
 
 
@@ -111,17 +111,18 @@ def test_single_node_collectives_are_free():
 
 
 def test_scaling_more_nodes_costs_more_time_for_tree():
-    small = FpgaCluster(4).allreduce(_buffers(4, n=1 << 12), algorithm="tree")
-    large = FpgaCluster(32).allreduce(_buffers(32, n=1 << 12), algorithm="tree")
-    assert large.time_s > small.time_s
+    nbytes = 8 << 12
+    small = FpgaCluster(4).allreduce_time_s(nbytes, algorithm="tree")
+    large = FpgaCluster(32).allreduce_time_s(nbytes, algorithm="tree")
+    assert large > small
 
 
 def test_ring_allreduce_time_roughly_constant_in_cluster_size():
     """Bandwidth-optimal ring: per-node bytes ~2n regardless of P, so
     time grows only through latency terms."""
-    n = 1 << 22
-    t4 = FpgaCluster(4).allreduce(_buffers(4, n=n)).time_s
-    t16 = FpgaCluster(16).allreduce(_buffers(16, n=n)).time_s
+    nbytes = 8 << 22
+    t4 = FpgaCluster(4).allreduce_time_s(nbytes)
+    t16 = FpgaCluster(16).allreduce_time_s(nbytes)
     assert t16 < 2.5 * t4
 
 

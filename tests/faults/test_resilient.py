@@ -90,3 +90,8 @@ def test_deterministic_given_seed():
         return result.retries, result.time_s, result.survivors
 
     assert run() == run()
+
+
+def test_buffer_count_must_match_the_cluster():
+    with pytest.raises(ValueError, match="expected 8 buffers, got 4"):
+        allreduce_with_faults(FpgaCluster(8), _buffers(4), FaultPlan(seed=0))
