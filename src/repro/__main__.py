@@ -3,7 +3,6 @@
 Subcommands:
 
 * ``info`` — package version and system inventory;
-* ``experiments`` — the experiment index (id, title, bench file);
 * ``list [--json]`` — the registry dump: per experiment the grid
   size, seeds, and how many cells are already in ``results/cache/``;
 * ``run <id>... | all [--parallel N]`` — regenerate experiments
@@ -59,15 +58,6 @@ def _cmd_info() -> int:
     return 0
 
 
-def _cmd_experiments() -> int:
-    from .exec import build_spec, experiment_ids
-
-    for exp_id in experiment_ids():
-        spec = build_spec(exp_id)
-        print(f"  {exp_id:<4} {spec.title:<48} benchmarks/{spec.bench}")
-    return 0
-
-
 def _registry_rows() -> list[dict]:
     """One dict per registered experiment, with cache occupancy."""
     from .exec import (
@@ -92,12 +82,10 @@ def _registry_rows() -> list[dict]:
         rows.append({
             "experiment": exp_id,
             "title": spec.title,
-            "bench": f"benchmarks/{spec.bench}",
             "grid": len(spec.grid),
             "seeds": list(spec.seeds),
             "cells": spec.cells,
             "cached": cached,
-            "deterministic": spec.deterministic,
         })
     return rows
 
@@ -144,18 +132,27 @@ def _cmd_run_sweep(
     """Run experiments through the :mod:`repro.exec` sweep runner."""
     from .exec import ResultCache, SweepRunner, build_spec
 
+    # --faults reaches the specs through REPRO_FAULT_RATE; restore the
+    # caller's value afterwards so the rate does not outlive the run.
+    previous = os.environ.get("REPRO_FAULT_RATE")
     if faults is not None:
         os.environ["REPRO_FAULT_RATE"] = repr(faults)
-    cache = None if no_cache else ResultCache()
-    for exp_id in ids:
-        runner = SweepRunner(build_spec(exp_id), parallel=parallel,
-                             cache=cache)
-        result = runner.run()
-        for table in result.tables:
-            table.show()
-        print(f"[{exp_id}] {result.cells} cells: {result.hits} cached, "
-              f"{result.computed} computed ({parallel} worker"
-              f"{'s' if parallel != 1 else ''})")
+    try:
+        cache = None if no_cache else ResultCache()
+        for exp_id in ids:
+            runner = SweepRunner(build_spec(exp_id), parallel=parallel,
+                                 cache=cache)
+            result = runner.run()
+            for table in result.tables:
+                table.show()
+            print(f"[{exp_id}] {result.cells} cells: {result.hits} cached, "
+                  f"{result.computed} computed ({parallel} worker"
+                  f"{'s' if parallel != 1 else ''})")
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_FAULT_RATE", None)
+        else:
+            os.environ["REPRO_FAULT_RATE"] = previous
     return 0
 
 
@@ -289,7 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="version and system inventory")
-    sub.add_parser("experiments", help="list the experiment index")
     lst = sub.add_parser(
         "list", help="registry dump: grid sizes, seeds, cache occupancy"
     )
@@ -365,8 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "info":
         return _cmd_info()
-    if args.command == "experiments":
-        return _cmd_experiments()
     if args.command == "list":
         return _cmd_list(args.as_json)
     if args.command == "run":

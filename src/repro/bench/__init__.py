@@ -1,4 +1,4 @@
-"""Benchmark harness utilities shared by the scripts in ``benchmarks/``."""
+"""Result-table utilities every registered experiment renders with."""
 
 from .reporting import ResultTable, format_quantity, speedup
 

@@ -1,8 +1,9 @@
-"""Result tables and series for the benchmark harness.
+"""Result tables and series for the experiments.
 
-Every bench in ``benchmarks/`` builds a :class:`ResultTable` and prints
-it, so regenerated experiments come out as the rows/series the paper's
-claims are stated in.  Formatting is plain monospace text (no deps).
+Every experiment's ``assemble`` phase builds its result tables and
+``repro run`` prints them, so regenerated experiments come out as the
+rows/series the paper's claims are stated in.  Formatting is plain
+monospace text (no deps).
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class ResultTable:
         return "\n".join(lines)
 
     def show(self) -> None:
-        """Print the rendered table (benches call this)."""
+        """Print the rendered table (``repro run`` calls this)."""
         print()
         print(self.render())
         print()

@@ -24,7 +24,7 @@ counters are identical to the stepped simulation.
 Eligibility — :func:`try_fast_forward` falls back to the event loop
 unless it can prove the closed form safe:
 
-* fast-forward is enabled (``REPRO_FASTPATH`` / :func:`set_fast_forward`);
+* fast-forward is enabled (:func:`set_fast_forward`; on by default);
 * no tracer is attached (observability wants per-event hooks);
 * every process in the simulator belongs to a registered pipeline
   component, and none has started yet (``run(until=...)``, faults,
@@ -48,7 +48,6 @@ mutable state across stages (none in this repo do).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any
 
@@ -62,7 +61,7 @@ __all__ = [
     "try_fast_forward",
 ]
 
-_override: bool | None = None
+_enabled = True
 
 #: Module-wide instrumentation: how many ``run()`` entries engaged the
 #: analytic path vs fell back to event stepping (tests reset freely).
@@ -76,18 +75,14 @@ _MIN_JUMP_ITEMS = 16
 
 
 def set_fast_forward(enabled: bool | None) -> None:
-    """Force fast-forward on/off; ``None`` restores the env default."""
-    global _override
-    _override = enabled
+    """Force fast-forward on/off; ``None`` restores the default (on)."""
+    global _enabled
+    _enabled = True if enabled is None else enabled
 
 
 def is_enabled() -> bool:
     """True when the analytic fast-forward may engage (default: yes)."""
-    if _override is not None:
-        return _override
-    return os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
+    return _enabled
 
 
 def analytic_pipeline_estimate(specs, n_items: int, interval_ps: int = 0) -> int:

@@ -1,63 +1,39 @@
 """Parallel sweep execution and result caching (``repro.exec``).
 
-The experiment benches are embarrassingly parallel: a seed x config
-grid of independent cells (one nprobe, one cluster size, one fault
-rate).  This package fans that grid out over a ``multiprocessing``
-pool with deterministic result ordering, and memoises completed cells
-in a content-addressed on-disk cache keyed by
+The experiments are embarrassingly parallel: a seed x config grid of
+independent cells (one nprobe, one cluster size, one fault rate).
+This package fans that grid out over a ``multiprocessing`` pool with
+deterministic result ordering, and memoises completed cells in a
+content-addressed on-disk cache keyed by
 ``(experiment, config, seed, code-version[, context])`` so re-runs
 only pay for what changed.
 
 Entry points:
 
-* :class:`SweepRunner` — executes a :class:`SweepSpec` serially or in
-  parallel, consulting the :class:`ResultCache` per cell;
-* :func:`build_spec` / :func:`experiment_ids` / :data:`SWEEPABLE` —
-  the registry of all 23 experiments' prepare/cell/assemble specs
+* :class:`SweepRunner` — executes an :class:`ExperimentSpec` serially
+  or in parallel, consulting the :class:`ResultCache` per cell; it is
+  the only way an experiment runs;
+* :func:`build_spec` / :func:`experiment_ids` — the registry of all 23
+  experiments' prepare/cell/assemble specs
   (``repro.exec.experiments``);
 * ``python -m repro run <exp>|all --parallel N`` and
   ``python -m repro list`` — the CLI wiring.
+
+The tables each experiment prints at smoke scale are pinned by the
+committed goldens in ``results/golden/``.
 """
 
 from .cache import ResultCache, cell_key, code_version
-from .experiments import (
-    ExperimentSpec,
-    SWEEPABLE,
-    build_spec,
-    experiment_ids,
-)
-
-# Legacy per-experiment re-exports (PR 3 public surface): bench code
-# imported these from repro.exec / repro.exec.experiments by name.
-from .experiments import (  # noqa: F401
-    e5_assemble,
-    e5_cell,
-    e5_prepare,
-    e11_assemble,
-    e11_cell,
-    e22_assemble,
-    e22_cell,
-    e22_rates,
-)
-from .runner import SweepResult, SweepRunner, SweepSpec
+from .experiments import ExperimentSpec, build_spec, experiment_ids
+from .runner import SweepResult, SweepRunner
 
 __all__ = [
     "ExperimentSpec",
     "ResultCache",
-    "SWEEPABLE",
     "SweepResult",
     "SweepRunner",
-    "SweepSpec",
     "build_spec",
     "cell_key",
     "code_version",
-    "e5_assemble",
-    "e5_cell",
-    "e5_prepare",
-    "e11_assemble",
-    "e11_cell",
-    "e22_assemble",
-    "e22_cell",
-    "e22_rates",
     "experiment_ids",
 ]

@@ -1,9 +1,9 @@
-"""The experiment registry package: all 24 experiments as specs.
+"""The experiment registry package: all 23 experiments as specs.
 
 Importing this package registers every experiment family module.  The
 public surface is :func:`build_spec` / :func:`experiment_ids` /
-``SWEEPABLE`` plus the per-experiment cell/assemble callables the
-benchmark shims delegate to.
+:func:`register` plus the shared context builders in
+:mod:`.contexts`.
 """
 
 from __future__ import annotations
@@ -26,45 +26,16 @@ from . import accl as _accl
 from . import core as _core
 from . import fanns as _fanns
 from . import farview as _farview
+from . import faults as _faults
 from . import microrec as _microrec
 from . import operators as _operators
-from . import perf as _perf
 from . import serving as _serving
 from . import storage as _storage
-
-# Legacy re-exports: PR 3 shipped these at repro.exec.experiments
-# module scope, and the e5/e11/e22 benches import them by name.
-from .accl import (
-    _E11_CROSSOVER_SIZES,
-    _E11_NODES,
-    e11_assemble,
-    e11_cell,
-)
-from .fanns import _E5_NPROBES, e5_assemble, e5_cell, e5_prepare
-from .fanns import e16_context
-from .microrec import e8_context, e9_context
-from .perf import e22_assemble, e22_cell, e22_rates
-
-#: Every registered experiment id — all of them run through the sweep
-#: runner now (single-cell experiments are a one-entry grid).
-SWEEPABLE: tuple[str, ...] = experiment_ids()
 
 __all__ = [
     "ExperimentSpec",
     "FANNS_LIST_SCALE",
-    "SWEEPABLE",
     "build_spec",
-    "e5_assemble",
-    "e5_cell",
-    "e5_prepare",
-    "e8_context",
-    "e9_context",
-    "e11_assemble",
-    "e11_cell",
-    "e16_context",
-    "e22_assemble",
-    "e22_cell",
-    "e22_rates",
     "experiment_ids",
     "fanns_dataset",
     "fanns_index",

@@ -75,13 +75,11 @@ def _e10_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e10",
         title="ACCL collectives vs host-staged (Fig 1)",
-        bench="bench_e10_accl_collectives.py",
         grid=tuple({"nbytes": n} for n in _E10_SIZES),
         seeds=(0,),
         prepare=lambda: None,
         cell=e10_cell,
         assemble=e10_assemble,
-        entries=(("_run_collectives", ()),),
     )
 
 
@@ -101,7 +99,7 @@ def _e11_buffers(p: int, n_floats: int, seed: int = 0) -> list:
     return [rng.random(n_floats) for _ in range(p)]
 
 
-def e11_cell(config: dict, seed: int = 0) -> dict:
+def e11_cell(ctx: Any, config: dict, seed: int) -> dict:
     """One scaling point (cluster size) or one crossover point (payload)."""
     from ...accl import FpgaCluster
 
@@ -179,18 +177,12 @@ def _e11_spec() -> ExperimentSpec:
         [{"kind": "scaling", "p": p} for p in _E11_NODES]
         + [{"kind": "crossover", "n_floats": n} for n in _E11_CROSSOVER_SIZES]
     )
-
-    def cell(ctx: Any, config: dict, seed: int) -> dict:
-        return e11_cell(config, seed)
-
     return ExperimentSpec(
         experiment="e11",
         title="ACCL scaling and ring/tree crossover",
-        bench="bench_e11_accl_scaling.py",
         grid=grid,
         seeds=(0,),
         prepare=lambda: None,
-        cell=cell,
+        cell=e11_cell,
         assemble=e11_assemble,
-        entries=(("_run_scaling", ()), ("_run_crossover", ())),
     )

@@ -1,7 +1,7 @@
 """The experiment registry: one declarative spec per experiment.
 
-Every experiment e1–e23 is factored into the three phases the sweep
-runner schedules independently:
+Every experiment is factored into the three phases the sweep runner
+schedules independently:
 
 * ``prepare()`` — build the (deterministic, seeded) shared context:
   datasets, indexes, clusters, baselines.  Runs once per worker
@@ -11,19 +11,17 @@ runner schedules independently:
   cache freely.  Single-cell experiments have a one-entry grid.
 * ``assemble(rows)`` — fold the cell dicts (in grid order) back into
   the experiment's :class:`~repro.bench.ResultTable` list, including
-  the bench's shape-claim assertions.
+  the experiment's shape-claim assertions.
 
-The benchmark files under ``benchmarks/`` are thin shims that fetch
-their spec from this registry and delegate to the same cells and
-assembly, so ``repro run eN --parallel K`` produces byte-identical
-tables to the pytest path — the decomposition *is* the experiment,
-not a parallel re-implementation of it.
+:class:`~repro.exec.SweepRunner` is the one executor of a spec, and
+the committed goldens in ``results/golden/`` are the one check of the
+tables it assembles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ...bench import ResultTable
 from ..cache import _jsonable
@@ -37,8 +35,7 @@ __all__ = [
 
 # Experiment id -> spec factory.  Factories are re-invoked per
 # build_spec() call so environment knobs (REPRO_FAULT_RATE,
-# REPRO_SMOKE, REPRO_BENCH_SMOKE) are honoured at invocation time,
-# like the pytest path.
+# REPRO_SMOKE) are honoured at invocation time.
 _FACTORIES: dict[str, Callable[[], "ExperimentSpec"]] = {}
 
 
@@ -52,8 +49,6 @@ class ExperimentSpec:
         Registry id (``"e5"``).
     title:
         One-line description, shown by ``repro list``.
-    bench:
-        The benchmark shim file under ``benchmarks/``.
     grid:
         Config dicts, one per cell.  Single-cell experiments use a
         one-entry grid (often ``({},)``).
@@ -64,32 +59,20 @@ class ExperimentSpec:
         at construction so its return value is normalised to plain
         JSON types — the in-process row and the cache-roundtripped row
         are therefore always identical.
-    entries:
-        ``(bench entry-point name, ctx-key args)`` pairs: the shim
-        functions that regenerate this experiment's tables, in
-        assemble-output order.  The golden-equivalence and smoke
-        suites are parameterised off this.
     context_key:
         Extra identity folded into every cell's cache key (e.g. the
         smoke/full dataset scale), so context-dependent results can
         never be served across contexts.
-    deterministic:
-        False for experiments whose tables contain wall-clock
-        measurements (e23); equivalence checks then compare structure,
-        not bytes.
     """
 
     experiment: str
     title: str
-    bench: str
     grid: tuple[dict, ...]
     seeds: tuple[int, ...]
     prepare: Callable[[], Any]
     cell: Callable[[Any, dict, int], dict]
     assemble: Callable[[list[dict]], list[ResultTable]]
-    entries: tuple[tuple[str, tuple[str, ...]], ...] = ()
     context_key: dict = field(default_factory=dict)
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         raw_cell = self.cell
@@ -97,53 +80,12 @@ class ExperimentSpec:
         def normalised(ctx: Any, config: dict, seed: int) -> dict:
             return _jsonable(raw_cell(ctx, config, seed))
 
-        object.__setattr__(self, "normalised", normalised)
         object.__setattr__(self, "cell", normalised)
 
     @property
     def cells(self) -> int:
         """Total cell count (``seeds x grid``)."""
         return len(self.grid) * len(self.seeds)
-
-    @property
-    def sweep(self) -> bool:
-        """True when the experiment has more than one cell."""
-        return self.cells > 1
-
-    def rows(
-        self,
-        ctx: Any = None,
-        configs: Iterable[dict] | None = None,
-    ) -> list[dict]:
-        """Run cells serially, seed-major / grid-minor (runner order).
-
-        ``ctx=None`` calls :attr:`prepare`; shims with session fixtures
-        pass a pre-built context instead.  ``configs`` restricts the
-        run to a grid subset (a bench entry point's part).
-        """
-        if ctx is None:
-            ctx = self.prepare()
-        grid = self.grid if configs is None else tuple(configs)
-        return [
-            self.cell(ctx, config, seed)
-            for seed in self.seeds
-            for config in grid
-        ]
-
-    def tables(
-        self,
-        ctx: Any = None,
-        configs: Iterable[dict] | None = None,
-    ) -> list[ResultTable]:
-        """Assemble the result tables from a serial in-process run."""
-        return self.assemble(self.rows(ctx=ctx, configs=configs))
-
-    def part(self, **match: Any) -> tuple[dict, ...]:
-        """The grid subset whose configs contain all of ``match``."""
-        return tuple(
-            config for config in self.grid
-            if all(config.get(k) == v for k, v in match.items())
-        )
 
 
 def register(

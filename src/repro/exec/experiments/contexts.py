@@ -1,15 +1,13 @@
 """Shared experiment contexts: the expensive seeded artifacts.
 
 These builders are the single source of truth for the dataset, index,
-and embedding-table parameters used by both the benchmark fixtures
-(``benchmarks/conftest.py`` imports from here) and the specs'
-``prepare()`` phases — the two paths can no longer drift.
+and embedding-table parameters the specs' ``prepare()`` phases use.
 
-``REPRO_SMOKE=1`` scales the artifacts down to the bench smoke-suite
-sizes so the registry-driven CI jobs and equivalence tests finish in
-seconds; the scale is part of every dependent cell's cache identity
-(see :func:`scale_key`), so smoke and full results never collide in
-``results/cache/``.
+``REPRO_SMOKE=1`` scales the artifacts down to the smoke sizes the
+committed goldens are rendered at, so the registry-driven CI jobs and
+the golden tests finish in seconds; the scale is part of every
+dependent cell's cache identity (see :func:`scale_key`), so smoke and
+full results never collide in ``results/cache/``.
 """
 
 from __future__ import annotations

@@ -143,13 +143,11 @@ def _e1_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e1",
         title="HLS pipelining study (§2 Programming)",
-        bench="bench_e1_hls_pipeline.py",
         grid=grid,
         seeds=(0,),
         prepare=lambda: None,
         cell=e1_cell,
         assemble=e1_assemble,
-        entries=(("_run_pipeline_sweep", ()), ("_run_timing_ablation", ())),
     )
 
 
@@ -227,13 +225,11 @@ def _e2_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e2",
         title="line-rate stream processing",
-        bench="bench_e2_line_rate.py",
         grid=({},),
         seeds=(2,),
         prepare=lambda: None,
         cell=e2_cell,
         assemble=e2_assemble,
-        entries=(("_run_line_rate", ()),),
     )
 
 
@@ -337,11 +333,9 @@ def _e12_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e12",
         title="resource utilization across devices",
-        bench="bench_e12_resources.py",
         grid=tuple({"design": name} for name in _E12_DESIGNS),
         seeds=(0,),
         prepare=lambda: None,
         cell=e12_cell,
         assemble=e12_assemble,
-        entries=(("_run_resources", ()),),
     )

@@ -19,12 +19,11 @@ _E5_K = 10
 
 
 def e5_prepare() -> dict:
-    """Dataset + trained index, identical to the bench session fixtures."""
+    """The shared dataset and trained index."""
     return {"data": fanns_dataset(), "index": fanns_index()}
 
 
-def e5_cell(index, data, nprobe: int,
-            list_scale: int = FANNS_LIST_SCALE) -> dict:
+def e5_cell(ctx: dict, config: dict, seed: int) -> dict:
     """One nprobe point: run all three engines, check the SLA triangle."""
     from ...fanns import (
         CpuAnnSearcher,
@@ -33,9 +32,10 @@ def e5_cell(index, data, nprobe: int,
         recall_at_k,
     )
 
-    accel = FannsAccelerator(index, list_scale=list_scale)
-    cpu = CpuAnnSearcher(index, list_scale=list_scale)
-    gpu = GpuAnnSearcher(index, list_scale=list_scale)
+    index, data, nprobe = ctx["index"], ctx["data"], config["nprobe"]
+    accel = FannsAccelerator(index, list_scale=FANNS_LIST_SCALE)
+    cpu = CpuAnnSearcher(index, list_scale=FANNS_LIST_SCALE)
+    gpu = GpuAnnSearcher(index, list_scale=FANNS_LIST_SCALE)
     f = accel.search(data.queries, _E5_K, nprobe)
     c = cpu.search(data.queries, _E5_K, nprobe)
     g = gpu.search(data.queries, _E5_K, nprobe)
@@ -82,19 +82,14 @@ def e5_assemble(rows: list[dict]) -> list[ResultTable]:
 
 @register("e5")
 def _e5_spec() -> ExperimentSpec:
-    def cell(ctx: dict, config: dict, seed: int) -> dict:
-        return e5_cell(ctx["index"], ctx["data"], config["nprobe"])
-
     return ExperimentSpec(
         experiment="e5",
         title="FANNS QPS vs recall (Fig 3)",
-        bench="bench_e5_fanns_qps_recall.py",
         grid=tuple({"nprobe": n} for n in _E5_NPROBES),
         seeds=(13,),
         prepare=e5_prepare,
-        cell=cell,
+        cell=e5_cell,
         assemble=e5_assemble,
-        entries=(("_run_sweep", ("ivfpq_index", "vector_data")),),
         context_key=scale_key(),
     )
 
@@ -164,13 +159,11 @@ def _e6_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e6",
         title="FANNS hardware generator",
-        bench="bench_e6_fanns_generator.py",
         grid=tuple({"target": t} for t in _E6_TARGETS),
         seeds=(13,),
         prepare=e5_prepare,
         cell=e6_cell,
         assemble=e6_assemble,
-        entries=(("_run_generator", ("ivfpq_index", "vector_data")),),
         context_key=scale_key(),
     )
 
@@ -180,14 +173,10 @@ def _e6_spec() -> ExperimentSpec:
 _E16_NODES = (1, 2, 4, 8)
 
 
-def e16_context(index, data) -> dict:
-    """The e16 context from the session index/dataset fixtures."""
+def e16_prepare() -> dict:
+    index, data = fanns_index(), fanns_dataset()
     single_ids = index.search(data.queries, 10, 16)
     return {"index": index, "data": data, "single_ids": single_ids}
-
-
-def e16_prepare() -> dict:
-    return e16_context(fanns_index(), fanns_dataset())
 
 
 def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
@@ -287,13 +276,10 @@ def _e16_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e16",
         title="scale-out: distributed FANNS + FleetRec",
-        bench="bench_e16_scaleout.py",
         grid=grid,
         seeds=(16,),
         prepare=e16_prepare,
         cell=e16_cell,
         assemble=e16_assemble,
-        entries=(("_run_distributed_fanns", ("ivfpq_index", "vector_data")),
-                 ("_run_fleetrec", ())),
         context_key=scale_key(),
     )

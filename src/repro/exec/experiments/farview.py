@@ -111,14 +111,11 @@ def _e3_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e3",
         title="Farview offload vs fetch (Fig 2)",
-        bench="bench_e3_farview_offload.py",
         grid=grid,
         seeds=(0,),
         prepare=e3_prepare,
         cell=e3_cell,
         assemble=e3_assemble,
-        entries=(("_run_aggregate_sweep", ()),
-                 ("_run_projection_crossover", ())),
     )
 
 
@@ -221,13 +218,11 @@ def _e4_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e4",
         title="Farview multi-operator pipelines",
-        bench="bench_e4_farview_pipelines.py",
         grid=tuple({"pipeline": name} for name in _E4_PIPELINES),
         seeds=(4,),
         prepare=e4_prepare,
         cell=e4_cell,
         assemble=e4_assemble,
-        entries=(("_run_pipelines", ()),),
     )
 
 
@@ -334,11 +329,9 @@ def _e19_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e19",
         title="multi-tenant smart memory (event-driven)",
-        bench="bench_e19_multitenant.py",
         grid=grid,
         seeds=(0,),
         prepare=e19_prepare,
         cell=e19_cell,
         assemble=e19_assemble,
-        entries=(("_run_multitenant", ()),),
     )

@@ -93,13 +93,11 @@ def _e7_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e7",
         title="MicroRec latency (Figs 4-5)",
-        bench="bench_e7_microrec_latency.py",
         grid=tuple({"batch": b} for b in _E7_BATCHES),
         seeds=(5,),
         prepare=e7_prepare,
         cell=e7_cell,
         assemble=e7_assemble,
-        entries=(("_run_latency", ("rec_model", "rec_tables")),),
         context_key=scale_key(),
     )
 
@@ -115,18 +113,16 @@ def _e8_config():
     return MicroRecConfig(sram_budget_bytes=0, n_hbm_channels=8)
 
 
-def e8_context(model, tables, trace) -> dict:
-    """The e8 context (baseline logits included) from session fixtures."""
+def e8_prepare() -> dict:
+    """The shared model, tables and trace plus the baseline logits."""
     from ...microrec import MicroRecAccelerator
 
+    model = microrec_model()
+    tables, trace = microrec_tables(), microrec_trace()
     baseline = MicroRecAccelerator(tables, config=_e8_config(), seed=5)
     base_out = baseline.infer(trace)
     return {"model": model, "tables": tables, "trace": trace,
             "base_logits": base_out.logits}
-
-
-def e8_prepare() -> dict:
-    return e8_context(microrec_model(), microrec_tables(), microrec_trace())
 
 
 def e8_cell(ctx: dict, config: dict, seed: int) -> dict:
@@ -176,14 +172,11 @@ def _e8_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e8",
         title="MicroRec Cartesian ablation",
-        bench="bench_e8_microrec_cartesian.py",
         grid=tuple({"mult": m} for m in _E8_MULTS),
         seeds=(5,),
         prepare=e8_prepare,
         cell=e8_cell,
         assemble=e8_assemble,
-        entries=(("_run_cartesian",
-                  ("rec_model", "rec_tables", "rec_trace")),),
         context_key=scale_key(),
     )
 
@@ -195,12 +188,8 @@ _E9_CHANNELS = (1, 2, 4, 8, 16, 32)
 _E9_SRAM_MB = (0, 1, 4, 16, 32)
 
 
-def e9_context(model, tables) -> dict:
-    return {"model": model, "tables": tables}
-
-
 def e9_prepare() -> dict:
-    return e9_context(microrec_model(), microrec_tables())
+    return {"model": microrec_model(), "tables": microrec_tables()}
 
 
 def e9_cell(ctx: dict, config: dict, seed: int) -> dict:
@@ -283,13 +272,10 @@ def _e9_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e9",
         title="MicroRec HBM banking / SRAM placement",
-        bench="bench_e9_microrec_hbm.py",
         grid=grid,
         seeds=(9,),
         prepare=e9_prepare,
         cell=e9_cell,
         assemble=e9_assemble,
-        entries=(("_run_channel_sweep", ("rec_model", "rec_tables")),
-                 ("_run_sram_ablation", ("rec_model", "rec_tables"))),
         context_key=scale_key(),
     )

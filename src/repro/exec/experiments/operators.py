@@ -115,13 +115,11 @@ def _e13_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e13",
         title="sketch operators at line rate",
-        bench="bench_e13_sketches.py",
         grid=({"part": "accuracy"}, {"part": "throughput"}),
         seeds=(7,),
         prepare=lambda: None,
         cell=e13_cell,
         assemble=e13_assemble,
-        entries=(("_run_accuracy", ()), ("_run_throughput", ())),
     )
 
 
@@ -180,13 +178,11 @@ def _e14_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e14",
         title="any-precision k-means (BiS-KM)",
-        bench="bench_e14_anyprec_kmeans.py",
         grid=tuple({"bits": b} for b in _E14_BITS),
         seeds=(3,),
         prepare=lambda: None,
         cell=e14_cell,
         assemble=e14_assemble,
-        entries=(("_run_precision_sweep", ()),),
     )
 
 
@@ -284,13 +280,11 @@ def _e15_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e15",
         title="compression/encryption offload (HANA)",
-        bench="bench_e15_compression.py",
         grid=grid,
         seeds=(9,),
         prepare=lambda: None,
         cell=e15_cell,
         assemble=e15_assemble,
-        entries=(("_run_ratios", ()), ("_run_throughput", ())),
     )
 
 
@@ -367,13 +361,11 @@ def _e20_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e20",
         title="hash joins: the CIDR'20 question",
-        bench="bench_e20_hash_join.py",
         grid=tuple({"n_build": n} for n in _E20_BUILDS),
         seeds=(2,),
         prepare=e20_prepare,
         cell=e20_cell,
         assemble=e20_assemble,
-        entries=(("_run_join_study", ()),),
     )
 
 
@@ -449,11 +441,9 @@ def _e21_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e21",
         title="business-rule matching (Amadeus)",
-        bench="bench_e21_business_rules.py",
         grid=tuple({"n_rules": n} for n in _E21_RULES),
         seeds=(7,),
         prepare=e21_prepare,
         cell=e21_cell,
         assemble=e21_assemble,
-        entries=(("_run_rules_sweep", ()),),
     )

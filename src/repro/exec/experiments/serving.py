@@ -158,12 +158,10 @@ def _e24_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e24",
         title="online serving: latency/goodput vs offered load",
-        bench="bench_e24_online_serving.py",
         grid=grid,
         seeds=(24,),
         prepare=e24_prepare,
         cell=e24_cell,
         assemble=e24_assemble,
-        entries=(("_run_online_serving", ()),),
         context_key=scale_key(),
     )

@@ -77,13 +77,11 @@ def _e17_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e17",
         title="smart-NIC KV store (KV-Direct)",
-        bench="bench_e17_kvdirect.py",
         grid=tuple({"value_bytes": v} for v in _E17_VALUE_BYTES),
         seeds=(0,),
         prepare=e17_prepare,
         cell=e17_cell,
         assemble=e17_assemble,
-        entries=(("_run_kvdirect", ()),),
     )
 
 
@@ -202,11 +200,9 @@ def _e18_spec() -> ExperimentSpec:
     return ExperimentSpec(
         experiment="e18",
         title="LSM compaction offload (X-Engine)",
-        bench="bench_e18_lsm_offload.py",
         grid=grid,
         seeds=(3,),
         prepare=e18_prepare,
         cell=e18_cell,
         assemble=e18_assemble,
-        entries=(("_run_trace", ()), ("_run_offload", ())),
     )

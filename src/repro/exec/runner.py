@@ -1,6 +1,6 @@
 """Deterministic sweep execution over a process pool.
 
-The runner walks a :class:`SweepSpec`'s ``seeds x grid`` cells in a
+The runner walks an :class:`ExperimentSpec`'s ``seeds x grid`` cells in a
 fixed order.  Per cell it first consults the
 :class:`~repro.exec.cache.ResultCache`; misses are computed — serially
 in-process, or fanned out over a ``multiprocessing`` pool — and the
@@ -24,11 +24,7 @@ from typing import Any
 from .cache import ResultCache, cell_key, code_version
 from .experiments import ExperimentSpec, build_spec
 
-__all__ = ["SweepResult", "SweepRunner", "SweepSpec"]
-
-# Public alias: the runner consumes specs, the experiments package
-# defines them.
-SweepSpec = ExperimentSpec
+__all__ = ["SweepResult", "SweepRunner"]
 
 # Per-worker state, populated by _init_worker after fork/spawn.
 _WORKER_SPEC: ExperimentSpec | None = None
@@ -66,7 +62,7 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Runs a sweep spec's grid, optionally in parallel, through the cache.
+    """Runs a spec's grid, optionally in parallel, through the cache.
 
     Parameters
     ----------

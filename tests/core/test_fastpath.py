@@ -8,8 +8,6 @@ stream counters.  Anything the solver cannot prove eligible must fall
 back to the engine unchanged.
 """
 
-import os
-
 import pytest
 
 from repro.core import (
@@ -228,11 +226,13 @@ def test_disabled_override_uses_engine():
     assert fastpath.counters["applied"] == before
 
 
-def test_env_knob_disables(monkeypatch):
-    set_fast_forward(None)
+def test_set_fast_forward_is_the_only_switch(monkeypatch):
+    # No environment variable reaches the switch.
     monkeypatch.setenv("REPRO_FASTPATH", "0")
+    assert fastpath.is_enabled()
+    set_fast_forward(False)
     assert not fastpath.is_enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
+    set_fast_forward(None)
     assert fastpath.is_enabled()
 
 

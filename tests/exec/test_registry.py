@@ -1,54 +1,29 @@
 """The experiment registry: completeness, metadata, and spec hygiene.
 
 The registry is the single index every other layer hangs off — the
-CLI (``repro run``/``repro list``), the bench shims, the golden
-equivalence suite, CI's smoke matrix.  These tests pin the registry's
-invariants: all 24 experiments registered, each pointing at a bench
-shim that exists and exposes the declared entry points, cells
-returning cache-safe plain JSON types, and the smoke/full dataset
-scale reflected in the cache identity.
+CLI (``repro run``/``repro list``), the golden tests, CI's smoke
+sweep.  These tests pin the registry's invariants: one committed
+golden per registered experiment and no other, cells returning
+cache-safe plain JSON types, the specs' ``prepare()`` sharing the
+context builders, and the smoke/full dataset scale reflected in the
+cache identity.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.exec import build_spec, experiment_ids
-from repro.exec.experiments import register
+from repro.exec.experiments import contexts, register
 from repro.exec.experiments.contexts import scale_key
 
-_REPO = Path(__file__).resolve().parents[2]
-_BENCH_DIR = _REPO / "benchmarks"
+_GOLDEN_DIR = Path(__file__).resolve().parents[2] / "results" / "golden"
 
 
-def test_all_24_experiments_registered():
-    assert experiment_ids() == tuple(f"e{n}" for n in range(1, 25))
-
-
-def test_every_spec_points_at_an_existing_bench():
-    on_disk = {p.name for p in _BENCH_DIR.glob("bench_e*.py")}
-    registered = {build_spec(e).bench for e in experiment_ids()}
-    assert registered == on_disk
-
-
-@pytest.mark.parametrize("exp_id", experiment_ids())
-def test_entries_resolve_in_the_bench_shim(exp_id):
-    spec = build_spec(exp_id)
-    assert spec.entries, f"{exp_id} declares no bench entry points"
-    if str(_BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(_BENCH_DIR))
-    mod_spec = importlib.util.spec_from_file_location(
-        f"registry_{spec.bench[:-3]}", _BENCH_DIR / spec.bench
-    )
-    module = importlib.util.module_from_spec(mod_spec)
-    mod_spec.loader.exec_module(module)
-    for entry, _args in spec.entries:
-        assert callable(getattr(module, entry, None)), (
-            f"{spec.bench} lacks entry point {entry}"
-        )
+def test_every_experiment_has_a_golden_and_every_golden_an_experiment():
+    goldens = {path.stem for path in _GOLDEN_DIR.glob("*.txt")}
+    assert goldens == set(experiment_ids())
 
 
 @pytest.mark.parametrize("exp_id", experiment_ids())
@@ -89,9 +64,22 @@ def test_double_registration_is_rejected():
         register("e1")(lambda: None)
 
 
-def test_part_selects_grid_subsets():
-    spec = build_spec("e3")
-    agg = spec.part(part="agg")
-    proj = spec.part(part="proj")
-    assert len(agg) + len(proj) == len(spec.grid)
-    assert all(c["part"] == "agg" for c in agg)
+def test_spec_prepare_uses_the_same_contexts(monkeypatch):
+    monkeypatch.setenv("REPRO_SMOKE", "1")
+    e5_ctx = build_spec("e5").prepare()
+    assert e5_ctx["data"] is contexts.fanns_dataset()
+    assert e5_ctx["index"] is contexts.fanns_index()
+    e7_ctx = build_spec("e7").prepare()
+    assert e7_ctx["model"] is contexts.microrec_model()
+    assert e7_ctx["tables"] is contexts.microrec_tables()
+    e16_ctx = build_spec("e16").prepare()
+    assert e16_ctx["index"] is contexts.fanns_index()
+
+
+def test_smoke_and_full_scales_are_distinct_cache_contexts(monkeypatch):
+    monkeypatch.delenv("REPRO_SMOKE", raising=False)
+    full = contexts.fanns_dataset()
+    monkeypatch.setenv("REPRO_SMOKE", "1")
+    smoke = contexts.fanns_dataset()
+    assert smoke is not full
+    assert len(smoke.base) < len(full.base)

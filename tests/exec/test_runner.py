@@ -4,22 +4,22 @@ e22 is the workhorse spec here — its grid computes in well under a
 second — so the parallel and cached paths are exercised end to end.
 """
 
+import os
+
 import pytest
 
 from repro.exec import (
+    ExperimentSpec,
     ResultCache,
-    SWEEPABLE,
     SweepRunner,
-    SweepSpec,
     build_spec,
 )
 
 
 def _counting_spec(calls):
-    return SweepSpec(
+    return ExperimentSpec(
         experiment="toy",
         title="toy counting spec",
-        bench="",
         grid=tuple({"x": x} for x in (1, 2, 3)),
         seeds=(0, 1),
         prepare=lambda: {"offset": 100},
@@ -64,7 +64,6 @@ def test_code_version_change_invalidates(tmp_path, monkeypatch):
 def test_registry_rejects_unknown_experiment():
     with pytest.raises(KeyError):
         build_spec("e99")
-    assert SWEEPABLE == tuple(f"e{n}" for n in range(1, 25))
 
 
 def test_parallel_must_be_positive():
@@ -101,3 +100,19 @@ def test_cli_parallel_run(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "6 cells: 6 cached, 0 computed" in out
     assert (tmp_path / "results" / "cache").is_dir()
+
+
+def test_cli_faults_do_not_outlive_the_run(monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
+    assert main(["run", "e22", "--no-cache", "--faults", "0.05"]) == 0
+    assert "[e22] 4 cells" in capsys.readouterr().out
+    assert "REPRO_FAULT_RATE" not in os.environ
+    # The next run in the same process sweeps the default 3-rate ladder.
+    assert main(["run", "e22", "--no-cache"]) == 0
+    assert "[e22] 6 cells" in capsys.readouterr().out
+
+    monkeypatch.setenv("REPRO_FAULT_RATE", "0.02")
+    assert main(["run", "e22", "--no-cache", "--faults", "0.05"]) == 0
+    assert os.environ["REPRO_FAULT_RATE"] == "0.02"

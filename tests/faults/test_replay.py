@@ -7,26 +7,13 @@ Farview scans plus the resilient allreduce — renders byte-identical
 tables across two runs in one process.
 """
 
-import importlib.util
-import sys
-from functools import lru_cache
-from pathlib import Path
-
+from repro.exec import SweepRunner, build_spec
 from repro.faults import FaultPlan, NodeOutage
 
-_BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
-
-@lru_cache(maxsize=None)
-def _bench_e22():
-    if str(_BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(_BENCH_DIR))
-    spec = importlib.util.spec_from_file_location(
-        "bench_e22_fault_tolerance", _BENCH_DIR / "bench_e22_fault_tolerance.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _e22_tables() -> list[str]:
+    result = SweepRunner(build_spec("e22")).run()
+    return [table.render() for table in result.tables]
 
 
 def test_fault_schedule_replays_identically():
@@ -54,7 +41,4 @@ def test_fault_schedule_replays_identically():
 
 
 def test_e22_rows_are_identical_across_runs():
-    bench = _bench_e22()
-    first = bench._run_fault_tolerance().render()
-    second = bench._run_fault_tolerance().render()
-    assert first == second
+    assert _e22_tables() == _e22_tables()

@@ -41,7 +41,7 @@ def test_storage_offload_runs():
 
 
 def test_cli_info_and_experiments():
-    for args in (["info"], ["experiments"]):
+    for args in (["info"], ["list"]):
         result = subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, timeout=60,
