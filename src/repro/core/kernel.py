@@ -121,22 +121,20 @@ class KernelSpec:
         )
 
 
-class BurstKernel:
-    """A pipelined kernel that consumes and produces bursts.
+class _PipelinedKernel:
+    """The loop both kernel granularities share.
 
-    ``fn`` maps an input :class:`Burst` to an output ``Burst`` (or
-    ``None`` to emit nothing, e.g. a fully-selective filter).  Timing:
-    the kernel is busy ``occupancy_cycles(burst.count)`` per burst, plus
-    ``depth`` cycles once before its first output — so a chain of burst
-    kernels reproduces the fill-then-stream behaviour of a real dataflow
-    pipeline without simulating every item.
+    Each input of ``n`` items keeps the kernel busy
+    ``latency_cycles(n)`` the first time (pipeline fill included) and
+    ``occupancy_cycles(n)`` after that.  Subclasses differ only in
+    :meth:`_count`, which reads ``n`` off an input or output.
     """
 
     def __init__(
         self,
         sim: Simulator,
         spec: KernelSpec,
-        fn: Callable[[Burst], Burst | None],
+        fn: Callable[[Any], Any],
         inp: Stream,
         out: Stream,
     ) -> None:
@@ -155,72 +153,95 @@ class BurstKernel:
         sim._fastpath_attempted = False
         self.process = sim.spawn(self._run(), name=spec.name)
 
+    def _count(self, item: Any) -> int:  # pragma: no cover - abstract
+        raise NotImplementedError
+
     def _run(self):
         sim = self.sim
         spec = self.spec
         inp, out = self.inp, self.out
         name = spec.name
+        count = self._count
         while True:
             tracer = sim._tracer
             # Uncontended fast path: take/emit without allocating wait
             # events; fall back to the blocking path on contention.
-            ok, burst = inp.try_get()
+            ok, item = inp.try_get()
             if not ok:
-                wait_start = sim.now
-                burst = yield inp.get()
-                stalled = sim.now - wait_start
-                self.stall_in_ps += stalled
-                if tracer is not None and stalled:
-                    tracer.kernel_stall(name, wait_start, stalled, "input")
-            if burst is END_OF_STREAM:
+                item = yield from self._stalled(inp.get(), "input")
+            if item is END_OF_STREAM:
                 if not out.try_put(END_OF_STREAM):
-                    put_start = sim.now
-                    yield out.put(END_OF_STREAM)
-                    stalled = sim.now - put_start
-                    self.stall_out_ps += stalled
-                    if tracer is not None and stalled:
-                        tracer.kernel_stall(name, put_start, stalled, "output")
+                    yield from self._stalled(out.put(END_OF_STREAM), "output")
                 return
-            if not isinstance(burst, Burst):
-                raise TypeError(
-                    f"kernel {self.spec.name!r} expected Burst, got "
-                    f"{type(burst).__name__}"
-                )
-            self.items_in += burst.count
+            n = count(item)
+            self.items_in += n
             if self._first:
-                # The first burst pays the full HLS latency (pipeline fill
-                # included); later bursts only pay initiation occupancy.
-                cycles = spec.latency_cycles(burst.count)
+                cycles = spec.latency_cycles(n)
                 self._first = False
             else:
-                cycles = spec.occupancy_cycles(burst.count)
+                cycles = spec.occupancy_cycles(n)
             delay = spec.clock.cycles_to_ps(cycles)
             self.busy_ps += delay
             busy_start = sim.now
             if delay:
-                yield sim.delay(delay)
+                yield sim.timeout(delay)
             if tracer is not None:
-                tracer.kernel_busy(name, busy_start, delay, burst.count)
-            result = self.fn(burst)
+                tracer.kernel_busy(name, busy_start, delay, n)
+            result = self.fn(item)
             if result is None:
                 continue
-            self.items_out += result.count
+            self.items_out += count(result)
             if not out.try_put(result):
-                put_start = sim.now
-                yield out.put(result)
-                stalled = sim.now - put_start
-                self.stall_out_ps += stalled
-                if tracer is not None and stalled:
-                    tracer.kernel_stall(name, put_start, stalled, "output")
+                yield from self._stalled(out.put(result), "output")
+
+    def _stalled(self, event, side: str):
+        """Wait on a blocked get or put and charge the wait as a stall."""
+        sim = self.sim
+        start = sim.now
+        value = yield event
+        stalled = sim.now - start
+        if side == "input":
+            self.stall_in_ps += stalled
+        else:
+            self.stall_out_ps += stalled
+        tracer = sim._tracer
+        if tracer is not None and stalled:
+            tracer.kernel_stall(self.spec.name, start, stalled, side)
+        return value
 
 
-class ItemKernel:
+class BurstKernel(_PipelinedKernel):
+    """A pipelined kernel that consumes and produces bursts.
+
+    ``fn`` maps an input :class:`Burst` to an output ``Burst`` (or
+    ``None`` to emit nothing, e.g. a fully-selective filter).  Timing:
+    the kernel is busy ``occupancy_cycles(burst.count)`` per burst, plus
+    ``depth`` cycles once before its first output — so a chain of burst
+    kernels reproduces the fill-then-stream behaviour of a real dataflow
+    pipeline without simulating every item.
+    """
+
+    def _count(self, burst: Any) -> int:
+        if not isinstance(burst, Burst):
+            raise TypeError(
+                f"kernel {self.spec.name!r} expected Burst, got "
+                f"{type(burst).__name__}"
+            )
+        return burst.count
+
+
+class ItemKernel(_PipelinedKernel):
     """A pipelined kernel that consumes and produces individual items.
 
     Exact per-item timing: one initiation every ``ii`` cycles, an output
     ``depth`` cycles after its input.  ``fn`` maps an item to an item or
-    ``None`` (dropped).  Used by unit tests and the E1 burst-vs-item
-    ablation; burst mode must agree with it on total cycles.
+    ``None`` (dropped).  This is the burst timing with a count of 1 per
+    item, since ``latency_cycles(1) == depth`` and
+    ``occupancy_cycles(1) == ii``: the skid is charged once, before the
+    first output, which matches per-item skids in total cycles for a
+    full stream.  Used by unit tests and the E1
+    burst-vs-item ablation; burst mode must agree with it on total
+    cycles.
     """
 
     def __init__(
@@ -233,72 +254,10 @@ class ItemKernel:
     ) -> None:
         if spec.unroll != 1:
             raise ValueError("ItemKernel models unroll=1 kernels only")
-        self.sim = sim
-        self.spec = spec
-        self.fn = fn
-        self.inp = inp
-        self.out = out
-        self.items_in = 0
-        self.items_out = 0
-        self.busy_ps = 0
-        self.stall_in_ps = 0
-        self.stall_out_ps = 0
-        self._first = True
-        sim._pipeline_components.append(self)
-        sim._fastpath_attempted = False
-        self.process = sim.spawn(self._run(), name=spec.name)
+        super().__init__(sim, spec, fn, inp, out)
 
-    def _run(self):
-        sim = self.sim
-        spec = self.spec
-        inp, out = self.inp, self.out
-        clock = spec.clock
-        name = spec.name
-        # Model: input accepted every II cycles; the matching output is
-        # emitted depth cycles later.  We approximate the skid with a
-        # one-shot depth delay before the first emission (equivalent in
-        # total cycles for a full stream).
-        while True:
-            tracer = sim._tracer
-            ok, item = inp.try_get()
-            if not ok:
-                wait_start = sim.now
-                item = yield inp.get()
-                stalled = sim.now - wait_start
-                self.stall_in_ps += stalled
-                if tracer is not None and stalled:
-                    tracer.kernel_stall(name, wait_start, stalled, "input")
-            if item is END_OF_STREAM:
-                if not out.try_put(END_OF_STREAM):
-                    put_start = sim.now
-                    yield out.put(END_OF_STREAM)
-                    stalled = sim.now - put_start
-                    self.stall_out_ps += stalled
-                    if tracer is not None and stalled:
-                        tracer.kernel_stall(name, put_start, stalled, "output")
-                return
-            self.items_in += 1
-            cycles = spec.ii
-            if self._first:
-                cycles += spec.depth - spec.ii
-                self._first = False
-            delay = clock.cycles_to_ps(cycles)
-            self.busy_ps += delay
-            busy_start = sim.now
-            yield sim.delay(delay)
-            if tracer is not None:
-                tracer.kernel_busy(name, busy_start, delay, 1)
-            result = self.fn(item)
-            if result is None:
-                continue
-            self.items_out += 1
-            if not out.try_put(result):
-                put_start = sim.now
-                yield out.put(result)
-                stalled = sim.now - put_start
-                self.stall_out_ps += stalled
-                if tracer is not None and stalled:
-                    tracer.kernel_stall(name, put_start, stalled, "output")
+    def _count(self, item: Any) -> int:
+        return 1
 
 
 class Source:
@@ -331,7 +290,7 @@ class Source:
         interval = self.interval_ps
         for item in self.items:
             if interval:
-                yield sim.delay(interval)
+                yield sim.timeout(interval)
             if not out.try_put(item):
                 yield out.put(item)
             self.count += item.count if isinstance(item, Burst) else 1

@@ -99,7 +99,7 @@ class Event:
 
     __slots__ = (
         "sim", "_value", "_ok", "_triggered", "_fired", "_cancelled",
-        "_cancel_hooks", "_poolable", "callbacks",
+        "_cancel_hooks", "callbacks",
     )
 
     def __init__(self, sim: "Simulator") -> None:
@@ -110,7 +110,6 @@ class Event:
         self._fired = False
         self._cancelled = False
         self._cancel_hooks: list[Any] = []
-        self._poolable = False
         self.callbacks: list[Any] = []
 
     @property
@@ -198,13 +197,12 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
-        self.delay = delay
         self._triggered = True
         self._value = value
         sim._schedule(self, delay)
@@ -282,7 +280,7 @@ class Process(Event):
         self._waiting_on = None
         self._generation += 1
         token = self._generation
-        wake = self.sim._acquire_event()
+        wake = Event(self.sim)
         wake.callbacks.append(
             lambda ev: self._deliver_interrupt(Interrupt(cause), token)
         )
@@ -352,7 +350,7 @@ class Process(Event):
                 self.sim._defuse(target)
             self._generation += 1
             token = self._generation
-            immediate = self.sim._acquire_event()
+            immediate = Event(self.sim)
             immediate.callbacks.append(
                 lambda ev, tgt=target, tok=token: self._resume_from_fired(tgt, tok)
             )
@@ -510,22 +508,11 @@ class Simulator:
     and process results are identical to an untraced one.
     """
 
-    #: upper bound on each free list — enough to absorb the churn of a
-    #: large pipeline without pinning unbounded memory.
-    _POOL_CAP = 4096
-
     def __init__(self, tracer: Any = None) -> None:
         self._now = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._counter = itertools.count()
         self._processes: list[Process] = []
-        # Free lists for the two hottest allocation sites: the engine's
-        # own immediate-resume/interrupt wake events and the pooled
-        # Timeouts handed out by :meth:`delay`.  Pooled events carry
-        # ``_poolable`` and are recycled by the dispatch loop right
-        # after their callbacks ran — by contract nobody retains them.
-        self._event_pool: list[Event] = []
-        self._timeout_pool: list[Timeout] = []
         # Dataflow components (Source/Sink/kernels) register here; the
         # analytic fast-forward pass (:mod:`repro.core.fastpath`)
         # inspects them at ``run()`` entry.
@@ -561,59 +548,6 @@ class Simulator:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, int(delay), value)
 
-    def delay(self, delay: int, value: Any = None) -> Timeout:
-        """A pooled :class:`Timeout` for hot loops (yield-once contract).
-
-        Semantically identical to :meth:`timeout`, but the returned
-        event is recycled through a free list the moment it fires and
-        its callbacks have run.  Callers must therefore yield it once
-        and drop it — never store it, re-check ``fired``/``value``
-        later, or hand it to a second waiter.  The dataflow kernels use
-        this for their per-burst busy waits, which otherwise dominate
-        allocation churn.
-        """
-        delay = int(delay)
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            ev.delay = delay
-            ev._value = value
-            ev._triggered = True
-            self._schedule(ev, delay)
-            return ev
-        ev = Timeout(self, delay, value)
-        ev._poolable = True
-        return ev
-
-    def _acquire_event(self) -> Event:
-        """A pooled plain Event for internal one-shot wakes."""
-        pool = self._event_pool
-        if pool:
-            return pool.pop()
-        ev = Event(self)
-        ev._poolable = True
-        return ev
-
-    def _release(self, event: Event) -> None:
-        """Return a fired poolable event to its free list."""
-        event._value = None
-        event._ok = True
-        event._triggered = False
-        event._fired = False
-        event._cancelled = False
-        if event._cancel_hooks:
-            event._cancel_hooks.clear()
-        event.callbacks = []
-        cls = type(event)
-        if cls is Timeout:
-            if len(self._timeout_pool) < self._POOL_CAP:
-                self._timeout_pool.append(event)
-        elif cls is Event:
-            if len(self._event_pool) < self._POOL_CAP:
-                self._event_pool.append(event)
-
     def spawn(
         self,
         generator: Generator[Event, Any, Any],
@@ -623,9 +557,6 @@ class Simulator:
         proc = Process(self, generator, name=name)
         self._processes.append(proc)
         return proc
-
-    # Alias familiar to SimPy users.
-    process = spawn
 
     # -- scheduling --------------------------------------------------------
 
@@ -661,6 +592,14 @@ class Simulator:
         if not self._heap:
             raise SimulationError("no scheduled events")
         when, _, event = heapq.heappop(self._heap)
+        self._fire(event, when)
+
+    def _fire(self, event: Event, when: int) -> None:
+        """Advance the clock to ``when`` and fire ``event``.
+
+        The one place an event fires: ``run``, ``step`` and (through
+        ``step``) ``run_until_process`` all come here.
+        """
         self._now = when
         event._fired = True
         if self._tracer is not None:
@@ -668,10 +607,7 @@ class Simulator:
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
-        if event._ok:
-            if event._poolable:
-                self._release(event)
-        elif not callbacks:
+        if not event._ok and not callbacks:
             if not isinstance(event, Process):
                 # A failure nobody waited for must not pass silently.
                 raise event.value
@@ -718,40 +654,16 @@ class Simulator:
             from .fastpath import try_fast_forward
 
             try_fast_forward(self)
-        # Inlined dispatch loop: events at one timestamp are drained in
-        # a single batch (one ``now`` update, one tracer fetch), and
-        # pooled one-shot events are recycled as soon as they fire.
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            top = heap[0]
-            if top[2]._cancelled:
-                pop(heap)
-                continue
-            when = top[0]
-            if until is not None and when > until:
+            when, _, event = heap[0]
+            if event._cancelled:
+                heapq.heappop(heap)
+            elif until is not None and when > until:
                 break
-            self._now = when
-            tracer = self._tracer
-            while heap and heap[0][0] == when:
-                event = pop(heap)[2]
-                if event._cancelled:
-                    continue
-                event._fired = True
-                if tracer is not None:
-                    tracer.sim_event_fired(event, when)
-                callbacks = event.callbacks
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
-                if event._ok:
-                    if event._poolable:
-                        self._release(event)
-                elif not callbacks:
-                    if not isinstance(event, Process):
-                        raise event.value
-                    if not event._defused:
-                        event._unobserved = True
+            else:
+                heapq.heappop(heap)
+                self._fire(event, when)
         if until is not None:
             self._now = max(self._now, until)
         if not self._heap:
@@ -767,10 +679,10 @@ class Simulator:
         when the heap drains or the limit is hit.
         """
         while not proc._fired:
-            self._prune_cancelled()
-            if not self._heap:
+            upcoming = self.peek()
+            if upcoming is None:
                 break
-            if limit is not None and self._heap[0][0] > limit:
+            if limit is not None and upcoming > limit:
                 raise SimulationError(
                     f"process {proc.name!r} did not finish before t={limit}"
                 )

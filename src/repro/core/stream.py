@@ -154,41 +154,19 @@ class Stream:
         the event fails with :class:`StreamTimeout`.
         """
         done = Event(self.sim)
+        if self.try_put(item):
+            done.succeed()
+            return done
+        self.stats.producer_stall_events += 1
+        self._putters.append((done, item, self.sim.now))
+        done.on_cancel(self._unlink_putter)
+        if timeout is not None:
+            self._arm_timeout(done, int(timeout), "producer")
         tracer = self.sim._tracer
-        waiter = self._pop_getter()
-        if waiter is not None:
-            # Hand the item straight to the longest-waiting consumer.
-            getter, since = waiter
-            getter.succeed(item)
-            done.succeed()
-            self._account_put(item)
-            self.stats.gets += 1
-            self._end_consumer_stall(since)
-            if tracer is not None:
-                tracer.stream_put(
-                    self.name, self._count(item), len(self._queue),
-                    blocked=False,
-                )
-        elif len(self._queue) < self.depth:
-            self._queue.append(item)
-            done.succeed()
-            self._account_put(item)
-            if tracer is not None:
-                tracer.stream_put(
-                    self.name, self._count(item), len(self._queue),
-                    blocked=False,
-                )
-        else:
-            self.stats.producer_stall_events += 1
-            self._putters.append((done, item, self.sim.now))
-            done.on_cancel(self._unlink_putter)
-            if timeout is not None:
-                self._arm_timeout(done, int(timeout), "producer")
-            if tracer is not None:
-                tracer.stream_put(
-                    self.name, self._count(item), len(self._queue),
-                    blocked=True,
-                )
+        if tracer is not None:
+            tracer.stream_put(
+                self.name, self._count(item), len(self._queue), blocked=True
+            )
         return done
 
     def get(self, timeout: int | None = None) -> Event:
@@ -200,44 +178,37 @@ class Stream:
         fails with :class:`StreamTimeout`.
         """
         got = Event(self.sim)
-        tracer = self.sim._tracer
         if self._queue:
-            item = self._queue.popleft()
-            got.succeed(item)
-            self._account_get(item)
-            self._drain_putters()
-            if tracer is not None:
-                tracer.stream_get(self.name, blocked=False)
-        else:
-            self.stats.consumer_stall_events += 1
-            self._getters.append((got, self.sim.now))
-            got.on_cancel(self._unlink_getter)
-            if timeout is not None:
-                self._arm_timeout(got, int(timeout), "consumer")
-            if tracer is not None:
-                tracer.stream_get(self.name, blocked=True)
+            # Not try_get(): ``got`` must be scheduled before the blocked
+            # producers this get admits, to keep same-timestamp order.
+            got.succeed(self._queue.popleft())
+            self._dequeued()
+            return got
+        self.stats.consumer_stall_events += 1
+        self._getters.append((got, self.sim.now))
+        got.on_cancel(self._unlink_getter)
+        if timeout is not None:
+            self._arm_timeout(got, int(timeout), "consumer")
+        tracer = self.sim._tracer
+        if tracer is not None:
+            tracer.stream_get(self.name, blocked=True)
         return got
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if self._queue:
             item = self._queue.popleft()
-            self._account_get(item)
-            self._drain_putters()
-            tracer = self.sim._tracer
-            if tracer is not None:
-                tracer.stream_get(self.name, blocked=False)
+            self._dequeued()
             return True, item
         return False, None
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: True if ``item`` was accepted immediately.
 
-        Symmetric to :meth:`try_get`: the item is handed to the
-        longest-waiting consumer (or enqueued) exactly as an unblocked
-        :meth:`put` would, but without allocating a completion event.
-        Returns False — and leaves the stream untouched — when the put
-        would have blocked.
+        The item is handed to the longest-waiting consumer, or
+        enqueued, without allocating a completion event; :meth:`put`
+        serves its unblocked case through here.  Returns False — and
+        leaves the stream untouched — when the put would have blocked.
         """
         waiter = self._pop_getter()
         if waiter is not None:
@@ -264,6 +235,14 @@ class Stream:
     @staticmethod
     def _count(item: Any) -> int:
         return item.count if isinstance(item, Burst) else 1
+
+    def _dequeued(self) -> None:
+        """Account a get served from the queue and admit blocked producers."""
+        self.stats.gets += 1
+        self._drain_putters()
+        tracer = self.sim._tracer
+        if tracer is not None:
+            tracer.stream_get(self.name, blocked=False)
 
     def _pop_getter(self) -> tuple[Event, int] | None:
         """Next live blocked consumer (skipping abandoned waiters)."""
@@ -363,9 +342,6 @@ class Stream:
         self.stats.puts += 1
         self.stats.items += item.count if isinstance(item, Burst) else 1
         self.stats.high_watermark = max(self.stats.high_watermark, len(self._queue))
-
-    def _account_get(self, item: Any) -> None:
-        self.stats.gets += 1
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,9 @@ uphold three engine invariants:
 * events scheduled for the same timestamp fire in scheduling (FIFO)
   order;
 * attaching a tracer never changes event order, timestamps, or process
-  results (trace transparency).
+  results (trace transparency);
+* draining the heap with repeated ``step()`` fires the same events at
+  the same times as ``run()``.
 """
 
 import pytest
@@ -30,8 +32,11 @@ _SPEC = st.tuples(
 )
 
 
-def _run_program(spec, tracer=None):
-    """Build and run a randomised program; return (sim, event log)."""
+def _run_program(spec, tracer=None, stepped=False):
+    """Build and run a randomised program; return (sim, event log).
+
+    ``stepped`` drains the heap with ``step()`` instead of ``run()``.
+    """
     interrupt_at, workers = spec
     sim = Simulator(tracer=tracer)
     log = []
@@ -72,7 +77,11 @@ def _run_program(spec, tracer=None):
 
         sim.spawn(assassin(), name="assassin")
 
-    sim.run()
+    if stepped:
+        while sim.peek() is not None:
+            sim.step()
+    else:
+        sim.run()
     return sim, log
 
 
@@ -111,6 +120,15 @@ def test_trace_transparency(spec):
     assert sim_traced.now == sim_plain.now
     # ... and the tracer did actually observe the run
     assert tracer.registry.snapshot()["sim.events.fired"] > 0
+
+
+@given(_SPEC)
+@settings(max_examples=25, deadline=None)
+def test_step_drain_matches_run(spec):
+    sim_run, log_run = _run_program(spec)
+    sim_step, log_step = _run_program(spec, stepped=True)
+    assert log_step == log_run
+    assert sim_step.now == sim_run.now
 
 
 @given(_SPEC)
