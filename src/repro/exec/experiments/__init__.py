@@ -17,7 +17,7 @@ from .contexts import (
     microrec_tables,
     microrec_trace,
     scale_key,
-    small_microrec_tables,
+    small_microrec_model,
     smoke_scale,
 )
 
@@ -44,6 +44,6 @@ __all__ = [
     "microrec_trace",
     "register",
     "scale_key",
-    "small_microrec_tables",
+    "small_microrec_model",
     "smoke_scale",
 ]

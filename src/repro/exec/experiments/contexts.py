@@ -23,7 +23,7 @@ __all__ = [
     "microrec_tables",
     "microrec_trace",
     "scale_key",
-    "small_microrec_tables",
+    "small_microrec_model",
     "smoke_scale",
 ]
 
@@ -117,10 +117,8 @@ def microrec_trace():
 
 
 @lru_cache(maxsize=None)
-def small_microrec_tables():
-    """A smaller model/tables pair for the e9 channel sweep."""
-    from ...microrec import EmbeddingTables
+def small_microrec_model():
+    """A smaller model spec for the e9 channel sweep."""
     from ...workloads import production_like_model
 
-    model = production_like_model(n_tables=32, max_rows=100_000, seed=9)
-    return model, EmbeddingTables(model, seed=9)
+    return production_like_model(n_tables=32, max_rows=100_000, seed=9)

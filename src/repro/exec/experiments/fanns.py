@@ -217,7 +217,7 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
     tables = EmbeddingTables(spec, seed=51)
     trace = lookup_trace(spec, batch_size=512, seed=52)
     cpu_out = CpuRecommender(tables, seed=6).infer(trace)
-    micro_out = MicroRecAccelerator(tables, seed=6).infer(trace)
+    micro_out = MicroRecAccelerator(spec, seed=6).infer(tables, trace)
     fleet = FleetRecCluster(tables, n_lookup_nodes=2, n_gpu_nodes=2,
                             gpu=V100, seed=6)
     fleet_out = fleet.infer(trace)

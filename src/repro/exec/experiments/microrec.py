@@ -14,7 +14,7 @@ from .contexts import (
     microrec_tables,
     microrec_trace,
     scale_key,
-    small_microrec_tables,
+    small_microrec_model,
 )
 
 # -- E7: end-to-end inference latency (Figures 4-5) -------------------------
@@ -32,12 +32,12 @@ def e7_cell(ctx: dict, config: dict, seed: int) -> dict:
     from ...workloads import lookup_trace
 
     prof = Profiler()
-    accel = MicroRecAccelerator(ctx["tables"], seed=5, tracer=prof.tracer)
+    accel = MicroRecAccelerator(ctx["model"], seed=5, tracer=prof.tracer)
     cpu = CpuRecommender(ctx["tables"], seed=5)
     batch = config["batch"]
     trace = lookup_trace(ctx["model"], batch_size=batch, seed=31)
     c = cpu.infer(trace)
-    f = accel.infer(trace)
+    f = accel.infer(ctx["tables"], trace)
     assert np.allclose(c.logits, f.logits, rtol=1e-4, atol=1e-4)
     snapshot = prof.tracer.registry.snapshot()
     accesses = sum(
@@ -119,8 +119,8 @@ def e8_prepare() -> dict:
 
     model = microrec_model()
     tables, trace = microrec_tables(), microrec_trace()
-    baseline = MicroRecAccelerator(tables, config=_e8_config(), seed=5)
-    base_out = baseline.infer(trace)
+    baseline = MicroRecAccelerator(model, config=_e8_config(), seed=5)
+    base_out = baseline.infer(tables, trace)
     return {"model": model, "tables": tables, "trace": trace,
             "base_logits": base_out.logits}
 
@@ -134,9 +134,9 @@ def e8_cell(ctx: dict, config: dict, seed: int) -> dict:
         model, byte_budget=int(mult * model.total_embedding_bytes)
     )
     accel = MicroRecAccelerator(
-        ctx["tables"], plan=plan, config=_e8_config(), seed=5
+        model, plan=plan, config=_e8_config(), seed=5
     )
-    out = accel.infer(ctx["trace"])
+    out = accel.infer(ctx["tables"], ctx["trace"])
     assert np.allclose(out.logits, ctx["base_logits"], rtol=1e-4, atol=1e-4)
     return {
         "mult": mult,
@@ -189,20 +189,19 @@ _E9_SRAM_MB = (0, 1, 4, 16, 32)
 
 
 def e9_prepare() -> dict:
-    return {"model": microrec_model(), "tables": microrec_tables()}
+    """Only the model spec: e9 prices lookups and gathers no rows."""
+    return {"model": microrec_model()}
 
 
 def e9_cell(ctx: dict, config: dict, seed: int) -> dict:
     from ...microrec import MicroRecAccelerator, MicroRecConfig
-    from ...workloads import lookup_trace
 
     if config["part"] == "channels":
         # A model small enough to fit a single HBM pseudo-channel, so
         # the sweep can start at 1 channel.
-        _, small_tables = small_microrec_tables()
         channels = config["channels"]
         cfg = MicroRecConfig(sram_budget_bytes=0, n_hbm_channels=channels)
-        accel = MicroRecAccelerator(small_tables, config=cfg, seed=5)
+        accel = MicroRecAccelerator(small_microrec_model(), config=cfg, seed=5)
         return {
             "part": "channels",
             "channels": channels,
@@ -210,18 +209,16 @@ def e9_cell(ctx: dict, config: dict, seed: int) -> dict:
         }
 
     budget_mb = config["budget_mb"]
-    trace = lookup_trace(ctx["model"], batch_size=_E9_BATCH, seed=33)
     cfg = MicroRecConfig(
         sram_budget_bytes=budget_mb << 20, n_hbm_channels=32
     )
-    accel = MicroRecAccelerator(ctx["tables"], config=cfg, seed=5)
-    out = accel.infer(trace)
+    accel = MicroRecAccelerator(ctx["model"], config=cfg, seed=5)
     return {
         "part": "sram",
         "budget_mb": budget_mb,
         "sram_tables": len(accel.placement.sram_tables),
         "hbm_lookups": accel.hbm_lookups_per_inference,
-        "lookup_s": out.lookup_s,
+        "lookup_s": accel.lookup_time_s(_E9_BATCH),
     }
 
 

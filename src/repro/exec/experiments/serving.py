@@ -65,9 +65,9 @@ def build_backend(name: str):
         )
     if name == "microrec":
         from ...serve import MicroRecBackend
-        from .contexts import microrec_tables
+        from .contexts import microrec_model
 
-        return MicroRecBackend(microrec_tables(), max_batch=32)
+        return MicroRecBackend(microrec_model(), max_batch=32)
     if name == "farview":
         return _farview_backend()
     raise ValueError(

@@ -17,6 +17,13 @@ finish in one or two memory round trips here.
 Placement: smallest tables go to SRAM first (maximising how many
 lookups leave HBM entirely), the rest spread over HBM channels
 least-loaded-first — both straight from the MicroRec paper.
+
+The hardware model is a function of the model spec alone: placement,
+HBM allocation and every stage time follow from table sizes, so an
+accelerator is built from a :class:`~repro.workloads.traces.RecModelSpec`
+and prices batches without any embedding data.  Only :meth:`infer`,
+which gathers rows to compute logits, takes the
+:class:`~repro.microrec.embedding.EmbeddingTables`.
 """
 
 from __future__ import annotations
@@ -84,15 +91,13 @@ class MicroRecAccelerator:
 
     def __init__(
         self,
-        tables: EmbeddingTables,
+        spec: RecModelSpec,
         plan: CartesianPlan | None = None,
         config: MicroRecConfig = MicroRecConfig(),
         device: Device = ALVEO_U280,
         seed: int = 0,
         tracer=None,
     ) -> None:
-        spec = tables.spec
-        self.tables = tables
         self.config = config
         self.device = device
         self.plan = plan if plan is not None else plan_cartesian(spec, 0)
@@ -171,13 +176,15 @@ class MicroRecAccelerator:
         occupancy = per_inference * 0.75
         return per_inference + (batch - 1) * occupancy
 
-    def infer(self, trace: np.ndarray) -> InferenceOutcome:
-        """Run a batch: functional logits + modeled timing."""
+    def infer(
+        self, tables: EmbeddingTables, trace: np.ndarray
+    ) -> InferenceOutcome:
+        """Run a batch gathered from ``tables``: logits + modeled timing."""
         trace = np.asarray(trace)
         batch = trace.shape[0]
         if batch < 1:
             raise ValueError("batch must contain at least one inference")
-        features = self.plan.lookup(self.tables, trace)
+        features = self.plan.lookup(tables, trace)
         logits = self.mlp.forward(features)
         lookup_s = self.lookup_time_s(batch)
         dnn_s = self.dnn_time_s(batch)

@@ -51,7 +51,7 @@ class CpuRecommender:
         return self.cpu.random_access_time_s(
             n_accesses=batch * spec.n_tables,
             bytes_each=spec.embedding_bytes,
-            working_set_bytes=self.tables.total_nbytes,
+            working_set_bytes=spec.total_embedding_bytes,
             parallel=parallel,
         )
 

@@ -95,7 +95,7 @@ class FleetRecCluster:
         # Each lookup node serves a slice of the tables; we model the
         # tier with one accelerator handling 1/N of the lookups.
         self._lookup_node = MicroRecAccelerator(
-            tables, config=config, seed=seed
+            tables.spec, config=config, seed=seed
         )
         self.fabric = SwitchedFabric(
             protocol or fpga_tcp(), n_lookup_nodes + n_gpu_nodes

@@ -13,7 +13,8 @@ validate:
   intervals.  Strongly sub-linear — batching wins big.
 * :class:`MicroRecBackend` — MicroRec's lookup/DNN stages
   (:class:`~repro.microrec.accelerator.MicroRecAccelerator`), with the
-  stages overlapped exactly as ``infer()`` charges them.
+  stages overlapped exactly as ``infer()`` charges them, priced from
+  the model spec alone (no embedding tables are built).
 * :class:`FarviewBackend` — one offloaded query plan on a Farview node
   (:class:`~repro.farview.server.FarviewServer`): the scan dominates
   and does not amortise, only the request/response overhead does —
@@ -137,10 +138,11 @@ class MicroRecBackend:
 
     Batch cost follows ``MicroRecAccelerator.infer``: the lookup and
     DNN stages overlap, so a batch pays the slower stage plus one pass
-    through the faster one.
+    through the faster one.  The cost depends only on the model spec,
+    so the backend holds no embedding data.
     """
 
-    def __init__(self, tables, max_batch: int = 32, config=None) -> None:
+    def __init__(self, spec, max_batch: int = 32, config=None) -> None:
         from ..microrec.accelerator import MicroRecAccelerator, MicroRecConfig
 
         if max_batch < 1:
@@ -148,7 +150,7 @@ class MicroRecBackend:
         self.name = "microrec"
         self.max_batch = max_batch
         self._accel = MicroRecAccelerator(
-            tables, config=config or MicroRecConfig()
+            spec, config=config or MicroRecConfig()
         )
         self._cache: dict[int, int] = {}
 

@@ -72,6 +72,8 @@ def test_spec_prepare_uses_the_same_contexts(monkeypatch):
     e7_ctx = build_spec("e7").prepare()
     assert e7_ctx["model"] is contexts.microrec_model()
     assert e7_ctx["tables"] is contexts.microrec_tables()
+    # e9 only prices lookups: its context is the spec, no tables.
+    assert build_spec("e9").prepare() == {"model": contexts.microrec_model()}
     e16_ctx = build_spec("e16").prepare()
     assert e16_ctx["index"] is contexts.fanns_index()
 

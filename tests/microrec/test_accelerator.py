@@ -32,7 +32,7 @@ def test_config_validation():
 
 
 def test_placement_small_tables_go_to_sram():
-    accel = MicroRecAccelerator(_TABLES, seed=1)
+    accel = MicroRecAccelerator(_SPEC, seed=1)
     sizes = accel.plan.combined_table_bytes()
     if accel.placement.sram_tables and accel.placement.hbm_tables:
         biggest_sram = max(sizes[i] for i in accel.placement.sram_tables)
@@ -43,15 +43,15 @@ def test_placement_small_tables_go_to_sram():
 
 def test_zero_sram_budget_puts_everything_in_hbm():
     config = MicroRecConfig(sram_budget_bytes=0)
-    accel = MicroRecAccelerator(_TABLES, config=config, seed=1)
+    accel = MicroRecAccelerator(_SPEC, config=config, seed=1)
     assert accel.placement.sram_tables == ()
     assert len(accel.placement.hbm_tables) == accel.plan.n_lookups
 
 
 def test_fpga_and_cpu_logits_identical():
-    accel = MicroRecAccelerator(_TABLES, seed=3)
+    accel = MicroRecAccelerator(_SPEC, seed=3)
     cpu = CpuRecommender(_TABLES, seed=3)
-    a = accel.infer(_TRACE)
+    a = accel.infer(_TABLES, _TRACE)
     c = cpu.infer(_TRACE)
     assert np.allclose(a.logits, c.logits, rtol=1e-5, atol=1e-5)
 
@@ -59,10 +59,11 @@ def test_fpga_and_cpu_logits_identical():
 def test_cartesian_plan_preserves_logits():
     plan = plan_cartesian(_SPEC, byte_budget=4 * _SPEC.total_embedding_bytes)
     assert plan.lookups_saved >= 1
-    plain = MicroRecAccelerator(_TABLES, seed=3)
-    combined = MicroRecAccelerator(_TABLES, plan=plan, seed=3)
+    plain = MicroRecAccelerator(_SPEC, seed=3)
+    combined = MicroRecAccelerator(_SPEC, plan=plan, seed=3)
     assert np.array_equal(
-        plain.infer(_TRACE).logits, combined.infer(_TRACE).logits
+        plain.infer(_TABLES, _TRACE).logits,
+        combined.infer(_TABLES, _TRACE).logits,
     )
 
 
@@ -77,30 +78,30 @@ def test_combined_tables_are_sized_not_allocated():
     trace = lookup_trace(spec, batch_size=64, seed=5)
     tracemalloc.start()
     try:
-        accel = MicroRecAccelerator(tables, plan=plan, seed=4)
-        logits = accel.infer(trace).logits
+        accel = MicroRecAccelerator(spec, plan=plan, seed=4)
+        logits = accel.infer(tables, trace).logits
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * plan.total_bytes
-    plain = MicroRecAccelerator(tables, seed=4).infer(trace).logits
+    plain = MicroRecAccelerator(spec, seed=4).infer(tables, trace).logits
     assert np.array_equal(logits, plain)
 
 
 def test_cartesian_reduces_hbm_lookups_and_lookup_time():
     config = MicroRecConfig(sram_budget_bytes=0)  # isolate the HBM effect
-    plain = MicroRecAccelerator(_TABLES, config=config, seed=1)
+    plain = MicroRecAccelerator(_SPEC, config=config, seed=1)
     plan = plan_cartesian(_SPEC, byte_budget=4 * _SPEC.total_embedding_bytes)
-    combined = MicroRecAccelerator(_TABLES, plan=plan, config=config, seed=1)
+    combined = MicroRecAccelerator(_SPEC, plan=plan, config=config, seed=1)
     assert combined.lookups_per_inference < plain.lookups_per_inference
     assert combined.hbm_lookups_per_inference <= plain.hbm_lookups_per_inference
 
 
 def test_fpga_latency_order_of_magnitude_below_cpu():
     """MicroRec's headline claim."""
-    accel = MicroRecAccelerator(_TABLES, seed=2)
+    accel = MicroRecAccelerator(_SPEC, seed=2)
     cpu = CpuRecommender(_TABLES, seed=2)
-    a = accel.infer(_TRACE[:1])
+    a = accel.infer(_TABLES, _TRACE[:1])
     c = cpu.infer(_TRACE[:1])
     assert a.latency_s < c.latency_s / 5
 
@@ -108,34 +109,65 @@ def test_fpga_latency_order_of_magnitude_below_cpu():
 def test_more_hbm_channels_never_slower():
     config8 = MicroRecConfig(sram_budget_bytes=0, n_hbm_channels=8)
     config32 = MicroRecConfig(sram_budget_bytes=0, n_hbm_channels=32)
-    narrow = MicroRecAccelerator(_TABLES, config=config8, seed=1)
-    wide = MicroRecAccelerator(_TABLES, config=config32, seed=1)
+    narrow = MicroRecAccelerator(_SPEC, config=config8, seed=1)
+    wide = MicroRecAccelerator(_SPEC, config=config32, seed=1)
     assert wide.lookup_time_s(32) <= narrow.lookup_time_s(32)
 
 
 def test_lookup_time_grows_with_batch():
-    accel = MicroRecAccelerator(_TABLES, seed=1)
+    accel = MicroRecAccelerator(_SPEC, seed=1)
     assert accel.lookup_time_s(64) > accel.lookup_time_s(1)
     with pytest.raises(ValueError):
         accel.lookup_time_s(0)
 
 
 def test_infer_outcome_consistency():
-    accel = MicroRecAccelerator(_TABLES, seed=1)
-    out = accel.infer(_TRACE)
+    accel = MicroRecAccelerator(_SPEC, seed=1)
+    out = accel.infer(_TABLES, _TRACE)
     assert out.logits.shape == (16,)
     assert out.batch_time_s >= max(out.lookup_s, out.dnn_s)
     assert out.latency_s > 0
     assert out.qps == pytest.approx(16 / out.batch_time_s)
     with pytest.raises(ValueError):
-        accel.infer(_TRACE[:0])
+        accel.infer(_TABLES, _TRACE[:0])
 
 
 def test_plan_for_wrong_spec_rejected():
     other = RecModelSpec(table_rows=(5, 5), embedding_dim=4)
     plan = plan_cartesian(other, 0)
     with pytest.raises(ValueError):
-        MicroRecAccelerator(_TABLES, plan=plan)
+        MicroRecAccelerator(_SPEC, plan=plan)
+
+
+def test_infer_rejects_tables_of_another_spec():
+    accel = MicroRecAccelerator(_SPEC, seed=1)
+    other = production_like_model(n_tables=20, max_rows=1_000, seed=8)
+    with pytest.raises(ValueError):
+        accel.infer(EmbeddingTables(other, seed=8), _TRACE)
+
+
+def test_cpu_working_set_counts_spec_bytes():
+    """Half-width values halve the working set the CPU prices: a model
+    that fits the LLC only at 2 bytes per value gets LLC latency."""
+    from repro.baselines.cpu import CpuModel
+
+    spec = RecModelSpec(table_rows=(1_000, 1_000), embedding_dim=16,
+                        bytes_per_value=2)
+    cpu_model = CpuModel(name="small-llc",
+                         llc_bytes=spec.total_embedding_bytes)
+    tables = EmbeddingTables(spec, seed=1)
+    assert tables.total_nbytes > cpu_model.llc_bytes  # stored as float32
+    cpu = CpuRecommender(tables, cpu=cpu_model, seed=1)
+    out = cpu.infer(lookup_trace(spec, batch_size=8, seed=2))
+    in_llc = cpu_model.random_access_time_s(
+        8 * spec.n_tables, spec.embedding_bytes,
+        working_set_bytes=spec.total_embedding_bytes,
+    )
+    assert out.lookup_s == in_llc
+    assert out.lookup_s < cpu_model.random_access_time_s(
+        8 * spec.n_tables, spec.embedding_bytes,
+        working_set_bytes=tables.total_nbytes,
+    )
 
 
 def test_cpu_outcome_consistency():

@@ -35,9 +35,9 @@ def test_gpu_mlp_time_regimes():
 
 def test_fleetrec_logits_match_single_fpga():
     fleet = FleetRecCluster(_TABLES, seed=3)
-    single = MicroRecAccelerator(_TABLES, seed=3)
+    single = MicroRecAccelerator(_SPEC, seed=3)
     f = fleet.infer(_TRACE)
-    s = single.infer(_TRACE)
+    s = single.infer(_TABLES, _TRACE)
     assert np.allclose(f.logits, s.logits, rtol=1e-5, atol=1e-5)
 
 

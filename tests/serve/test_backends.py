@@ -66,14 +66,49 @@ def test_fanns_batch_cost_is_latency_plus_initiation(fanns_backend):
 
 
 def test_microrec_batch_cost_is_monotonic_and_sublinear():
-    from repro.microrec import EmbeddingTables
     from repro.workloads import production_like_model
 
     model = production_like_model(n_tables=8, max_rows=10_000, seed=2)
-    be = MicroRecBackend(EmbeddingTables(model, seed=2), max_batch=16)
+    be = MicroRecBackend(model, max_batch=16)
     costs = [be.batch_service_ps(b) for b in (1, 2, 4, 8, 16)]
     assert costs == sorted(costs)
     assert costs[-1] < 16 * costs[0], "batching must amortise"
+
+
+def test_microrec_batch_cost_follows_infer():
+    """The spec-priced backend charges exactly what ``infer`` models
+    for a batch gathered from real tables."""
+    from repro.microrec import EmbeddingTables, MicroRecAccelerator
+    from repro.workloads import lookup_trace, production_like_model
+
+    model = production_like_model(n_tables=8, max_rows=10_000, seed=2)
+    be = MicroRecBackend(model, max_batch=16)
+    accel = MicroRecAccelerator(model)
+    tables = EmbeddingTables(model, seed=2)
+    for b in range(1, be.max_batch + 1):
+        trace = lookup_trace(model, batch_size=b, seed=b)
+        out = accel.infer(tables, trace)
+        assert be.batch_service_ps(b) == max(
+            1, int(out.batch_time_s * _PS_PER_S)
+        )
+
+
+def test_microrec_backend_builds_no_embedding_tables(monkeypatch):
+    """The full-scale serving backend prices from the model spec; its
+    484 MiB of embedding tables are never drawn."""
+    import tracemalloc
+
+    from repro.exec.experiments.serving import build_backend
+
+    monkeypatch.delenv("REPRO_SMOKE", raising=False)
+    tracemalloc.start()
+    try:
+        backend = build_backend("microrec")
+        backend.batch_service_ps(backend.max_batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024 * 1024
 
 
 def test_farview_batch_cost_is_near_linear():
