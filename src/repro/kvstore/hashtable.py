@@ -1,10 +1,13 @@
-"""A bucketized open-addressing hash table over numpy storage.
+"""A bucketized open-addressing hash table over plain-Python bucket rows.
 
 The data structure under the KV-Direct use case (intro of the paper):
 fixed-size buckets of a few slots, linear probing across buckets —
 the layout a hardware pipeline likes, because a lookup is a bounded
 number of wide, independent memory reads.
 
+A bucket's (keys, values) lists are created on its first insert; a
+bucket never written reads as all-EMPTY.  ``nbytes`` is the modelled
+int64 layout, which the software server prices as its working set.
 Functional semantics are exact (tested against a dict model); the
 ``probe`` counters feed the performance models in
 :mod:`repro.kvstore.server`.
@@ -12,12 +15,19 @@ Functional semantics are exact (tested against a dict model); the
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["HashTable"]
 
-_EMPTY = np.iinfo(np.int64).min
-_DELETED = np.iinfo(np.int64).min + 1
+_INT64_MAX = (1 << 63) - 1
+_EMPTY = -(1 << 63)
+_DELETED = _EMPTY + 1
+_MISSING = ((_EMPTY,), ())  # a bucket never written: all slots EMPTY
+
+
+def _check_key(key: int) -> int:
+    key = int(key)
+    if not _DELETED < key <= _INT64_MAX:
+        raise ValueError(f"key {key} is a sentinel or outside int64")
+    return key
 
 
 class HashTable:
@@ -30,10 +40,7 @@ class HashTable:
             raise ValueError("slots_per_bucket must be >= 1")
         self.n_buckets = n_buckets
         self.slots_per_bucket = slots_per_bucket
-        self._keys = np.full(
-            (n_buckets, slots_per_bucket), _EMPTY, dtype=np.int64
-        )
-        self._values = np.zeros((n_buckets, slots_per_bucket), dtype=np.int64)
+        self._rows: dict[int, tuple[list[int], list[int]]] = {}
         self.n_entries = 0
         self.bucket_probes = 0
         self.operations = 0
@@ -53,74 +60,67 @@ class HashTable:
 
     @property
     def nbytes(self) -> int:
-        return self._keys.nbytes + self._values.nbytes
-
-    def _check_key(self, key: int) -> int:
-        key = int(key)
-        if key in (_EMPTY, _DELETED):
-            raise ValueError("key collides with a sentinel value")
-        return key
+        return 16 * self.capacity  # int64 key + int64 value per slot
 
     def put(self, key: int, value: int) -> None:
         """Insert or overwrite; raises when the table is full."""
-        key = self._check_key(key)
+        key = _check_key(key)
+        value = int(value)
+        if not _EMPTY <= value <= _INT64_MAX:
+            raise ValueError(f"value {value} does not fit in int64")
         self.operations += 1
         first_free: tuple[int, int] | None = None
-        bucket = self._bucket_of(key)
-        for probe in range(self.n_buckets):
-            b = (bucket + probe) % self.n_buckets
+        b = self._bucket_of(key)
+        for _ in range(self.n_buckets):
             self.bucket_probes += 1
-            row = self._keys[b]
-            match = np.flatnonzero(row == key)
-            if match.size:
-                self._values[b, match[0]] = value
+            keys, values = self._rows.get(b, _MISSING)
+            if key in keys:
+                values[keys.index(key)] = value
                 return
             if first_free is None:
-                free = np.flatnonzero((row == _EMPTY) | (row == _DELETED))
-                if free.size:
-                    first_free = (b, int(free[0]))
-            if (row == _EMPTY).any():
+                # a free slot is EMPTY or DELETED, the two smallest int64s
+                free = [i for i, k in enumerate(keys) if k <= _DELETED]
+                first_free = (b, free[0]) if free else None
+            if _EMPTY in keys:
                 break  # key cannot live beyond the first truly-empty slot
+            b = (b + 1) % self.n_buckets
         if first_free is None:
             raise MemoryError("hash table full")
         b, slot = first_free
-        self._keys[b, slot] = key
-        self._values[b, slot] = value
+        keys, values = self._rows.setdefault(
+            b, ([_EMPTY] * self.slots_per_bucket, [0] * self.slots_per_bucket)
+        )
+        keys[slot] = key
+        values[slot] = value
         self.n_entries += 1
+
+    def _find(self, key: int) -> tuple[list[int], list[int], int] | None:
+        """The (keys, values, slot) holding ``key``, or None."""
+        key = _check_key(key)
+        self.operations += 1
+        b = self._bucket_of(key)
+        for _ in range(self.n_buckets):
+            self.bucket_probes += 1
+            keys, values = self._rows.get(b, _MISSING)
+            if key in keys:
+                return keys, values, keys.index(key)
+            if _EMPTY in keys:
+                return None
+            b = (b + 1) % self.n_buckets
+        return None
 
     def get(self, key: int) -> int | None:
         """Value for ``key`` or None."""
-        key = self._check_key(key)
-        self.operations += 1
-        bucket = self._bucket_of(key)
-        for probe in range(self.n_buckets):
-            b = (bucket + probe) % self.n_buckets
-            self.bucket_probes += 1
-            row = self._keys[b]
-            match = np.flatnonzero(row == key)
-            if match.size:
-                return int(self._values[b, match[0]])
-            if (row == _EMPTY).any():
-                return None
-        return None
+        found = self._find(key)
+        return None if found is None else found[1][found[2]]
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns whether it existed."""
-        key = self._check_key(key)
-        self.operations += 1
-        bucket = self._bucket_of(key)
-        for probe in range(self.n_buckets):
-            b = (bucket + probe) % self.n_buckets
-            self.bucket_probes += 1
-            row = self._keys[b]
-            match = np.flatnonzero(row == key)
-            if match.size:
-                self._keys[b, match[0]] = _DELETED
-                self.n_entries -= 1
-                return True
-            if (row == _EMPTY).any():
-                return False
-        return False
+        found = self._find(key)
+        if found is not None:
+            found[0][found[2]] = _DELETED
+            self.n_entries -= 1
+        return found is not None
 
     @property
     def mean_probes_per_op(self) -> float:

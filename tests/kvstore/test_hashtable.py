@@ -1,6 +1,7 @@
 """Unit and property tests for the bucketized hash table."""
 
-import numpy as np
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,9 +58,59 @@ def test_validation():
         HashTable(n_buckets=3)  # not a power of two
     with pytest.raises(ValueError):
         HashTable(slots_per_bucket=0)
+
+
+def _state(table: HashTable) -> tuple[int, int, int]:
+    return table.n_entries, table.operations, table.bucket_probes
+
+
+def test_rejected_value_leaves_the_table_unchanged():
+    table = HashTable(16, 2)
+    table.put(3, 30)
+    before = _state(table)
+    for bad in (1 << 63, -(1 << 63) - 1):
+        with pytest.raises(ValueError):
+            table.put(1, bad)
+        with pytest.raises(ValueError):
+            table.put(3, bad)  # overwrite path
+    assert _state(table) == before
+    assert table.get(1) is None
+    assert table.get(3) == 30
+    assert not table.delete(1)
+    assert table.n_entries == 1
+
+
+@pytest.mark.parametrize(
+    "key", [1 << 63, -(1 << 63) - 1, -(1 << 63), -(1 << 63) + 1]
+)
+def test_keys_outside_int64_or_sentinels_are_rejected(key):
     table = HashTable(16, 2)
     with pytest.raises(ValueError):
-        table.put(np.iinfo(np.int64).min, 1)
+        table.put(key, 1)
+    with pytest.raises(ValueError):
+        table.get(key)
+    with pytest.raises(ValueError):
+        table.delete(key)
+    assert _state(table) == (0, 0, 0)
+
+
+def test_int64_extremes_round_trip():
+    table = HashTable(16, 2)
+    table.put((1 << 63) - 1, -(1 << 63))
+    table.put(-(1 << 63) + 2, (1 << 63) - 1)
+    assert table.get((1 << 63) - 1) == -(1 << 63)
+    assert table.get(-(1 << 63) + 2) == (1 << 63) - 1
+
+
+def test_construction_allocates_no_slot_arrays():
+    tracemalloc.start()
+    try:
+        table = HashTable(1 << 15, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 1 << 22  # the modelled int64 layout
+    assert peak < 64 * 1024
 
 
 def test_probe_accounting():
