@@ -99,7 +99,7 @@ def _microrec_tables(smoke: bool):
 
 
 def microrec_tables():
-    """Materialised embedding tables for the MicroRec experiments."""
+    """The MicroRec experiments' embedding tables (rows drawn on lookup)."""
     return _microrec_tables(smoke_scale())
 
 

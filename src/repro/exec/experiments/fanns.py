@@ -216,13 +216,13 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
     )
     tables = EmbeddingTables(spec, seed=51)
     trace = lookup_trace(spec, batch_size=512, seed=52)
-    cpu_out = CpuRecommender(tables, seed=6).infer(trace)
-    micro_out = MicroRecAccelerator(spec, seed=6).infer(tables, trace)
+    # FleetRec computes the logits; the CPU and MicroRec share that one
+    # functional model and contribute only their timing models.
     fleet = FleetRecCluster(tables, n_lookup_nodes=2, n_gpu_nodes=2,
                             gpu=V100, seed=6)
     fleet_out = fleet.infer(trace)
-    assert np.allclose(fleet_out.logits, cpu_out.logits, rtol=1e-3,
-                       atol=1e-3)
+    cpu_out = CpuRecommender(tables, seed=6).price(len(trace))
+    micro_out = MicroRecAccelerator(spec, seed=6).price(len(trace))
     assert fleet_out.qps > micro_out.qps, \
         "GPU DNN tier lifts throughput for big MLPs"
     assert micro_out.latency_s < cpu_out.latency_s

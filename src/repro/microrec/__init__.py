@@ -4,21 +4,22 @@ Figures 4-5 of the tutorial).
 """
 
 from .accelerator import (
+    BatchTiming,
     InferenceOutcome,
     MicroRecAccelerator,
     MicroRecConfig,
     Placement,
 )
 from .cartesian import CartesianPlan, plan_cartesian
-from .cpu_baseline import CpuInferenceOutcome, CpuRecommender
+from .cpu_baseline import CpuRecommender
 from .dnn import Mlp, fpga_mlp_latency_s
 from .embedding import EmbeddingTables
 from .fleetrec import A100, FleetRecCluster, FleetRecOutcome, GpuModel, V100
 
 __all__ = [
     "A100",
+    "BatchTiming",
     "CartesianPlan",
-    "CpuInferenceOutcome",
     "CpuRecommender",
     "EmbeddingTables",
     "FleetRecCluster",

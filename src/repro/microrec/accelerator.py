@@ -19,11 +19,15 @@ lookups leave HBM entirely), the rest spread over HBM channels
 least-loaded-first — both straight from the MicroRec paper.
 
 The hardware model is a function of the model spec alone: placement,
-HBM allocation and every stage time follow from table sizes, so an
-accelerator is built from a :class:`~repro.workloads.traces.RecModelSpec`
-and prices batches without any embedding data.  Only :meth:`infer`,
-which gathers rows to compute logits, takes the
-:class:`~repro.microrec.embedding.EmbeddingTables`.
+HBM allocation and every stage time follow from table sizes and layer
+widths, so an accelerator is built from a
+:class:`~repro.workloads.traces.RecModelSpec`.  :meth:`price` is its
+one pricing path: a batch size in, the :class:`BatchTiming` out (stage
+times, one inference's latency, the overlapped batch time and QPS),
+with no embedding data and no MLP weights.  :meth:`infer` adds the
+functional half — it gathers rows from the
+:class:`~repro.microrec.embedding.EmbeddingTables` through the
+Cartesian plan and runs the MLP — and charges exactly :meth:`price`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from .cartesian import CartesianPlan, plan_cartesian
 from .dnn import Mlp, fpga_mlp_latency_s
 from .embedding import EmbeddingTables
 
-__all__ = ["InferenceOutcome", "MicroRecAccelerator", "MicroRecConfig", "Placement"]
+__all__ = [
+    "BatchTiming",
+    "InferenceOutcome",
+    "MicroRecAccelerator",
+    "MicroRecConfig",
+    "Placement",
+]
 
 
 @dataclass(frozen=True)
@@ -75,15 +85,21 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class InferenceOutcome:
-    """Logits plus modeled timing for one batch."""
+class BatchTiming:
+    """Modeled timing of one batch on a two-stage inference engine."""
 
-    logits: np.ndarray
     lookup_s: float      # feature-retrieval stage time for the batch
     dnn_s: float         # DNN stage time for the batch
     latency_s: float     # one-inference end-to-end latency
-    batch_time_s: float  # pipelined batch completion time
+    batch_time_s: float  # batch completion time
     qps: float
+
+
+@dataclass(frozen=True)
+class InferenceOutcome(BatchTiming):
+    """Logits plus modeled timing for one batch."""
+
+    logits: np.ndarray
 
 
 class MicroRecAccelerator:
@@ -176,30 +192,35 @@ class MicroRecAccelerator:
         occupancy = per_inference * 0.75
         return per_inference + (batch - 1) * occupancy
 
-    def infer(
-        self, tables: EmbeddingTables, trace: np.ndarray
-    ) -> InferenceOutcome:
-        """Run a batch gathered from ``tables``: logits + modeled timing."""
-        trace = np.asarray(trace)
-        batch = trace.shape[0]
-        if batch < 1:
-            raise ValueError("batch must contain at least one inference")
-        features = self.plan.lookup(tables, trace)
-        logits = self.mlp.forward(features)
+    def price(self, batch: int) -> BatchTiming:
+        """Modeled timing of ``batch`` inferences.
+
+        The stages pipeline across inferences: a batch pays the slower
+        stage plus one pass through the faster one.
+        """
         lookup_s = self.lookup_time_s(batch)
         dnn_s = self.dnn_time_s(batch)
+        # Each term prices its own single inference: a traced HBM
+        # counts the accesses of every call (e7's ``hbm.lookups``).
         latency = self.lookup_time_s(1) + self.dnn_time_s(1)
         batch_time = max(lookup_s, dnn_s) + min(
             self.lookup_time_s(1), self.dnn_time_s(1)
         )
-        return InferenceOutcome(
-            logits=logits,
+        return BatchTiming(
             lookup_s=lookup_s,
             dnn_s=dnn_s,
             latency_s=latency,
             batch_time_s=batch_time,
             qps=batch / batch_time,
         )
+
+    def infer(
+        self, tables: EmbeddingTables, trace: np.ndarray
+    ) -> InferenceOutcome:
+        """Run a batch gathered from ``tables``: logits + modeled timing."""
+        timing = self.price(len(trace))
+        logits = self.mlp.forward(self.plan.lookup(tables, trace))
+        return InferenceOutcome(logits=logits, **vars(timing))
 
     # -- accounting -------------------------------------------------------------
 

@@ -69,7 +69,6 @@ class CartesianPlan:
             embedding_dim=self.spec.embedding_dim,
             mlp_layers=self.spec.mlp_layers,
             bytes_per_value=self.spec.bytes_per_value,
-            extra_dense_features=self.spec.extra_dense_features,
         )
 
     def combined_dims(self) -> tuple[int, ...]:
@@ -113,24 +112,38 @@ class CartesianPlan:
                 out[:, g] = out[:, g] * self.spec.table_rows[t] + trace[:, t]
         return out
 
+    def decode_trace(self, combined: np.ndarray) -> np.ndarray:
+        """Invert :meth:`rewrite_trace`: combined ids back to the
+        original ``(batch, n_tables)`` member row ids.
+
+        Each combined id is peeled with ``divmod`` in reverse member
+        order, the last member being the least significant digit.
+        """
+        combined = np.asarray(combined)
+        out = np.empty((len(combined), self.spec.n_tables), dtype=np.int64)
+        for g, group in enumerate(self.groups):
+            ids = combined[:, g]
+            for t in reversed(group):
+                ids, out[:, t] = np.divmod(ids, self.spec.table_rows[t])
+        return out
+
     def materialize(self, tables: EmbeddingTables) -> list[np.ndarray]:
-        """Build the combined tables' arrays from the original tables.
+        """Build the combined tables' arrays from the original rows.
 
         Combined entry rows concatenate member embeddings in group
         order, consistent with :meth:`rewrite_trace`'s id encoding.
         The reference layout: :meth:`lookup` never builds it, and sizes
         come from :meth:`combined_table_bytes` alone.
         """
-        if tables.spec is not self.spec and tables.spec != self.spec:
-            raise ValueError("tables were built from a different spec")
+        self._check_tables(tables)
         combined: list[np.ndarray] = []
         for group in self.groups:
-            arrays = [tables.tables[t] for t in group]
             grids = np.meshgrid(
-                *[np.arange(a.shape[0]) for a in arrays], indexing="ij"
+                *[np.arange(self.spec.table_rows[t]) for t in group],
+                indexing="ij",
             )
             parts = [
-                a[g.reshape(-1)] for a, g in zip(arrays, grids)
+                tables.rows(t, g.reshape(-1)) for t, g in zip(group, grids)
             ]
             combined.append(np.concatenate(parts, axis=1))
         return combined
@@ -138,13 +151,18 @@ class CartesianPlan:
     def lookup(self, tables: EmbeddingTables, trace: np.ndarray) -> np.ndarray:
         """Functional lookup through the combined layout.
 
-        A combined row holds only its member rows, so the result, in
-        *original table order*, is the uncombined gather; no combined
-        table is built.
+        The trace is rewritten to combined ids, each combined id is
+        decoded back to the member rows its combined row holds, and
+        those rows are gathered in *original table order*; no combined
+        table is built.  A faithful encoding makes the result equal the
+        uncombined gather.
         """
+        self._check_tables(tables)
+        return tables.lookup(self.decode_trace(self.rewrite_trace(trace)))
+
+    def _check_tables(self, tables: EmbeddingTables) -> None:
         if tables.spec is not self.spec and tables.spec != self.spec:
             raise ValueError("tables were built from a different spec")
-        return tables.lookup(trace)
 
 
 def plan_cartesian(

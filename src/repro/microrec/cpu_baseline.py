@@ -4,32 +4,21 @@ The CPU runs the same functional path (gather embeddings, run the MLP)
 with roofline timing: each embedding read is a dependent random DRAM
 access (tables far exceed the LLC), and the MLP is a GEMV per
 inference.  This is the inference stack MicroRec reports one order of
-magnitude of latency against.
+magnitude of latency against.  Like the accelerator, it prices a batch
+with :meth:`CpuRecommender.price` from the model spec and layer widths
+alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..baselines.cpu import CpuModel, xeon_server
+from .accelerator import BatchTiming, InferenceOutcome
 from .dnn import Mlp
 from .embedding import EmbeddingTables
 
-__all__ = ["CpuInferenceOutcome", "CpuRecommender"]
-
-
-@dataclass(frozen=True)
-class CpuInferenceOutcome:
-    """Logits plus modeled CPU timing."""
-
-    logits: np.ndarray
-    lookup_s: float
-    dnn_s: float
-    latency_s: float      # one inference, one core
-    batch_time_s: float   # whole batch, all cores
-    qps: float
+__all__ = ["CpuRecommender"]
 
 
 class CpuRecommender:
@@ -57,33 +46,35 @@ class CpuRecommender:
 
     def _dnn_time_s(self, batch: int, parallel: bool) -> float:
         per = sum(
-            self.cpu.gemv_time_s(w.shape[0], w.shape[1], parallel=False)
-            for w in self.mlp.weights
+            self.cpu.gemv_time_s(fan_in, fan_out, parallel=False)
+            for fan_in, fan_out in self.mlp.layer_shapes
         )
         if not parallel:
             return batch * per
         # Batched inference parallelises across cores.
         return batch * per / self.cpu.cores
 
-    def infer(self, trace: np.ndarray) -> CpuInferenceOutcome:
-        """Run a batch: functional logits + modeled timing."""
-        trace = np.asarray(trace)
-        batch = trace.shape[0]
+    def price(self, batch: int) -> BatchTiming:
+        """Modeled timing of ``batch`` inferences: the batch spreads
+        over all cores, one inference runs on one."""
         if batch < 1:
             raise ValueError("batch must contain at least one inference")
-        features = self.tables.lookup(trace)
-        logits = self.mlp.forward(features)
         lookup = self._lookup_time_s(batch, parallel=True)
         dnn = self._dnn_time_s(batch, parallel=True)
         latency = self._lookup_time_s(1, parallel=False) + self._dnn_time_s(
             1, parallel=False
         )
         batch_time = lookup + dnn
-        return CpuInferenceOutcome(
-            logits=logits,
+        return BatchTiming(
             lookup_s=lookup,
             dnn_s=dnn,
             latency_s=latency,
             batch_time_s=batch_time,
             qps=batch / batch_time,
         )
+
+    def infer(self, trace: np.ndarray) -> InferenceOutcome:
+        """Run a batch: functional logits + modeled timing."""
+        timing = self.price(len(trace))
+        logits = self.mlp.forward(self.tables.lookup(trace))
+        return InferenceOutcome(logits=logits, **vars(timing))

@@ -12,9 +12,9 @@ validate:
   the pipeline, so cost = one full latency + ``(b-1)`` initiation
   intervals.  Strongly sub-linear — batching wins big.
 * :class:`MicroRecBackend` — MicroRec's lookup/DNN stages
-  (:class:`~repro.microrec.accelerator.MicroRecAccelerator`), with the
-  stages overlapped exactly as ``infer()`` charges them, priced from
-  the model spec alone (no embedding tables are built).
+  (:class:`~repro.microrec.accelerator.MicroRecAccelerator`), priced by
+  the accelerator's own ``price()`` from the model spec alone (no
+  embedding tables are built, no MLP weights drawn).
 * :class:`FarviewBackend` — one offloaded query plan on a Farview node
   (:class:`~repro.farview.server.FarviewServer`): the scan dominates
   and does not amortise, only the request/response overhead does —
@@ -136,10 +136,9 @@ class FannsBackend:
 class MicroRecBackend:
     """MicroRec CTR inference as a servable backend.
 
-    Batch cost follows ``MicroRecAccelerator.infer``: the lookup and
-    DNN stages overlap, so a batch pays the slower stage plus one pass
-    through the faster one.  The cost depends only on the model spec,
-    so the backend holds no embedding data.
+    Batch cost is ``MicroRecAccelerator.price``'s batch time, the same
+    figure ``infer`` charges.  It depends only on the model spec, so
+    the backend holds no embedding data.
     """
 
     def __init__(self, spec, max_batch: int = 32, config=None) -> None:
@@ -158,13 +157,8 @@ class MicroRecBackend:
         _check_batch(self, batch)
         cached = self._cache.get(batch)
         if cached is None:
-            accel = self._accel
-            lookup = accel.lookup_time_s(batch)
-            dnn = accel.dnn_time_s(batch)
-            overlap_s = max(lookup, dnn) + min(
-                accel.lookup_time_s(1), accel.dnn_time_s(1)
-            )
-            cached = max(1, int(overlap_s * _PS_PER_S))
+            batch_time_s = self._accel.price(batch).batch_time_s
+            cached = max(1, int(batch_time_s * _PS_PER_S))
             self._cache[batch] = cached
         return cached
 

@@ -39,7 +39,6 @@ class RecModelSpec:
     embedding_dim: int = 16
     mlp_layers: tuple[int, ...] = (1024, 512, 256)
     bytes_per_value: int = 4
-    extra_dense_features: int = 0
 
     def __post_init__(self) -> None:
         if not self.table_rows:
@@ -71,7 +70,7 @@ class RecModelSpec:
     @property
     def concat_width(self) -> int:
         """Input width of the first FC layer."""
-        return self.n_tables * self.embedding_dim + self.extra_dense_features
+        return self.n_tables * self.embedding_dim
 
     def mlp_flops(self) -> int:
         """Multiply-accumulate count of one inference through the MLP."""

@@ -132,6 +132,21 @@ def test_infer_outcome_consistency():
         accel.infer(_TABLES, _TRACE[:0])
 
 
+def test_price_is_what_infer_charges_and_draws_no_weights():
+    accel = MicroRecAccelerator(_SPEC, seed=1)
+    cpu = CpuRecommender(_TABLES, seed=1)
+    timing, cpu_timing = accel.price(16), cpu.price(16)
+    assert accel.mlp._params is None and cpu.mlp._params is None
+    out, cpu_out = accel.infer(_TABLES, _TRACE), cpu.infer(_TRACE)
+    for field in ("lookup_s", "dnn_s", "latency_s", "batch_time_s", "qps"):
+        assert getattr(out, field) == getattr(timing, field)
+        assert getattr(cpu_out, field) == getattr(cpu_timing, field)
+    with pytest.raises(ValueError):
+        accel.price(0)
+    with pytest.raises(ValueError):
+        cpu.price(0)
+
+
 def test_plan_for_wrong_spec_rejected():
     other = RecModelSpec(table_rows=(5, 5), embedding_dim=4)
     plan = plan_cartesian(other, 0)

@@ -94,10 +94,25 @@ def test_combined_lookup_equals_uncombined():
     plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
     assert plan.lookups_saved >= 1
     trace = lookup_trace(spec, batch_size=32, seed=4)
-    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
-    assert np.array_equal(
-        _lookup_via_combined_tables(plan, tables, trace), tables.lookup(trace)
+    per_table = np.concatenate(
+        [tables.rows(t, trace[:, t]) for t in range(spec.n_tables)], axis=1
     )
+    assert np.array_equal(tables.lookup(trace), per_table)
+    assert np.array_equal(plan.lookup(tables, trace), per_table)
+    assert np.array_equal(
+        _lookup_via_combined_tables(plan, tables, trace), per_table
+    )
+
+
+def test_decode_inverts_rewrite_in_member_order():
+    spec = _spec(rows=(3, 5, 7, 11))
+    plan = CartesianPlan(spec=spec, groups=((0, 2, 3), (1,)))
+    trace = lookup_trace(spec, batch_size=64, seed=9)
+    combined = plan.rewrite_trace(trace)
+    assert np.array_equal(plan.decode_trace(combined), trace)
+    # (i, j, k) of the 3 x 7 x 11 group is ((i * 7) + j) * 11 + k.
+    assert np.array_equal(plan.decode_trace([[2 * 77 + 3 * 11 + 4, 1]]),
+                          [[2, 1, 3, 4]])
 
 
 def test_out_of_range_member_ids_raise_instead_of_aliasing():
@@ -135,8 +150,8 @@ def test_materialize_row_contents():
     for i in range(2):
         for j in range(3):
             row = combined[i * 3 + j]
-            assert np.array_equal(row[:4], tables.tables[0][i])
-            assert np.array_equal(row[4:], tables.tables[1][j])
+            assert np.array_equal(row[:4], tables.rows(0, [i])[0])
+            assert np.array_equal(row[4:], tables.rows(1, [j])[0])
 
 
 def test_negative_budget_rejected():
