@@ -32,7 +32,7 @@ def main() -> None:
     tables = EmbeddingTables(spec, seed=21)
     trace = lookup_trace(spec, batch_size=BATCH, seed=22)
 
-    cpu = CpuRecommender(tables, seed=5)
+    cpu = CpuRecommender(spec, seed=5)
     plain = MicroRecAccelerator(spec, seed=5)
     cartesian = MicroRecAccelerator(
         spec,
@@ -40,7 +40,7 @@ def main() -> None:
         seed=5,
     )
 
-    cpu_out = cpu.infer(trace)
+    cpu_out = cpu.infer(tables, trace)
     plain_out = plain.infer(tables, trace)
     cart_out = cartesian.infer(tables, trace)
     for name, out in (("plain", plain_out), ("cartesian", cart_out)):

@@ -16,6 +16,7 @@ from repro.fanns import (
     CpuAnnSearcher,
     FannsAccelerator,
     HardwareGenerator,
+    SearchStats,
     build_ivfpq,
     recall_at_k,
 )
@@ -39,11 +40,11 @@ def main() -> None:
     )
     index = build_ivfpq(dataset.base, nlist=256, m=16, ksub=256, seed=13)
     print(
-        f"functional index: {index.n_vectors:,} vectors; modeled scale: "
-        f"{index.n_vectors * LIST_SCALE:,} vectors"
+        f"functional index: {index.shape.n_vectors:,} vectors; modeled "
+        f"scale: {index.shape.n_vectors * LIST_SCALE:,} vectors"
     )
-    accel = FannsAccelerator(index, list_scale=LIST_SCALE)
-    cpu = CpuAnnSearcher(index, list_scale=LIST_SCALE)
+    accel = FannsAccelerator(index.shape, list_scale=LIST_SCALE)
+    cpu = CpuAnnSearcher(index.shape, list_scale=LIST_SCALE)
 
     sweep = ResultTable(
         "QPS vs recall@10 (FPGA accelerator vs CPU IVF-PQ)",
@@ -51,9 +52,12 @@ def main() -> None:
          "FPGA latency us", "CPU latency us"),
     )
     for nprobe in (1, 2, 4, 8, 16, 32, 64):
-        fpga_out = accel.search(dataset.queries, K, nprobe)
-        cpu_out = cpu.search(dataset.queries, K, nprobe)
-        recall = recall_at_k(fpga_out.ids, dataset.ground_truth)
+        # One search; both engines price its work counters.
+        stats = SearchStats()
+        ids = index.search(dataset.queries, K, nprobe, stats=stats)
+        fpga_out = accel.price(nprobe, stats.n_queries)
+        cpu_out = cpu.price(stats)
+        recall = recall_at_k(ids, dataset.ground_truth)
         sweep.add(
             nprobe,
             round(recall, 3),
@@ -62,7 +66,7 @@ def main() -> None:
             fpga_out.query_latency_s * 1e6,
             cpu_out.query_latency_s * 1e6,
         )
-    sweep.note("identical ids on both sides: same algorithm, different hardware")
+    sweep.note("one shared search per row: same algorithm, different hardware")
     sweep.show()
 
     print("running the hardware generator (design-space exploration)...")

@@ -13,6 +13,7 @@ from .contexts import (
     FANNS_LIST_SCALE,
     fanns_dataset,
     fanns_index,
+    fanns_shape,
     microrec_model,
     microrec_tables,
     microrec_trace,
@@ -39,6 +40,7 @@ __all__ = [
     "experiment_ids",
     "fanns_dataset",
     "fanns_index",
+    "fanns_shape",
     "microrec_model",
     "microrec_tables",
     "microrec_trace",

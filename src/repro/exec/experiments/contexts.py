@@ -19,6 +19,7 @@ __all__ = [
     "FANNS_LIST_SCALE",
     "fanns_dataset",
     "fanns_index",
+    "fanns_shape",
     "microrec_model",
     "microrec_tables",
     "microrec_trace",
@@ -42,20 +43,22 @@ def scale_key() -> dict:
     return {"scale": "smoke" if smoke_scale() else "full"}
 
 
+# (n, dim, nlist) of the FANNS dataset and index at smoke and full
+# scale; the index has m=16 one-byte codes over ksub=256 centroids.
+_FANNS_SIZES = {True: (8_000, 16, 32), False: (20_000, 32, 256)}
+_FANNS_M, _FANNS_KSUB = 16, 256
+
+
 @lru_cache(maxsize=None)
 def _fanns_dataset(smoke: bool):
     from ...workloads import clustered_dataset
 
-    if smoke:
-        # dim=16 with m=16 gives one PQ subquantiser per dimension, so
-        # recall stays near-exact and the shape claims still hold.
-        return clustered_dataset(
-            n=8_000, dim=16, n_queries=64, gt_k=10, n_clusters=32,
-            cluster_std=0.25, seed=13,
-        )
+    # At smoke scale dim=16 with m=16 gives one PQ subquantiser per
+    # dimension, so recall stays near-exact and the shape claims hold.
+    n, dim, _ = _FANNS_SIZES[smoke]
     return clustered_dataset(
-        n=20_000, dim=32, n_queries=100, gt_k=10, n_clusters=64,
-        cluster_std=0.25, seed=13,
+        n=n, dim=dim, n_queries=64 if smoke else 100, gt_k=10,
+        n_clusters=32 if smoke else 64, cluster_std=0.25, seed=13,
     )
 
 
@@ -68,14 +71,22 @@ def fanns_dataset():
 def _fanns_index(smoke: bool):
     from ...fanns import build_ivfpq
 
-    data = _fanns_dataset(smoke)
-    nlist = 32 if smoke else 256
-    return build_ivfpq(data.base, nlist=nlist, m=16, ksub=256, seed=13)
+    return build_ivfpq(_fanns_dataset(smoke).base, _FANNS_SIZES[smoke][2],
+                       m=_FANNS_M, ksub=_FANNS_KSUB, seed=13)
 
 
 def fanns_index():
     """A trained IVF-PQ index over the session dataset."""
     return _fanns_index(smoke_scale())
+
+
+def fanns_shape():
+    """The shape of :func:`fanns_index`, known without building it."""
+    from ...fanns import IndexShape
+
+    n, dim, nlist = _FANNS_SIZES[smoke_scale()]
+    return IndexShape(nlist, dim, _FANNS_M, _FANNS_KSUB, dim // _FANNS_M,
+                      code_nbytes=_FANNS_M, residual=True, n_vectors=n)
 
 
 @lru_cache(maxsize=None)

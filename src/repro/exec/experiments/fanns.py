@@ -24,24 +24,23 @@ def e5_prepare() -> dict:
 
 
 def e5_cell(ctx: dict, config: dict, seed: int) -> dict:
-    """One nprobe point: run all three engines, check the SLA triangle."""
+    """One nprobe point: one search, priced on all three engines."""
     from ...fanns import (
         CpuAnnSearcher,
         FannsAccelerator,
         GpuAnnSearcher,
+        SearchStats,
         recall_at_k,
     )
 
     index, data, nprobe = ctx["index"], ctx["data"], config["nprobe"]
-    accel = FannsAccelerator(index, list_scale=FANNS_LIST_SCALE)
-    cpu = CpuAnnSearcher(index, list_scale=FANNS_LIST_SCALE)
-    gpu = GpuAnnSearcher(index, list_scale=FANNS_LIST_SCALE)
-    f = accel.search(data.queries, _E5_K, nprobe)
-    c = cpu.search(data.queries, _E5_K, nprobe)
-    g = gpu.search(data.queries, _E5_K, nprobe)
-    assert (f.ids == c.ids).all(), "engines must agree exactly"
-    assert (f.ids == g.ids).all()
-    recall = recall_at_k(f.ids, data.ground_truth)
+    stats = SearchStats()
+    ids = index.search(data.queries, _E5_K, nprobe, stats=stats)
+    shape, scale = index.shape, FANNS_LIST_SCALE
+    f = FannsAccelerator(shape, list_scale=scale).price(nprobe, len(ids))
+    c = CpuAnnSearcher(shape, list_scale=scale).price(stats)
+    g = GpuAnnSearcher(shape, list_scale=scale).price(stats)
+    recall = recall_at_k(ids, data.ground_truth)
     return {
         "nprobe": nprobe,
         "recall": float(recall),
@@ -221,7 +220,7 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
     fleet = FleetRecCluster(tables, n_lookup_nodes=2, n_gpu_nodes=2,
                             gpu=V100, seed=6)
     fleet_out = fleet.infer(trace)
-    cpu_out = CpuRecommender(tables, seed=6).price(len(trace))
+    cpu_out = CpuRecommender(spec, seed=6).price(len(trace))
     micro_out = MicroRecAccelerator(spec, seed=6).price(len(trace))
     assert fleet_out.qps > micro_out.qps, \
         "GPU DNN tier lifts throughput for big MLPs"

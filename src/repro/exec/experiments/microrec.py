@@ -38,7 +38,7 @@ def e7_cell(ctx: dict, config: dict, seed: int) -> dict:
     # One functional model computes the logits; the CPU shares it and
     # contributes only its timing model.
     f = accel.infer(ctx["tables"], trace)
-    c = CpuRecommender(ctx["tables"], seed=5).price(batch)
+    c = CpuRecommender(ctx["model"], seed=5).price(batch)
     snapshot = prof.tracer.registry.snapshot()
     accesses = sum(
         v for k, v in snapshot.items()

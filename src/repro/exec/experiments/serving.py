@@ -57,10 +57,10 @@ def build_backend(name: str):
         return SyntheticBackend()
     if name == "fanns":
         from ...serve import FannsBackend
-        from .contexts import fanns_index
+        from .contexts import fanns_shape
 
         return FannsBackend(
-            fanns_index(), nprobe=16, max_batch=16,
+            fanns_shape(), nprobe=16, max_batch=16,
             list_scale=FANNS_LIST_SCALE,
         )
     if name == "microrec":

@@ -2,9 +2,9 @@
 search (Jiang et al., SC 2023; Figure 3 of the tutorial).
 
 IVF-PQ is implemented from scratch (k-means, product quantization,
-inverted lists); the CPU baseline and the FPGA accelerator share the
-functional search and differ only in the performance model, and the
-hardware generator picks the best feasible design per recall target.
+inverted lists); the CPU, GPU and FPGA engines price one shared
+functional search from the index's shape, and the hardware generator
+picks the best feasible design per recall target.
 """
 
 from .accelerator import (
@@ -22,7 +22,7 @@ from .generator import (
     default_config_space,
 )
 from .gpu_baseline import GpuAnnSearcher, GpuSearchOutcome
-from .ivf import IVFPQIndex, SearchStats, build_ivfpq
+from .ivf import IndexShape, IVFPQIndex, SearchStats, build_ivfpq
 from .kmeans import KMeansResult, kmeans, kmeans_pp_init
 from .pq import ProductQuantizer, train_pq
 from .recall import recall_at_k
@@ -40,6 +40,7 @@ __all__ = [
     "GpuSearchOutcome",
     "HardwareGenerator",
     "IVFPQIndex",
+    "IndexShape",
     "KMeansResult",
     "ProductQuantizer",
     "SearchStats",

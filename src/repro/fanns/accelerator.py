@@ -16,22 +16,22 @@ configuration dedicates to them).  Queries pipeline through the stages,
 so throughput is set by the slowest stage and latency by the sum — the
 same first-order model the FANNS paper's performance predictor uses.
 
-Functional results come from the shared
-:class:`~repro.fanns.ivf.IVFPQIndex`, so accelerator and CPU baseline
-return identical ids for identical ``(k, nprobe)``.
+The model reads only the index's :class:`~repro.fanns.ivf.IndexShape`:
+:meth:`FannsAccelerator.price` needs no trained index, and ``search``
+prices one shared :meth:`~repro.fanns.ivf.IVFPQIndex.search`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core.clocking import FABRIC_300MHZ, ClockDomain
 from ..core.device import ALVEO_U55C, Device, ResourceVector
 from ..memory.technologies import hbm2_channel
-from .ivf import IVFPQIndex
+from .ivf import IndexShape, IVFPQIndex
 
 __all__ = ["FannsAccelerator", "FannsConfig", "FpgaSearchOutcome", "StageTimes"]
 
@@ -101,21 +101,21 @@ class StageTimes:
 
 @dataclass(frozen=True)
 class FpgaSearchOutcome:
-    """Results plus modeled accelerator timing for a query batch."""
+    """Modeled accelerator timing for a query batch (ids once searched)."""
 
-    ids: np.ndarray
     stages: StageTimes
     query_latency_s: float
     qps: float
     batch_time_s: float
+    ids: np.ndarray | None = None
 
 
 class FannsAccelerator:
-    """A FANNS instance: an index deployed under a hardware config."""
+    """A FANNS instance: an index of ``shape`` deployed under a config."""
 
     def __init__(
         self,
-        index: IVFPQIndex,
+        shape: IndexShape,
         config: FannsConfig = FannsConfig(),
         device: Device = ALVEO_U55C,
         enforce_fit: bool = True,
@@ -123,17 +123,17 @@ class FannsAccelerator:
     ) -> None:
         if list_scale < 1:
             raise ValueError("list_scale must be >= 1")
-        self.index = index
+        self.shape = shape
         self.config = config
         self.device = device
         self.list_scale = list_scale
-        demand = config.resources(index.pq.m)
+        demand = config.resources(shape.m)
         if enforce_fit and not device.fits(demand):
             raise ResourceWarning(
                 f"FANNS config does not fit {device.name}: "
                 f"{demand.utilization_report(demand)}"
             )
-        code_bytes = index.code_bytes_total * list_scale
+        code_bytes = shape.n_vectors * shape.code_nbytes * list_scale
         if code_bytes > config.n_hbm_channels * hbm2_channel().capacity_bytes:
             raise MemoryError(
                 "PQ codes do not fit the configured HBM channels"
@@ -144,25 +144,24 @@ class FannsAccelerator:
 
     def stage_times(self, nprobe: int) -> StageTimes:
         """Per-query stage times under the current config."""
-        index, cfg = self.index, self.config
-        if not 1 <= nprobe <= index.nlist:
-            raise ValueError(f"nprobe must be in 1..{index.nlist}")
+        shape, cfg = self.shape, self.config
+        if not 1 <= nprobe <= shape.nlist:
+            raise ValueError(f"nprobe must be in 1..{shape.nlist}")
         clock = cfg.clock
-        dim = index.dim
-        ksub = index.pq.ksub
-        dsub = index.pq.dsub
         # S1: nlist x dim MACs over the distance PE array.
-        coarse_cycles = math.ceil(index.nlist * dim / cfg.n_distance_pes)
+        coarse_cycles = math.ceil(shape.nlist * shape.dim / cfg.n_distance_pes)
         # S2: streaming K-selection over nlist distances.
-        select_cycles = index.nlist + 2 * nprobe
+        select_cycles = shape.nlist + 2 * nprobe
         # S3: residual mode builds one table per probed list.
-        n_tables = nprobe if index.residual else 1
-        lut_cycles = math.ceil(n_tables * ksub * dsub / cfg.n_lut_pes)
+        n_tables = nprobe if shape.residual else 1
+        lut_cycles = math.ceil(
+            n_tables * shape.ksub * shape.dsub / cfg.n_lut_pes
+        )
         # S4: scan expected candidates; 1 code/PE/cycle, HBM-bounded.
-        candidates = index.expected_candidates(nprobe) * self.list_scale
+        candidates = shape.expected_candidates(nprobe) * self.list_scale
         scan_cycles = math.ceil(candidates / cfg.n_adc_pes)
         scan_compute_s = clock.cycles_to_seconds(scan_cycles)
-        code_bytes = candidates * index.pq.code_nbytes
+        code_bytes = candidates * shape.code_nbytes
         share = math.ceil(code_bytes / cfg.n_hbm_channels)
         scan_memory_s = self._hbm.stream_time_ps(int(share)) / 1e12
         # S5: priority queues drain K entries after the last code.
@@ -175,20 +174,21 @@ class FannsAccelerator:
             topk_drain_s=clock.cycles_to_seconds(topk_cycles),
         )
 
-    def qps(self, nprobe: int) -> float:
-        """Steady-state queries/s with query-level pipelining."""
-        return 1.0 / self.stage_times(nprobe).bottleneck_s
-
-    def search(self, queries: np.ndarray, k: int, nprobe: int) -> FpgaSearchOutcome:
-        """Run a query batch; identical ids to the CPU path, FPGA timing."""
-        ids = self.index.search(queries, k, nprobe)
+    def price(self, nprobe: int, n_queries: int) -> FpgaSearchOutcome:
+        """Modeled timing of ``n_queries`` pipelined queries at ``nprobe``."""
         stages = self.stage_times(nprobe)
-        n = queries.shape[0]
-        batch = stages.latency_s + max(0, n - 1) * stages.bottleneck_s
+        batch = stages.latency_s + max(0, n_queries - 1) * stages.bottleneck_s
         return FpgaSearchOutcome(
-            ids=ids,
             stages=stages,
             query_latency_s=stages.latency_s,
             qps=1.0 / stages.bottleneck_s,
             batch_time_s=batch,
         )
+
+    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
+               nprobe: int) -> FpgaSearchOutcome:
+        """Run a query batch on ``index``: its ids, priced on the FPGA."""
+        if index.shape != self.shape:
+            raise ValueError("index does not have the shape this prices")
+        ids = index.search(queries, k, nprobe)
+        return replace(self.price(nprobe, len(queries)), ids=ids)

@@ -1,7 +1,7 @@
 """CPU IVF-PQ searcher: the baseline side of the FANNS comparison.
 
-Functionally it *is* the shared :class:`~repro.fanns.ivf.IVFPQIndex`
-search; the timing comes from pricing the measured work counters
+:meth:`CpuAnnSearcher.price` prices the work counters of one shared
+:meth:`~repro.fanns.ivf.IVFPQIndex.search`
 (:class:`~repro.fanns.ivf.SearchStats`) on the roofline CPU model, the
 way a Faiss-style implementation spends its cycles:
 
@@ -14,25 +14,25 @@ way a Faiss-style implementation spends its cycles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..baselines.cpu import CpuModel, xeon_server
-from .ivf import IVFPQIndex, SearchStats
+from .ivf import IndexShape, IVFPQIndex, SearchStats
 
 __all__ = ["CpuSearchOutcome", "CpuAnnSearcher"]
 
 
 @dataclass(frozen=True)
 class CpuSearchOutcome:
-    """Results plus modeled CPU timing for a query batch."""
+    """Modeled CPU timing for a query batch (ids once searched)."""
 
-    ids: np.ndarray
     stats: SearchStats
     batch_time_s: float       # all queries, all cores
     query_latency_s: float    # one query, one core
     qps: float
+    ids: np.ndarray | None = None
 
 
 class CpuAnnSearcher:
@@ -46,20 +46,18 @@ class CpuAnnSearcher:
 
     def __init__(
         self,
-        index: IVFPQIndex,
+        shape: IndexShape,
         cpu: CpuModel | None = None,
         list_scale: int = 1,
     ) -> None:
         if list_scale < 1:
             raise ValueError("list_scale must be >= 1")
-        self.index = index
+        self.shape = shape
         self.cpu = cpu or xeon_server()
         self.list_scale = list_scale
 
     def _work_time_s(self, stats: SearchStats, parallel: bool) -> float:
-        dim = self.index.dim
-        m = self.index.pq.m
-        dsub = self.index.pq.dsub
+        dim, m, dsub = self.shape.dim, self.shape.m, self.shape.dsub
         scale = self.list_scale
         coarse_ops = stats.centroid_distances * dim
         lut_ops = stats.lut_entries * dsub
@@ -74,28 +72,27 @@ class CpuAnnSearcher:
         memory = self.cpu.stream_time_s(
             stats.code_bytes_scanned * scale, parallel=parallel
         )
-        if self.index.code_bytes_total * scale > self.cpu.llc_bytes:
+        code_bytes = self.shape.n_vectors * self.shape.code_nbytes
+        if code_bytes * scale > self.cpu.llc_bytes:
             return max(compute, memory)
         return compute
 
-    def search(self, queries: np.ndarray, k: int, nprobe: int) -> CpuSearchOutcome:
-        """Run a query batch; returns ids + modeled timing."""
-        stats = SearchStats()
-        ids = self.index.search(queries, k, nprobe, stats=stats)
-        n_queries = max(1, stats.n_queries)
+    def price(self, stats: SearchStats) -> CpuSearchOutcome:
+        """The search that counted ``stats``, on all cores and one."""
         batch = self._work_time_s(stats, parallel=True)
-        per_query_stats = SearchStats(
-            n_queries=1,
-            centroid_distances=stats.centroid_distances // n_queries,
-            lut_entries=stats.lut_entries // n_queries,
-            codes_scanned=stats.codes_scanned // n_queries,
-            code_bytes_scanned=stats.code_bytes_scanned // n_queries,
-        )
-        latency = self._work_time_s(per_query_stats, parallel=False)
+        latency = self._work_time_s(stats.per_query(), parallel=False)
         return CpuSearchOutcome(
-            ids=ids,
             stats=stats,
             batch_time_s=batch,
             query_latency_s=latency,
-            qps=n_queries / batch if batch > 0 else float("inf"),
+            qps=max(1, stats.n_queries) / batch if batch > 0 else float("inf"),
         )
+
+    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
+               nprobe: int) -> CpuSearchOutcome:
+        """Run a query batch on ``index``: its ids, priced on the CPU."""
+        if index.shape != self.shape:
+            raise ValueError("index does not have the shape this prices")
+        stats = SearchStats()
+        ids = index.search(queries, k, nprobe, stats=stats)
+        return replace(self.price(stats), ids=ids)

@@ -10,7 +10,7 @@ distributed IVF (also used by FleetRec's retrieval tier):
   owns* and returns its local top-k;
 * the root gathers ``P`` candidate lists and merges — which yields
   exactly the single-node result, because the union of scanned
-  candidates is identical.
+  candidates is identical and every cut uses the same total order.
 
 Latency = slowest node + gather + merge; throughput scales with nodes
 because every node scans ~1/P of the candidates.
@@ -64,36 +64,30 @@ class DistributedFanns:
         self.n_nodes = n_nodes
         self.cluster = cluster or FpgaCluster(n_nodes)
         # Each node owns lists l with l % n_nodes == node, every list at
-        # full deployment length; a probed set of nprobe lists gives each
-        # node ~nprobe/P of them to scan (handled in :meth:`search`).
-        self._shard_accels = [
-            FannsAccelerator(index, config, device, list_scale=list_scale)
-            for _ in range(n_nodes)
-        ]
-        self.list_scale = list_scale
+        # full deployment length; the nodes are identical, so one
+        # accelerator prices them all.
+        self._node_accel = FannsAccelerator(
+            index.shape, config, device, list_scale=list_scale
+        )
 
-    def _owner(self, list_id: int) -> int:
-        return list_id % self.n_nodes
+    def _shards(self, lists: np.ndarray) -> list[np.ndarray]:
+        """``lists`` split by owner: node ``n`` owns ``l % n_nodes == n``."""
+        return [lists[lists % self.n_nodes == n] for n in range(self.n_nodes)]
 
     def shard_list_counts(self) -> list[int]:
         """How many inverted lists each node owns."""
-        counts = [0] * self.n_nodes
-        for list_id in range(self.index.nlist):
-            counts[self._owner(list_id)] += 1
-        return counts
+        return [len(p) for p in self._shards(np.arange(self.index.nlist))]
 
     def search(self, queries: np.ndarray, k: int,
                nprobe: int) -> DistributedSearchOutcome:
-        """Sharded search; ids match the single-node index exactly."""
-        # Functional path: global search (provably equal to gathering
-        # and merging per-shard top-k; tested against an explicit
-        # shard-and-merge in the test suite).
-        ids = self.index.search(queries, k, nprobe)
+        """Sharded search: each node scans the probed lists it owns and
+        cuts a local top-k, the root merges; ids match the single node."""
+        ids = self.index.search(queries, k, nprobe, shards=self._shards)
 
         # Performance: every node scans its ~1/P share of the probed
         # lists (round-robin ownership spreads any probe set evenly).
         per_node = min(math.ceil(nprobe / self.n_nodes), self.index.nlist)
-        stages = self._shard_accels[0].stage_times(per_node)
+        stages = self._node_accel.stage_times(per_node)
         node_latency = stages.latency_s
         # Gather: P-1 nodes ship k entries to the root in one step.
         gather_transfers = [
@@ -113,55 +107,3 @@ class DistributedFanns:
             query_latency_s=latency,
             qps=1.0 / bottleneck,
         )
-
-    def shard_and_merge(self, queries: np.ndarray, k: int,
-                        nprobe: int) -> np.ndarray:
-        """The explicit distributed algorithm, for verification.
-
-        Runs the per-shard searches and the root merge in plain numpy;
-        must return exactly what :meth:`search` returns.
-        """
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        out = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        centroids = self.index.centroids
-        c_sq = (centroids ** 2).sum(axis=1)
-        for qi, query in enumerate(queries):
-            coarse = c_sq - 2.0 * (centroids @ query)
-            probe = np.argpartition(coarse, nprobe - 1)[:nprobe]
-            all_ids: list[np.ndarray] = []
-            all_dists: list[np.ndarray] = []
-            for node in range(self.n_nodes):
-                local_lists = [l for l in probe if self._owner(l) == node]
-                ids_l, dists_l = [], []
-                for list_id in local_lists:
-                    codes = self.index.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    if self.index.residual:
-                        table = self.index.pq.adc_table(
-                            query - centroids[list_id]
-                        )
-                    else:
-                        table = self.index.pq.adc_table(query)
-                    ids_l.append(self.index.list_ids[list_id])
-                    dists_l.append(self.index.pq.adc_distances(table, codes))
-                if not ids_l:
-                    continue
-                ids_cat = np.concatenate(ids_l)
-                dists_cat = np.concatenate(dists_l)
-                top = min(k, len(ids_cat))
-                # Local top-k under the same (distance, id) total order
-                # the single-node index uses: every member of the
-                # global top-k is then guaranteed to survive its
-                # shard's cut, ties included.
-                part = np.lexsort((ids_cat, dists_cat))[:top]
-                all_ids.append(ids_cat[part])
-                all_dists.append(dists_cat[part])
-            if not all_ids:
-                continue
-            ids_cat = np.concatenate(all_ids)
-            dists_cat = np.concatenate(all_dists)
-            top = min(k, len(ids_cat))
-            order = np.lexsort((ids_cat, dists_cat))[:top]
-            out[qi, :top] = ids_cat[order]
-        return out

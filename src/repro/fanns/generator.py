@@ -142,7 +142,7 @@ class HardwareGenerator:
                 continue
             try:
                 accel = FannsAccelerator(
-                    self.index, config, self.device, enforce_fit=False,
+                    self.index.shape, config, self.device, enforce_fit=False,
                     list_scale=self.list_scale,
                 )
             except MemoryError:

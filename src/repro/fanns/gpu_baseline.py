@@ -11,17 +11,18 @@ captures it with three terms per batch:
 * compute: coarse distances + LUT build + ADC scan on the SIMT cores;
 * memory: PQ codes streaming from GPU HBM.
 
-Functionally identical ids to every other engine (shared index).
+:meth:`GpuAnnSearcher.price` prices the work counters of the one
+search every engine shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..microrec.fleetrec import GpuModel, V100
-from .ivf import IVFPQIndex, SearchStats
+from .ivf import IndexShape, IVFPQIndex, SearchStats
 
 __all__ = ["GpuAnnSearcher", "GpuSearchOutcome"]
 
@@ -30,13 +31,13 @@ _N_KERNEL_LAUNCHES = 4  # coarse, select, LUT, scan+topk
 
 @dataclass(frozen=True)
 class GpuSearchOutcome:
-    """Results plus modeled GPU timing for a query batch."""
+    """Modeled GPU timing for a query batch (ids once searched)."""
 
-    ids: np.ndarray
     stats: SearchStats
     batch_time_s: float
     query_latency_s: float  # a batch of one still pays the launches
     qps: float
+    ids: np.ndarray | None = None
 
 
 class GpuAnnSearcher:
@@ -48,7 +49,7 @@ class GpuAnnSearcher:
 
     def __init__(
         self,
-        index: IVFPQIndex,
+        shape: IndexShape,
         gpu: GpuModel = V100,
         list_scale: int = 1,
         scan_ops_per_code: int = 8,
@@ -60,15 +61,14 @@ class GpuAnnSearcher:
             raise ValueError("scan_ops_per_code must be >= 1")
         if full_utilization_batch < 1:
             raise ValueError("full_utilization_batch must be >= 1")
-        self.index = index
+        self.shape = shape
         self.gpu = gpu
         self.list_scale = list_scale
         self.scan_ops_per_code = scan_ops_per_code
         self.full_utilization_batch = full_utilization_batch
 
     def _batch_time_s(self, stats: SearchStats) -> float:
-        dim = self.index.dim
-        dsub = self.index.pq.dsub
+        dim, dsub = self.shape.dim, self.shape.dsub
         scale = self.list_scale
         # SIMT underutilization: small batches leave most SMs (and most
         # HBM channels' queues) idle — the reason GPU ANN systems batch.
@@ -87,25 +87,21 @@ class GpuAnnSearcher:
         launches = _N_KERNEL_LAUNCHES * self.gpu.kernel_launch_s
         return launches + max(compute_s, memory_s)
 
-    def search(self, queries: np.ndarray, k: int,
-               nprobe: int) -> GpuSearchOutcome:
-        """Run a query batch; identical ids, GPU timing."""
-        stats = SearchStats()
-        ids = self.index.search(queries, k, nprobe, stats=stats)
-        n = max(1, stats.n_queries)
+    def price(self, stats: SearchStats) -> GpuSearchOutcome:
+        """The search that counted ``stats``, as one batch and singly."""
         batch = self._batch_time_s(stats)
-        single = SearchStats(
-            n_queries=1,
-            centroid_distances=stats.centroid_distances // n,
-            lut_entries=stats.lut_entries // n,
-            codes_scanned=stats.codes_scanned // n,
-            code_bytes_scanned=stats.code_bytes_scanned // n,
-        )
-        latency = self._batch_time_s(single)
         return GpuSearchOutcome(
-            ids=ids,
             stats=stats,
             batch_time_s=batch,
-            query_latency_s=latency,
-            qps=n / batch if batch > 0 else float("inf"),
+            query_latency_s=self._batch_time_s(stats.per_query()),
+            qps=max(1, stats.n_queries) / batch if batch > 0 else float("inf"),
         )
+
+    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
+               nprobe: int) -> GpuSearchOutcome:
+        """Run a query batch on ``index``: its ids, priced on the GPU."""
+        if index.shape != self.shape:
+            raise ValueError("index does not have the shape this prices")
+        stats = SearchStats()
+        ids = index.search(queries, k, nprobe, stats=stats)
+        return replace(self.price(stats), ids=ids)

@@ -1,12 +1,14 @@
 """IVF-PQ index: inverted lists over a coarse quantizer + PQ codes.
 
-The functional core both the CPU baseline and the FANNS accelerator
-share.  Search follows the standard recipe:
+The functional core the CPU, GPU and FPGA engines share; their cost
+models read only its :class:`IndexShape`.  Search follows the standard
+recipe, one query at a time:
 
 1. rank the ``nlist`` coarse centroids by distance to the query;
-2. probe the ``nprobe`` nearest lists;
-3. score every code in the probed lists with the ADC table;
-4. return the ``k`` best ids.
+2. probe the ``nprobe`` nearest non-empty lists;
+3. score all their codes in one ADC pass: one ``adc_table`` call (one
+   table per list in residual mode), one flat ``take``;
+4. return the ``k`` best ids in the total order ``(distance, id)``.
 
 Residual encoding (encode ``x - centroid`` rather than ``x``) is the
 accuracy-relevant option FANNS exposes; both modes are supported.
@@ -14,14 +16,16 @@ accuracy-relevant option FANNS exposes; both modes are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .kmeans import kmeans
 from .pq import ProductQuantizer, train_pq
 
-__all__ = ["IVFPQIndex", "SearchStats", "build_ivfpq"]
+__all__ = ["IVFPQIndex", "IndexShape", "SearchStats", "build_ivfpq"]
 
 
 @dataclass
@@ -33,6 +37,48 @@ class SearchStats:
     lut_entries: int = 0          # ADC table entries built
     codes_scanned: int = 0        # PQ codes scored
     code_bytes_scanned: int = 0   # bytes of PQ codes touched
+
+    def per_query(self) -> SearchStats:
+        """One query's share of the counters (integer means)."""
+        n = max(1, self.n_queries)
+        return SearchStats(1, *(
+            count // n for count in (
+                self.centroid_distances, self.lut_entries,
+                self.codes_scanned, self.code_bytes_scanned,
+            )
+        ))
+
+
+@dataclass(frozen=True)
+class IndexShape:
+    """The sizes of an IVF-PQ index: all its cost models read of it."""
+
+    nlist: int
+    dim: int
+    m: int            # PQ subspaces
+    ksub: int         # centroids per subspace
+    dsub: int         # dimensions per subspace
+    code_nbytes: int  # bytes per encoded vector
+    residual: bool
+    n_vectors: int
+
+    def expected_candidates(self, nprobe: int) -> float:
+        """Candidates scanned when probing ``nprobe`` lists: every vector
+        sits in exactly one list, so the mean list length x nprobe."""
+        return self.n_vectors / self.nlist * nprobe
+
+
+def _top_k(ids: np.ndarray, dists: np.ndarray,
+           k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best candidates in the total order ``(distance, id)``:
+    ADC distances tie exactly when codes collide, and a total order
+    makes cutting shards first, then merging, select the same ids."""
+    if len(dists) > k:
+        # Only candidates no farther than the k-th nearest can make it.
+        keep = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        ids, dists = ids[keep], dists[keep]
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
 
 
 @dataclass(frozen=True)
@@ -53,27 +99,44 @@ class IVFPQIndex:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
-    @property
-    def n_vectors(self) -> int:
-        return sum(len(ids) for ids in self.list_ids)
+    @cached_property
+    def shape(self) -> IndexShape:
+        pq, n_vectors = self.pq, sum(map(len, self.list_ids))
+        return IndexShape(self.nlist, self.dim, pq.m, pq.ksub, pq.dsub,
+                          pq.code_nbytes, self.residual, n_vectors)
 
-    @property
-    def code_bytes_total(self) -> int:
-        """Total bytes of stored PQ codes."""
-        return self.n_vectors * self.pq.code_nbytes
-
-    def list_sizes(self) -> np.ndarray:
-        """(nlist,) sizes of the inverted lists."""
-        return np.array([len(ids) for ids in self.list_ids], dtype=np.int64)
-
-    def expected_candidates(self, nprobe: int) -> float:
-        """Expected candidates scanned when probing ``nprobe`` lists
-        (mean list length x nprobe, matching the measured average)."""
-        if nprobe <= 0:
-            return 0.0
-        return float(self.list_sizes().mean() * nprobe)
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, ...]:
+        """``(|centroid|^2, list sizes, list starts, ids, slots)`` with
+        every list stored back to back; ``slots[i, sub]`` is code ``i``'s
+        entry ``sub * ksub + code`` in a flattened ``(m, ksub)`` table."""
+        sizes = np.array([len(ids) for ids in self.list_ids], dtype=np.int64)
+        slots = np.concatenate(self.list_codes).astype(np.intp)
+        slots += np.arange(self.pq.m, dtype=np.intp) * self.pq.ksub
+        ids = np.concatenate(self.list_ids).astype(np.int64, copy=False)
+        c_sq = (self.centroids ** 2).sum(axis=1)
+        return c_sq, sizes, np.cumsum(sizes) - sizes, ids, slots
 
     # -- search ---------------------------------------------------------------
+
+    def _scan(self, query: np.ndarray,
+              lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, ADC distances)`` of every code in non-empty ``lists``."""
+        _, sizes, starts, ids, slots = self._layout
+        counts = sizes[lists]
+        # Candidate r is stored row r - first[list] + starts[list].
+        first = np.cumsum(counts) - counts
+        rows = np.repeat(starts[lists] - first, counts)
+        rows += np.arange(len(rows))
+        entries = slots.take(rows, axis=0)
+        if self.residual:
+            # One table per list: list j's entries start at j * m * ksub.
+            tables = self.pq.adc_table(query - self.centroids[lists])
+            offsets = np.arange(0, tables.size, self.pq.m * self.pq.ksub)
+            entries = np.add(entries, np.repeat(offsets, counts)[:, None])
+        else:
+            tables = self.pq.adc_table(query)
+        return ids.take(rows), tables.take(entries).sum(axis=1)
 
     def search(
         self,
@@ -81,8 +144,12 @@ class IVFPQIndex:
         k: int,
         nprobe: int,
         stats: SearchStats | None = None,
+        shards: Callable[[np.ndarray], list[np.ndarray]] | None = None,
     ) -> np.ndarray:
-        """Approximate k-NN; returns ``(q, k)`` ids (-1 pads short results)."""
+        """Approximate k-NN; returns ``(q, k)`` ids (-1 pads short results).
+
+        ``shards`` splits each query's probed lists among the nodes of a
+        sharded index; each node cuts its own top-k, the root merges."""
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"queries must be (q, {self.dim})")
@@ -91,44 +158,24 @@ class IVFPQIndex:
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
         out = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        c_sq = (self.centroids ** 2).sum(axis=1)
+        c_sq, sizes = self._layout[:2]
         for qi, query in enumerate(queries):
             coarse = c_sq - 2.0 * (self.centroids @ query)
-            probe = np.argpartition(coarse, nprobe - 1)[:nprobe]
+            lists = np.argpartition(coarse, nprobe - 1)[:nprobe]
+            lists = lists[sizes[lists] > 0]
+            parts = shards(lists) if shards is not None else [lists]
+            cuts = [_top_k(*self._scan(query, p), k) for p in parts if len(p)]
+            if cuts:
+                ids, _ = _top_k(*map(np.concatenate, zip(*cuts)), k)
+                out[qi, :len(ids)] = ids
             if stats is not None:
+                n_codes = int(sizes[lists].sum())
                 stats.centroid_distances += self.nlist
-            candidate_ids = []
-            candidate_dists = []
-            if not self.residual:
-                table = self.pq.adc_table(query)
-                if stats is not None:
-                    stats.lut_entries += table.size
-            for list_id in probe:
-                codes = self.list_codes[list_id]
-                if len(codes) == 0:
-                    continue
-                if self.residual:
-                    # Residual mode: one ADC table per probed list.
-                    table = self.pq.adc_table(query - self.centroids[list_id])
-                    if stats is not None:
-                        stats.lut_entries += table.size
-                candidate_ids.append(self.list_ids[list_id])
-                candidate_dists.append(self.pq.adc_distances(table, codes))
-                if stats is not None:
-                    stats.codes_scanned += len(codes)
-                    stats.code_bytes_scanned += codes.nbytes
-            if not candidate_ids:
-                continue
-            ids = np.concatenate(candidate_ids)
-            dists = np.concatenate(candidate_dists)
-            top = min(k, len(ids))
-            # Total order on (distance, id): ADC distances tie exactly
-            # when codes collide, and argpartition would then keep an
-            # arbitrary tied candidate — the sharded merge in
-            # repro.fanns.distributed must be able to reproduce this
-            # selection bit-for-bit.
-            order = np.lexsort((ids, dists))[:top]
-            out[qi, :top] = ids[order]
+                stats.lut_entries += self.pq.m * self.pq.ksub * (
+                    len(lists) if self.residual else 1
+                )
+                stats.codes_scanned += n_codes
+                stats.code_bytes_scanned += n_codes * self.pq.code_nbytes
         if stats is not None:
             stats.n_queries += queries.shape[0]
         return out

@@ -89,17 +89,18 @@ class ProductQuantizer:
         return np.concatenate(parts, axis=1)
 
     def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """The (m, ksub) float32 table of squared distances query-vs-centroids.
+        """The float32 squared distances query-vs-centroids per subspace.
 
-        Entry ``[sub, c]`` is the squared distance from the query's
+        ``query`` is ``(..., dim)`` and the table ``(..., m, ksub)``:
+        entry ``[..., sub, c]`` is the squared distance from the query's
         ``sub``-th subvector to centroid ``c`` of that subspace, summed
-        exactly as :func:`~repro.fanns.kmeans._squared_distances_to` sums.
+        exactly as :func:`~repro.fanns.kmeans._squared_distances_to` sums,
+        so each query's table is the same whatever the leading shape.
         """
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
-        table = _squared_distances_to(
-            self.codebooks, query.reshape(self.m, self.dsub)
-        )
+        subvectors = query.reshape(query.shape[:-1] + (self.m, self.dsub))
+        table = _squared_distances_to(self.codebooks, subvectors)
         return table.astype(np.float32, copy=False)
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -200,12 +200,11 @@ class MicroRecAccelerator:
         """
         lookup_s = self.lookup_time_s(batch)
         dnn_s = self.dnn_time_s(batch)
-        # Each term prices its own single inference: a traced HBM
-        # counts the accesses of every call (e7's ``hbm.lookups``).
-        latency = self.lookup_time_s(1) + self.dnn_time_s(1)
-        batch_time = max(lookup_s, dnn_s) + min(
-            self.lookup_time_s(1), self.dnn_time_s(1)
-        )
+        # One single-inference probe: a traced HBM counts the accesses
+        # of every call (e7's ``hbm.lookups``).
+        lookup_1, dnn_1 = self.lookup_time_s(1), self.dnn_time_s(1)
+        latency = lookup_1 + dnn_1
+        batch_time = max(lookup_s, dnn_s) + min(lookup_1, dnn_1)
         return BatchTiming(
             lookup_s=lookup_s,
             dnn_s=dnn_s,

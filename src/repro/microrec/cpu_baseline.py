@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.cpu import CpuModel, xeon_server
+from ..workloads.traces import RecModelSpec
 from .accelerator import BatchTiming, InferenceOutcome
 from .dnn import Mlp
 from .embedding import EmbeddingTables
@@ -26,17 +27,16 @@ class CpuRecommender:
 
     def __init__(
         self,
-        tables: EmbeddingTables,
+        spec: RecModelSpec,
         cpu: CpuModel | None = None,
         seed: int = 0,
     ) -> None:
-        self.tables = tables
+        self.spec = spec
         self.cpu = cpu or xeon_server()
-        spec = tables.spec
         self.mlp = Mlp(spec.concat_width, spec.mlp_layers, seed=seed)
 
     def _lookup_time_s(self, batch: int, parallel: bool) -> float:
-        spec = self.tables.spec
+        spec = self.spec
         return self.cpu.random_access_time_s(
             n_accesses=batch * spec.n_tables,
             bytes_each=spec.embedding_bytes,
@@ -73,8 +73,12 @@ class CpuRecommender:
             qps=batch / batch_time,
         )
 
-    def infer(self, trace: np.ndarray) -> InferenceOutcome:
-        """Run a batch: functional logits + modeled timing."""
+    def infer(
+        self, tables: EmbeddingTables, trace: np.ndarray
+    ) -> InferenceOutcome:
+        """Run a batch gathered from ``tables``: logits + modeled timing."""
+        if tables.spec != self.spec:
+            raise ValueError("tables were built for a different model spec")
         timing = self.price(len(trace))
-        logits = self.mlp.forward(self.tables.lookup(trace))
+        logits = self.mlp.forward(tables.lookup(trace))
         return InferenceOutcome(logits=logits, **vars(timing))

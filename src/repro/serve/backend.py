@@ -103,12 +103,13 @@ class FannsBackend:
 
     A batch of queries streams through the staged pipeline: the first
     result lands after the full stage latency, each further query one
-    initiation interval (the bottleneck stage) later.
+    initiation interval (the bottleneck stage) later.  It prices an
+    index shape alone (no trained index).
     """
 
     def __init__(
         self,
-        index,
+        shape,
         nprobe: int = 16,
         max_batch: int = 16,
         list_scale: int = 1,
@@ -122,7 +123,7 @@ class FannsBackend:
         self.max_batch = max_batch
         self.nprobe = nprobe
         accel = FannsAccelerator(
-            index, config or FannsConfig(), list_scale=list_scale
+            shape, config or FannsConfig(), list_scale=list_scale
         )
         stages = accel.stage_times(nprobe)
         self._latency_ps = max(1, int(stages.latency_s * _PS_PER_S))

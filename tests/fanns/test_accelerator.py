@@ -1,5 +1,7 @@
 """Tests for the FANNS accelerator, CPU baseline, and hardware generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.fanns.generator import (
     HardwareGenerator,
     default_config_space,
 )
-from repro.fanns.ivf import build_ivfpq
+from repro.fanns.gpu_baseline import GpuAnnSearcher
+from repro.fanns.ivf import SearchStats, build_ivfpq
 from repro.fanns.recall import recall_at_k
 from repro.workloads.vectors import clustered_dataset
 
@@ -42,23 +45,23 @@ def test_default_config_fits_u55c():
 
 
 def test_accelerator_and_cpu_return_identical_ids():
-    accel = FannsAccelerator(_INDEX)
-    cpu = CpuAnnSearcher(_INDEX)
-    a = accel.search(_DS.queries, k=10, nprobe=8)
-    c = cpu.search(_DS.queries, k=10, nprobe=8)
+    accel = FannsAccelerator(_INDEX.shape)
+    cpu = CpuAnnSearcher(_INDEX.shape)
+    a = accel.search(_INDEX, _DS.queries, k=10, nprobe=8)
+    c = cpu.search(_INDEX, _DS.queries, k=10, nprobe=8)
     assert np.array_equal(a.ids, c.ids)
 
 
 def test_accelerator_recall_matches_index():
-    accel = FannsAccelerator(_INDEX)
-    out = accel.search(_DS.queries, k=10, nprobe=16)
+    accel = FannsAccelerator(_INDEX.shape)
+    out = accel.search(_INDEX, _DS.queries, k=10, nprobe=16)
     want = _INDEX.search(_DS.queries, 10, 16)
     assert np.array_equal(out.ids, want)
     assert recall_at_k(out.ids, _DS.ground_truth) > 0.5
 
 
 def test_stage_times_positive_and_latency_is_sum():
-    accel = FannsAccelerator(_INDEX)
+    accel = FannsAccelerator(_INDEX.shape)
     stages = accel.stage_times(nprobe=8)
     parts = [stages.coarse_s, stages.select_s, stages.lut_s,
              stages.scan_s, stages.topk_drain_s]
@@ -68,19 +71,19 @@ def test_stage_times_positive_and_latency_is_sum():
 
 
 def test_qps_decreases_with_nprobe():
-    accel = FannsAccelerator(_INDEX)
-    assert accel.qps(2) > accel.qps(32)
+    accel = FannsAccelerator(_INDEX.shape)
+    assert accel.price(2, 1).qps > accel.price(32, 1).qps
 
 
 def test_more_adc_pes_speed_up_scan():
-    slow = FannsAccelerator(_INDEX, FannsConfig(n_adc_pes=8))
-    fast = FannsAccelerator(_INDEX, FannsConfig(n_adc_pes=64))
+    slow = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=8))
+    fast = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=64))
     assert fast.stage_times(32).scan_s <= slow.stage_times(32).scan_s
 
 
 def test_batch_time_pipelines_queries():
-    accel = FannsAccelerator(_INDEX)
-    out = accel.search(_DS.queries, 10, 8)
+    accel = FannsAccelerator(_INDEX.shape)
+    out = accel.search(_INDEX, _DS.queries, 10, 8)
     n = _DS.queries.shape[0]
     serial = n * out.stages.latency_s
     assert out.batch_time_s < serial
@@ -88,7 +91,7 @@ def test_batch_time_pipelines_queries():
 
 
 def test_nprobe_validation():
-    accel = FannsAccelerator(_INDEX)
+    accel = FannsAccelerator(_INDEX.shape)
     with pytest.raises(ValueError):
         accel.stage_times(0)
     with pytest.raises(ValueError):
@@ -97,16 +100,16 @@ def test_nprobe_validation():
 
 def test_fpga_beats_cpu_on_latency():
     """The FANNS claim: accelerator latency is well below CPU latency."""
-    accel = FannsAccelerator(_INDEX)
-    cpu = CpuAnnSearcher(_INDEX)
-    a = accel.search(_DS.queries, 10, 16)
-    c = cpu.search(_DS.queries, 10, 16)
+    accel = FannsAccelerator(_INDEX.shape)
+    cpu = CpuAnnSearcher(_INDEX.shape)
+    a = accel.search(_INDEX, _DS.queries, 10, 16)
+    c = cpu.search(_INDEX, _DS.queries, 10, 16)
     assert a.query_latency_s < c.query_latency_s
 
 
 def test_cpu_outcome_counts():
-    cpu = CpuAnnSearcher(_INDEX)
-    out = cpu.search(_DS.queries, 10, 8)
+    cpu = CpuAnnSearcher(_INDEX.shape)
+    out = cpu.search(_INDEX, _DS.queries, 10, 8)
     assert out.stats.n_queries == 30
     assert out.qps > 0
     assert out.batch_time_s > 0
@@ -188,3 +191,26 @@ def test_higher_recall_target_costs_qps():
     )
     assert low_best is not None and high_best is not None
     assert low_best.qps >= high_best.qps
+
+
+def test_search_is_the_index_search_priced():
+    """Each engine's ``search`` is one ``index.search`` and its price."""
+    stats = SearchStats()
+    ids = _INDEX.search(_DS.queries, 10, 8, stats=stats)
+    accel = FannsAccelerator(_INDEX.shape)
+    a = accel.search(_INDEX, _DS.queries, 10, 8)
+    assert np.array_equal(a.ids, ids)
+    assert replace(a, ids=None) == accel.price(8, len(_DS.queries))
+    for engine in (CpuAnnSearcher(_INDEX.shape), GpuAnnSearcher(_INDEX.shape)):
+        out = engine.search(_INDEX, _DS.queries, 10, 8)
+        assert np.array_equal(out.ids, ids)
+        assert replace(out, ids=None) == engine.price(stats)
+
+
+def test_search_rejects_an_index_of_another_shape():
+    other = build_ivfpq(_DS.base, nlist=16, m=4, ksub=64, seed=1)
+    for engine in (FannsAccelerator(_INDEX.shape),
+                   CpuAnnSearcher(_INDEX.shape),
+                   GpuAnnSearcher(_INDEX.shape)):
+        with pytest.raises(ValueError):
+            engine.search(other, _DS.queries, 10, 4)

@@ -21,14 +21,15 @@ def test_sharded_result_equals_single_node():
     assert np.array_equal(out.ids, single)
 
 
-def test_explicit_shard_and_merge_matches_search():
-    """The distributed algorithm itself (per-shard top-k + root merge)
-    returns exactly what the shortcut functional path returns."""
-    dist = DistributedFanns(_INDEX, n_nodes=4)
-    for nprobe in (1, 4, 16, 32):
-        shortcut = dist.search(_DS.queries, k=10, nprobe=nprobe).ids
-        explicit = dist.shard_and_merge(_DS.queries, k=10, nprobe=nprobe)
-        assert np.array_equal(shortcut, explicit), f"nprobe={nprobe}"
+def test_sharded_search_matches_single_node_for_every_shard_count():
+    """The distributed algorithm (per-node scans and top-k cuts, a
+    root merge) returns exactly the single-node ids."""
+    for n_nodes in (1, 2, 3, 4, 5):
+        dist = DistributedFanns(_INDEX, n_nodes=n_nodes)
+        for nprobe in (1, 4, 16, 32):
+            sharded = dist.search(_DS.queries, k=10, nprobe=nprobe).ids
+            single = _INDEX.search(_DS.queries, 10, nprobe)
+            assert np.array_equal(sharded, single), (n_nodes, nprobe)
 
 
 def test_shards_cover_all_lists():
@@ -65,6 +66,11 @@ def test_single_node_has_no_gather_cost():
 def test_validation():
     with pytest.raises(ValueError):
         DistributedFanns(_INDEX, n_nodes=0)
+    dist = DistributedFanns(_INDEX, n_nodes=2)
+    with pytest.raises(ValueError):
+        dist.search(_DS.queries, k=0, nprobe=4)
+    with pytest.raises(ValueError):
+        dist.search(_DS.queries, k=10, nprobe=_INDEX.nlist + 1)
 
 
 # -- tie-breaking under exact distance ties ---------------------------------
@@ -86,13 +92,13 @@ def _duplicate_setup():
     return index, queries
 
 
-def test_shard_and_merge_matches_search_under_exact_ties():
+def test_sharded_search_matches_single_node_under_exact_ties():
     index, queries = _duplicate_setup()
     single = index.search(queries, 10, 8)
-    for n_nodes in (1, 2, 3, 5):
+    for n_nodes in (1, 2, 3, 4, 5):
         dist = DistributedFanns(index, n_nodes=n_nodes)
-        merged = dist.shard_and_merge(queries, k=10, nprobe=8)
-        assert np.array_equal(merged, single), f"n_nodes={n_nodes}"
+        sharded = dist.search(queries, k=10, nprobe=8).ids
+        assert np.array_equal(sharded, single), f"n_nodes={n_nodes}"
 
 
 def test_tied_candidates_resolve_to_smallest_ids():

@@ -1,5 +1,8 @@
 """Unit tests for the IVF-PQ index and recall metrics."""
 
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,11 @@ def _index(**kwargs):
 
 def test_index_partitions_all_vectors():
     index = _index()
-    assert index.n_vectors == _DS.n
+    assert index.shape.n_vectors == _DS.n
     all_ids = np.concatenate(index.list_ids)
     assert len(np.unique(all_ids)) == _DS.n
     assert index.nlist == 32
-    assert index.code_bytes_total == _DS.n * 4
+    assert index.shape.code_nbytes == 4
 
 
 def test_search_shapes_and_id_validity():
@@ -84,9 +87,9 @@ def test_stats_scale_with_nprobe():
 
 
 def test_expected_candidates_monotone():
-    index = _index()
-    assert index.expected_candidates(1) <= index.expected_candidates(8)
-    assert index.expected_candidates(0) == 0.0
+    shape = _index().shape
+    assert shape.expected_candidates(1) <= shape.expected_candidates(8)
+    assert shape.expected_candidates(0) == 0.0
 
 
 def test_search_validation():
@@ -131,3 +134,95 @@ def test_recall_metric_values():
     assert recall_at_k(np.array([[2, 1, 0]]), gt) == 1.0  # set semantics
     assert recall_at_k(np.array([[0, 9, 8]]), gt) == pytest.approx(1 / 3)
     assert recall_at_k(np.array([[-1, -1, -1]]), gt) == 0.0
+
+
+# -- the batched search against a plain per-list reference ------------------
+
+
+def _reference_search(index, queries, k, nprobe):
+    """One ADC table and one gather per probed list, as IVF-PQ is
+    usually written; ``search`` must return its ids and counters."""
+    stats = SearchStats(n_queries=len(queries))
+    out = np.full((len(queries), k), -1, dtype=np.int64)
+    c_sq = (index.centroids ** 2).sum(axis=1)
+    for qi, query in enumerate(np.asarray(queries, dtype=np.float32)):
+        coarse = c_sq - 2.0 * (index.centroids @ query)
+        probe = np.argpartition(coarse, nprobe - 1)[:nprobe]
+        stats.centroid_distances += index.nlist
+        if not index.residual:
+            table = index.pq.adc_table(query)
+            stats.lut_entries += table.size
+        ids, dists = [], []
+        for list_id in probe:
+            codes = index.list_codes[list_id]
+            if len(codes) == 0:
+                continue
+            if index.residual:
+                table = index.pq.adc_table(query - index.centroids[list_id])
+                stats.lut_entries += table.size
+            ids.append(index.list_ids[list_id])
+            dists.append(index.pq.adc_distances(table, codes))
+            stats.codes_scanned += len(codes)
+            stats.code_bytes_scanned += codes.nbytes
+        if ids:
+            ids, dists = np.concatenate(ids), np.concatenate(dists)
+            order = np.lexsort((ids, dists))[:k]
+            out[qi, :len(order)] = ids[order]
+    return out, stats
+
+
+def _assert_matches_reference(index, queries, k, nprobe):
+    stats = SearchStats()
+    ids = index.search(queries, k, nprobe, stats=stats)
+    want_ids, want_stats = _reference_search(index, queries, k, nprobe)
+    assert np.array_equal(ids, want_ids)
+    assert stats == want_stats
+    return ids
+
+
+@lru_cache(maxsize=None)
+def _cached_index(residual):
+    return _index(residual=residual)
+
+
+def _without_lists(index, empty):
+    """``index`` with the lists in ``empty`` emptied."""
+    list_ids, list_codes = list(index.list_ids), list(index.list_codes)
+    for list_id in empty:
+        list_ids[list_id] = list_ids[list_id][:0]
+        list_codes[list_id] = list_codes[list_id][:0]
+    return dataclasses.replace(
+        index, list_ids=tuple(list_ids), list_codes=tuple(list_codes)
+    )
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("nprobe", [1, 32])
+@pytest.mark.parametrize("k", [10, 500])
+def test_search_matches_per_list_reference(residual, nprobe, k):
+    ids = _assert_matches_reference(
+        _cached_index(residual), _DS.queries, k, nprobe
+    )
+    if (k, nprobe) == (500, 1):
+        # No list holds 500 of the 3000 vectors: -1 pads every row.
+        assert (ids[:, -1] == -1).all()
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_search_matches_reference_with_empty_lists(residual):
+    index = _without_lists(_cached_index(residual), range(0, 32, 2))
+    for nprobe in (1, 4, 32):
+        for k in (10, 500):
+            _assert_matches_reference(index, _DS.queries, k, nprobe)
+    # Some query probes only an emptied list at nprobe=1.
+    ids = index.search(_DS.queries, 10, 1)
+    assert (ids == -1).all(axis=1).any()
+
+
+def test_search_matches_reference_under_exact_ties():
+    from .test_distributed import _duplicate_setup
+
+    index, queries = _duplicate_setup()
+    for nprobe in (1, 8, 16):
+        for k in (10, 40):
+            _assert_matches_reference(index, queries, k, nprobe)

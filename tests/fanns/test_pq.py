@@ -66,13 +66,16 @@ def test_adc_matches_decoded_distance():
 
 
 def _adc_reference(pq, query):
-    """The per-subspace ADC loop that ``adc_table`` must equal exactly."""
+    """The per-subspace ADC loop that ``adc_table`` must equal exactly,
+    one query row at a time over any leading batch shape."""
     query = np.ascontiguousarray(query, dtype=np.float32)
-    table = np.empty((pq.m, pq.ksub), dtype=np.float32)
-    for sub in range(pq.m):
-        chunk = query[sub * pq.dsub:(sub + 1) * pq.dsub]
-        table[sub] = ((pq.codebooks[sub] - chunk) ** 2).sum(axis=1)
-    return table
+    rows = query.reshape(-1, pq.dim)
+    table = np.empty((len(rows), pq.m, pq.ksub), dtype=np.float32)
+    for row, vector in enumerate(rows):
+        for sub in range(pq.m):
+            chunk = vector[sub * pq.dsub:(sub + 1) * pq.dsub]
+            table[row, sub] = ((pq.codebooks[sub] - chunk) ** 2).sum(axis=1)
+    return table.reshape(query.shape[:-1] + (pq.m, pq.ksub))
 
 
 @pytest.mark.parametrize("dsub", [1, 2, 3, 4, 8, 16])
@@ -83,10 +86,11 @@ def test_adc_table_bit_identical_to_per_subspace_loop(m, dsub):
                         (17, np.float64)):
         codebooks = rng.standard_normal((m, ksub, dsub)).astype(dtype)
         pq = ProductQuantizer(codebooks=codebooks)
-        for _ in range(4):
-            query = rng.standard_normal(m * dsub).astype(np.float32)
+        for lead in ((), (3,), (2, 5)):
+            query = rng.standard_normal(lead + (m * dsub,)).astype(np.float32)
             table = pq.adc_table(query)
             assert table.dtype == np.float32
+            assert table.shape == lead + (m, ksub)
             assert np.array_equal(table, _adc_reference(pq, query))
 
 
@@ -105,7 +109,7 @@ def test_search_ids_unchanged_against_reference_adc(m, residual, monkeypatch):
     def search():
         return (
             index.search(data.queries, 10, 4),
-            dist.shard_and_merge(data.queries, 10, 4),
+            dist.search(data.queries, 10, 4).ids,
         )
 
     fast = search()

@@ -39,10 +39,10 @@ _NPROBE = 4
 
 def _build_event_pipeline(n_queries: int):
     """The 5-stage FANNS pipeline as burst kernels; returns done_ps."""
-    accel = FannsAccelerator(_INDEX, _CONFIG)
+    accel = FannsAccelerator(_INDEX.shape, _CONFIG)
     index, cfg = _INDEX, _CONFIG
     clock = cfg.clock
-    candidates = math.ceil(index.expected_candidates(_NPROBE))
+    candidates = math.ceil(index.shape.expected_candidates(_NPROBE))
 
     # Per-query work items per stage (matching accelerator.stage_times).
     coarse_work = index.nlist * index.dim
@@ -103,7 +103,7 @@ def test_event_pipeline_throughput_matches_bottleneck():
 
 
 def test_functional_results_unaffected_by_timing_model():
-    accel = FannsAccelerator(_INDEX, _CONFIG)
-    out = accel.search(_DS.queries, k=5, nprobe=_NPROBE)
+    accel = FannsAccelerator(_INDEX.shape, _CONFIG)
+    out = accel.search(_INDEX, _DS.queries, k=5, nprobe=_NPROBE)
     want = _INDEX.search(_DS.queries, 5, _NPROBE)
     assert np.array_equal(out.ids, want)

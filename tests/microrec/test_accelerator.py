@@ -50,9 +50,9 @@ def test_zero_sram_budget_puts_everything_in_hbm():
 
 def test_fpga_and_cpu_logits_identical():
     accel = MicroRecAccelerator(_SPEC, seed=3)
-    cpu = CpuRecommender(_TABLES, seed=3)
+    cpu = CpuRecommender(_SPEC, seed=3)
     a = accel.infer(_TABLES, _TRACE)
-    c = cpu.infer(_TRACE)
+    c = cpu.infer(_TABLES, _TRACE)
     assert np.allclose(a.logits, c.logits, rtol=1e-5, atol=1e-5)
 
 
@@ -100,9 +100,9 @@ def test_cartesian_reduces_hbm_lookups_and_lookup_time():
 def test_fpga_latency_order_of_magnitude_below_cpu():
     """MicroRec's headline claim."""
     accel = MicroRecAccelerator(_SPEC, seed=2)
-    cpu = CpuRecommender(_TABLES, seed=2)
+    cpu = CpuRecommender(_SPEC, seed=2)
     a = accel.infer(_TABLES, _TRACE[:1])
-    c = cpu.infer(_TRACE[:1])
+    c = cpu.infer(_TABLES, _TRACE[:1])
     assert a.latency_s < c.latency_s / 5
 
 
@@ -134,10 +134,10 @@ def test_infer_outcome_consistency():
 
 def test_price_is_what_infer_charges_and_draws_no_weights():
     accel = MicroRecAccelerator(_SPEC, seed=1)
-    cpu = CpuRecommender(_TABLES, seed=1)
+    cpu = CpuRecommender(_SPEC, seed=1)
     timing, cpu_timing = accel.price(16), cpu.price(16)
     assert accel.mlp._params is None and cpu.mlp._params is None
-    out, cpu_out = accel.infer(_TABLES, _TRACE), cpu.infer(_TRACE)
+    out, cpu_out = accel.infer(_TABLES, _TRACE), cpu.infer(_TABLES, _TRACE)
     for field in ("lookup_s", "dnn_s", "latency_s", "batch_time_s", "qps"):
         assert getattr(out, field) == getattr(timing, field)
         assert getattr(cpu_out, field) == getattr(cpu_timing, field)
@@ -156,9 +156,12 @@ def test_plan_for_wrong_spec_rejected():
 
 def test_infer_rejects_tables_of_another_spec():
     accel = MicroRecAccelerator(_SPEC, seed=1)
+    cpu = CpuRecommender(_SPEC, seed=1)
     other = production_like_model(n_tables=20, max_rows=1_000, seed=8)
     with pytest.raises(ValueError):
         accel.infer(EmbeddingTables(other, seed=8), _TRACE)
+    with pytest.raises(ValueError):
+        cpu.infer(EmbeddingTables(other, seed=8), _TRACE)
 
 
 def test_cpu_working_set_counts_spec_bytes():
@@ -172,8 +175,8 @@ def test_cpu_working_set_counts_spec_bytes():
                          llc_bytes=spec.total_embedding_bytes)
     tables = EmbeddingTables(spec, seed=1)
     assert tables.total_nbytes > cpu_model.llc_bytes  # stored as float32
-    cpu = CpuRecommender(tables, cpu=cpu_model, seed=1)
-    out = cpu.infer(lookup_trace(spec, batch_size=8, seed=2))
+    cpu = CpuRecommender(spec, cpu=cpu_model, seed=1)
+    out = cpu.infer(tables, lookup_trace(spec, batch_size=8, seed=2))
     in_llc = cpu_model.random_access_time_s(
         8 * spec.n_tables, spec.embedding_bytes,
         working_set_bytes=spec.total_embedding_bytes,
@@ -186,10 +189,10 @@ def test_cpu_working_set_counts_spec_bytes():
 
 
 def test_cpu_outcome_consistency():
-    cpu = CpuRecommender(_TABLES, seed=1)
-    out = cpu.infer(_TRACE)
+    cpu = CpuRecommender(_SPEC, seed=1)
+    out = cpu.infer(_TABLES, _TRACE)
     assert out.logits.shape == (16,)
     assert out.batch_time_s == pytest.approx(out.lookup_s + out.dnn_s)
     assert out.latency_s > 0
     with pytest.raises(ValueError):
-        cpu.infer(_TRACE[:0])
+        cpu.infer(_TABLES, _TRACE[:0])

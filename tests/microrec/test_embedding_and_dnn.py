@@ -221,7 +221,7 @@ def test_pricing_reads_widths_and_matches_the_eager_weights(which):
         _microrec_model(smoke=False) if which == "e7"
         else _e16_fleetrec_model()
     )
-    cpu = CpuRecommender(EmbeddingTables(spec, seed=0), seed=6)
+    cpu = CpuRecommender(spec, seed=6)
     mlp = cpu.mlp
     macs, nbytes = mlp.n_macs, mlp.weight_nbytes
     fpga_s = fpga_mlp_latency_s(mlp)

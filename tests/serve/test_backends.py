@@ -49,7 +49,7 @@ def fanns_backend():
     data = clustered_dataset(n=2_000, dim=16, n_queries=4, gt_k=4,
                              n_clusters=16, cluster_std=0.3, seed=5)
     index = build_ivfpq(data.base, nlist=16, m=16, ksub=16, seed=5)
-    return FannsBackend(index, nprobe=4, max_batch=8, list_scale=100)
+    return FannsBackend(index.shape, nprobe=4, max_batch=8, list_scale=100)
 
 
 def test_fanns_batch_cost_is_latency_plus_initiation(fanns_backend):
