@@ -38,6 +38,7 @@ from .collectives import (
     ring_allreduce_schedule,
     scatter_flat,
     tree_allreduce_schedule,
+    tree_broadcast_schedule,
 )
 
 __all__ = ["FpgaCluster", "HostStagedCluster"]
@@ -92,6 +93,12 @@ class _ClusterBase:
                   algorithm: str = "tree") -> CollectiveOutcome:
         """Broadcast the root buffer; ``algorithm`` is 'tree' or 'flat'."""
         return self._run(_pick(_BROADCASTS, algorithm), buffers, root)
+
+    def broadcast_time_s(self, nbytes: int) -> float:
+        """Seconds to tree-broadcast ``nbytes`` from node 0, priced from
+        sizes alone: equal to ``broadcast(buffers).time_s`` for any
+        buffers of ``nbytes`` each."""
+        return self._price(*tree_broadcast_schedule(self.n_nodes, 0, nbytes))
 
     def reduce(self, buffers: list[np.ndarray],
                root: int = 0) -> CollectiveOutcome:

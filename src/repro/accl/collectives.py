@@ -47,6 +47,7 @@ __all__ = [
     "ring_allreduce_schedule",
     "scatter_flat",
     "tree_allreduce_schedule",
+    "tree_broadcast_schedule",
 ]
 
 Step = list[tuple[int, int, int]]
@@ -106,7 +107,8 @@ def _shared(result: np.ndarray, p: int) -> list[np.ndarray]:
 # -- schedules: pure functions of (p, root, nbytes) ---------------------------
 
 
-def _tree_broadcast(p: int, root: int, nbytes: int) -> Schedule:
+def tree_broadcast_schedule(p: int, root: int, nbytes: int) -> Schedule:
+    """Binomial tree: ``ceil(log2 P)`` steps of the full ``nbytes``."""
     # In round r, virtual ranks [0, 2^r) send to [2^r, 2^(r+1)).
     steps, distance = [], 1
     while distance < p:
@@ -155,7 +157,7 @@ def ring_allreduce_schedule(p: int, nbytes: int) -> Schedule:
 def tree_allreduce_schedule(p: int, nbytes: int) -> Schedule:
     """Binomial reduce to node 0, then binomial broadcast from it."""
     steps, reductions = _tree_reduce(p, 0, nbytes)
-    spread, _ = _tree_broadcast(p, 0, nbytes)
+    spread, _ = tree_broadcast_schedule(p, 0, nbytes)
     return steps + spread, reductions + [0] * len(spread)
 
 
@@ -195,8 +197,8 @@ def broadcast_tree(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcom
     """Binomial-tree broadcast of the root's buffer to every node."""
     _check(buffers, root)
     p = len(buffers)
-    return CollectiveOutcome(_shared(buffers[root].copy(), p),
-                             *_tree_broadcast(p, root, buffers[0].nbytes))
+    schedule = tree_broadcast_schedule(p, root, buffers[0].nbytes)
+    return CollectiveOutcome(_shared(buffers[root].copy(), p), *schedule)
 
 
 def broadcast_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:

@@ -48,9 +48,15 @@ def _squared_distances_to(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
     """
     if points.shape[-1] >= 8:
         return ((points - centre[..., None, :]) ** 2).sum(-1)
-    diff = np.subtract(
-        points.swapaxes(-1, -2), centre[..., :, None], order="C"
-    )
+    return _squared_distances_columns(points.swapaxes(-1, -2), centre)
+
+
+def _squared_distances_columns(columns: np.ndarray,
+                               centre: np.ndarray) -> np.ndarray:
+    """The ``d < 8`` branch of :func:`_squared_distances_to`, given the
+    points as ``(..., d, n)`` columns; a C-contiguous ``columns`` saves
+    the strided subtraction a ``swapaxes`` view costs."""
+    diff = np.subtract(columns, centre[..., :, None], order="C")
     return np.square(diff, out=diff).sum(-2)
 
 

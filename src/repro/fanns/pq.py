@@ -10,10 +10,11 @@ code — the operation FANNS parallelises with PE arrays on the FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .kmeans import _squared_distances_to, kmeans
+from .kmeans import _squared_distances_columns, _squared_distances_to, kmeans
 
 __all__ = ["ProductQuantizer", "train_pq"]
 
@@ -100,8 +101,17 @@ class ProductQuantizer:
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
         subvectors = query.reshape(query.shape[:-1] + (self.m, self.dsub))
-        table = _squared_distances_to(self.codebooks, subvectors)
+        if self.dsub >= 8:
+            table = _squared_distances_to(self.codebooks, subvectors)
+        else:
+            table = _squared_distances_columns(self._codebook_columns,
+                                               subvectors)
         return table.astype(np.float32, copy=False)
+
+    @cached_property
+    def _codebook_columns(self) -> np.ndarray:
+        """The codebooks as contiguous ``(m, dsub, ksub)`` columns."""
+        return np.ascontiguousarray(self.codebooks.swapaxes(1, 2))
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Approximate squared distances of ``codes`` given an ADC table."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines.cpu import CpuModel, xeon_server
+from ..core.dataflow import ThroughputReport
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy, analytic_retries
 from ..relational.engine import cpu_cost_s, execute
@@ -36,13 +37,18 @@ _REQUEST_BYTES = 128  # serialized plan / read request
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """One query's result and cost accounting."""
+    """One query's result and cost accounting.
+
+    ``report`` is the node's solved dataflow region for an offloaded
+    query, ``None`` for a fetch.
+    """
 
     result: Table
     latency_s: float
     bytes_over_network: int
     mode: str
     breakdown: dict[str, float]
+    report: ThroughputReport | None = None
 
 
 class FarviewClient:
@@ -99,6 +105,7 @@ class FarviewClient:
                 "attempts": float(attempts),
                 "retries": float(retries),
             },
+            report=execution.report,
         )
 
     def query_fetch(

@@ -6,6 +6,8 @@ builds the same schedule from sizes and computes the result once; the
 two must agree bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,17 @@ from repro.accl.collectives import (
     scatter_flat,
 )
 from repro.exec.experiments.accl import (
+    _E10_NODES,
+    _E10_SIZES,
     _E11_CROSSOVER_P,
     _E11_CROSSOVER_SIZES,
     _E11_LARGE_FLOATS,
     _E11_NODES,
     _E11_SMALL_FLOATS,
+    _e10_message_bytes,
+    _e11_spec,
+    e10_cell,
+    e11_cell,
 )
 
 def _reference_check_root(root: int, p: int) -> None:
@@ -354,12 +362,49 @@ def test_size_only_price_matches_buffers_at_every_e11_point(cluster_type):
     points = [(p, n) for p in _E11_NODES
               for n in (_E11_SMALL_FLOATS, _E11_LARGE_FLOATS)]
     points += [(_E11_CROSSOVER_P, n) for n in _E11_CROSSOVER_SIZES]
+    points += [(_E10_NODES, _e10_message_bytes(nbytes) // 8)
+               for nbytes in _E10_SIZES]
     for p, n in points:
         cluster = cluster_type(p)
         buffers = [np.zeros(n)] * p
         for algorithm in ("ring", "tree"):
             priced = cluster.allreduce_time_s(buffers[0].nbytes, algorithm)
             assert priced == cluster.allreduce(buffers, algorithm).time_s
+        assert (cluster.broadcast_time_s(buffers[0].nbytes)
+                == cluster.broadcast(buffers).time_s)
+
+
+@pytest.mark.parametrize(
+    "n_floats", [n for n in _E11_CROSSOVER_SIZES if n <= 1 << 18]
+)
+def test_ring_and_tree_allreduce_agree_at_e11_crossover_sizes(n_floats):
+    cluster = FpgaCluster(_E11_CROSSOVER_P)
+    rng = np.random.default_rng(n_floats)
+    buffers = [rng.random(n_floats) for _ in range(_E11_CROSSOVER_P)]
+    ring = cluster.allreduce(buffers, algorithm="ring")
+    tree = cluster.allreduce(buffers, algorithm="tree")
+    assert np.allclose(ring.buffers[0], tree.buffers[0])
+    assert np.allclose(ring.buffers[0], np.sum(buffers, axis=0))
+
+
+def _peak_bytes(cell, config) -> int:
+    tracemalloc.start()
+    try:
+        cell(None, config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_e10_and_e11_cells_draw_no_buffers():
+    # Buffers for the largest points would take 64 MiB (e10) and
+    # 256 MiB (e11); a price from sizes needs none.
+    e10_cell(None, {"nbytes": _E10_SIZES[0]}, 0)  # imports the clusters
+    for nbytes in _E10_SIZES:
+        assert _peak_bytes(e10_cell, {"nbytes": nbytes}) < 1_000_000
+    for config in _e11_spec().grid:
+        assert _peak_bytes(e11_cell, config) < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -138,7 +138,7 @@ def test_min_nprobe_for_target():
                               [1, 2, 4, 8, 16, 32])
     assert low is not None and high is not None
     assert low <= high
-    assert gen.min_nprobe_for(1.01, [1, 32]) is None or True  # validated below
+    assert gen.min_nprobe_for(1.01, [1, 32]) is None
 
 
 def test_explore_returns_feasible_best():

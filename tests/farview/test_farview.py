@@ -210,6 +210,14 @@ def test_breakdowns_are_populated():
     assert fetch.latency_s >= fetch.breakdown["transfer_s"]
 
 
+def test_offload_outcome_carries_the_node_report():
+    server, _ = _server_with_table()
+    client = FarviewClient(server)
+    off = client.query_offload(_selective_plan(), "t")
+    assert off.report == server.execute(_selective_plan(), "t").report
+    assert client.query_fetch(_selective_plan(), "t").report is None
+
+
 def test_transform_offload_supported():
     server, table = _server_with_table()
     plan = QueryPlan((
