@@ -7,16 +7,10 @@ from .cluster import FpgaCluster, HostStagedCluster
 from .collectives import (
     CollectiveOutcome,
     allgather_ring,
-    allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_tree,
-    broadcast_flat,
     broadcast_tree,
-    expected_steps_ring,
-    expected_steps_tree,
     gather_flat,
-    reduce_tree,
-    scatter_flat,
 )
 from .resilient import ResilientAllreduce, allreduce_with_faults
 
@@ -27,14 +21,8 @@ __all__ = [
     "ResilientAllreduce",
     "allreduce_with_faults",
     "allgather_ring",
-    "allreduce_recursive_doubling",
     "allreduce_ring",
     "allreduce_tree",
-    "broadcast_flat",
     "broadcast_tree",
-    "expected_steps_ring",
-    "expected_steps_tree",
     "gather_flat",
-    "reduce_tree",
-    "scatter_flat",
 ]

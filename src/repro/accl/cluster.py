@@ -27,16 +27,11 @@ from ..network.protocol import ProtocolModel, fpga_tcp, kernel_tcp
 from .collectives import (
     CollectiveOutcome,
     allgather_ring,
-    allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_tree,
-    broadcast_flat,
     broadcast_tree,
     gather_flat,
-    recursive_doubling_schedule,
-    reduce_tree,
     ring_allreduce_schedule,
-    scatter_flat,
     tree_allreduce_schedule,
     tree_broadcast_schedule,
 )
@@ -89,26 +84,16 @@ class _ClusterBase:
 
     # -- collectives ----------------------------------------------------------
 
-    def broadcast(self, buffers: list[np.ndarray], root: int = 0,
-                  algorithm: str = "tree") -> CollectiveOutcome:
-        """Broadcast the root buffer; ``algorithm`` is 'tree' or 'flat'."""
-        return self._run(_pick(_BROADCASTS, algorithm), buffers, root)
+    def broadcast(self, buffers: list[np.ndarray],
+                  root: int = 0) -> CollectiveOutcome:
+        """Tree-broadcast the root buffer."""
+        return self._run(broadcast_tree, buffers, root)
 
     def broadcast_time_s(self, nbytes: int) -> float:
         """Seconds to tree-broadcast ``nbytes`` from node 0, priced from
         sizes alone: equal to ``broadcast(buffers).time_s`` for any
         buffers of ``nbytes`` each."""
         return self._price(*tree_broadcast_schedule(self.n_nodes, 0, nbytes))
-
-    def reduce(self, buffers: list[np.ndarray],
-               root: int = 0) -> CollectiveOutcome:
-        """Sum-reduce every buffer into the root."""
-        return self._run(reduce_tree, buffers, root)
-
-    def scatter(self, buffers: list[np.ndarray],
-                root: int = 0) -> CollectiveOutcome:
-        """Scatter equal chunks of the root buffer."""
-        return self._run(scatter_flat, buffers, root)
 
     def gather(self, buffers: list[np.ndarray],
                root: int = 0) -> CollectiveOutcome:
@@ -121,8 +106,7 @@ class _ClusterBase:
 
     def allreduce(self, buffers: list[np.ndarray],
                   algorithm: str = "ring") -> CollectiveOutcome:
-        """Sum-allreduce; ``algorithm``: 'ring', 'tree', or
-        'recursive-doubling' (power-of-two clusters only)."""
+        """Sum-allreduce; ``algorithm`` is 'ring' or 'tree'."""
         return self._run(_pick(_ALLREDUCES, algorithm)[0], buffers)
 
     def allreduce_time_s(self, nbytes: int, algorithm: str = "ring") -> float:
@@ -133,13 +117,10 @@ class _ClusterBase:
         return self._price(*schedule(self.n_nodes, nbytes))
 
 
-_BROADCASTS = {"tree": broadcast_tree, "flat": broadcast_flat}
 # Each allreduce algorithm: the collective and its size-only schedule.
 _ALLREDUCES = {
     "ring": (allreduce_ring, ring_allreduce_schedule),
     "tree": (allreduce_tree, tree_allreduce_schedule),
-    "recursive-doubling":
-        (allreduce_recursive_doubling, recursive_doubling_schedule),
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["CpuModel", "laptop", "xeon_server"]
+__all__ = ["CpuModel", "xeon_server"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,13 +169,3 @@ def xeon_server() -> CpuModel:
     """A two-socket, 32-core data-center server (the papers' baseline)."""
     return CpuModel(name="xeon-2s-32c")
 
-
-def laptop() -> CpuModel:
-    """A small 8-core client machine (for scale-sensitivity checks)."""
-    return CpuModel(
-        name="laptop-8c",
-        cores=8,
-        freq_hz=2.8e9,
-        dram_bandwidth=40e9,
-        llc_bytes=16 * 1024 * 1024,
-    )

@@ -39,7 +39,6 @@ from .sim import (
     with_timeout,
 )
 from .stream import Burst, END_OF_STREAM, Stream, StreamTimeout
-from .topology import Fork, Merge, RoundRobinSplit, Zip
 
 __all__ = [
     "ALVEO_U250",
@@ -56,19 +55,16 @@ __all__ = [
     "FABRIC_200MHZ",
     "FABRIC_300MHZ",
     "FABRIC_400MHZ",
-    "Fork",
     "HBM_450MHZ",
     "Interrupt",
     "ItemKernel",
     "KernelSpec",
     "LoopNest",
-    "Merge",
     "NETWORK_322MHZ",
     "Pragmas",
     "Process",
     "RateStage",
     "ResourceVector",
-    "RoundRobinSplit",
     "SimulationError",
     "Simulator",
     "Sink",
@@ -78,7 +74,6 @@ __all__ = [
     "ThroughputReport",
     "Timeout",
     "WaitTimeout",
-    "Zip",
     "all_of",
     "any_of",
     "synthesize",

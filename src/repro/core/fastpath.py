@@ -54,7 +54,6 @@ from typing import Any
 from .stream import Burst, Stream
 
 __all__ = [
-    "analytic_pipeline_estimate",
     "counters",
     "is_enabled",
     "set_fast_forward",
@@ -83,26 +82,6 @@ def set_fast_forward(enabled: bool | None) -> None:
 def is_enabled() -> bool:
     """True when the analytic fast-forward may engage (default: yes)."""
     return _enabled
-
-
-def analytic_pipeline_estimate(specs, n_items: int, interval_ps: int = 0) -> int:
-    """Closed-form completion time (ps) for ``n_items`` through a chain.
-
-    The textbook answer the solver converges to for an uncontended
-    per-item chain: fill latency (sum of pipeline depths) plus
-    ``n_items`` initiations of the bottleneck stage —
-    ``sum(depth_k) + n * max(interval, II_k ...)``.  Exposed for
-    documentation, sizing and sanity tests; the solver itself derives
-    the same period empirically, so it also covers bursts, filters and
-    backpressure transients exactly.
-    """
-    if n_items <= 0:
-        return 0
-    fill = sum(s.clock.cycles_to_ps(s.depth) for s in specs)
-    period = max(
-        [int(interval_ps)] + [s.clock.cycles_to_ps(s.ii) for s in specs]
-    )
-    return fill + n_items * period
 
 
 # -- eligibility -----------------------------------------------------------

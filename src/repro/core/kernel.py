@@ -107,19 +107,6 @@ class KernelSpec:
         """Steady-state throughput (items/s) ignoring pipeline fill."""
         return self.clock.freq_hz * self.unroll / self.ii
 
-    def replicate(self, factor: int) -> "KernelSpec":
-        """A spec for ``factor`` parallel instances (unroll and resources scale)."""
-        if factor < 1:
-            raise ValueError(f"replication factor must be >= 1, got {factor}")
-        return KernelSpec(
-            name=f"{self.name}x{factor}",
-            ii=self.ii,
-            depth=self.depth,
-            unroll=self.unroll * factor,
-            clock=self.clock,
-            resources=self.resources * factor,
-        )
-
 
 class _PipelinedKernel:
     """The loop both kernel granularities share.

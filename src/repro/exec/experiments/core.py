@@ -181,7 +181,7 @@ def e2_cell(ctx: Any, config: dict, seed: int) -> dict:
 
     # FPGA: operator kernels in the network datapath.
     filter_kernel = make_operator_kernel(plan.operators[0], row_bytes)
-    fpga_rate_rows = filter_kernel.spec.throughput_items_per_sec()
+    fpga_rate_rows = filter_kernel.throughput_items_per_sec()
     fpga_goodput = min(
         fpga_rate_rows * row_bytes,
         fpga_tcp().goodput_bytes_per_sec(64 * 1024),
@@ -268,7 +268,7 @@ def _e12_demand(name: str):
         ))
         total = ResourceVector()
         for kernel in plan_kernels(plan, row_nbytes=24):
-            total = total + kernel.spec.resources
+            total = total + kernel.resources
         return total
     if name == "fanns (default config)":
         return FannsConfig().resources(m=16)

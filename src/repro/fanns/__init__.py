@@ -15,12 +15,7 @@ from .accelerator import (
 )
 from .cpu_baseline import CpuAnnSearcher, CpuSearchOutcome
 from .distributed import DistributedFanns, DistributedSearchOutcome
-from .generator import (
-    DesignPoint,
-    HardwareGenerator,
-    co_design,
-    default_config_space,
-)
+from .generator import DesignPoint, HardwareGenerator, default_config_space
 from .gpu_baseline import GpuAnnSearcher, GpuSearchOutcome
 from .ivf import IndexShape, IVFPQIndex, SearchStats, build_ivfpq
 from .kmeans import KMeansResult, kmeans, kmeans_pp_init
@@ -46,7 +41,6 @@ __all__ = [
     "SearchStats",
     "StageTimes",
     "build_ivfpq",
-    "co_design",
     "default_config_space",
     "kmeans",
     "kmeans_pp_init",

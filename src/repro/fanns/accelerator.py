@@ -17,21 +17,19 @@ so throughput is set by the slowest stage and latency by the sum — the
 same first-order model the FANNS paper's performance predictor uses.
 
 The model reads only the index's :class:`~repro.fanns.ivf.IndexShape`:
-:meth:`FannsAccelerator.price` needs no trained index, and ``search``
-prices one shared :meth:`~repro.fanns.ivf.IVFPQIndex.search`.
+:meth:`FannsAccelerator.price` needs no trained index and prices what
+one shared :meth:`~repro.fanns.ivf.IVFPQIndex.search` returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.clocking import FABRIC_300MHZ, ClockDomain
 from ..core.device import ALVEO_U55C, Device, ResourceVector
 from ..memory.technologies import hbm2_channel
-from .ivf import IndexShape, IVFPQIndex
+from .ivf import IndexShape
 
 __all__ = ["FannsAccelerator", "FannsConfig", "FpgaSearchOutcome", "StageTimes"]
 
@@ -101,13 +99,12 @@ class StageTimes:
 
 @dataclass(frozen=True)
 class FpgaSearchOutcome:
-    """Modeled accelerator timing for a query batch (ids once searched)."""
+    """Modeled accelerator timing for a query batch."""
 
     stages: StageTimes
     query_latency_s: float
     qps: float
     batch_time_s: float
-    ids: np.ndarray | None = None
 
 
 class FannsAccelerator:
@@ -184,11 +181,3 @@ class FannsAccelerator:
             qps=1.0 / stages.bottleneck_s,
             batch_time_s=batch,
         )
-
-    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
-               nprobe: int) -> FpgaSearchOutcome:
-        """Run a query batch on ``index``: its ids, priced on the FPGA."""
-        if index.shape != self.shape:
-            raise ValueError("index does not have the shape this prices")
-        ids = index.search(queries, k, nprobe)
-        return replace(self.price(nprobe, len(queries)), ids=ids)

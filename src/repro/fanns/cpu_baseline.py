@@ -14,25 +14,22 @@ way a Faiss-style implementation spends its cycles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..baselines.cpu import CpuModel, xeon_server
-from .ivf import IndexShape, IVFPQIndex, SearchStats
+from .ivf import IndexShape, SearchStats
 
 __all__ = ["CpuSearchOutcome", "CpuAnnSearcher"]
 
 
 @dataclass(frozen=True)
 class CpuSearchOutcome:
-    """Modeled CPU timing for a query batch (ids once searched)."""
+    """Modeled CPU timing for a query batch."""
 
     stats: SearchStats
     batch_time_s: float       # all queries, all cores
     query_latency_s: float    # one query, one core
     qps: float
-    ids: np.ndarray | None = None
 
 
 class CpuAnnSearcher:
@@ -87,12 +84,3 @@ class CpuAnnSearcher:
             query_latency_s=latency,
             qps=max(1, stats.n_queries) / batch if batch > 0 else float("inf"),
         )
-
-    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
-               nprobe: int) -> CpuSearchOutcome:
-        """Run a query batch on ``index``: its ids, priced on the CPU."""
-        if index.shape != self.shape:
-            raise ValueError("index does not have the shape this prices")
-        stats = SearchStats()
-        ids = index.search(queries, k, nprobe, stats=stats)
-        return replace(self.price(stats), ids=ids)

@@ -74,10 +74,6 @@ class DistributedFanns:
         """``lists`` split by owner: node ``n`` owns ``l % n_nodes == n``."""
         return [lists[lists % self.n_nodes == n] for n in range(self.n_nodes)]
 
-    def shard_list_counts(self) -> list[int]:
-        """How many inverted lists each node owns."""
-        return [len(p) for p in self._shards(np.arange(self.index.nlist))]
-
     def search(self, queries: np.ndarray, k: int,
                nprobe: int) -> DistributedSearchOutcome:
         """Sharded search: each node scans the probed lists it owns and

@@ -26,12 +26,7 @@ from .accelerator import FannsAccelerator, FannsConfig
 from .ivf import IVFPQIndex
 from .recall import recall_at_k
 
-__all__ = [
-    "DesignPoint",
-    "HardwareGenerator",
-    "co_design",
-    "default_config_space",
-]
+__all__ = ["DesignPoint", "HardwareGenerator", "default_config_space"]
 
 
 @dataclass(frozen=True)
@@ -164,42 +159,3 @@ class HardwareGenerator:
                 best = point
         return best, points
 
-
-def co_design(
-    index_candidates: dict[str, IVFPQIndex],
-    sample_queries: np.ndarray,
-    ground_truth: np.ndarray,
-    recall_target: float,
-    k: int = 10,
-    device: Device = ALVEO_U55C,
-    list_scale: int = 1,
-    configs: list[FannsConfig] | None = None,
-) -> tuple[str | None, DesignPoint | None, dict[str, DesignPoint | None]]:
-    """Joint algorithm/hardware exploration — the full FANNS loop.
-
-    The paper's generator does not stop at PE counts: index parameters
-    (``nlist``, PQ bytes) are part of the design space, because a
-    coarser index needs a larger ``nprobe`` for the same recall and
-    therefore different hardware.  Given several trained candidate
-    indexes, this evaluates each with :class:`HardwareGenerator` and
-    returns the overall best (index name, design point), plus each
-    candidate's best point for reporting (None where the target is
-    unreachable).
-    """
-    if not index_candidates:
-        raise ValueError("need at least one candidate index")
-    per_index: dict[str, DesignPoint | None] = {}
-    best_name: str | None = None
-    best_point: DesignPoint | None = None
-    for name, index in index_candidates.items():
-        generator = HardwareGenerator(
-            index, sample_queries, ground_truth, k=k,
-            device=device, list_scale=list_scale,
-        )
-        point, _ = generator.explore(recall_target, configs=configs)
-        per_index[name] = point
-        if point is None:
-            continue
-        if best_point is None or point.qps > best_point.qps:
-            best_name, best_point = name, point
-    return best_name, best_point, per_index

@@ -17,12 +17,10 @@ search every engine shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..microrec.fleetrec import GpuModel, V100
-from .ivf import IndexShape, IVFPQIndex, SearchStats
+from .ivf import IndexShape, SearchStats
 
 __all__ = ["GpuAnnSearcher", "GpuSearchOutcome"]
 
@@ -31,13 +29,12 @@ _N_KERNEL_LAUNCHES = 4  # coarse, select, LUT, scan+topk
 
 @dataclass(frozen=True)
 class GpuSearchOutcome:
-    """Modeled GPU timing for a query batch (ids once searched)."""
+    """Modeled GPU timing for a query batch."""
 
     stats: SearchStats
     batch_time_s: float
     query_latency_s: float  # a batch of one still pays the launches
     qps: float
-    ids: np.ndarray | None = None
 
 
 class GpuAnnSearcher:
@@ -96,12 +93,3 @@ class GpuAnnSearcher:
             query_latency_s=self._batch_time_s(stats.per_query()),
             qps=max(1, stats.n_queries) / batch if batch > 0 else float("inf"),
         )
-
-    def search(self, index: IVFPQIndex, queries: np.ndarray, k: int,
-               nprobe: int) -> GpuSearchOutcome:
-        """Run a query batch on ``index``: its ids, priced on the GPU."""
-        if index.shape != self.shape:
-            raise ValueError("index does not have the shape this prices")
-        stats = SearchStats()
-        ids = index.search(queries, k, nprobe, stats=stats)
-        return replace(self.price(stats), ids=ids)

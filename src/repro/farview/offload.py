@@ -94,10 +94,10 @@ def offload_query(
     )
     kernels = plan_kernels(plan, row_nbytes)
     prev_name, prev_gain = scan.name, 1.0
-    for ok, gain in zip(kernels, gains):
-        graph.add(ok.spec)
-        graph.connect(prev_name, ok.spec.name, gain=prev_gain)
-        prev_name, prev_gain = ok.spec.name, gain
+    for spec, gain in zip(kernels, gains):
+        graph.add(spec)
+        graph.connect(prev_name, spec.name, gain=prev_gain)
+        prev_name, prev_gain = spec.name, gain
     graph.add(egress)
     graph.connect(prev_name, egress.name, gain=prev_gain)
 

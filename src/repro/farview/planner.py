@@ -103,10 +103,10 @@ class OffloadPlanner:
             1, sum(table.schema.type_of(c).nbytes for c in touched)
         )
         n = max(1, table.n_rows)
-        kernels = plan_kernels(plan, row_nbytes, estimated_selectivity=1.0)
+        kernels = plan_kernels(plan, row_nbytes)
         # Source streams at min(memory, slowest kernel) rows/s.
         rates = [server.memory_bandwidth / row_nbytes]
-        rates += [ok.spec.throughput_items_per_sec() for ok in kernels]
+        rates += [spec.throughput_items_per_sec() for spec in kernels]
         survivors = selectivity if plan.has_aggregation is False else 0.0
         for op in plan.operators:
             if isinstance(op, (Aggregate, GroupByAggregate)):

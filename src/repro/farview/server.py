@@ -101,8 +101,8 @@ class FarviewServer:
         table = self.table(table_name)
         row_nbytes = max(1, table.schema.row_nbytes)
         total = ResourceVector()
-        for ok in plan_kernels(plan, row_nbytes):
-            total = total + ok.spec.resources
+        for spec in plan_kernels(plan, row_nbytes):
+            total = total + spec.resources
         return total
 
     def execute(self, plan: QueryPlan, table_name: str) -> OffloadExecution:

@@ -4,13 +4,13 @@ The paper's use cases assume disaggregated components on a 100 Gbps
 network; this package supplies the unhappy path the happy-path models
 omit.  A seeded :class:`FaultPlan` decides — deterministically, per
 injection site — which transfers drop, which suffer latency spikes,
-and which nodes crash; :class:`FaultyLink` / :class:`FaultyNodePort`
-apply those decisions to the network layer; :func:`call_with_retries`
-and :class:`RetryPolicy` give clients exponential-backoff recovery
-under per-request deadlines.  Experiment ``e22`` measures the cost.
+and which nodes crash; :class:`FaultyLink` applies those decisions to
+network links; :func:`call_with_retries` and :class:`RetryPolicy` give
+clients exponential-backoff recovery under per-request deadlines.
+Experiment ``e22`` measures the cost.
 """
 
-from .injection import FaultyLink, FaultyNodePort, NodeDown, TransferDropped
+from .injection import FaultyLink, TransferDropped
 from .plan import FaultPlan, NodeOutage
 from .retry import (
     CallOutcome,
@@ -25,8 +25,6 @@ __all__ = [
     "DeadlineExceeded",
     "FaultPlan",
     "FaultyLink",
-    "FaultyNodePort",
-    "NodeDown",
     "NodeOutage",
     "RetryPolicy",
     "TransferDropped",

@@ -1,8 +1,7 @@
-"""Fault-injecting wrappers for the network resources.
+"""A fault-injecting network link.
 
-:class:`FaultyLink` and :class:`FaultyNodePort` are drop-in subclasses
-of :class:`~repro.network.link.SimLink` and
-:class:`~repro.network.fabric.NodePort` that consult a
+:class:`FaultyLink` is a drop-in subclass of
+:class:`~repro.network.link.SimLink` that consults a
 :class:`~repro.faults.plan.FaultPlan` on every transfer:
 
 * a **dropped** transfer still occupies the wire (the bytes left the
@@ -11,9 +10,7 @@ of :class:`~repro.network.link.SimLink` and
   need timeouts), in ``"error"`` mode it fails with
   :class:`TransferDropped` at the would-be delivery time (convenient
   for tests);
-* a **latency spike** delays delivery by the plan's drawn magnitude;
-* a transfer to/from a node inside an outage window behaves like a
-  drop (``NodeDown`` in error mode).
+* a **latency spike** delays delivery by the plan's drawn magnitude.
 
 Every injection lands on the tracer's ``faults:{site}`` track as an
 instant event, so Chrome traces show exactly where the plan struck.
@@ -22,11 +19,10 @@ instant event, so Chrome traces show exactly where the plan struck.
 from __future__ import annotations
 
 from ..core.sim import Event, SimulationError, Simulator
-from ..network.fabric import NodePort, SwitchedFabric
 from ..network.link import LinkModel, SimLink
 from .plan import FaultPlan
 
-__all__ = ["FaultyLink", "FaultyNodePort", "NodeDown", "TransferDropped"]
+__all__ = ["FaultyLink", "TransferDropped"]
 
 
 class TransferDropped(SimulationError):
@@ -36,15 +32,6 @@ class TransferDropped(SimulationError):
         super().__init__(f"transfer of {nbytes} bytes dropped on {site!r}")
         self.site = site
         self.nbytes = nbytes
-
-
-class NodeDown(SimulationError):
-    """The transfer touched a node inside an outage window."""
-
-    def __init__(self, node: int, at_ps: int) -> None:
-        super().__init__(f"node {node} is down at t={at_ps} ps")
-        self.node = node
-        self.at_ps = at_ps
 
 
 class FaultyLink(SimLink):
@@ -103,79 +90,3 @@ class FaultyLink(SimLink):
             return out
         return base
 
-
-class FaultyNodePort(NodePort):
-    """A :class:`NodePort` subject to the plan's drops, spikes, outages.
-
-    A send from a down node, or to a node that will be down at delivery
-    time, is treated as a drop.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: SwitchedFabric,
-        node: int,
-        plan: FaultPlan,
-        mode: str = "silent",
-    ) -> None:
-        if mode not in ("silent", "error"):
-            raise ValueError(f"mode must be 'silent' or 'error', got {mode!r}")
-        super().__init__(sim, fabric, node)
-        self.plan = plan
-        self.mode = mode
-        self.drops = 0
-        self.spikes = 0
-
-    @property
-    def site(self) -> str:
-        return f"node{self.node}.egress"
-
-    def send(self, dst: int, nbytes: int) -> Event:
-        base = super().send(dst, nbytes)
-        tracer = self.sim._tracer
-        down = None
-        if self.plan.node_down(self.node, self.sim.now):
-            down = self.node
-        elif self.plan.node_down(dst, self.sim.now):
-            down = dst
-        if down is not None:
-            self.drops += 1
-            if tracer is not None:
-                tracer.fault_injected("node_down", self.site, node=down)
-            out = Event(self.sim)
-            if self.mode == "error":
-                at = self.sim.now
-
-                def _fail(ev: Event, out: Event = out) -> None:
-                    if not out._cancelled:
-                        out.fail(NodeDown(down, at))
-
-                base.callbacks.append(_fail)
-            return out
-        if self.plan.drop(self.site):
-            self.drops += 1
-            if tracer is not None:
-                tracer.fault_injected("drop", self.site, nbytes=nbytes)
-            out = Event(self.sim)
-            if self.mode == "error":
-                def _fail(ev: Event, out: Event = out) -> None:
-                    if not out._cancelled:
-                        out.fail(TransferDropped(self.site, ev.value))
-
-                base.callbacks.append(_fail)
-            return out
-        spike = self.plan.spike_delay_ps(self.site)
-        if spike:
-            self.spikes += 1
-            if tracer is not None:
-                tracer.fault_injected("latency_spike", self.site, delay_ps=spike)
-            out = Event(self.sim)
-
-            def _deliver(ev: Event, out: Event = out, spike: int = spike) -> None:
-                if not out._cancelled:
-                    out.succeed(ev.value, delay=spike)
-
-            base.callbacks.append(_deliver)
-            return out
-        return base

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is the single source of randomness for a
 fault-injection run.  It is seeded, and every injection *site* (a link
-name, a node port, a client) draws from its own ``random.Random``
-stream derived from ``(seed, site)`` — so whether site A consults the
-plan before or after site B cannot perturb either schedule.  Two plans
+name, a client) draws from its own ``random.Random`` stream derived
+from ``(seed, site)`` — so whether site A consults the plan before or
+after site B cannot perturb either schedule.  Two plans
 built with the same configuration produce byte-identical fault
 sequences, which is what the deterministic-replay tests (and the
 ``e22`` acceptance criterion) rely on.

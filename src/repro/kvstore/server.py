@@ -19,23 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..baselines.cpu import CpuModel, xeon_server
 from ..core.clocking import FABRIC_300MHZ
-from ..faults.plan import FaultPlan
-from ..faults.retry import DeadlineExceeded, RetryPolicy, analytic_retries
 from ..memory.model import MemoryModel
 from ..memory.technologies import ddr4_channel
 from ..network.protocol import ProtocolModel, fpga_rdma, kernel_tcp
 from .hashtable import HashTable
 
-__all__ = [
-    "FaultyKvOutcome",
-    "KvOutcome",
-    "SmartNicKvServer",
-    "SoftwareKvServer",
-]
+__all__ = ["KvOutcome", "SmartNicKvServer", "SoftwareKvServer"]
 
 _REQUEST_BYTES = 40   # opcode + key + metadata
 _PS = 1_000_000_000_000
@@ -51,95 +42,11 @@ class KvOutcome:
     op_latency_s: float
 
 
-@dataclass(frozen=True)
-class FaultyKvOutcome:
-    """A batch served under an injected fault plan.
-
-    ``op_latencies_s`` carries per-op response times (deadline misses
-    censored at the deadline); ``goodput_ops_per_sec`` counts only
-    completed ops over the retry-inflated batch time.
-    """
-
-    base: KvOutcome
-    op_latencies_s: list[float]
-    retries: int
-    deadline_misses: int
-    goodput_ops_per_sec: float
-
-    def percentile_s(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100] over all ops."""
-        if not self.op_latencies_s:
-            return 0.0
-        return float(np.percentile(np.array(self.op_latencies_s), q))
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile_s(50.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile_s(99.0)
-
-
 class _KvServerBase:
     """Shared functional request execution."""
 
     def __init__(self, table: HashTable) -> None:
         self.table = table
-
-    def serve_with_faults(
-        self,
-        ops: list[tuple[str, int, int]],
-        faults: FaultPlan,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
-    ) -> FaultyKvOutcome:
-        """Serve a batch while ``faults`` drops/delays individual ops.
-
-        Functional results are those of :meth:`serve`; the timing is
-        re-derived per op through the analytic retry loop at site
-        ``"kvstore"``.  Ops that exhaust their retries or deadline are
-        counted in ``deadline_misses`` and censored at the budget.
-        """
-        policy = retry or RetryPolicy()
-        base = self.serve(ops)
-        latencies: list[float] = []
-        retries = 0
-        misses = 0
-        attempts_total = 0
-        for _ in ops:
-            try:
-                latency, attempts, op_retries = analytic_retries(
-                    "kvstore", base.op_latency_s, faults, policy, deadline_s
-                )
-            except DeadlineExceeded:
-                misses += 1
-                attempts_total += policy.max_attempts
-                budget = (
-                    deadline_s
-                    if deadline_s is not None
-                    else policy.max_attempts
-                    * (policy.timeout_ps or 0)
-                    / _PS
-                )
-                latencies.append(budget)
-            else:
-                retries += op_retries
-                attempts_total += attempts
-                latencies.append(latency)
-        n = len(ops)
-        goodput = 0.0
-        if n and base.batch_time_s > 0:
-            # Retry traffic inflates the batch linearly in attempts.
-            effective_batch_s = base.batch_time_s * attempts_total / n
-            goodput = (n - misses) / effective_batch_s
-        return FaultyKvOutcome(
-            base=base,
-            op_latencies_s=latencies,
-            retries=retries,
-            deadline_misses=misses,
-            goodput_ops_per_sec=goodput,
-        )
 
     def _execute(self, ops: list[tuple[str, int, int]]) -> list[int | None]:
         results: list[int | None] = []

@@ -1,4 +1,4 @@
-"""Memory subsystem models: on-chip SRAM, HBM2, DDR4, host-over-PCIe.
+"""Memory subsystem models: HBM2, DDR4, host-over-PCIe.
 
 These models substitute for the physical memory systems of the Alveo
 cards (see DESIGN.md §1).  They expose exactly the knobs the tutorial's
@@ -9,14 +9,7 @@ parallelism (:class:`~repro.memory.banked.BankedMemory`).
 
 from .banked import Allocation, BankedMemory
 from .model import AccessPattern, MemoryModel, MemoryPort
-from .technologies import (
-    bram,
-    ddr4_channel,
-    hbm2_channel,
-    host_over_pcie3,
-    host_over_pcie4,
-    uram,
-)
+from .technologies import ddr4_channel, hbm2_channel, host_over_pcie3
 
 __all__ = [
     "AccessPattern",
@@ -24,10 +17,7 @@ __all__ = [
     "BankedMemory",
     "MemoryModel",
     "MemoryPort",
-    "bram",
     "ddr4_channel",
     "hbm2_channel",
     "host_over_pcie3",
-    "host_over_pcie4",
-    "uram",
 ]

@@ -3,11 +3,9 @@
 Factory functions return :class:`~repro.memory.model.MemoryModel`
 instances for the memories an Alveo-class deployment touches.  Numbers
 are public-datasheet/measurement-literature values; they set the
-*ratios* (HBM channel vs DDR vs PCIe vs SRAM) that the tutorial's
-use-case arguments depend on:
+*ratios* (HBM channel vs DDR vs PCIe) that the tutorial's use-case
+arguments depend on:
 
-* on-chip BRAM/URAM — single-cycle access, the "smaller tables live in
-  SRAM" tier of MicroRec;
 * HBM2 pseudo-channel — ~14.4 GB/s each, 32 of them, the memory-level
   parallelism MicroRec and FANNS exploit;
 * DDR4-2400 channel — 19.2 GB/s, higher capacity, fewer channels;
@@ -17,52 +15,12 @@ use-case arguments depend on:
 
 from __future__ import annotations
 
-from ..core.clocking import FABRIC_300MHZ, ClockDomain
 from .model import MemoryModel
 
-__all__ = [
-    "bram",
-    "ddr4_channel",
-    "hbm2_channel",
-    "host_over_pcie3",
-    "host_over_pcie4",
-    "uram",
-]
+__all__ = ["ddr4_channel", "hbm2_channel", "host_over_pcie3"]
 
 _GIB = 1024 ** 3
 _MIB = 1024 ** 2
-
-
-def bram(
-    capacity_bytes: int = 4 * _MIB,
-    width_bytes: int = 8,
-    clock: ClockDomain = FABRIC_300MHZ,
-) -> MemoryModel:
-    """On-chip BRAM: one access per cycle per port, single-cycle latency."""
-    return MemoryModel(
-        name="bram",
-        capacity_bytes=capacity_bytes,
-        latency_ps=clock.period_ps,
-        bandwidth_bytes_per_sec=width_bytes * clock.freq_hz,
-        min_burst_bytes=width_bytes,
-        random_efficiency=1.0,  # SRAM: no row-buffer penalty
-    )
-
-
-def uram(
-    capacity_bytes: int = 32 * _MIB,
-    width_bytes: int = 8,
-    clock: ClockDomain = FABRIC_300MHZ,
-) -> MemoryModel:
-    """On-chip URAM: like BRAM but denser, 2-cycle read latency."""
-    return MemoryModel(
-        name="uram",
-        capacity_bytes=capacity_bytes,
-        latency_ps=2 * clock.period_ps,
-        bandwidth_bytes_per_sec=width_bytes * clock.freq_hz,
-        min_burst_bytes=width_bytes,
-        random_efficiency=1.0,
-    )
 
 
 def hbm2_channel(capacity_bytes: int = 256 * _MIB) -> MemoryModel:
@@ -107,14 +65,3 @@ def host_over_pcie3(capacity_bytes: int = 256 * _GIB) -> MemoryModel:
         random_efficiency=0.15,
     )
 
-
-def host_over_pcie4(capacity_bytes: int = 256 * _GIB) -> MemoryModel:
-    """Host DRAM over PCIe 4.0 x16: ~26 GB/s effective, ~0.9 us."""
-    return MemoryModel(
-        name="host-pcie4",
-        capacity_bytes=capacity_bytes,
-        latency_ps=900_000,
-        bandwidth_bytes_per_sec=26e9,
-        min_burst_bytes=256,
-        random_efficiency=0.15,
-    )

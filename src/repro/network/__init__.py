@@ -7,17 +7,14 @@ stacks from kernel stacks; :class:`~repro.network.fabric.SwitchedFabric`
 models the single-switch HACC-style rack used by Farview and ACCL.
 """
 
-from .fabric import NodePort, SwitchedFabric
-from .link import LinkModel, ethernet_10g, ethernet_25g, ethernet_100g
+from .fabric import SwitchedFabric
+from .link import LinkModel, ethernet_100g
 from .protocol import ProtocolModel, fpga_rdma, fpga_tcp, kernel_tcp
 
 __all__ = [
     "LinkModel",
-    "NodePort",
     "ProtocolModel",
     "SwitchedFabric",
-    "ethernet_10g",
-    "ethernet_25g",
     "ethernet_100g",
     "fpga_rdma",
     "fpga_tcp",

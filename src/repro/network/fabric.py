@@ -6,26 +6,15 @@ each with a full-duplex link into a non-blocking switch.  Transfers
 between disjoint node pairs proceed in parallel; a node's own link is
 its bottleneck.
 
-The fabric answers point-to-point timing questions analytically and
-also exposes per-node :class:`NodePort` objects for event-driven
-simulations (Farview's server serialises client requests on its port).
+The fabric answers point-to-point and per-step timing questions
+analytically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core.sim import Event, Simulator
 from .protocol import ProtocolModel
 
-__all__ = ["NodePort", "SwitchedFabric"]
-
-
-@dataclass(frozen=True, slots=True)
-class _Transfer:
-    src: int
-    dst: int
-    nbytes: int
+__all__ = ["SwitchedFabric"]
 
 
 class SwitchedFabric:
@@ -106,41 +95,3 @@ class SwitchedFabric:
             + self.switch_latency_ps
         )
 
-
-class NodePort:
-    """A node's full-duplex link as a simulator resource.
-
-    Sends serialise on the egress side; the returned event fires when
-    the message has been fully received at the far end.
-    """
-
-    def __init__(self, sim: Simulator, fabric: SwitchedFabric, node: int) -> None:
-        fabric._check_node(node)
-        self.sim = sim
-        self.fabric = fabric
-        self.node = node
-        self.egress_busy_until = 0
-        self.busy_ps = 0
-        self.bytes_sent = 0
-        self.messages_sent = 0
-
-    def send(self, dst: int, nbytes: int) -> Event:
-        """Send ``nbytes`` to ``dst``; event fires at delivery time."""
-        serialization = self.fabric.protocol.link.serialization_ps(nbytes)
-        start = max(self.sim.now, self.egress_busy_until)
-        self.egress_busy_until = start + serialization
-        delivered = (
-            self.egress_busy_until
-            + self.fabric.message_ps(self.node, dst, 0)  # latency component
-        )
-        self.busy_ps += serialization
-        self.bytes_sent += max(0, nbytes)
-        self.messages_sent += 1
-        tracer = self.sim._tracer
-        if tracer is not None:
-            tracer.link_transfer(
-                f"node{self.node}.egress", start, serialization, nbytes, dst
-            )
-        done = Event(self.sim)
-        done.succeed(value=nbytes, delay=delivered - self.sim.now)
-        return done

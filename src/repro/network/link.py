@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 from ..core.sim import Event, Simulator
 
-__all__ = [
-    "LinkModel",
-    "SimLink",
-    "ethernet_100g",
-    "ethernet_10g",
-    "ethernet_25g",
-]
+__all__ = ["LinkModel", "SimLink", "ethernet_100g"]
 
 _PS_PER_S = 1_000_000_000_000
 
@@ -142,20 +136,3 @@ def ethernet_100g(propagation_ps: int = 500_000) -> LinkModel:
         propagation_ps=propagation_ps,
     )
 
-
-def ethernet_25g(propagation_ps: int = 500_000) -> LinkModel:
-    """25 GbE, a common per-host cloud allocation."""
-    return LinkModel(
-        name="25gbe",
-        bandwidth_bits_per_sec=25e9,
-        propagation_ps=propagation_ps,
-    )
-
-
-def ethernet_10g(propagation_ps: int = 500_000) -> LinkModel:
-    """10 GbE legacy link."""
-    return LinkModel(
-        name="10gbe",
-        bandwidth_bits_per_sec=10e9,
-        propagation_ps=propagation_ps,
-    )

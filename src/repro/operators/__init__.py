@@ -22,15 +22,9 @@ from .compression import (
 )
 from .hll import HyperLogLog, cpu_insert_time_s, hll_kernel_spec
 from .rules import RuleSet, cpu_match_time_s, random_rules, rules_kernel_spec
-from .sketches import (
-    AgmsSketch,
-    CountMinSketch,
-    cpu_update_time_s,
-    sketch_kernel_spec,
-)
+from .sketches import CountMinSketch, cpu_update_time_s, sketch_kernel_spec
 
 __all__ = [
-    "AgmsSketch",
     "AnyPrecisionResult",
     "CountMinSketch",
     "DictEncoded",

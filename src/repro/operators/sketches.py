@@ -1,17 +1,13 @@
-"""Count-Min and AGMS sketches — Scotch-style line-rate sketching.
+"""Count-Min sketch — Scotch-style line-rate sketching.
 
 Scotch (VLDB 2020, cited by the tutorial as the line-rate example)
 generates FPGA accelerators for sketch maintenance: every arriving
 tuple updates a few hashed counters, which pipelines at II=1 per row
-regardless of the sketch's analytical purpose.  Two classics:
-
-* :class:`CountMinSketch` — point frequency estimation with one-sided
-  error ``<= eps * N`` at confidence ``1 - delta``;
-* :class:`AgmsSketch` — an AGMS/tug-of-war sketch of the second
-  frequency moment (self-join size).
-
-Both are mergeable (linear sketches), keep exact numpy state, and ship
-kernel specs + CPU costs like :mod:`repro.operators.hll`.
+regardless of the sketch's analytical purpose.
+:class:`CountMinSketch` estimates point frequencies with one-sided
+error ``<= eps * N`` at confidence ``1 - delta``; it is mergeable (a
+linear sketch), keeps exact numpy state, and ships a kernel spec and
+CPU cost like :mod:`repro.operators.hll`.
 """
 
 from __future__ import annotations
@@ -25,12 +21,7 @@ from ..core.clocking import FABRIC_300MHZ, ClockDomain
 from ..core.device import ResourceVector
 from ..core.kernel import KernelSpec
 
-__all__ = [
-    "AgmsSketch",
-    "CountMinSketch",
-    "cpu_update_time_s",
-    "sketch_kernel_spec",
-]
+__all__ = ["CountMinSketch", "cpu_update_time_s", "sketch_kernel_spec"]
 
 
 def _row_hash(values: np.ndarray, seed: int, buckets: int) -> np.ndarray:
@@ -42,12 +33,6 @@ def _row_hash(values: np.ndarray, seed: int, buckets: int) -> np.ndarray:
         x *= np.uint64(0xBF58476D1CE4E5B9 + seed)
         x ^= x >> np.uint64(32)
     return (x % np.uint64(buckets)).astype(np.int64)
-
-
-def _sign_hash(values: np.ndarray, seed: int) -> np.ndarray:
-    """+-1 hash for AGMS."""
-    bits = _row_hash(values, seed + 101, 2)
-    return (2 * bits - 1).astype(np.int64)
 
 
 class CountMinSketch:
@@ -106,45 +91,6 @@ class CountMinSketch:
     def error_bound(self) -> float:
         """The eps*N additive error bound of point queries."""
         return math.e / self.width * self.total
-
-
-class AgmsSketch:
-    """An AGMS sketch of the second frequency moment (F2)."""
-
-    def __init__(self, n_estimators: int = 64) -> None:
-        if n_estimators < 1:
-            raise ValueError("need at least one estimator")
-        self.n_estimators = n_estimators
-        self.sums = np.zeros(n_estimators, dtype=np.int64)
-
-    @property
-    def nbytes(self) -> int:
-        return self.sums.nbytes
-
-    def add(self, values: np.ndarray) -> None:
-        """Insert a batch of integer items."""
-        values = np.asarray(values).reshape(-1)
-        if values.size == 0:
-            return
-        for est in range(self.n_estimators):
-            self.sums[est] += int(_sign_hash(values, est).sum())
-
-    def estimate_f2(self) -> float:
-        """Median-of-means estimate of sum of squared frequencies."""
-        squares = self.sums.astype(np.float64) ** 2
-        groups = max(1, self.n_estimators // 8)
-        means = [
-            squares[g::groups].mean() for g in range(groups)
-        ]
-        return float(np.median(means))
-
-    def merge(self, other: "AgmsSketch") -> "AgmsSketch":
-        """Sum of two sketches (linear)."""
-        if self.n_estimators != other.n_estimators:
-            raise ValueError("estimator counts must match")
-        merged = AgmsSketch(self.n_estimators)
-        merged.sums = self.sums + other.sums
-        return merged
 
 
 def sketch_kernel_spec(

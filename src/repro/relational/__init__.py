@@ -2,19 +2,13 @@
 
 The functional ground truth is the numpy CPU engine
 (:func:`~repro.relational.engine.execute`); the FPGA stream operators
-(:mod:`repro.relational.fpga_ops`) compute the same results inside the
-dataflow simulator and are what Farview offloads to smart memory.
+(:mod:`repro.relational.fpga_ops`) are the kernel specs that price a
+plan, and are what Farview offloads to smart memory.
 """
 
 from .engine import cpu_cost_s, execute
-from .expressions import BinOp, Col, Const, Expr, and_, col, lit, not_, or_
-from .fpga_ops import (
-    OperatorKernel,
-    make_operator_kernel,
-    make_table_bursts,
-    plan_kernels,
-    rows_per_cycle,
-)
+from .expressions import BinOp, Col, Const, Expr, col, lit
+from .fpga_ops import make_operator_kernel, plan_kernels, rows_per_cycle
 from .join import FpgaJoinModel, JoinTiming, cpu_join_time_s, hash_join
 from .operators import (
     AggFunc,
@@ -45,14 +39,12 @@ __all__ = [
     "GroupByAggregate",
     "JoinTiming",
     "Operator",
-    "OperatorKernel",
     "Project",
     "QueryPlan",
     "Schema",
     "SqlError",
     "Table",
     "Transform",
-    "and_",
     "col",
     "cpu_cost_s",
     "cpu_join_time_s",
@@ -60,9 +52,6 @@ __all__ = [
     "hash_join",
     "lit",
     "make_operator_kernel",
-    "make_table_bursts",
-    "not_",
-    "or_",
     "parse_query",
     "plan_kernels",
     "rows_per_cycle",

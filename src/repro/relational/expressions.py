@@ -16,7 +16,7 @@ import numpy as np
 
 from .table import Table
 
-__all__ = ["BinOp", "Col", "Const", "Expr", "and_", "col", "lit", "not_", "or_"]
+__all__ = ["BinOp", "Col", "Const", "Expr", "col", "lit"]
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
 _ARITHMETIC = {"+", "-", "*", "/"}
@@ -204,27 +204,3 @@ def lit(value: Any) -> Const:
     """Shorthand literal."""
     return Const(value)
 
-
-def and_(*exprs: Expr) -> Expr:
-    """Conjunction of one or more expressions."""
-    if not exprs:
-        raise ValueError("and_ needs at least one expression")
-    result = exprs[0]
-    for e in exprs[1:]:
-        result = BinOp("and", result, e)
-    return result
-
-
-def or_(*exprs: Expr) -> Expr:
-    """Disjunction of one or more expressions."""
-    if not exprs:
-        raise ValueError("or_ needs at least one expression")
-    result = exprs[0]
-    for e in exprs[1:]:
-        result = BinOp("or", result, e)
-    return result
-
-
-def not_(expr: Expr) -> Not:
-    """Negation."""
-    return Not(expr)

@@ -5,27 +5,17 @@ row bursts at line rate: a 512-bit datapath accepts ``64 //
 row_bytes`` rows per cycle (at least one), with II=1 — the "process the
 stream as it leaves memory, for free" property the tutorial emphasises.
 
-Functionally, burst payloads are :class:`~repro.relational.table.Table`
-slices and the kernels reuse the CPU engine's numpy implementations, so
-the offloaded pipeline provably computes the same result (tested).
-
-Aggregations are stateful: they consume every burst and emit a single
-result burst when the input's ``last`` flag arrives.
+:func:`make_operator_kernel` synthesizes one operator into its
+:class:`~repro.core.kernel.KernelSpec` (depth, unroll, resources); the
+offload paths price those specs and compute results with the CPU
+engine's numpy implementations.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..core.clocking import FABRIC_300MHZ, ClockDomain
 from ..core.device import ResourceVector
 from ..core.kernel import KernelSpec
-from ..core.stream import Burst
-from .engine import _apply
 from .operators import (
     Aggregate,
     Filter,
@@ -35,15 +25,8 @@ from .operators import (
     QueryPlan,
     Transform,
 )
-from .table import Table
 
-__all__ = [
-    "OperatorKernel",
-    "make_operator_kernel",
-    "make_table_bursts",
-    "plan_kernels",
-    "rows_per_cycle",
-]
+__all__ = ["make_operator_kernel", "plan_kernels", "rows_per_cycle"]
 
 _DATAPATH_BYTES = 64  # 512-bit AXI stream
 
@@ -53,19 +36,6 @@ def rows_per_cycle(row_nbytes: int, datapath_bytes: int = _DATAPATH_BYTES) -> in
     if row_nbytes < 1:
         raise ValueError("row size must be >= 1 byte")
     return max(1, datapath_bytes // row_nbytes)
-
-
-@dataclass
-class OperatorKernel:
-    """A synthesized operator: HLS spec + functional burst transform.
-
-    ``fn`` maps a burst to a burst or ``None``; stateful operators keep
-    their state in the closure.
-    """
-
-    spec: KernelSpec
-    fn: Callable[[Burst], Burst | None]
-    estimated_gain: float = 1.0
 
 
 def _spec(name: str, op_depth: int, row_nbytes: int, clock: ClockDomain,
@@ -80,102 +50,40 @@ def _spec(name: str, op_depth: int, row_nbytes: int, clock: ClockDomain,
     )
 
 
-def _stateless_fn(op: Operator) -> Callable[[Burst], Burst | None]:
-    def fn(burst: Burst) -> Burst | None:
-        table: Table = burst.payload
-        result = _apply(op, table)
-        if result.n_rows == 0 and not burst.meta.get("last"):
-            return None
-        return Burst(payload=result, count=result.n_rows, meta=dict(burst.meta))
-
-    return fn
-
-
-def _aggregating_fn(op: Aggregate | GroupByAggregate) -> Callable[[Burst], Burst | None]:
-    pending: list[Table] = []
-
-    def fn(burst: Burst) -> Burst | None:
-        table: Table = burst.payload
-        if table.n_rows:
-            pending.append(table)
-        if not burst.meta.get("last"):
-            return None
-        if not pending:
-            raise ValueError("aggregation over an empty stream")
-        merged = Table(
-            {
-                name: np.concatenate([t.column(name) for t in pending])
-                for name in pending[0].column_names
-            }
-        )
-        pending.clear()
-        result = _apply(op, merged)
-        meta = dict(burst.meta)
-        return Burst(payload=result, count=result.n_rows, meta=meta)
-
-    return fn
-
-
 def make_operator_kernel(
     op: Operator,
     row_nbytes: int,
     clock: ClockDomain = FABRIC_300MHZ,
-    estimated_selectivity: float = 1.0,
-) -> OperatorKernel:
-    """Synthesize one operator into an :class:`OperatorKernel`.
-
-    ``estimated_selectivity`` feeds the analytic dataflow gain for
-    filters (the functional path measures the real one).
-    """
+) -> KernelSpec:
+    """Synthesize one operator into its pipelined kernel spec."""
     if isinstance(op, Filter):
         n_cmp = max(1, op.predicate.op_count())
-        return OperatorKernel(
-            spec=_spec(
-                "filter", 4 + n_cmp, row_nbytes, clock,
-                ResourceVector(lut=2_000 * n_cmp, ff=3_000 * n_cmp),
-            ),
-            fn=_stateless_fn(op),
-            estimated_gain=estimated_selectivity,
+        return _spec(
+            "filter", 4 + n_cmp, row_nbytes, clock,
+            ResourceVector(lut=2_000 * n_cmp, ff=3_000 * n_cmp),
         )
     if isinstance(op, Project):
-        return OperatorKernel(
-            spec=_spec(
-                "project", 2, row_nbytes, clock,
-                ResourceVector(lut=1_500, ff=2_000),
-            ),
-            fn=_stateless_fn(op),
-            estimated_gain=1.0,
+        return _spec(
+            "project", 2, row_nbytes, clock,
+            ResourceVector(lut=1_500, ff=2_000),
         )
     if isinstance(op, Transform):
         depth = 8 + int(4 * op.ops_per_byte)
-        return OperatorKernel(
-            spec=_spec(
-                f"transform-{op.name}", depth, row_nbytes, clock,
-                ResourceVector(lut=12_000, ff=18_000, dsp=16),
-            ),
-            fn=_stateless_fn(op),
-            estimated_gain=1.0,
+        return _spec(
+            f"transform-{op.name}", depth, row_nbytes, clock,
+            ResourceVector(lut=12_000, ff=18_000, dsp=16),
         )
     if isinstance(op, Aggregate):
-        return OperatorKernel(
-            spec=_spec(
-                "aggregate", 8, row_nbytes, clock,
-                ResourceVector(lut=4_000, ff=6_000, dsp=8 * len(op.aggs)),
-            ),
-            fn=_aggregating_fn(op),
-            estimated_gain=0.0,
+        return _spec(
+            "aggregate", 8, row_nbytes, clock,
+            ResourceVector(lut=4_000, ff=6_000, dsp=8 * len(op.aggs)),
         )
     if isinstance(op, GroupByAggregate):
-        return OperatorKernel(
-            spec=_spec(
-                "groupby", 16, row_nbytes, clock,
-                ResourceVector(
-                    lut=25_000, ff=35_000, bram_36k=32,
-                    dsp=8 * len(op.aggs),
-                ),
+        return _spec(
+            "groupby", 16, row_nbytes, clock,
+            ResourceVector(
+                lut=25_000, ff=35_000, bram_36k=32, dsp=8 * len(op.aggs),
             ),
-            fn=_aggregating_fn(op),
-            estimated_gain=0.0,
         )
     raise TypeError(f"unknown operator {type(op).__name__}")
 
@@ -184,36 +92,7 @@ def plan_kernels(
     plan: QueryPlan,
     row_nbytes: int,
     clock: ClockDomain = FABRIC_300MHZ,
-    estimated_selectivity: float = 1.0,
-) -> list[OperatorKernel]:
+) -> list[KernelSpec]:
     """Synthesize every operator of a plan."""
-    return [
-        make_operator_kernel(op, row_nbytes, clock, estimated_selectivity)
-        for op in plan.operators
-    ]
-
-
-def make_table_bursts(table: Table, burst_rows: int) -> list[Burst]:
-    """Slice a table into row bursts with a ``last`` flag on the final one.
-
-    An empty table still yields one empty last burst so that stateful
-    aggregation kernels terminate.
-    """
-    if burst_rows < 1:
-        raise ValueError("burst_rows must be >= 1")
-    n = table.n_rows
-    bounds = list(range(0, n, burst_rows)) or [0]
-    bursts = []
-    for start in bounds:
-        stop = min(start + burst_rows, n)
-        slice_table = Table(
-            {name: table.column(name)[start:stop] for name in table.column_names}
-        )
-        bursts.append(
-            Burst(
-                payload=slice_table,
-                count=slice_table.n_rows,
-                meta={"last": stop >= n},
-            )
-        )
-    return bursts
+    return [make_operator_kernel(op, row_nbytes, clock)
+            for op in plan.operators]

@@ -6,8 +6,8 @@ recommendation inference (MLSys'21), Farview memory offload — are all
 suite runs them as offline swept batches.  This package drives the
 simulated accelerators under live traffic instead:
 
-* :mod:`repro.serve.traffic` — open-loop (Poisson / bursty) and
-  closed-loop load generators with Zipf-skewed tenants, reusing the
+* :mod:`repro.serve.traffic` — an open-loop (Poisson / bursty) load
+  generator with Zipf-skewed tenants, reusing the
   :mod:`repro.workloads` samplers;
 * :mod:`repro.serve.backend` — one :class:`Backend` protocol in front
   of the FANNS, MicroRec, and Farview performance models (plus a
@@ -42,12 +42,7 @@ from .backend import (
 )
 from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .service import ServiceConfig, ServiceReport, simulate_service
-from .traffic import (
-    ClosedLoopConfig,
-    OpenLoopConfig,
-    Request,
-    generate_requests,
-)
+from .traffic import OpenLoopConfig, Request, generate_requests
 
 __all__ = [
     "AdmissionController",
@@ -56,7 +51,6 @@ __all__ = [
     "Backend",
     "Batch",
     "BatchPolicy",
-    "ClosedLoopConfig",
     "DynamicBatcher",
     "FannsBackend",
     "FarviewBackend",

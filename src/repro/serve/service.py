@@ -4,8 +4,7 @@ replicated backend instances.
 :func:`simulate_service` runs one serving session in the discrete-event
 engine and returns a :class:`ServiceReport`:
 
-* an **arrival process** replays a pre-drawn open-loop schedule (or
-  closed-loop clients issue/wait/think);
+* an **arrival process** replays a pre-drawn open-loop schedule;
 * each arrival passes the :class:`~repro.serve.admission
   .AdmissionController` — shed requests are accounted, not queued;
 * the :class:`~repro.serve.batcher.DynamicBatcher` forms batches into a
@@ -34,7 +33,7 @@ report asserts that every request was accounted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -42,7 +41,6 @@ import numpy as np
 from ..core.sim import Interrupt, Simulator
 from ..core.stream import Stream
 from ..obs.metrics import MetricsRegistry
-from ..workloads import ZipfSampler
 from .admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -51,12 +49,7 @@ from .admission import (
 )
 from .backend import Backend
 from .batcher import BatchPolicy, DynamicBatcher
-from .traffic import (
-    ClosedLoopConfig,
-    OpenLoopConfig,
-    Request,
-    generate_requests,
-)
+from .traffic import OpenLoopConfig, Request, generate_requests
 
 __all__ = ["ServiceConfig", "ServiceReport", "simulate_service"]
 
@@ -165,7 +158,6 @@ class _OnlineService:
         self._in_slo = 0
         self._failed = 0
         self._last_done_ps = 0
-        self._waiters: dict[int, Any] = {}
         # Metrics instruments (no-ops when the registry is disabled).
         reg = self.registry
         self._m_latency = reg.histogram("serve.latency_ps",
@@ -262,7 +254,7 @@ class _OnlineService:
 
     # -- request accounting --------------------------------------------------
 
-    def offer(self, req: Request) -> bool:
+    def offer(self, req: Request) -> None:
         """Run admission for ``req``; queue it or account the shed."""
         admitted, _reason = self.admission.admit(req, self.replica_target)
         if admitted:
@@ -271,8 +263,6 @@ class _OnlineService:
         else:
             self._m_shed.inc()
             self._accounted += 1
-            self._wake(req.rid)
-        return admitted
 
     def _record_completion(self, req: Request) -> None:
         now = self.sim.now
@@ -284,19 +274,12 @@ class _OnlineService:
             self._in_slo += 1
         self._last_done_ps = max(self._last_done_ps, now)
         self._accounted += 1
-        self._wake(req.rid)
 
     def _record_failure(self, req: Request) -> None:
         self._failed += 1
         self._m_failed.inc()
         self._last_done_ps = max(self._last_done_ps, self.sim.now)
         self._accounted += 1
-        self._wake(req.rid)
-
-    def _wake(self, rid: int) -> None:
-        waiter = self._waiters.pop(rid, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed()
 
     # -- report --------------------------------------------------------------
 
@@ -351,39 +334,9 @@ def _open_loop_arrivals(service: _OnlineService, requests: list[Request]):
     service.batcher.close()
 
 
-def _closed_loop_client(
-    service: _OnlineService,
-    cfg: ClosedLoopConfig,
-    cid: int,
-    tenants: np.ndarray,
-    done: list[int],
-):
-    sim = service.sim
-    prio = frozenset(cfg.priority_tenants)
-    for j in range(cfg.requests_per_client):
-        rid = cid * cfg.requests_per_client + j
-        tenant = int(tenants[j])
-        req = Request(
-            rid=rid,
-            tenant=tenant,
-            arrival_ps=sim.now,
-            deadline_ps=sim.now + cfg.slo_ps,
-            priority=tenant in prio,
-        )
-        waiter = sim.event()
-        service._waiters[rid] = waiter
-        if service.offer(req):
-            yield waiter
-        if cfg.think_ps:
-            yield sim.timeout(cfg.think_ps)
-    done[0] += 1
-    if done[0] == cfg.n_clients:
-        service.batcher.close()
-
-
 def simulate_service(
     backend: Backend,
-    traffic: OpenLoopConfig | ClosedLoopConfig,
+    traffic: OpenLoopConfig,
     config: ServiceConfig,
     seed: int = 0,
     plan=None,
@@ -398,25 +351,9 @@ def simulate_service(
         plan=plan,
         registry=registry,
     )
-    if isinstance(traffic, OpenLoopConfig):
-        requests = generate_requests(traffic, seed)
-        sim.spawn(
-            _open_loop_arrivals(service, requests),
-            name=f"serve.{backend.name}.arrivals",
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        tenants = ZipfSampler(
-            traffic.n_tenants, traffic.tenant_skew, rng
-        ).sample(traffic.n_requests).reshape(
-            traffic.n_clients, traffic.requests_per_client
-        )
-        done = [0]
-        for cid in range(traffic.n_clients):
-            sim.spawn(
-                _closed_loop_client(service, traffic, cid, tenants[cid],
-                                    done),
-                name=f"serve.{backend.name}.client{cid}",
-            )
+    sim.spawn(
+        _open_loop_arrivals(service, generate_requests(traffic, seed)),
+        name=f"serve.{backend.name}.arrivals",
+    )
     sim.run()
     return service.report(traffic.n_requests)

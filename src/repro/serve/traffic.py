@@ -1,11 +1,11 @@
-"""Load generators: open-loop arrivals and closed-loop clients.
+"""Load generator: open-loop arrivals.
 
 Open-loop traffic is the serving-systems default: requests arrive on
 their own schedule whether or not the service keeps up, which is what
-exposes a saturation knee (a closed-loop client politely waits, hiding
-overload).  Arrivals are **pre-drawn** from a seeded generator, so a
-traffic config + seed pins the byte-exact schedule — the property the
-e24 determinism tests rely on.
+exposes a saturation knee (a closed-loop client would politely wait,
+hiding overload).  Arrivals are **pre-drawn** from a seeded generator,
+so a traffic config + seed pins the byte-exact schedule — the property
+the e24 determinism tests rely on.
 
 Two arrival shapes:
 
@@ -29,12 +29,7 @@ import numpy as np
 
 from ..workloads import ZipfSampler
 
-__all__ = [
-    "ClosedLoopConfig",
-    "OpenLoopConfig",
-    "Request",
-    "generate_requests",
-]
+__all__ = ["OpenLoopConfig", "Request", "generate_requests"]
 
 _PS_PER_S = 1_000_000_000_000
 
@@ -94,38 +89,6 @@ class OpenLoopConfig:
             raise ValueError("burst_factor must be >= 1.0")
         if self.burst_len < 1:
             raise ValueError("burst_len must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClosedLoopConfig:
-    """Closed-loop clients: each waits for its reply, thinks, reissues.
-
-    ``n_clients * requests_per_client`` requests total; the offered
-    rate self-limits to the service's completion rate, so closed-loop
-    runs measure capacity rather than overload behaviour.
-    """
-
-    n_clients: int
-    requests_per_client: int
-    think_ps: int
-    slo_ps: int
-    n_tenants: int = 8
-    tenant_skew: float = 1.1
-    priority_tenants: tuple[int, ...] = (0,)
-
-    def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.requests_per_client < 1:
-            raise ValueError("requests_per_client must be >= 1")
-        if self.think_ps < 0:
-            raise ValueError("think_ps must be >= 0")
-        if self.slo_ps < 1:
-            raise ValueError("slo_ps must be >= 1")
-
-    @property
-    def n_requests(self) -> int:
-        return self.n_clients * self.requests_per_client
 
 
 def _gaps_ps(cfg: OpenLoopConfig, rng: np.random.Generator) -> np.ndarray:

@@ -30,14 +30,6 @@ def test_broadcast_functional_and_timed():
     assert out.time_s > 0
 
 
-def test_tree_broadcast_beats_flat_on_large_clusters():
-    cluster = FpgaCluster(16)
-    buffers = _buffers(16, n=1 << 18)
-    tree = cluster.broadcast(buffers, algorithm="tree")
-    flat = cluster.broadcast(buffers, algorithm="flat")
-    assert tree.time_s < flat.time_s
-
-
 def test_allreduce_fpga_functional():
     cluster = FpgaCluster(4)
     buffers = _buffers(4, n=64)
@@ -80,27 +72,11 @@ def test_ring_vs_tree_crossover():
     )
 
 
-def test_scatter_gather_roundtrip():
-    cluster = FpgaCluster(4)
-    buffers = _buffers(4, n=16, seed=1)
-    scattered = cluster.scatter(buffers, root=0)
-    gathered = cluster.gather(scattered.buffers, root=0)
-    assert np.array_equal(gathered.buffers[0], buffers[0])
-    assert scattered.time_s > 0 and gathered.time_s > 0
-
-
 def test_allgather_timed():
     cluster = FpgaCluster(4)
     out = cluster.allgather(_buffers(4, n=8))
     assert out.time_s > 0
     assert all(len(b) == 32 for b in out.buffers)
-
-
-def test_reduce_root_receives_sum():
-    cluster = FpgaCluster(6)
-    buffers = _buffers(6, n=32, seed=2)
-    out = cluster.reduce(buffers, root=5)
-    assert np.allclose(out.buffers[5], np.sum(buffers, axis=0))
 
 
 def test_single_node_collectives_are_free():
@@ -124,12 +100,3 @@ def test_ring_allreduce_time_roughly_constant_in_cluster_size():
     t4 = FpgaCluster(4).allreduce_time_s(nbytes)
     t16 = FpgaCluster(16).allreduce_time_s(nbytes)
     assert t16 < 2.5 * t4
-
-
-def test_recursive_doubling_on_cluster_beats_tree_for_small_messages():
-    cluster = FpgaCluster(16)
-    buffers = _buffers(16, n=64)
-    rd = cluster.allreduce(buffers, algorithm="recursive-doubling")
-    tree = cluster.allreduce(buffers, algorithm="tree")
-    assert np.allclose(rd.buffers[0], tree.buffers[0])
-    assert rd.time_s < tree.time_s

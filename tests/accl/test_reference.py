@@ -15,14 +15,10 @@ from repro.accl.cluster import FpgaCluster, HostStagedCluster
 from repro.accl.collectives import (
     CollectiveOutcome,
     allgather_ring,
-    allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_tree,
-    broadcast_flat,
     broadcast_tree,
     gather_flat,
-    reduce_tree,
-    scatter_flat,
 )
 from repro.exec.experiments.accl import (
     _E10_NODES,
@@ -79,26 +75,6 @@ def _reference_broadcast_tree(buffers: list[np.ndarray], root: int = 0) -> Colle
     return CollectiveOutcome(buffers=out, steps=steps)
 
 
-def _reference_broadcast_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
-    """Flat broadcast: the root sends to every other node in one "step".
-
-    All ``P-1`` messages leave the same port, so the fabric serialises
-    them — the schedule that makes tree broadcast worth having.
-    """
-    p = len(buffers)
-    _reference_check_buffers(buffers)
-    _reference_check_root(root, p)
-    out = [b.copy() for b in buffers]
-    nbytes = out[root].nbytes
-    step = []
-    for dst in range(p):
-        if dst == root:
-            continue
-        step.append((root, dst, nbytes))
-        out[dst] = out[root].copy()
-    return CollectiveOutcome(buffers=out, steps=[step] if step else [])
-
-
 def _reference_reduce_tree(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
     """Binomial-tree sum-reduction into the root's buffer."""
     p = len(buffers)
@@ -129,29 +105,6 @@ def _reference_reduce_tree(buffers: list[np.ndarray], root: int = 0) -> Collecti
     return CollectiveOutcome(
         buffers=out, steps=steps, reduction_bytes_per_step=reduction_bytes
     )
-
-
-def _reference_scatter_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
-    """Root scatters equal chunks of its buffer to all nodes.
-
-    Node ``i`` ends with chunk ``i``; buffer sizes must divide evenly.
-    """
-    p = len(buffers)
-    length = _reference_check_buffers(buffers)
-    _reference_check_root(root, p)
-    if length % p:
-        raise ValueError(f"buffer size {length} not divisible by {p} nodes")
-    chunk = length // p
-    source = buffers[root]
-    out: list[np.ndarray] = []
-    step = []
-    chunk_bytes = source[:chunk].nbytes
-    for node in range(p):
-        piece = source[node * chunk:(node + 1) * chunk].copy()
-        out.append(piece)
-        if node != root:
-            step.append((root, node, chunk_bytes))
-    return CollectiveOutcome(buffers=out, steps=[step] if step else [])
 
 
 def _reference_gather_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
@@ -245,43 +198,6 @@ def _reference_allreduce_ring(buffers: list[np.ndarray]) -> CollectiveOutcome:
     )
 
 
-def _reference_allreduce_recursive_doubling(
-    buffers: list[np.ndarray],
-) -> CollectiveOutcome:
-    """Recursive-doubling allreduce: ``log2 P`` full-exchange steps.
-
-    In step ``k`` every node exchanges its full partial sum with the
-    partner at XOR distance ``2^k`` and adds — the latency-optimal
-    schedule (half the tree's step count).  Requires a power-of-two
-    node count.
-    """
-    p = len(buffers)
-    _reference_check_buffers(buffers)
-    if p & (p - 1):
-        raise ValueError(
-            f"recursive doubling needs a power-of-two node count, got {p}"
-        )
-    work = [b.astype(np.float64).copy() for b in buffers]
-    nbytes = buffers[0].nbytes
-    steps: list[list[tuple[int, int, int]]] = []
-    reduction_bytes: list[int] = []
-    distance = 1
-    while distance < p:
-        step: list[tuple[int, int, int]] = []
-        snapshots = [w.copy() for w in work]
-        for node in range(p):
-            partner = node ^ distance
-            step.append((node, partner, nbytes))
-        for node in range(p):
-            work[node] = work[node] + snapshots[node ^ distance]
-        steps.append(step)
-        reduction_bytes.append(p * nbytes)
-        distance *= 2
-    return CollectiveOutcome(
-        buffers=work, steps=steps, reduction_bytes_per_step=reduction_bytes
-    )
-
-
 def _reference_allreduce_tree(buffers: list[np.ndarray]) -> CollectiveOutcome:
     """Tree allreduce: binomial reduce to node 0, then tree broadcast.
 
@@ -301,16 +217,12 @@ def _reference_allreduce_tree(buffers: list[np.ndarray]) -> CollectiveOutcome:
 
 _ROOTED = (
     (broadcast_tree, _reference_broadcast_tree),
-    (broadcast_flat, _reference_broadcast_flat),
-    (reduce_tree, _reference_reduce_tree),
-    (scatter_flat, _reference_scatter_flat),
     (gather_flat, _reference_gather_flat),
 )
 _UNROOTED = (
     (allgather_ring, _reference_allgather_ring),
     (allreduce_ring, _reference_allreduce_ring),
     (allreduce_tree, _reference_allreduce_tree),
-    (allreduce_recursive_doubling, _reference_allreduce_recursive_doubling),
 )
 
 
@@ -407,9 +319,7 @@ def test_e10_and_e11_cells_draw_no_buffers():
         assert _peak_bytes(e11_cell, config) < 1_000_000
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["ring", "tree", "recursive-doubling"]
-)
+@pytest.mark.parametrize("algorithm", ["ring", "tree"])
 def test_float32_allreduce_priced_from_payload_bytes(algorithm):
     cluster = FpgaCluster(4)
     x = np.ones(8, np.float32)
@@ -426,8 +336,7 @@ def test_float32_tree_broadcasts_the_payload_size():
 
 @pytest.mark.parametrize(
     "collective",
-    [broadcast_tree, broadcast_flat, allgather_ring, allreduce_ring,
-     allreduce_tree, allreduce_recursive_doubling],
+    [broadcast_tree, allgather_ring, allreduce_ring, allreduce_tree],
 )
 def test_shared_results_are_read_only(collective):
     out = collective(_buffers(4, 8, np.float64, seed=1))

@@ -21,11 +21,7 @@ from repro.core import (
     Stream,
 )
 from repro.core import fastpath
-from repro.core.fastpath import (
-    analytic_pipeline_estimate,
-    set_fast_forward,
-    try_fast_forward,
-)
+from repro.core.fastpath import set_fast_forward, try_fast_forward
 
 
 @pytest.fixture(autouse=True)
@@ -265,26 +261,3 @@ def test_burst_type_error_still_raised():
 def test_try_fast_forward_requires_components():
     sim = Simulator()
     assert not try_fast_forward(sim)
-
-
-# -- the analytic estimator ------------------------------------------------
-
-
-def test_analytic_pipeline_estimate_matches_simulation():
-    specs = [
-        KernelSpec(name="a", ii=1, depth=4),
-        KernelSpec(name="b", ii=2, depth=6),
-    ]
-    n = 500
-    sim = Simulator()
-    streams, kernels, sink = _build_item_chain(
-        sim, n, [(1, 4), (2, 6)], stream_depth=64
-    )
-    sim.run()
-    estimate = analytic_pipeline_estimate(specs, n)
-    # The estimate ignores finite FIFO depths; with deep streams it
-    # must land within one bottleneck period of the simulated time.
-    bottleneck_ps = max(
-        s.clock.cycles_to_ps(s.ii) for s in specs
-    )
-    assert abs(sink.done_at_ps - estimate) <= 2 * bottleneck_ps

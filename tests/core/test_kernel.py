@@ -37,16 +37,6 @@ def test_throughput_scales_with_unroll_and_ii():
     )
 
 
-def test_replicate_scales_unroll_and_resources():
-    from repro.core.device import ResourceVector
-
-    spec = KernelSpec("k", ii=1, depth=2, resources=ResourceVector(lut=100, dsp=2))
-    rep = spec.replicate(4)
-    assert rep.unroll == 4
-    assert rep.resources.lut == 400
-    assert rep.resources.dsp == 8
-
-
 def test_invalid_spec_parameters_rejected():
     with pytest.raises(ValueError):
         KernelSpec("k", ii=0)
@@ -54,8 +44,6 @@ def test_invalid_spec_parameters_rejected():
         KernelSpec("k", depth=0)
     with pytest.raises(ValueError):
         KernelSpec("k", unroll=0)
-    with pytest.raises(ValueError):
-        KernelSpec("k").replicate(0)
 
 
 def _run_burst_chain(specs, bursts, fn=None):

@@ -32,13 +32,6 @@ def test_sharded_search_matches_single_node_for_every_shard_count():
             assert np.array_equal(sharded, single), (n_nodes, nprobe)
 
 
-def test_shards_cover_all_lists():
-    dist = DistributedFanns(_INDEX, n_nodes=5)
-    counts = dist.shard_list_counts()
-    assert sum(counts) == _INDEX.nlist
-    assert max(counts) - min(counts) <= 1  # round-robin balance
-
-
 def test_throughput_scales_with_nodes():
     single = DistributedFanns(_INDEX, n_nodes=1, list_scale=1000)
     quad = DistributedFanns(_INDEX, n_nodes=4, list_scale=1000)

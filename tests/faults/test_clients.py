@@ -1,4 +1,4 @@
-"""Fault-aware client layers: Farview queries and KV batches."""
+"""Fault-aware client layer: Farview queries."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.farview.client import FarviewClient
 from repro.farview.server import FarviewServer
 from repro.faults import DeadlineExceeded, FaultPlan, RetryPolicy
-from repro.kvstore.hashtable import HashTable
-from repro.kvstore.server import SmartNicKvServer
 from repro.relational.expressions import col
 from repro.relational.operators import Filter, Project, QueryPlan
 from repro.relational.table import Table
@@ -100,73 +98,3 @@ def test_tight_deadline_raises():
         client.query_offload(
             _plan(), "t", faults=FaultPlan(seed=0), deadline_s=1e-12
         )
-
-
-# -- kvstore ---------------------------------------------------------------
-
-
-def _kv_ops(n=200, seed=0):
-    rng = np.random.default_rng(seed)
-    ops = []
-    for i in range(n):
-        key = int(rng.integers(0, 100))
-        if i % 3 == 0:
-            ops.append(("put", key, int(rng.integers(0, 1000))))
-        else:
-            ops.append(("get", key, 0))
-    return ops
-
-
-def test_kv_clean_plan_matches_base_timing():
-    ops = _kv_ops()
-    # Serving is stateful (puts mutate the table), so compare against a
-    # fresh server running the same batch.
-    out = SmartNicKvServer(HashTable(1024, 8)).serve_with_faults(
-        ops, FaultPlan(seed=0)
-    )
-    assert out.base.values == SmartNicKvServer(HashTable(1024, 8)).serve(ops).values
-    assert out.retries == 0 and out.deadline_misses == 0
-    assert out.p50_s == pytest.approx(out.base.op_latency_s)
-    assert out.goodput_ops_per_sec == pytest.approx(out.base.ops_per_sec)
-
-
-def test_kv_drops_raise_tail_latency_and_cut_goodput():
-    server = SmartNicKvServer(HashTable(1024, 8))
-    ops = _kv_ops()
-    policy = RetryPolicy(max_attempts=4, timeout_ps=20_000_000, jitter=0.0)
-    clean = server.serve_with_faults(ops, FaultPlan(seed=3), retry=policy)
-    faulty = server.serve_with_faults(
-        ops, FaultPlan(seed=3, drop_rate=0.05), retry=policy
-    )
-    assert faulty.retries > 0
-    assert faulty.p99_s > clean.p99_s
-    assert faulty.goodput_ops_per_sec < clean.goodput_ops_per_sec
-    # The median op is still clean at a 5% drop rate.
-    assert faulty.p50_s == pytest.approx(clean.p50_s)
-
-
-def test_kv_certain_loss_censors_every_op():
-    server = SmartNicKvServer(HashTable(1024, 8))
-    ops = _kv_ops(50)
-    policy = RetryPolicy(max_attempts=2, timeout_ps=10_000_000, jitter=0.0)
-    deadline = 1e-3
-    out = server.serve_with_faults(
-        ops, FaultPlan(seed=0, drop_rate=1.0), retry=policy,
-        deadline_s=deadline,
-    )
-    assert out.deadline_misses == len(ops)
-    assert out.goodput_ops_per_sec == 0.0
-    assert all(lat == deadline for lat in out.op_latencies_s)
-
-
-def test_kv_faulty_batch_is_deterministic():
-    server = SmartNicKvServer(HashTable(1024, 8))
-    ops = _kv_ops()
-
-    def run():
-        out = server.serve_with_faults(
-            ops, FaultPlan(seed=7, drop_rate=0.1, spike_rate=0.05)
-        )
-        return out.op_latencies_s, out.retries, out.deadline_misses
-
-    assert run() == run()

@@ -1,19 +1,10 @@
-"""FaultyLink / FaultyNodePort behavior under a forced plan."""
+"""FaultyLink behavior under a forced plan."""
 
 import pytest
 
 from repro.core import Simulator, WaitTimeout, with_timeout
-from repro.faults import (
-    FaultPlan,
-    FaultyLink,
-    FaultyNodePort,
-    NodeDown,
-    NodeOutage,
-    TransferDropped,
-)
-from repro.network.fabric import SwitchedFabric
+from repro.faults import FaultPlan, FaultyLink, TransferDropped
 from repro.network.link import ethernet_100g
-from repro.network.protocol import fpga_tcp
 
 
 def test_clean_plan_behaves_like_a_plain_link():
@@ -93,41 +84,3 @@ def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         FaultyLink(sim, ethernet_100g(), FaultPlan(), mode="chaotic")
 
-
-def test_node_port_outage_drops_sends():
-    sim = Simulator()
-    fabric = SwitchedFabric(fpga_tcp(), n_nodes=4)
-    plan = FaultPlan(outages=(NodeOutage(node=2, down_at_ps=0),))
-    port = FaultyNodePort(sim, fabric, node=0, plan=plan, mode="error")
-    outcomes = []
-
-    def proc():
-        try:
-            yield port.send(2, 1024)  # destination is down
-        except NodeDown as exc:
-            outcomes.append(("down", exc.node))
-        value = yield port.send(1, 1024)  # healthy destination
-        outcomes.append(("ok", value))
-
-    sim.spawn(proc())
-    sim.run()
-    assert outcomes == [("down", 2), ("ok", 1024)]
-    assert port.drops == 1
-
-
-def test_node_port_sender_outage():
-    sim = Simulator()
-    fabric = SwitchedFabric(fpga_tcp(), n_nodes=4)
-    plan = FaultPlan(outages=(NodeOutage(node=0, down_at_ps=0),))
-    port = FaultyNodePort(sim, fabric, node=0, plan=plan, mode="error")
-    outcomes = []
-
-    def proc():
-        try:
-            yield port.send(1, 1024)
-        except NodeDown as exc:
-            outcomes.append(exc.node)
-
-    sim.spawn(proc())
-    sim.run()
-    assert outcomes == [0]

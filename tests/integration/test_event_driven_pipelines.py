@@ -1,20 +1,16 @@
 """Integration: functional pipelines running live in the event engine.
 
-These tests wire several subsystems together — topology helpers,
-kernels, memory ports, and the use-case algorithms — and check both
-functional equality with the direct numpy paths and the expected
-timing behaviour.
+These tests wire several subsystems together — kernels, memory ports,
+and the use-case algorithms — and check both functional equality with
+the direct numpy paths and the expected timing behaviour.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     Burst,
     BurstKernel,
     KernelSpec,
-    Merge,
-    RoundRobinSplit,
     Simulator,
     Sink,
     Source,
@@ -24,20 +20,17 @@ from repro.fanns.pq import train_pq
 
 
 def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
-    """Distances of ``codes`` via an ADC PE array in the simulator."""
-    sim = Simulator()
-    source_stream = Stream(sim, 4, "codes")
-    lanes = [Stream(sim, 4, f"lane{i}") for i in range(n_pes)]
-    scored = [Stream(sim, 4, f"scored{i}") for i in range(n_pes)]
-    merged = Stream(sim, 4, "merged")
+    """Distances of ``codes`` via an ADC PE array in the simulator.
 
+    Code chunks are dealt round-robin over ``n_pes`` lanes, each a
+    source feeding one ADC kernel into its own sink.
+    """
+    sim = Simulator()
     chunk = 64
     bursts = []
     for start in range(0, len(codes), chunk):
         part = codes[start:start + chunk]
         bursts.append(Burst(payload=(start, part), count=len(part)))
-    Source(sim, source_stream, bursts)
-    RoundRobinSplit(sim, source_stream, lanes)
 
     spec = KernelSpec("adc-pe", ii=1, depth=12)
 
@@ -46,16 +39,20 @@ def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
         dists = pq.adc_distances(table, part)
         return Burst(payload=(start, dists), count=len(part))
 
-    for lane, out in zip(lanes, scored):
-        BurstKernel(sim, spec, score, lane, out)
-    Merge(sim, scored, merged)
-    sink = Sink(sim, merged)
+    sinks = []
+    for lane in range(n_pes):
+        inp = Stream(sim, 4, f"lane{lane}")
+        out = Stream(sim, 4, f"scored{lane}")
+        Source(sim, inp, bursts[lane::n_pes])
+        BurstKernel(sim, spec, score, inp, out)
+        sinks.append(Sink(sim, out))
     sim.run()
 
     result = np.empty(len(codes), dtype=np.float32)
-    for start, dists in sink.payloads:
-        result[start:start + len(dists)] = dists
-    return result, sink.done_at_ps
+    for sink in sinks:
+        for start, dists in sink.payloads:
+            result[start:start + len(dists)] = dists
+    return result, max(sink.done_at_ps for sink in sinks)
 
 
 def test_adc_pe_array_matches_direct_adc_and_scales():
@@ -75,9 +72,8 @@ def test_adc_pe_array_matches_direct_adc_and_scales():
 
 
 def test_offload_four_way_agreement():
-    """CPU engine == offload execution == burst-kernel pipeline ==
-    fetch-side execution, on one query."""
-    from repro.core.kernel import Sink as KSink
+    """CPU engine == offload execution == fetch-side execution, on one
+    query."""
     from repro.farview import FarviewClient, FarviewServer
     from repro.relational import (
         Filter,
@@ -86,8 +82,6 @@ def test_offload_four_way_agreement():
         Table,
         col,
         execute,
-        make_table_bursts,
-        plan_kernels,
     )
     from repro.workloads import uniform_table
 
@@ -103,20 +97,6 @@ def test_offload_four_way_agreement():
     client = FarviewClient(server)
     assert client.query_offload(plan, "t").result.equals(reference)
     assert client.query_fetch(plan, "t").result.equals(reference)
-
-    sim = Simulator()
-    kernels = plan_kernels(plan, table.schema.row_nbytes)
-    streams = [Stream(sim, 4) for _ in range(len(kernels) + 1)]
-    Source(sim, streams[0], make_table_bursts(table, 512))
-    for ok, inp, out in zip(kernels, streams[:-1], streams[1:]):
-        BurstKernel(sim, ok.spec, ok.fn, inp, out)
-    sink = KSink(sim, streams[-1])
-    sim.run()
-    merged = Table({
-        name: np.concatenate([t.column(name) for t in sink.payloads])
-        for name in sink.payloads[0].column_names
-    })
-    assert merged.equals(reference)
 
 
 def test_distributed_distinct_count_with_sketch_merge():

@@ -10,7 +10,6 @@ ablation E1 does for a single kernel.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -101,9 +100,3 @@ def test_event_pipeline_throughput_matches_bottleneck():
     assert simulated_total == pytest.approx(expected, rel=0.2)
     assert sink.items > 0
 
-
-def test_functional_results_unaffected_by_timing_model():
-    accel = FannsAccelerator(_INDEX.shape, _CONFIG)
-    out = accel.search(_INDEX, _DS.queries, k=5, nprobe=_NPROBE)
-    want = _INDEX.search(_DS.queries, 5, _NPROBE)
-    assert np.array_equal(out.ids, want)

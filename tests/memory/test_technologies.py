@@ -4,24 +4,16 @@ These tests pin the *ordering relations* the use-case arguments depend
 on, not exact datasheet values.
 """
 
-import pytest
-
 from repro.memory.model import AccessPattern
 from repro.memory.technologies import (
-    bram,
     ddr4_channel,
     hbm2_channel,
     host_over_pcie3,
-    host_over_pcie4,
-    uram,
 )
 
 
 def test_latency_hierarchy_sram_hbm_host():
-    assert bram().latency_ps < hbm2_channel().latency_ps
     assert hbm2_channel().latency_ps < host_over_pcie3().latency_ps
-    # SRAM is ~single cycle; PCIe is ~microsecond: 2+ orders apart.
-    assert host_over_pcie3().latency_ps / bram().latency_ps > 100
 
 
 def test_aggregate_hbm_bandwidth_beats_ddr_and_pcie():
@@ -44,24 +36,3 @@ def test_random_access_penalties():
         assert m.effective_bandwidth(AccessPattern.RANDOM) < m.effective_bandwidth(
             AccessPattern.SEQUENTIAL
         )
-    # SRAM has no random penalty.
-    assert bram().random_efficiency == 1.0
-
-
-def test_uram_denser_but_slower_than_bram():
-    assert uram().capacity_bytes > bram().capacity_bytes
-    assert uram().latency_ps > bram().latency_ps
-
-
-def test_pcie4_doubles_pcie3():
-    assert host_over_pcie4().bandwidth_bytes_per_sec == pytest.approx(
-        2 * host_over_pcie3().bandwidth_bytes_per_sec
-    )
-
-
-def test_embedding_lookup_cost_sram_vs_hbm():
-    """The MicroRec premise: with a wide (512-bit) port, a 64 B embedding
-    read takes ~2 cycles from SRAM but >100 ns from HBM."""
-    sram_t = bram(width_bytes=64).random_access_time_ps(64)
-    hbm_t = hbm2_channel().random_access_time_ps(64)
-    assert hbm_t > 10 * sram_t

@@ -1,9 +1,8 @@
-"""Unit tests for the switched fabric and node ports."""
+"""Unit tests for the switched fabric."""
 
 import pytest
 
-from repro.core.sim import Simulator
-from repro.network.fabric import NodePort, SwitchedFabric
+from repro.network.fabric import SwitchedFabric
 from repro.network.protocol import fpga_rdma
 
 
@@ -67,25 +66,3 @@ def test_invalid_fabric():
     with pytest.raises(ValueError):
         SwitchedFabric(fpga_rdma(), n_nodes=2, switch_latency_ps=-1)
 
-
-def test_node_port_serialises_sends():
-    sim = Simulator()
-    fab = _fabric()
-    port = NodePort(sim, fab, node=0)
-    arrivals = []
-
-    def sender(sim, port):
-        ev1 = port.send(1, 1 << 20)
-        ev2 = port.send(2, 1 << 20)
-        t1 = yield ev1
-        arrivals.append(sim.now)
-        yield ev2
-        arrivals.append(sim.now)
-
-    sim.spawn(sender(sim, port))
-    sim.run()
-    serialization = fab.protocol.link.serialization_ps(1 << 20)
-    # Second message leaves one serialization later than the first.
-    assert arrivals[1] - arrivals[0] == serialization
-    assert port.messages_sent == 2
-    assert port.bytes_sent == 2 << 20

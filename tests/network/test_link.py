@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.link import LinkModel, ethernet_10g, ethernet_100g
+from repro.network.link import LinkModel, ethernet_100g
 
 
 def test_bandwidth_conversion():
@@ -41,12 +41,6 @@ def test_goodput_approaches_line_rate_for_large_messages():
     assert small < large
     assert large == pytest.approx(link.bandwidth_bytes_per_sec, rel=0.05)
     assert link.goodput_bytes_per_sec(0) == 0.0
-
-
-def test_100g_is_10x_10g():
-    big = ethernet_100g().serialization_ps(1_000_000)
-    small = ethernet_10g().serialization_ps(1_000_000)
-    assert small == pytest.approx(10 * big, rel=0.01)
 
 
 def test_invalid_link_parameters():

@@ -1,11 +1,10 @@
-"""Unit tests for Count-Min and AGMS sketches."""
+"""Unit tests for the Count-Min sketch."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import xeon_server
 from repro.operators.sketches import (
-    AgmsSketch,
     CountMinSketch,
     cpu_update_time_s,
     sketch_kernel_spec,
@@ -66,33 +65,6 @@ def test_cm_validation_and_empty():
     cm = CountMinSketch(16, 2)
     cm.add(np.array([], dtype=np.int64))
     assert cm.total == 0
-
-
-def test_agms_estimates_f2():
-    stream = _zipf_stream(n=50_000, universe=1_000, s=1.0, seed=6)
-    counts = np.bincount(stream, minlength=1_000)
-    true_f2 = float((counts.astype(np.float64) ** 2).sum())
-    agms = AgmsSketch(n_estimators=256)
-    agms.add(stream)
-    est = agms.estimate_f2()
-    assert abs(est - true_f2) / true_f2 < 0.5
-
-
-def test_agms_merge_linear():
-    a_vals, b_vals = _zipf_stream(seed=7), _zipf_stream(seed=8)
-    a, b, both = (AgmsSketch(64) for _ in range(3))
-    a.add(a_vals)
-    b.add(b_vals)
-    both.add(a_vals)
-    both.add(b_vals)
-    assert np.array_equal(a.merge(b).sums, both.sums)
-    with pytest.raises(ValueError):
-        a.merge(AgmsSketch(32))
-
-
-def test_agms_validation():
-    with pytest.raises(ValueError):
-        AgmsSketch(0)
 
 
 def test_kernel_spec_line_rate_and_resources():

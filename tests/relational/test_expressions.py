@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.relational.expressions import BinOp, and_, col, lit, not_, or_
+from repro.relational.expressions import BinOp, col, lit
 from repro.relational.table import Table
 
 
@@ -49,25 +49,12 @@ def test_boolean_connectives():
     assert np.array_equal(negated, [True, True, False, False])
 
 
-def test_variadic_helpers():
-    t = _table()
-    e = and_(col("a") > 0, col("a") < 4, col("b") > 1.0)
-    assert np.array_equal(e.evaluate(t), [True, True, True, False])
-    e2 = or_(col("a") == 1, col("a") == 4)
-    assert np.array_equal(e2.evaluate(t), [True, False, False, True])
-    assert np.array_equal(not_(col("a") > 2).evaluate(t), [True, True, False, False])
-    with pytest.raises(ValueError):
-        and_()
-    with pytest.raises(ValueError):
-        or_()
-
-
 def test_op_count_and_columns_used():
     expr = (col("a") > 1) & (col("b") < lit(2.0))
     assert expr.op_count() == 3
     assert expr.columns_used() == {"a", "b"}
     assert lit(5).op_count() == 0
-    assert not_(col("a") > 0).op_count() == 2
+    assert (~(col("a") > 0)).op_count() == 2
 
 
 def test_unsupported_operator_rejected():

@@ -6,7 +6,6 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
-    ClosedLoopConfig,
     OpenLoopConfig,
     ServiceConfig,
     SyntheticBackend,
@@ -82,22 +81,6 @@ def test_larger_max_wait_grows_batches():
     )
     assert patient.mean_batch > eager.mean_batch
     assert patient.batches < eager.batches
-
-
-def test_closed_loop_self_limits_instead_of_shedding():
-    be = SyntheticBackend()
-    traffic = ClosedLoopConfig(
-        n_clients=8, requests_per_client=50,
-        think_ps=500_000, slo_ps=50_000_000,
-    )
-    report = simulate_service(
-        be, traffic, _service(be, replicas=1), seed=5
-    )
-    assert report.offered == 400
-    assert report.completed == 400
-    assert report.shed == 0, "closed-loop clients wait; nothing queues deep"
-    assert report.in_slo == 400
-    assert report.p99_us > 0
 
 
 def test_single_request_flushes_on_close_without_batch_wait():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve import ClosedLoopConfig, OpenLoopConfig, generate_requests
+from repro.serve import OpenLoopConfig, generate_requests
 
 _PS_PER_S = 1_000_000_000_000
 
@@ -71,15 +71,3 @@ def test_tenants_are_zipf_skewed_and_priority_flagged():
 def test_open_loop_validation(bad):
     with pytest.raises(ValueError):
         _cfg(**bad)
-
-
-def test_closed_loop_totals_and_validation():
-    cfg = ClosedLoopConfig(n_clients=4, requests_per_client=25,
-                           think_ps=1_000, slo_ps=1_000_000)
-    assert cfg.n_requests == 100
-    with pytest.raises(ValueError):
-        ClosedLoopConfig(n_clients=0, requests_per_client=1,
-                         think_ps=0, slo_ps=1)
-    with pytest.raises(ValueError):
-        ClosedLoopConfig(n_clients=1, requests_per_client=1,
-                         think_ps=-1, slo_ps=1)
