@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kmeans import kmeans
+from .kmeans import _nearest, kmeans
 from .pq import ProductQuantizer, train_pq
 
 __all__ = ["IVFPQIndex", "IndexShape", "SearchStats", "build_ivfpq"]
@@ -203,27 +203,20 @@ def build_ivfpq(
         sample = base[rng.choice(n, size=train_sample, replace=False)]
     coarse = kmeans(sample, nlist, seed=seed)
     centroids = coarse.centroids
-    # Assign all vectors to their nearest centroid.
-    c_sq = (centroids ** 2).sum(axis=1)
-    assign = np.empty(n, dtype=np.int64)
-    block = 8192
-    for start in range(0, n, block):
-        chunk = base[start:start + block]
-        d = c_sq[None, :] - 2.0 * (chunk @ centroids.T)
-        assign[start:start + len(chunk)] = d.argmin(axis=1)
+    # Assign all vectors to their nearest centroid; |p|^2 is the same
+    # for every centroid, so the ranking leaves it out.
+    c_sq = (centroids ** 2).sum(axis=1)[None, :]
+    assign = _nearest(base, lambda rows: c_sq - 2.0 * (rows @ centroids.T))[0]
     training = base - centroids[assign] if residual else base
     pq = train_pq(training, m=m, ksub=ksub, seed=seed)
     codes = pq.encode(training)
-    list_ids: list[np.ndarray] = []
-    list_codes: list[np.ndarray] = []
-    for list_id in range(nlist):
-        members = np.flatnonzero(assign == list_id)
-        list_ids.append(members.astype(np.int64))
-        list_codes.append(codes[members])
+    # A stable sort keeps each list's members in id order.
+    members = np.argsort(assign, kind="stable")
+    bounds = np.cumsum(np.bincount(assign, minlength=nlist))[:-1]
     return IVFPQIndex(
         centroids=centroids,
         pq=pq,
-        list_ids=tuple(list_ids),
-        list_codes=tuple(list_codes),
+        list_ids=tuple(np.split(members, bounds)),
+        list_codes=tuple(np.split(codes[members], bounds)),
         residual=residual,
     )

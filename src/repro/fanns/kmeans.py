@@ -6,21 +6,52 @@ sub-quantizers.  Deterministic given a seed; pure numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["KMeansResult", "kmeans", "kmeans_pp_init"]
 
+#: Rows per block of a nearest-centroid pass.  A block of 1,024 rows
+#: against 256 centroids is a 1 MiB distance matrix, which stays in
+#: cache; over (20000, 2) or (20000, 32) points and 256 centroids one
+#: pass takes 13-16 ms at 256-2,048 rows, against 23-27 ms unblocked
+#: and 22-26 ms at 8,192 rows (2-core Xeon, OpenBLAS 0.3.31).  It must
+#: stay a multiple of 16: for k = 1 BLAS runs a matrix-vector kernel
+#: over groups of 16 rows, and a block starting inside a group rounds
+#: its rows differently.
+_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Trained centroids plus diagnostics."""
+    """Trained centroids plus diagnostics.
+
+    ``assignments`` and ``inertia`` come from one more nearest-centroid
+    pass over the training points, run on the first read of either:
+    callers that keep only the centroids never pay for it.
+    """
 
     centroids: np.ndarray   # (k, dim) float32
-    assignments: np.ndarray  # (n,) int64 — final cluster of each point
-    inertia: float           # sum of squared distances to assigned centroid
     n_iterations: int
+    points: np.ndarray = field(repr=False)  # the training points
+
+    @cached_property
+    def _final_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        return _nearest(self.points,
+                        lambda rows: _squared_distances(rows, self.centroids))
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """(n,) int64: the final cluster of each point."""
+        return self._final_pass[0]
+
+    @property
+    def inertia(self) -> float:
+        """Sum of squared distances to the assigned centroid."""
+        return float(self._final_pass[1].sum())
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -32,6 +63,29 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     out = p_sq + c_sq
     out -= cross
     return np.maximum(out, 0.0, out=out)
+
+
+def _nearest(
+    points: np.ndarray, distances: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(argmin, min)`` over each row of ``distances(points)``, computed
+    :data:`_BLOCK_ROWS` rows at a time so the whole ``(n, k)`` matrix
+    never exists.
+
+    ``distances`` maps a block of rows to its distance matrix.  Blocks
+    start at multiples of ``_BLOCK_ROWS`` and the last one takes the
+    remainder: BLAS multiplies a sliver of a few rows with other kernels,
+    whose rounding differs from the same rows of one large product.
+    """
+    n = points.shape[0]
+    nearest, nearest_distance = [], []
+    for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS if start + 2 * _BLOCK_ROWS <= n else n
+        block = distances(points[start:stop])
+        columns = block.argmin(axis=1)
+        nearest.append(columns)
+        nearest_distance.append(block[np.arange(stop - start), columns])
+    return np.concatenate(nearest), np.concatenate(nearest_distance)
 
 
 def _squared_distances_to(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
@@ -107,6 +161,9 @@ def kmeans(
 
     Empty clusters are re-seeded from the points farthest from their
     centroid, so the result always has ``k`` non-degenerate centroids.
+    Each iteration assigns the points in row blocks (:func:`_nearest`)
+    and sums each cluster's points in float64, in point order.  The
+    result's ``assignments`` and ``inertia`` are computed on first read.
     """
     points = np.ascontiguousarray(points, dtype=np.float32)
     if points.ndim != 2:
@@ -114,33 +171,36 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centroids = kmeans_pp_init(points, k, rng)
     previous_inertia = np.inf
-    assignments = np.zeros(points.shape[0], dtype=np.int64)
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        distances = _squared_distances(points, centroids)
-        assignments = distances.argmin(axis=1)
-        inertia = float(distances[np.arange(len(points)), assignments].sum())
+        assignments, nearest_distance = _nearest(
+            points, lambda rows: _squared_distances(rows, centroids)
+        )
+        inertia = float(nearest_distance.sum())
         counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros_like(centroids, dtype=np.float64)
-        np.add.at(sums, assignments, points)
+        sums = _cluster_sums(points, assignments, k)
         non_empty = counts > 0
         centroids[non_empty] = (
             sums[non_empty] / counts[non_empty, None]
         ).astype(np.float32)
         for empty in np.flatnonzero(~non_empty):
-            farthest = int(
-                distances[np.arange(len(points)), assignments].argmax()
-            )
-            centroids[empty] = points[farthest]
+            centroids[empty] = points[int(nearest_distance.argmax())]
         if previous_inertia - inertia <= tolerance * max(previous_inertia, 1.0):
             break
         previous_inertia = inertia
-    distances = _squared_distances(points, centroids)
-    assignments = distances.argmin(axis=1)
-    inertia = float(distances[np.arange(len(points)), assignments].sum())
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        inertia=inertia,
-        n_iterations=iteration,
-    )
+    return KMeansResult(centroids=centroids, n_iterations=iteration,
+                        points=points)
+
+
+def _cluster_sums(points: np.ndarray, assignments: np.ndarray,
+                  k: int) -> np.ndarray:
+    """``(k, dim)`` float64 sums of each cluster's points.
+
+    One ``bincount`` per dimension adds the float64 values in point
+    order, as ``np.add.at(sums, assignments, points)`` does, and is
+    several times faster."""
+    sums = np.empty((k, points.shape[1]), dtype=np.float64)
+    for dim in range(points.shape[1]):
+        sums[:, dim] = np.bincount(assignments, weights=points[:, dim],
+                                   minlength=k)
+    return sums

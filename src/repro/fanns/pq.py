@@ -14,7 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .kmeans import _squared_distances_columns, _squared_distances_to, kmeans
+from .kmeans import (
+    _nearest,
+    _squared_distances_columns,
+    _squared_distances_to,
+    kmeans,
+)
 
 __all__ = ["ProductQuantizer", "train_pq"]
 
@@ -64,7 +69,12 @@ class ProductQuantizer:
             )
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
-        """Quantize ``(n, dim)`` vectors to ``(n, m)`` uint8 codes."""
+        """Quantize ``(n, dim)`` vectors to ``(n, m)`` uint8 codes.
+
+        Each subvector gets its nearest centroid under
+        ``|p|^2 - 2 p.c + |c|^2``, assigned in the row blocks of
+        :func:`~repro.fanns.kmeans._nearest`.
+        """
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self._check_dim(vectors)
         n = vectors.shape[0]
@@ -72,12 +82,12 @@ class ProductQuantizer:
         for sub in range(self.m):
             chunk = vectors[:, sub * self.dsub:(sub + 1) * self.dsub]
             cb = self.codebooks[sub]
-            d = (
-                (chunk ** 2).sum(axis=1)[:, None]
-                - 2.0 * chunk @ cb.T
-                + (cb ** 2).sum(axis=1)[None, :]
-            )
-            codes[:, sub] = d.argmin(axis=1)
+            cb_sq = (cb ** 2).sum(axis=1)[None, :]
+            codes[:, sub] = _nearest(chunk, lambda rows: (
+                (rows ** 2).sum(axis=1)[:, None]
+                - 2.0 * rows @ cb.T
+                + cb_sq
+            ))[0]
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.fanns.ivf import SearchStats, build_ivfpq
+from repro.fanns.kmeans import _squared_distances, kmeans_pp_init
 from repro.fanns.recall import recall_at_k
 from repro.workloads.vectors import clustered_dataset
 
@@ -226,3 +227,97 @@ def test_search_matches_reference_under_exact_ties():
     for nprobe in (1, 8, 16):
         for k in (10, 40):
             _assert_matches_reference(index, queries, k, nprobe)
+
+
+# -- the row-blocked build against the unblocked one it replaced -------------
+
+
+def _unblocked_kmeans(points, k, max_iterations=25, tolerance=1e-4, seed=0):
+    """Lloyd's loop as written before row blocking: one full distance
+    matrix per iteration and ``np.add.at`` sums; only the centroids."""
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    centroids = kmeans_pp_init(points, k, rng)
+    previous_inertia = np.inf
+    for _ in range(1, max_iterations + 1):
+        distances = _squared_distances(points, centroids)
+        assignments = distances.argmin(axis=1)
+        inertia = float(distances[np.arange(len(points)), assignments].sum())
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.zeros_like(centroids, dtype=np.float64)
+        np.add.at(sums, assignments, points)
+        non_empty = counts > 0
+        centroids[non_empty] = (
+            sums[non_empty] / counts[non_empty, None]
+        ).astype(np.float32)
+        for empty in np.flatnonzero(~non_empty):
+            farthest = int(
+                distances[np.arange(len(points)), assignments].argmax()
+            )
+            centroids[empty] = points[farthest]
+        if previous_inertia - inertia <= tolerance * max(previous_inertia, 1.0):
+            break
+        previous_inertia = inertia
+    return centroids
+
+
+def _unblocked_encode(codebooks, vectors):
+    m, _, dsub = codebooks.shape
+    codes = np.empty((vectors.shape[0], m), dtype=np.uint8)
+    for sub in range(m):
+        chunk = vectors[:, sub * dsub:(sub + 1) * dsub]
+        cb = codebooks[sub]
+        d = (
+            (chunk ** 2).sum(axis=1)[:, None]
+            - 2.0 * chunk @ cb.T
+            + (cb ** 2).sum(axis=1)[None, :]
+        )
+        codes[:, sub] = d.argmin(axis=1)
+    return codes
+
+
+def _unblocked_build(base, nlist, m, ksub, residual, seed):
+    """``(centroids, codebooks, list ids, list codes)`` as ``build_ivfpq``
+    built them before row blocking."""
+    base = np.ascontiguousarray(base, dtype=np.float32)
+    n = base.shape[0]
+    centroids = _unblocked_kmeans(base, nlist, seed=seed)
+    c_sq = (centroids ** 2).sum(axis=1)
+    assign = np.empty(n, dtype=np.int64)
+    block = 8192
+    for start in range(0, n, block):
+        chunk = base[start:start + block]
+        d = c_sq[None, :] - 2.0 * (chunk @ centroids.T)
+        assign[start:start + len(chunk)] = d.argmin(axis=1)
+    training = base - centroids[assign] if residual else base
+    dsub = training.shape[1] // m
+    codebooks = np.empty((m, ksub, dsub), dtype=np.float32)
+    for sub in range(m):
+        chunk = training[:, sub * dsub:(sub + 1) * dsub]
+        codebooks[sub] = _unblocked_kmeans(
+            chunk, ksub, max_iterations=15, seed=seed + sub
+        )
+    codes = _unblocked_encode(codebooks, training)
+    list_ids, list_codes = [], []
+    for list_id in range(nlist):
+        members = np.flatnonzero(assign == list_id)
+        list_ids.append(members.astype(np.int64))
+        list_codes.append(codes[members])
+    return centroids, codebooks, list_ids, list_codes
+
+
+@pytest.mark.parametrize("residual, m", [(True, 4), (False, 4), (True, 16)])
+def test_build_matches_unblocked_build(residual, m):
+    # 3000 rows: two row blocks, the second holding the remainder.
+    index = build_ivfpq(_DS.base, nlist=32, m=m, ksub=64,
+                        residual=residual, seed=5)
+    centroids, codebooks, list_ids, list_codes = _unblocked_build(
+        _DS.base, nlist=32, m=m, ksub=64, residual=residual, seed=5
+    )
+    assert np.array_equal(index.centroids, centroids)
+    assert np.array_equal(index.pq.codebooks, codebooks)
+    assert len(index.list_ids) == len(list_ids) == 32
+    for got, want in zip(index.list_ids, list_ids):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(index.list_codes, list_codes):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

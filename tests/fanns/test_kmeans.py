@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fanns.kmeans import (
+    _BLOCK_ROWS,
+    _cluster_sums,
+    _nearest,
     _squared_distances,
     _squared_distances_to,
     kmeans,
@@ -199,6 +202,58 @@ def test_squared_distances_matches_one_line_expression():
         got = _squared_distances(points, centroids)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _unblocked(points, centroids):
+    """argmin, nearest distances and inertia of one full distance matrix."""
+    distances = _squared_distances(points, centroids)
+    nearest = distances.argmin(axis=1)
+    nearest_distance = distances[np.arange(len(points)), nearest]
+    return nearest, nearest_distance, float(nearest_distance.sum())
+
+
+@pytest.mark.parametrize("k", [1, 256])
+@pytest.mark.parametrize("dim", [2, 32])
+@pytest.mark.parametrize(
+    "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+)
+def test_blocked_pass_matches_one_unblocked_matrix(n, dim, k):
+    rng = np.random.default_rng(n + dim + k)
+    points = rng.standard_normal((n, dim)).astype(np.float32)
+    centroids = rng.standard_normal((k, dim)).astype(np.float32)
+    centroids[0] = points[0]  # one exact hit: distance clamps to 0
+    nearest, nearest_distance = _nearest(
+        points, lambda rows: _squared_distances(rows, centroids)
+    )
+    want_nearest, want_distance, want_inertia = _unblocked(points, centroids)
+    assert nearest.dtype == np.int64
+    assert np.array_equal(nearest, want_nearest)
+    assert nearest_distance.dtype == want_distance.dtype
+    assert np.array_equal(nearest_distance, want_distance)
+    assert float(nearest_distance.sum()) == want_inertia
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS + 3])
+def test_lazy_final_pass_matches_one_unblocked_matrix(n):
+    points = np.random.default_rng(n).standard_normal((n, 8))
+    result = kmeans(points, 16, seed=1)
+    assert "_final_pass" not in vars(result)  # not run until read
+    want_nearest, _, want_inertia = _unblocked(result.points, result.centroids)
+    assert np.array_equal(result.assignments, want_nearest)
+    assert result.inertia == want_inertia
+
+
+@pytest.mark.parametrize("n, dim, k", [(1, 1, 1), (500, 2, 256),
+                                       (3000, 32, 64)])
+def test_cluster_sums_match_add_at(n, dim, k):
+    rng = np.random.default_rng(n)
+    points = (rng.standard_normal((n, dim)) * 1e3).astype(np.float32)
+    assignments = rng.integers(0, k, n)
+    want = np.zeros((k, dim), dtype=np.float64)
+    np.add.at(want, assignments, points)
+    got = _cluster_sums(points, assignments, k)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.xfail(

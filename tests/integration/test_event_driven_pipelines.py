@@ -71,7 +71,7 @@ def test_adc_pe_array_matches_direct_adc_and_scales():
     assert t_4 < t_1
 
 
-def test_offload_four_way_agreement():
+def test_offload_and_fetch_match_cpu_engine():
     """CPU engine == offload execution == fetch-side execution, on one
     query."""
     from repro.farview import FarviewClient, FarviewServer

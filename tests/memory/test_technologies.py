@@ -12,7 +12,7 @@ from repro.memory.technologies import (
 )
 
 
-def test_latency_hierarchy_sram_hbm_host():
+def test_hbm_latency_below_host_over_pcie():
     assert hbm2_channel().latency_ps < host_over_pcie3().latency_ps
 
 

@@ -34,7 +34,10 @@ output:
   (every run here is uncached) and the parallel runner;
 - store operations checked against reference implementations
   (``HashTable.delete``, ``LsmStore.get`` and ``LsmStore.delete``);
-- the PQ test oracles ``decode`` and ``adc_distances``.
+- the PQ test oracles ``decode`` and ``adc_distances``;
+- ``KMeansResult.assignments`` and ``inertia`` and the final pass
+  behind them, which run only when read, and only the k-means tests
+  read them.
 """
 
 from __future__ import annotations
