@@ -54,12 +54,6 @@ class AnyPrecisionResult:
     full_precision_inertia: float  # quantized centroids scored on raw data
     traffic_speedup: float
 
-    @property
-    def quality_ratio(self) -> float:
-        """Full-precision objective of this run vs its own inertia floor;
-        compare across runs to see precision's effect."""
-        return self.full_precision_inertia
-
 
 def scan_speedup(bits: int) -> float:
     """Memory-traffic speedup of reading ``bits`` of 32 bit planes."""

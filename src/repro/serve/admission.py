@@ -65,12 +65,14 @@ class AdmissionController:
         self.batcher = batcher
         self.admitted = 0
         self.shed: dict[str, int] = {}
+        # A backend's batch cost is a pure function of the batch size,
+        # so the full-batch price is read once.
+        self._full_batch_ps = backend.batch_service_ps(backend.max_batch)
 
     def _estimated_done_ps(self, now: int, depth: int, replicas: int) -> int:
         """First-order completion estimate for a request joining now."""
-        max_batch = self.backend.max_batch
-        batch_ps = self.backend.batch_service_ps(max_batch)
-        batches_ahead = depth // max_batch
+        batch_ps = self._full_batch_ps
+        batches_ahead = depth // self.backend.max_batch
         queue_ps = batches_ahead * batch_ps // max(1, replicas)
         return now + queue_ps + batch_ps
 

@@ -18,6 +18,13 @@ Invariants (locked in by the hypothesis suite in
   time, not at the batcher's loop turn;
 * batches are never empty.
 
+The batcher wakes only when its wait condition can change: on the first
+item into an empty queue (it starts the head's wait clock), on the item
+that fills a batch, at the head's deadline, and on ``close()``.  An item
+that joins a partial batch costs no event, so a batch costs a constant
+number of events whatever its size: a wake-up, at most one guard timer
+and one ``any_of``, and the hand-off.
+
 The batcher is item-agnostic (the service feeds it
 :class:`~repro.serve.traffic.Request` objects; the property tests feed
 it plain tuples) and pushes :class:`Batch` records into a bounded
@@ -113,9 +120,13 @@ class DynamicBatcher:
         """Queue ``item`` (non-blocking); timestamps it at ``sim.now``."""
         if self._closed:
             raise RuntimeError(f"batcher {self.name!r} is closed")
-        self._pending.append((item, self.sim.now))
+        pending = self._pending
+        pending.append((item, self.sim.now))
         self.items_in += 1
-        self._kick()
+        # Only the first item (it starts the head's wait clock) and the
+        # item that fills a batch can change what the batcher waits for.
+        if len(pending) == 1 or len(pending) == self.policy.max_batch:
+            self._kick()
 
     def close(self) -> None:
         """No more submissions; pending items flush as partial batches."""
@@ -142,11 +153,14 @@ class DynamicBatcher:
             # request left over from a full dispatch keeps its place in
             # the wait budget.
             deadline = self._pending[0][1] + policy.max_wait_ps
-            while (
+            if (
                 len(self._pending) < policy.max_batch
                 and not self._closed
                 and sim.now < deadline
             ):
+                # One wait per batch: submit kicks only when the batch
+                # fills, close kicks, and otherwise the head's deadline
+                # ends the wait.
                 self._arrival = sim.event()
                 timer = sim.timeout(deadline - sim.now)
                 yield any_of(sim, [self._arrival, timer])

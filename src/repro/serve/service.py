@@ -27,8 +27,12 @@ show up in metrics snapshots next to every other instrumented layer.
 
 Idle replicas block on the dispatch stream and never poll, so host cost
 scales with requests and batches, not with simulated idle time.  The
-run ends when the event heap drains, idle replicas still blocked; the
-report asserts that every request was accounted.
+event budget is one timeout per arrival plus a constant number of
+events per batch: the batcher wakes on the first item, when the batch
+is full, at the head's deadline or on close, and a replica accounts a
+finished batch in one pass.  The run ends when the event heap drains,
+idle replicas still blocked; the report asserts that every request was
+accounted.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .admission import (
     ReplicaAutoscaler,
 )
 from .backend import Backend
-from .batcher import BatchPolicy, DynamicBatcher
+from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .traffic import OpenLoopConfig, Request, generate_requests
 
 __all__ = ["ServiceConfig", "ServiceReport", "simulate_service"]
@@ -245,12 +249,10 @@ class _OnlineService:
                 dropped = self.plan.drop(site)
             yield sim.timeout(int(service_ps))
             self._m_batches.inc()
-            for req, submit_ps in zip(batch.items, batch.submit_ps):
-                self._m_wait.observe(batch.formed_ps - submit_ps)
-                if dropped:
-                    self._record_failure(req)
-                else:
-                    self._record_completion(req)
+            if dropped:
+                self._fail(batch)
+            else:
+                self._complete(batch)
 
     # -- request accounting --------------------------------------------------
 
@@ -264,22 +266,34 @@ class _OnlineService:
             self._m_shed.inc()
             self._accounted += 1
 
-    def _record_completion(self, req: Request) -> None:
+    def _complete(self, batch: Batch) -> None:
+        """Account every request of a batch that finished now."""
         now = self.sim.now
-        latency = now - req.arrival_ps
-        self._latencies.append(latency)
-        self._m_latency.observe(latency)
-        self._m_completed.inc()
-        if now <= req.deadline_ps:
-            self._in_slo += 1
+        formed_ps = batch.formed_ps
+        observe_wait = self._m_wait.observe
+        observe_latency = self._m_latency.observe
+        latencies = self._latencies
+        in_slo = 0
+        for req, submit_ps in zip(batch.items, batch.submit_ps):
+            observe_wait(formed_ps - submit_ps)
+            latency = now - req.arrival_ps
+            latencies.append(latency)
+            observe_latency(latency)
+            if now <= req.deadline_ps:
+                in_slo += 1
+        self._in_slo += in_slo
+        self._m_completed.inc(len(batch))
         self._last_done_ps = max(self._last_done_ps, now)
-        self._accounted += 1
+        self._accounted += len(batch)
 
-    def _record_failure(self, req: Request) -> None:
-        self._failed += 1
-        self._m_failed.inc()
+    def _fail(self, batch: Batch) -> None:
+        """Account every request of a batch that was dropped now."""
+        for submit_ps in batch.submit_ps:
+            self._m_wait.observe(batch.formed_ps - submit_ps)
+        self._failed += len(batch)
+        self._m_failed.inc(len(batch))
         self._last_done_ps = max(self._last_done_ps, self.sim.now)
-        self._accounted += 1
+        self._accounted += len(batch)
 
     # -- report --------------------------------------------------------------
 

@@ -24,6 +24,7 @@ honours under shedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ __all__ = ["OpenLoopConfig", "Request", "generate_requests"]
 _PS_PER_S = 1_000_000_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class Request(NamedTuple):
     """One inbound query: identity, tenant, timing budget."""
 
     rid: int
@@ -112,13 +112,12 @@ def generate_requests(cfg: OpenLoopConfig, seed: int) -> list[Request]:
         cfg.n_requests
     )
     prio = frozenset(cfg.priority_tenants)
+    slo_ps = cfg.slo_ps
+    # Python ints from whole columns: one conversion per column instead
+    # of a numpy scalar per field.
     return [
-        Request(
-            rid=i,
-            tenant=int(tenants[i]),
-            arrival_ps=int(arrivals[i]),
-            deadline_ps=int(arrivals[i]) + cfg.slo_ps,
-            priority=int(tenants[i]) in prio,
+        Request(rid, tenant, arrival, arrival + slo_ps, tenant in prio)
+        for rid, (tenant, arrival) in enumerate(
+            zip(tenants.tolist(), arrivals.tolist())
         )
-        for i in range(cfg.n_requests)
     ]

@@ -10,16 +10,22 @@ uphold the batcher's contract:
 * bounded batches — no batch is empty or larger than ``max_batch``;
 * bounded wait — with a consumer that never backpressures, no item
   sits in the batcher longer than ``max_wait_ps``.
+
+A differential test also pins the batcher's exact schedule against the
+batcher it replaced, which woke on every submitted item.
 """
+
+from collections import deque
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sim import Simulator
+from repro.core.sim import Simulator, any_of
 from repro.core.stream import Stream
 from repro.serve import BatchPolicy, DynamicBatcher
+from repro.serve.batcher import Batch
 
 # A schedule is [(gap_ps, items_in_run), ...]: wait gap, then submit a
 # run of items back-to-back at the same timestamp.
@@ -119,6 +125,141 @@ def test_per_tenant_fifo_under_interleaving(schedule, policy,
     for tenant in range(3):
         lane = [rid for rid in order if rid % 3 == tenant]
         assert lane == sorted(lane)
+
+
+# -- the wake-per-batch batcher against the wake-per-item one it replaced ----
+
+
+class _WakePerItemBatcher:
+    """``DynamicBatcher`` as written before it woke once per batch: every
+    submit wakes the batcher, which re-arms a fresh guard timer and
+    ``any_of`` until the batch fills, the head's deadline passes or the
+    batcher closes."""
+
+    def __init__(self, sim, policy, out):
+        self.sim = sim
+        self.policy = policy
+        self.out = out
+        self._pending = deque()
+        self._arrival = None
+        self._closed = False
+        sim.spawn(self._run(), name="oracle")
+
+    def submit(self, item):
+        self._pending.append((item, self.sim.now))
+        self._kick()
+
+    def close(self):
+        self._closed = True
+        self._kick()
+
+    def _kick(self):
+        wake, self._arrival = self._arrival, None
+        if wake is not None and not wake.triggered:
+            wake.succeed()
+
+    def _run(self):
+        sim, policy = self.sim, self.policy
+        while True:
+            if not self._pending:
+                if self._closed:
+                    return
+                self._arrival = sim.event()
+                yield self._arrival
+                continue
+            deadline = self._pending[0][1] + policy.max_wait_ps
+            while (
+                len(self._pending) < policy.max_batch
+                and not self._closed
+                and sim.now < deadline
+            ):
+                self._arrival = sim.event()
+                timer = sim.timeout(deadline - sim.now)
+                yield any_of(sim, [self._arrival, timer])
+                self._arrival = None
+                timer.cancel()
+            take = min(policy.max_batch, len(self._pending))
+            entries = [self._pending.popleft() for _ in range(take)]
+            yield self.out.put(Batch(
+                items=tuple(item for item, _ in entries),
+                submit_ps=tuple(t for _, t in entries),
+                formed_ps=sim.now,
+            ))
+
+
+def _handoffs(make_batcher, schedule, policy, depth, consumer_delay_ps):
+    """Every batch as ``(items, submit_ps, formed_ps, handed_off_ps)``.
+
+    The producer submits all items of one timestamp in one step, as the
+    service's arrival process does; the consumer blocks on the stream.
+    """
+    sim = Simulator()
+    out = Stream(sim, depth=depth)
+    batcher = make_batcher(sim, policy, out)
+    got = []
+
+    def producer():
+        rid = 0
+        for gap, run in schedule:
+            if gap:
+                yield sim.timeout(gap)
+            for _ in range(run):
+                batcher.submit(rid)
+                rid += 1
+        batcher.close()
+
+    def consumer():
+        while True:
+            batch = yield out.get()
+            got.append(
+                (batch.items, batch.submit_ps, batch.formed_ps, sim.now)
+            )
+            if consumer_delay_ps:
+                yield sim.timeout(consumer_delay_ps)
+
+    sim.spawn(producer(), name="producer")
+    sim.spawn(consumer(), name="consumer")
+    sim.run()
+    return got
+
+
+# Tie-heavy: small gaps and waits put many submits on the head's
+# deadline and on the consumer's hand-off instants.
+_TIED_SCHEDULE = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(schedule=_TIED_SCHEDULE,
+       max_batch=st.integers(min_value=1, max_value=8),
+       max_wait=st.integers(min_value=0, max_value=12),
+       depth=st.integers(min_value=1, max_value=3),
+       consumer_delay=st.integers(min_value=0, max_value=15))
+@settings(max_examples=300, deadline=None)
+def test_matches_wake_per_item_batcher(schedule, max_batch, max_wait,
+                                       depth, consumer_delay):
+    policy = BatchPolicy(max_batch=max_batch, max_wait_ps=max_wait)
+    expected = _handoffs(_WakePerItemBatcher, schedule, policy, depth,
+                         consumer_delay)
+    got = _handoffs(DynamicBatcher, schedule, policy, depth,
+                    consumer_delay)
+    assert got == expected
+
+
+def test_request_arriving_at_the_deadline_joins_the_batch():
+    # Head at 0, deadline 10: the item submitted at exactly 10 rides
+    # along, the one at 11 starts the next batch.
+    policy = BatchPolicy(max_batch=8, max_wait_ps=10)
+    for make in (_WakePerItemBatcher, DynamicBatcher):
+        got = _handoffs(make, [(0, 1), (4, 1), (6, 1), (1, 1)], policy,
+                        depth=1, consumer_delay_ps=0)
+        assert got == [((0, 1, 2), (0, 4, 10), 10, 10),
+                       ((3,), (11,), 11, 11)]
 
 
 def test_full_batch_dispatches_without_waiting():

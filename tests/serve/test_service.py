@@ -121,6 +121,19 @@ def test_events_scale_with_work_not_idle_time(load):
     assert events / (report.offered + report.batches) <= 4
 
 
+@pytest.mark.parametrize("max_batch", [8, 16])
+@pytest.mark.parametrize("load", [0.5, 0.9])
+def test_events_per_batch_are_constant(max_batch, load):
+    """Each request costs its arrival; everything else is a constant
+    number of events per batch, however many requests it holds."""
+    be = SyntheticBackend(max_batch=max_batch)
+    tracer = _EventCounter()
+    report = simulate_service(be, _traffic(be, load), _service(be),
+                              seed=1, tracer=tracer)
+    events = tracer.registry.counter("sim.events.fired").value
+    assert events <= report.offered + 8 * report.batches
+
+
 def test_metrics_registry_wiring():
     be = SyntheticBackend()
     registry = MetricsRegistry()

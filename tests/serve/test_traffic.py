@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.serve import OpenLoopConfig, generate_requests
+from repro.serve import OpenLoopConfig, Request, generate_requests
+from repro.serve.traffic import _gaps_ps
+from repro.workloads import ZipfSampler
 
 _PS_PER_S = 1_000_000_000_000
 
@@ -71,3 +73,40 @@ def test_tenants_are_zipf_skewed_and_priority_flagged():
 def test_open_loop_validation(bad):
     with pytest.raises(ValueError):
         _cfg(**bad)
+
+
+def test_requests_match_a_per_index_reference():
+    cfg = _cfg(n_requests=2_000, n_tenants=6, burst_factor=3.0,
+               priority_tenants=(1, 4))
+    reqs = generate_requests(cfg, seed=13)
+    # The same draws as generate_requests, read back one index at a time.
+    rng = np.random.default_rng(13)
+    arrivals = np.cumsum(_gaps_ps(cfg, rng)).astype(np.int64)
+    tenants = ZipfSampler(cfg.n_tenants, cfg.tenant_skew, rng).sample(
+        cfg.n_requests
+    )
+    expected = [
+        Request(
+            rid=i,
+            tenant=int(tenants[i]),
+            arrival_ps=int(arrivals[i]),
+            deadline_ps=int(arrivals[i]) + cfg.slo_ps,
+            priority=int(tenants[i]) in (1, 4),
+        )
+        for i in range(cfg.n_requests)
+    ]
+    assert reqs == expected
+
+
+def test_request_fields_are_python_scalars():
+    for req in generate_requests(_cfg(priority_tenants=(0, 2)), seed=4):
+        assert [type(v) for v in req] == [int, int, int, int, bool]
+
+
+def test_requests_are_immutable_and_hashable():
+    req = generate_requests(_cfg(), seed=2)[0]
+    with pytest.raises(AttributeError):
+        req.arrival_ps = 0
+    assert hash(req) == hash(Request(**req._asdict()))
+    assert Request(rid=1, tenant=2, arrival_ps=3, deadline_ps=4).priority \
+        is False
