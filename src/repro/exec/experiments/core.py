@@ -160,9 +160,11 @@ def e2_cell(ctx: Any, config: dict, seed: int) -> dict:
     from ...baselines import xeon_server
     from ...network import ethernet_100g, fpga_tcp, kernel_tcp
     from ...relational import (
+        ColumnType,
         Filter,
         Project,
         QueryPlan,
+        Schema,
         Table,
         col,
         cpu_cost_s,
@@ -170,14 +172,19 @@ def e2_cell(ctx: Any, config: dict, seed: int) -> dict:
     )
     from ...workloads import uniform_table
 
-    table_data = Table(uniform_table(_E2_N_ROWS, n_payload_cols=2, seed=2))
-    row_bytes = table_data.schema.row_nbytes
+    # The stream carries key plus two float64 payload columns; the plan
+    # reads only key and val0, which are drawn first, so val1 is not
+    # drawn and the stream's size comes from the layout.
+    layout = Schema.of(key=ColumnType.INT64, val0=ColumnType.FLOAT64,
+                       val1=ColumnType.FLOAT64)
+    table_data = Table(uniform_table(_E2_N_ROWS, n_payload_cols=1, seed=2))
+    row_bytes = layout.row_nbytes
     plan = QueryPlan((
         Filter(col("key") < 500_000),
         Project(("key", "val0")),
     ))
     line = ethernet_100g()
-    stream_bytes = table_data.nbytes
+    stream_bytes = _E2_N_ROWS * row_bytes
 
     # FPGA: operator kernels in the network datapath.
     filter_kernel = make_operator_kernel(plan.operators[0], row_bytes)

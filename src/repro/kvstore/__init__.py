@@ -3,6 +3,15 @@ the introduction's RDMA/SmartNIC deployment example).
 """
 
 from .hashtable import HashTable
-from .server import KvOutcome, SmartNicKvServer, SoftwareKvServer
+from .server import (
+    KvOutcome,
+    KvPrice,
+    SmartNicKvServer,
+    SoftwareKvServer,
+    run_ops,
+)
 
-__all__ = ["HashTable", "KvOutcome", "SmartNicKvServer", "SoftwareKvServer"]
+__all__ = [
+    "HashTable", "KvOutcome", "KvPrice", "SmartNicKvServer",
+    "SoftwareKvServer", "run_ops",
+]

@@ -12,6 +12,12 @@ Two servers share the functional :class:`~repro.kvstore.hashtable.HashTable`:
   the network message rate and the memory's batched random-read rate;
 * :class:`SoftwareKvServer` — kernel TCP per request batch + CPU hash
   probing + host DRAM.
+
+A batch's timing depends only on its size and on the bucket probes its
+execution made, so each server prices it with ``price(n_ops, probes)``
+and ``serve(ops)`` is :func:`run_ops` plus ``price``.  A caller that
+prices one batch on several servers (E17) runs the operations once and
+calls ``price`` on each.
 """
 
 from __future__ import annotations
@@ -26,41 +32,69 @@ from ..memory.technologies import ddr4_channel
 from ..network.protocol import ProtocolModel, fpga_rdma, kernel_tcp
 from .hashtable import HashTable
 
-__all__ = ["KvOutcome", "SmartNicKvServer", "SoftwareKvServer"]
+__all__ = [
+    "KvOutcome", "KvPrice", "SmartNicKvServer", "SoftwareKvServer",
+    "run_ops",
+]
 
 _REQUEST_BYTES = 40   # opcode + key + metadata
 _PS = 1_000_000_000_000
 
 
 @dataclass(frozen=True)
-class KvOutcome:
-    """Results + timing for a batch of KV operations."""
+class KvPrice:
+    """Timing of a batch of KV operations."""
 
-    values: list[int | None]
     batch_time_s: float
     ops_per_sec: float
     op_latency_s: float
 
 
+@dataclass(frozen=True)
+class KvOutcome(KvPrice):
+    """Results + timing for a batch of KV operations."""
+
+    values: list[int | None]
+
+
+def run_ops(table: HashTable,
+            ops: list[tuple[str, int, int]]) -> list[int | None]:
+    """Apply ``(op, key, value)`` operations to ``table`` in order.
+
+    A get returns the value or None, a put returns the value written
+    and a delete returns 1 when the key existed, else None.
+    """
+    results: list[int | None] = []
+    for op, key, value in ops:
+        if op == "get":
+            results.append(table.get(key))
+        elif op == "put":
+            table.put(key, value)
+            results.append(value)
+        elif op == "delete":
+            results.append(1 if table.delete(key) else None)
+        else:
+            raise ValueError(f"unknown op {op!r}")
+    return results
+
+
 class _KvServerBase:
-    """Shared functional request execution."""
+    """Shared serving: execute a batch on the table, then price it."""
 
     def __init__(self, table: HashTable) -> None:
         self.table = table
 
-    def _execute(self, ops: list[tuple[str, int, int]]) -> list[int | None]:
-        results: list[int | None] = []
-        for op, key, value in ops:
-            if op == "get":
-                results.append(self.table.get(key))
-            elif op == "put":
-                self.table.put(key, value)
-                results.append(value)
-            elif op == "delete":
-                results.append(1 if self.table.delete(key) else None)
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        return results
+    def serve(self, ops: list[tuple[str, int, int]]) -> KvOutcome:
+        """Execute a batch on the table, then price it with ``price``."""
+        before = self.table.bucket_probes
+        values = run_ops(self.table, ops)
+        timing = self.price(len(ops), self.table.bucket_probes - before)
+        return KvOutcome(
+            batch_time_s=timing.batch_time_s,
+            ops_per_sec=timing.ops_per_sec,
+            op_latency_s=timing.op_latency_s,
+            values=values,
+        )
 
 
 class SmartNicKvServer(_KvServerBase):
@@ -87,14 +121,11 @@ class SmartNicKvServer(_KvServerBase):
     def _bucket_bytes(self) -> int:
         return self.table.slots_per_bucket * 16 + self.value_bytes
 
-    def serve(self, ops: list[tuple[str, int, int]]) -> KvOutcome:
-        """Execute a pipelined batch of operations."""
-        before = self.table.bucket_probes
-        values = self._execute(ops)
-        probes = self.table.bucket_probes - before
-        n = len(ops)
-        if n == 0:
-            return KvOutcome(values, 0.0, 0.0, 0.0)
+    def price(self, n_ops: int, probes: int) -> KvPrice:
+        """Time ``n_ops`` pipelined operations that read ``probes``
+        buckets: network in, memory probe, network out."""
+        if n_ops == 0:
+            return KvPrice(0.0, 0.0, 0.0)
         # Throughput: the slower of network message rate and batched
         # random memory reads spread over the channels.
         wire_per_op = max(
@@ -106,7 +137,7 @@ class SmartNicKvServer(_KvServerBase):
             per_channel, self._bucket_bytes()
         )
         pipeline_ps = FABRIC_300MHZ.cycles_to_ps(20)  # hash + FSM depth
-        batch_ps = max(n * wire_per_op, memory_ps) + pipeline_ps
+        batch_ps = max(n_ops * wire_per_op, memory_ps) + pipeline_ps
         # Latency of one op: request + probe + response.
         latency_ps = (
             self.protocol.message_ps(_REQUEST_BYTES)
@@ -114,10 +145,9 @@ class SmartNicKvServer(_KvServerBase):
             + pipeline_ps
             + self.protocol.message_ps(self.value_bytes)
         )
-        return KvOutcome(
-            values=values,
+        return KvPrice(
             batch_time_s=batch_ps / _PS,
-            ops_per_sec=n * _PS / batch_ps,
+            ops_per_sec=n_ops * _PS / batch_ps,
             op_latency_s=latency_ps / _PS,
         )
 
@@ -139,24 +169,21 @@ class SoftwareKvServer(_KvServerBase):
         self.cpu = cpu or xeon_server()
         self.value_bytes = value_bytes
 
-    def serve(self, ops: list[tuple[str, int, int]]) -> KvOutcome:
-        """Execute a batch; requests cross the kernel stack."""
-        before = self.table.bucket_probes
-        values = self._execute(ops)
-        probes = self.table.bucket_probes - before
-        n = len(ops)
-        if n == 0:
-            return KvOutcome(values, 0.0, 0.0, 0.0)
+    def price(self, n_ops: int, probes: int) -> KvPrice:
+        """Time ``n_ops`` operations that read ``probes`` buckets; the
+        requests cross the kernel stack."""
+        if n_ops == 0:
+            return KvPrice(0.0, 0.0, 0.0)
         bucket_bytes = self.table.slots_per_bucket * 16 + self.value_bytes
         # Per-op network processing dominates a software KV server.
-        stack_s = n * (
+        stack_s = n_ops * (
             self.protocol.send_overhead_ps + self.protocol.recv_overhead_ps
         ) / _PS / self.cpu.cores  # cores handle connections in parallel
         probe_s = self.cpu.random_access_time_s(
             probes, bucket_bytes, working_set_bytes=self.table.nbytes
         )
         compute_s = self.cpu.compute_time_s(
-            60 * n, element_bytes=self.cpu.simd_bytes
+            60 * n_ops, element_bytes=self.cpu.simd_bytes
         )
         batch_s = max(stack_s, probe_s + compute_s)
         latency_s = (
@@ -164,9 +191,8 @@ class SoftwareKvServer(_KvServerBase):
             + self.cpu.dram_latency_s * 2
             + self.protocol.message_ps(self.value_bytes) / _PS
         )
-        return KvOutcome(
-            values=values,
+        return KvPrice(
             batch_time_s=batch_s,
-            ops_per_sec=n / batch_s,
+            ops_per_sec=n_ops / batch_s,
             op_latency_s=latency_s,
         )

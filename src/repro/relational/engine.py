@@ -105,8 +105,13 @@ def _apply(op: Operator, table: Table) -> Table:
 
 
 def execute(plan: QueryPlan, table: Table) -> Table:
-    """Run ``plan`` over ``table``; returns the result table."""
-    result = table
+    """Run ``plan`` over ``table``; returns the result table.
+
+    The input is first pruned to the columns the plan touches, as the
+    offload scan prunes it, so no operator gathers a column that a
+    later projection or aggregation drops.
+    """
+    result = table.project(plan.columns_needed(table.column_names))
     for op in plan.operators:
         result = _apply(op, result)
     return result

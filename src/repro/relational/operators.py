@@ -155,12 +155,13 @@ class QueryPlan:
         """Columns the plan actually touches (for scan pruning).
 
         Walking backwards: the final projection (or aggregation) fixes
-        the output set; predicates add their referenced columns.
+        the output set; predicates add their referenced columns, and an
+        earlier projection still reads every column it names.
         """
         needed: set[str] = set()
         narrowed = False
         for op in reversed(self.operators):
-            if isinstance(op, Project) and not narrowed:
+            if isinstance(op, Project):
                 needed |= set(op.columns)
                 narrowed = True
             elif isinstance(op, Aggregate) and not narrowed:

@@ -58,14 +58,25 @@ class Table:
         return Table({name: self.column(name) for name in names})
 
     def filter(self, mask: np.ndarray) -> "Table":
-        """A table with rows where ``mask`` is True."""
+        """A table with rows where ``mask`` is True.
+
+        The selected row ids are computed once and every column is
+        gathered with ``take``; when every row is kept, the table itself
+        is returned (its columns shared, as ``project`` shares them).
+        """
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (self.n_rows,):
             raise ValueError(
                 f"mask must be bool of shape ({self.n_rows},), "
                 f"got {mask.dtype} {mask.shape}"
             )
-        return Table({name: col[mask] for name, col in self._columns.items()})
+        rows = np.flatnonzero(mask)
+        if len(rows) == self.n_rows:
+            return self
+        return Table(
+            {name: col.take(rows, axis=0)
+             for name, col in self._columns.items()}
+        )
 
     def take(self, indices: np.ndarray) -> "Table":
         """A table with the rows at ``indices`` (gather)."""
@@ -75,7 +86,7 @@ class Table:
 
     def equals(self, other: "Table") -> bool:
         """Exact equality of schema and data."""
-        if self.column_names != other.column_names:
+        if self.schema != other.schema:
             return False
         return all(
             np.array_equal(self._columns[name], other._columns[name])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec.experiments.storage import _E17_VALUE_BYTES, _e17_ops
 from repro.kvstore.hashtable import HashTable
 from repro.kvstore.server import SmartNicKvServer, SoftwareKvServer
 
@@ -77,3 +78,42 @@ def test_validation():
         SmartNicKvServer(HashTable(64, 4), value_bytes=0)
     with pytest.raises(ValueError):
         SoftwareKvServer(HashTable(64, 4), value_bytes=0)
+
+
+@pytest.mark.parametrize("value_bytes", _E17_VALUE_BYTES)
+@pytest.mark.parametrize("server_cls", [SmartNicKvServer, SoftwareKvServer])
+def test_price_equals_serve_timing(server_cls, value_bytes):
+    ops = _e17_ops(5_000)
+    server = server_cls(HashTable(1 << 15, 8), value_bytes=value_bytes)
+    out = server.serve(ops)
+    price = server.price(len(ops), server.table.bucket_probes)
+    assert price.batch_time_s == out.batch_time_s
+    assert price.ops_per_sec == out.ops_per_sec
+    assert price.op_latency_s == out.op_latency_s
+
+
+# serve(_e17_ops(5_000)) on a fresh HashTable(1 << 15, 8), which makes
+# 5,000 bucket probes: (batch_time_s, ops_per_sec, op_latency_s).
+_PINNED_E17_TIMINGS = {
+    (SmartNicKvServer, 16): (5.640166e-05, 88649873.07111174, 3.23362e-06),
+    (SmartNicKvServer, 64): (5.686666e-05, 87924980.99941161, 3.23746e-06),
+    (SmartNicKvServer, 256): (0.00013366666, 37406485.656183824, 3.28782e-06),
+    (SmartNicKvServer, 1024): (
+        0.00044086666, 11341297.615927681, 3.50926e-06),
+    (SoftwareKvServer, 16): (
+        0.00234375, 2133333.3333333335, 3.1796960000000005e-05),
+    (SoftwareKvServer, 64): (0.00234375, 2133333.3333333335, 3.18008e-05),
+    (SoftwareKvServer, 256): (
+        0.00234375, 2133333.3333333335, 3.1816160000000006e-05),
+    (SoftwareKvServer, 1024): (0.00234375, 2133333.3333333335, 3.18776e-05),
+}
+
+
+@pytest.mark.parametrize("server_cls, value_bytes", list(_PINNED_E17_TIMINGS))
+def test_price_of_the_e17_mix_is_pinned(server_cls, value_bytes):
+    price = server_cls(
+        HashTable(1 << 15, 8), value_bytes=value_bytes
+    ).price(5_000, 5_000)
+    assert (price.batch_time_s, price.ops_per_sec, price.op_latency_s) \
+        == _PINNED_E17_TIMINGS[server_cls, value_bytes]
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.cpu import xeon_server
-from repro.relational.engine import cpu_cost_s, execute
+from repro.relational.engine import _apply, cpu_cost_s, execute
 from repro.relational.expressions import col
 from repro.relational.operators import (
     AggFunc,
@@ -135,6 +135,106 @@ def test_columns_needed_prunes_scan():
     assert plan.columns_needed(all_cols) == ("key", "val0")
     bare = QueryPlan((Filter(col("key") < 10),))
     assert bare.columns_needed(all_cols) == all_cols
+
+
+def test_columns_needed_keeps_an_earlier_projections_columns():
+    all_cols = ("key", "val0", "val1", "val2")
+    plan = QueryPlan((
+        Project(("val1", "key")),
+        Aggregate((AggSpec(AggFunc.SUM, "key"),)),
+    ))
+    assert plan.columns_needed(all_cols) == ("key", "val1")
+
+
+def _unpruned_execute(plan, table):
+    """``execute`` before it pruned its input: every operator sees every
+    column, and a filter gathers each column with its boolean mask."""
+    result = table
+    for op in plan.operators:
+        if isinstance(op, Filter):
+            mask = np.asarray(op.predicate.evaluate(result), dtype=bool)
+            result = Table({name: result[name][mask]
+                            for name in result.column_names})
+        else:
+            result = _apply(op, result)
+    return result
+
+
+def _wide_table(n, seed):
+    rng = np.random.default_rng(seed)
+    return Table({
+        "key": rng.integers(0, 1000, size=n, dtype=np.int64),
+        "grp": rng.integers(0, 7, size=n, dtype=np.int64),
+        "val0": rng.random(n),
+        "val1": rng.random(n),
+        "flag": rng.random(n) < 0.5,
+        "small": rng.integers(0, 100, size=n).astype(np.int32),
+    })
+
+
+_PUSHDOWN_PLANS = {
+    "empty": QueryPlan(),
+    "filter": QueryPlan((Filter(col("key") < 400),)),
+    "filter+filter": QueryPlan((
+        Filter(col("key") < 700), Filter(col("val0") > 0.25),
+    )),
+    "filter+project": QueryPlan((
+        Filter(col("key") < 400), Project(("val1", "key")),
+    )),
+    "filter on a dropped column": QueryPlan((
+        Filter(col("val1") > 0.5), Project(("small", "grp")),
+    )),
+    "project+filter+project": QueryPlan((
+        Project(("val0", "grp", "key")),
+        Filter(col("grp") < 3),
+        Project(("val0",)),
+    )),
+    "filter+agg": QueryPlan((
+        Filter(col("key") < 400),
+        Aggregate((AggSpec(AggFunc.SUM, "val0"),
+                   AggSpec(AggFunc.COUNT, "key", alias="n"))),
+    )),
+    "project+agg": QueryPlan((
+        Project(("val1", "val0")),
+        Aggregate((AggSpec(AggFunc.MAX, "val1"),)),
+    )),
+    "groupby": QueryPlan((
+        GroupByAggregate("grp", (AggSpec(AggFunc.SUM, "val1"),
+                                 AggSpec(AggFunc.MIN, "small"))),
+    )),
+    "filter+groupby": QueryPlan((
+        Filter(col("val0") > 0.5),
+        GroupByAggregate("grp", (AggSpec(AggFunc.MEAN, "val1"),
+                                 AggSpec(AggFunc.COUNT, "key", alias="n"))),
+    )),
+    "transform": QueryPlan((Transform("decrypt", ops_per_byte=2.0),)),
+    "transform+filter+project": QueryPlan((
+        Transform("decrypt", ops_per_byte=2.0),
+        Filter(col("flag") == True),  # noqa: E712 (an expression)
+        Project(("flag", "val0", "small")),
+    )),
+    "transform+filter+groupby": QueryPlan((
+        Transform("decompress"),
+        Filter(col("small") < 50),
+        GroupByAggregate("key", (AggSpec(AggFunc.MAX, "val0"),)),
+    )),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("name", list(_PUSHDOWN_PLANS))
+def test_pruned_execute_equals_unpruned_execute(name, n):
+    plan = _PUSHDOWN_PLANS[name]
+    table = _wide_table(n, seed=n)
+    try:
+        expected = _unpruned_execute(plan, table)
+    except ValueError:  # an aggregate over zero rows
+        with pytest.raises(ValueError):
+            execute(plan, table)
+        return
+    got = execute(plan, table)
+    assert got.column_names == expected.column_names
+    assert got.equals(expected)
 
 
 def test_cpu_cost_increases_with_data_and_ops():

@@ -93,3 +93,59 @@ def test_equals():
     other = Table({"key": np.arange(10, dtype=np.int64),
                    "other": np.zeros(10)})
     assert not _table().equals(other)
+
+
+def test_equals_compares_column_types():
+    ints = Table({"a": np.array([1, 2], dtype=np.int64)})
+    floats = Table({"a": np.array([1.0, 2.0], dtype=np.float64)})
+    assert not ints.equals(floats)
+    assert not floats.equals(ints)
+    assert ints.equals(Table({"a": np.array([1, 2], dtype=np.int64)}))
+
+
+def _mixed_table(n, rng):
+    return Table({
+        "i": rng.integers(-50, 50, size=n, dtype=np.int64),
+        "f": rng.random(n),
+        "b": rng.random(n) < 0.5,
+        "i32": rng.integers(0, 9, size=n).astype(np.int32),
+    })
+
+
+def _masked_gather(table, mask):
+    return Table({name: table[name][mask] for name in table.column_names})
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("kind", ["all-false", "all-true", "random"])
+def test_filter_equals_boolean_mask_gather(n, kind):
+    rng = np.random.default_rng(n)
+    t = _mixed_table(n, rng)
+    mask = {
+        "all-false": np.zeros(n, dtype=bool),
+        "all-true": np.ones(n, dtype=bool),
+        "random": rng.random(n) < 0.3,
+    }[kind]
+    got = t.filter(mask)
+    assert got.equals(_masked_gather(t, mask))
+    assert got.column_names == t.column_names
+    for name in t.column_names:
+        assert got[name].dtype == t[name].dtype
+
+
+def test_filter_keeping_every_row_shares_the_table():
+    t = _table()
+    assert t.filter(np.ones(10, dtype=bool)) is t
+
+
+def test_filter_over_non_contiguous_column_views():
+    rng = np.random.default_rng(5)
+    base_i = rng.integers(0, 100, size=(40, 3), dtype=np.int64)
+    base_f = rng.random(80)
+    base_b = rng.random((2, 20)) < 0.5
+    t = Table({"i": base_i[::2, 1], "f": base_f[::-4], "b": base_b[1]})
+    assert not t["i"].flags.c_contiguous
+    assert not t["f"].flags.c_contiguous
+    for mask in (rng.random(20) < 0.5, np.zeros(20, dtype=bool),
+                 np.ones(20, dtype=bool)):
+        assert t.filter(mask).equals(_masked_gather(t, mask))
