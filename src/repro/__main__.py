@@ -5,19 +5,18 @@ Subcommands:
 * ``info`` — package version and system inventory;
 * ``list [--json]`` — the registry dump: per experiment the grid
   size, seeds, and how many cells are already in ``results/cache/``;
-* ``run <id>... | all [--parallel N]`` — regenerate experiments
-  through the sweep runner (:mod:`repro.exec`): every cell is cached,
-  re-runs are free, and ``--parallel`` fans the grid over worker
-  processes.
+* ``run <id>... | all`` — regenerate experiments through the sweep
+  runner (:mod:`repro.exec`): every cell is cached and re-runs are
+  free.
 * ``serve [--backend B] [--load X]`` — drive one accelerator as an
   online service (:mod:`repro.serve`): open-loop traffic, dynamic
   batching, SLO-aware admission; prints latency percentiles, goodput,
   and shedding for the run.
 
 ``run --trace OUT.json`` records the run through the observability
-layer: the sweep runs serially and uncached under one shared default
-tracer, and the collected trace is exported as Chrome ``trace_event``
-JSON — open it at https://ui.perfetto.dev or in ``chrome://tracing``.
+layer: the sweep runs uncached under one shared default tracer, and
+the collected trace is exported as Chrome ``trace_event`` JSON — open
+it at https://ui.perfetto.dev or in ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ def _registry_rows() -> list[dict]:
     for exp_id in experiment_ids():
         spec = build_spec(exp_id)
         cached = sum(
-            cache.has(cell_key(exp_id, config, seed, version,
-                               context=spec.context_key))
+            cache.has(cell_key(exp_id, config, seed, version))
             for seed in spec.seeds
             for config in spec.grid
         )
@@ -125,7 +123,6 @@ def _resolve_ids(ids: list[str]) -> list[str] | None:
 
 def _cmd_run_sweep(
     ids: list[str],
-    parallel: int,
     no_cache: bool,
     faults: float | None,
 ) -> int:
@@ -140,14 +137,11 @@ def _cmd_run_sweep(
     try:
         cache = None if no_cache else ResultCache()
         for exp_id in ids:
-            runner = SweepRunner(build_spec(exp_id), parallel=parallel,
-                                 cache=cache)
-            result = runner.run()
+            result = SweepRunner(build_spec(exp_id), cache=cache).run()
             for table in result.tables:
                 table.show()
             print(f"[{exp_id}] {result.cells} cells: {result.hits} cached, "
-                  f"{result.computed} computed ({parallel} worker"
-                  f"{'s' if parallel != 1 else ''})")
+                  f"{result.computed} computed")
     finally:
         if previous is None:
             os.environ.pop("REPRO_FAULT_RATE", None)
@@ -160,30 +154,24 @@ def _cmd_run(
     ids: list[str],
     trace: str | None = None,
     faults: float | None = None,
-    parallel: int = 1,
     no_cache: bool = False,
 ) -> int:
     if faults is not None and not 0.0 <= faults <= 1.0:
         print(f"error: --faults must be in [0, 1], got {faults}",
               file=sys.stderr)
         return 2
-    if parallel < 1:
-        print(f"error: --parallel must be >= 1, got {parallel}",
-              file=sys.stderr)
-        return 2
     keys = _resolve_ids(ids)
     if keys is None:
         return 2
     if trace is None:
-        return _cmd_run_sweep(keys, parallel, no_cache, faults)
-    # Worker processes and cached cells would record nothing, so a
-    # traced run is serial and uncached.
+        return _cmd_run_sweep(keys, no_cache, faults)
+    # Cached cells would record nothing, so a traced run is uncached.
     from .obs import Tracer, set_default_tracer
 
     tracer = Tracer()
     set_default_tracer(tracer)
     try:
-        status = _cmd_run_sweep(keys, 1, True, faults)
+        status = _cmd_run_sweep(keys, True, faults)
     finally:
         set_default_tracer(None)
     tracer.export_chrome(trace)
@@ -299,16 +287,12 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--trace", metavar="OUT.json", default=None,
         help="record the run through repro.obs and export a Chrome "
-             "trace_event JSON file (serial, uncached)",
+             "trace_event JSON file (uncached)",
     )
     run.add_argument(
         "--faults", metavar="RATE", type=float, default=None,
         help="inject faults at this rate (0..1) in fault-aware "
              "experiments (e22), e.g. --faults 0.01",
-    )
-    run.add_argument(
-        "--parallel", metavar="N", type=int, default=1,
-        help="fan the experiment's config grid over N worker processes",
     )
     run.add_argument(
         "--no-cache", action="store_true",
@@ -365,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list(args.as_json)
     if args.command == "run":
         return _cmd_run(args.ids, trace=args.trace, faults=args.faults,
-                        parallel=args.parallel, no_cache=args.no_cache)
+                        no_cache=args.no_cache)
     if args.command == "serve":
         return _cmd_serve(args)
     parser.print_help()

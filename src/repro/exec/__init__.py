@@ -1,26 +1,25 @@
-"""Parallel sweep execution and result caching (``repro.exec``).
+"""Sweep execution and result caching (``repro.exec``).
 
-The experiments are embarrassingly parallel: a seed x config grid of
-independent cells (one nprobe, one cluster size, one fault rate).
-This package fans that grid out over a ``multiprocessing`` pool with
-deterministic result ordering, and memoises completed cells in a
+Each experiment is a seed x config grid of independent cells (one
+nprobe, one cluster size, one fault rate).  This package runs that grid
+in-process in a fixed order, and memoises completed cells in a
 content-addressed on-disk cache keyed by
-``(experiment, config, seed, code-version[, context])`` so re-runs
-only pay for what changed.
+``(experiment, config, seed, code-version)`` so re-runs only pay for
+what changed.
 
 Entry points:
 
-* :class:`SweepRunner` — executes an :class:`ExperimentSpec` serially
-  or in parallel, consulting the :class:`ResultCache` per cell; it is
-  the only way an experiment runs;
+* :class:`SweepRunner` — executes an :class:`ExperimentSpec`,
+  consulting the :class:`ResultCache` per cell; it is the only way an
+  experiment runs;
 * :func:`build_spec` / :func:`experiment_ids` — the registry of all 23
   experiments' prepare/cell/assemble specs
   (``repro.exec.experiments``);
-* ``python -m repro run <exp>|all --parallel N`` and
-  ``python -m repro list`` — the CLI wiring.
+* ``python -m repro run <exp>|all`` and ``python -m repro list`` — the
+  CLI wiring.
 
-The tables each experiment prints at smoke scale are pinned by the
-committed goldens in ``results/golden/``.
+The tables each experiment prints are pinned by the committed goldens
+in ``results/golden/``.
 """
 
 from .cache import ResultCache, cell_key, code_version

@@ -65,22 +65,14 @@ def cell_key(
     config: dict,
     seed: int,
     version: str,
-    context: dict | None = None,
 ) -> str:
-    """Deterministic cache key for one sweep cell.
-
-    ``context`` is the spec's extra cache identity (e.g. the smoke/full
-    dataset scale); it is only folded in when non-empty, so keys minted
-    before the field existed stay valid.
-    """
-    identity: dict[str, Any] = {
+    """Deterministic cache key for one sweep cell."""
+    identity = {
         "experiment": experiment,
         "config": _jsonable(config),
         "seed": seed,
         "code_version": version,
     }
-    if context:
-        identity["context"] = _jsonable(context)
     return hashlib.sha256(
         json.dumps(identity, sort_keys=True,
                    separators=(",", ":")).encode()

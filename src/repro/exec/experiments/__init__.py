@@ -17,9 +17,7 @@ from .contexts import (
     microrec_model,
     microrec_tables,
     microrec_trace,
-    scale_key,
     small_microrec_model,
-    smoke_scale,
 )
 
 # Importing the family modules runs their @register decorators.
@@ -45,7 +43,5 @@ __all__ = [
     "microrec_tables",
     "microrec_trace",
     "register",
-    "scale_key",
     "small_microrec_model",
-    "smoke_scale",
 ]

@@ -4,11 +4,11 @@ Every experiment is factored into the three phases the sweep runner
 schedules independently:
 
 * ``prepare()`` — build the (deterministic, seeded) shared context:
-  datasets, indexes, clusters, baselines.  Runs once per worker
-  process; never cached, never serialised.
+  datasets, indexes, clusters, baselines.  Runs once per sweep that
+  computes a cell; never cached, never serialised.
 * ``cell(ctx, config, seed)`` — one grid point, returning a plain
-  JSON-able dict.  Cells are independent, so they parallelise and
-  cache freely.  Single-cell experiments have a one-entry grid.
+  JSON-able dict.  Cells are independent, so they cache freely.
+  Single-cell experiments have a one-entry grid.
 * ``assemble(rows)`` — fold the cell dicts (in grid order) back into
   the experiment's :class:`~repro.bench.ResultTable` list, including
   the experiment's shape-claim assertions.
@@ -20,7 +20,7 @@ tables it assembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ...bench import ResultTable
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 # Experiment id -> spec factory.  Factories are re-invoked per
-# build_spec() call so environment knobs (REPRO_FAULT_RATE,
-# REPRO_SMOKE) are honoured at invocation time.
+# build_spec() call so REPRO_FAULT_RATE is honoured at invocation time.
 _FACTORIES: dict[str, Callable[[], "ExperimentSpec"]] = {}
 
 
@@ -59,10 +58,6 @@ class ExperimentSpec:
         at construction so its return value is normalised to plain
         JSON types — the in-process row and the cache-roundtripped row
         are therefore always identical.
-    context_key:
-        Extra identity folded into every cell's cache key (e.g. the
-        smoke/full dataset scale), so context-dependent results can
-        never be served across contexts.
     """
 
     experiment: str
@@ -72,7 +67,6 @@ class ExperimentSpec:
     prepare: Callable[[], Any]
     cell: Callable[[Any, dict, int], dict]
     assemble: Callable[[list[dict]], list[ResultTable]]
-    context_key: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         raw_cell = self.cell

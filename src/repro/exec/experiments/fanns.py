@@ -9,7 +9,7 @@ import numpy as np
 
 from ...bench import ResultTable
 from .base import ExperimentSpec, register
-from .contexts import FANNS_LIST_SCALE, fanns_dataset, fanns_index, scale_key
+from .contexts import FANNS_LIST_SCALE, fanns_dataset, fanns_index
 
 _E5_NPROBES = (1, 2, 4, 8, 16, 32)
 _E5_K = 10
@@ -89,7 +89,6 @@ def _e5_spec() -> ExperimentSpec:
         prepare=e5_prepare,
         cell=e5_cell,
         assemble=e5_assemble,
-        context_key=scale_key(),
     )
 
 
@@ -163,7 +162,6 @@ def _e6_spec() -> ExperimentSpec:
         prepare=e5_prepare,
         cell=e6_cell,
         assemble=e6_assemble,
-        context_key=scale_key(),
     )
 
 
@@ -280,5 +278,4 @@ def _e16_spec() -> ExperimentSpec:
         prepare=e16_prepare,
         cell=e16_cell,
         assemble=e16_assemble,
-        context_key=scale_key(),
     )

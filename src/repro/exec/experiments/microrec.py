@@ -13,7 +13,6 @@ from .contexts import (
     microrec_model,
     microrec_tables,
     microrec_trace,
-    scale_key,
     small_microrec_model,
 )
 
@@ -98,7 +97,6 @@ def _e7_spec() -> ExperimentSpec:
         prepare=e7_prepare,
         cell=e7_cell,
         assemble=e7_assemble,
-        context_key=scale_key(),
     )
 
 
@@ -175,7 +173,6 @@ def _e8_spec() -> ExperimentSpec:
         prepare=e8_prepare,
         cell=e8_cell,
         assemble=e8_assemble,
-        context_key=scale_key(),
     )
 
 
@@ -272,5 +269,4 @@ def _e9_spec() -> ExperimentSpec:
         prepare=e9_prepare,
         cell=e9_cell,
         assemble=e9_assemble,
-        context_key=scale_key(),
     )

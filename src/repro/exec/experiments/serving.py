@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ...bench import ResultTable
 from .base import ExperimentSpec, register
-from .contexts import FANNS_LIST_SCALE, scale_key, smoke_scale
+from .contexts import FANNS_LIST_SCALE
 
 _E24_BACKENDS = ("fanns", "microrec", "farview")
 _E24_LOADS = (0.4, 0.7, 1.0, 1.4)
@@ -39,9 +39,8 @@ def _farview_backend():
     from ...serve import FarviewBackend
     from ...workloads import uniform_table
 
-    n_rows = 20_000 if smoke_scale() else 200_000
     server = FarviewServer()
-    server.store("t", Table(uniform_table(n_rows, n_payload_cols=2)))
+    server.store("t", Table(uniform_table(200_000, n_payload_cols=2)))
     plan = QueryPlan((
         Filter(col("key") < 10_000),
         Aggregate((AggSpec(AggFunc.SUM, "val0"),)),
@@ -103,7 +102,7 @@ def e24_cell(ctx: dict, config: dict, seed: int) -> dict:
     )
     traffic = OpenLoopConfig(
         offered_qps=load * capacity_qps(backend, _E24_REPLICAS),
-        n_requests=1_000 if smoke_scale() else 3_000,
+        n_requests=3_000,
         slo_ps=_E24_SLO_BATCHES * batch_ps,
         burst_factor=2.0,
     )
@@ -163,5 +162,4 @@ def _e24_spec() -> ExperimentSpec:
         prepare=e24_prepare,
         cell=e24_cell,
         assemble=e24_assemble,
-        context_key=scale_key(),
     )

@@ -77,22 +77,11 @@ class FarviewServer:
         self._tables[name] = table
         self._used_bytes += table.nbytes
 
-    def drop(self, name: str) -> None:
-        """Remove a table."""
-        table = self._tables.pop(name, None)
-        if table is None:
-            raise KeyError(f"no table {name!r}")
-        self._used_bytes -= table.nbytes
-
     def table(self, name: str) -> Table:
         """Look up a stored table."""
         if name not in self._tables:
             raise KeyError(f"no table {name!r}; have {sorted(self._tables)}")
         return self._tables[name]
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
 
     # -- request handlers ------------------------------------------------------
 

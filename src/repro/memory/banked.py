@@ -4,14 +4,11 @@ HBM's defining property for data processing is *memory-level
 parallelism*: 32 independent pseudo-channels that can serve requests
 concurrently.  :class:`BankedMemory` models a bank of channels plus an
 allocator that places named regions (embedding tables, PQ code blocks,
-columns) onto channels, and answers the two timing questions the
-accelerators ask:
-
-* :meth:`batch_lookup_time_ps` — a batch of random lookups spread over
-  the allocated regions completes when the *most loaded channel*
-  finishes (the makespan), which is why balanced placement matters;
-* :meth:`striped_scan_time_ps` — a sequential scan striped across all
-  channels runs at aggregate bandwidth.
+columns) onto channels, and answers the timing question the
+accelerators ask: a batch of random lookups spread over the allocated
+regions (:meth:`batch_lookup_time_ps`) completes when the *most loaded
+channel* finishes (the makespan), which is why balanced placement
+matters.
 
 Placement is greedy least-loaded by expected access *traffic* (not
 capacity), the heuristic MicroRec describes for skewed embedding
@@ -262,15 +259,3 @@ class BankedMemory:
                     # the placement conflict balanced layouts avoid.
                     tracer.bank_conflict(self.name, channel, len(reqs))
         return makespan
-
-    def striped_scan_time_ps(self, total_bytes: int) -> int:
-        """Sequential scan of ``total_bytes`` striped over all channels."""
-        if total_bytes <= 0:
-            return 0
-        share = math.ceil(total_bytes / self.n_channels)
-        return max(c.stream_time_ps(share) for c in self.channels)
-
-    def region_scan_time_ps(self, key: str) -> int:
-        """Sequential scan of one allocated region (single channel)."""
-        alloc = self.allocation(key)
-        return self.channels[alloc.channel].stream_time_ps(alloc.nbytes)

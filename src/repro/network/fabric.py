@@ -46,14 +46,6 @@ class SwitchedFabric:
             return 0
         return self.protocol.message_ps(nbytes) + self.switch_latency_ps
 
-    def round_trip_ps(self, src: int, dst: int, req_bytes: int,
-                      resp_bytes: int) -> int:
-        """Request/response between two nodes."""
-        return (
-            self.message_ps(src, dst, req_bytes)
-            + self.message_ps(dst, src, resp_bytes)
-        )
-
     def parallel_step_ps(self, transfers: list[tuple[int, int, int]]) -> int:
         """Makespan of one communication step.
 

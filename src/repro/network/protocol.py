@@ -12,8 +12,8 @@ tutorial discusses is exactly this overhead:
   with ~0.7-1.5 us end-to-end message overhead and no target-side CPU.
 
 :meth:`message_ps` is a one-way message (send-side + wire + recv-side);
-:meth:`round_trip_ps` is a request/response pair, which is the shape of
-a Farview READ/offload call.
+a Farview READ/offload call is a request message plus a response
+message.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ class ProtocolModel:
             + frames * self.per_frame_overhead_ps
         )
         return processing + self.link.transfer_ps(nbytes)
-
-    def round_trip_ps(self, request_bytes: int, response_bytes: int) -> int:
-        """A request/response exchange (e.g. an RDMA READ)."""
-        return self.message_ps(request_bytes) + self.message_ps(response_bytes)
-
-    def stream_ps(self, nbytes: int) -> int:
-        """A long unidirectional stream: one message setup, bulk at line rate."""
-        setup = self.send_overhead_ps + self.recv_overhead_ps
-        return setup + self.link.transfer_ps(nbytes)
 
     def goodput_bytes_per_sec(self, message_bytes: int) -> float:
         """Payload goodput when sending back-to-back messages of a size."""

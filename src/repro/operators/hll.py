@@ -74,14 +74,6 @@ class HyperLogLog:
         ).astype(np.uint8)
         np.maximum.at(self.registers, bucket, rho)
 
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        """Union of two sketches (register-wise max); same precision only."""
-        if other.precision != self.precision:
-            raise ValueError("cannot merge sketches of different precision")
-        merged = HyperLogLog(self.precision)
-        np.maximum(self.registers, other.registers, out=merged.registers)
-        return merged
-
     def estimate(self) -> float:
         """Bias-corrected cardinality estimate."""
         m = float(self.m)

@@ -79,15 +79,6 @@ class CountMinSketch:
             estimates = np.minimum(estimates, self.counters[row][buckets])
         return estimates
 
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Sum of two sketches over the same dimensions."""
-        if (self.width, self.depth) != (other.width, other.depth):
-            raise ValueError("sketch dimensions must match")
-        merged = CountMinSketch(self.width, self.depth)
-        merged.counters = self.counters + other.counters
-        merged.total = self.total + other.total
-        return merged
-
     def error_bound(self) -> float:
         """The eps*N additive error bound of point queries."""
         return math.e / self.width * self.total

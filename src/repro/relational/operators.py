@@ -140,10 +140,6 @@ class QueryPlan:
             if isinstance(op, (Aggregate, GroupByAggregate)):
                 seen_agg = True
 
-    def then(self, op: Operator) -> "QueryPlan":
-        """A new plan with ``op`` appended."""
-        return QueryPlan(self.operators + (op,))
-
     @property
     def has_aggregation(self) -> bool:
         return any(

@@ -81,7 +81,3 @@ class Schema:
     def row_nbytes(self) -> int:
         """Bytes of one row across all columns."""
         return sum(ctype.nbytes for _, ctype in self.columns)
-
-    def project(self, names: list[str] | tuple[str, ...]) -> "Schema":
-        """Schema restricted to ``names`` (in the given order)."""
-        return Schema(tuple((n, self.type_of(n)) for n in names))

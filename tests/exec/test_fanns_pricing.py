@@ -9,7 +9,6 @@ backend skip the dataset and k-means altogether.
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from repro.exec.experiments import contexts
 from repro.exec.experiments.fanns import _E5_NPROBES, e5_cell
@@ -21,16 +20,11 @@ from repro.workloads import clustered_dataset
 _PRICED_NPROBES = sorted(set(_E5_NPROBES) | {1, 2, 4, 8, 16, 32, 64})
 
 
-@pytest.fixture
-def smoke(monkeypatch):
-    monkeypatch.setenv("REPRO_SMOKE", "1")
-
-
-def test_fanns_shape_is_the_trained_index_shape(smoke):
+def test_fanns_shape_is_the_trained_index_shape():
     assert contexts.fanns_shape() == contexts.fanns_index().shape
 
 
-def test_shape_price_equals_trained_index_price(smoke):
+def test_shape_price_equals_trained_index_price():
     index = contexts.fanns_index()
     sizes = np.array([len(ids) for ids in index.list_ids])
     from_shape = FannsAccelerator(
@@ -45,9 +39,8 @@ def test_shape_price_equals_trained_index_price(smoke):
         ).stage_times(nprobe)
 
 
-def test_fanns_backend_draws_no_dataset(monkeypatch):
-    monkeypatch.delenv("REPRO_SMOKE", raising=False)
-    before = contexts._fanns_dataset.cache_info()
+def test_fanns_backend_draws_no_dataset():
+    before = contexts.fanns_dataset.cache_info()
     build_backend("fanns")  # the first call also imports the engines
     tracemalloc.start()
     try:
@@ -56,7 +49,7 @@ def test_fanns_backend_draws_no_dataset(monkeypatch):
     finally:
         tracemalloc.stop()
     assert backend.batch_service_ps(backend.max_batch) > 0
-    assert contexts._fanns_dataset.cache_info() == before
+    assert contexts.fanns_dataset.cache_info() == before
     # The full-scale base vectors alone take 2.5 MB.
     assert peak < 100_000
 

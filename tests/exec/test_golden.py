@@ -1,9 +1,10 @@
-"""Every experiment's smoke-scale tables against its committed golden.
+"""Every experiment's tables against its committed golden.
 
 ``results/golden/eN.txt`` holds experiment eN's tables exactly as
-``REPRO_SMOKE=1 python -m repro run eN --no-cache`` prints them,
-without the ``[eN] ... cells`` summary line.  Each case runs the
-experiment serially and uncached through the :class:`SweepRunner` and
+``python -m repro run eN --no-cache`` prints them, without the
+``[eN] ... cells`` summary line.  There is one scale: the goldens are
+the full-scale tables the paper's claims are read from.  Each case
+runs the experiment uncached through the :class:`SweepRunner` and
 compares the printed tables with that file.  ``pytest --write-golden``
 rewrites the files instead; a change that does so must say which
 tables moved and why.
@@ -38,8 +39,7 @@ _STEPPED_TABLES = (
 
 
 @pytest.fixture(autouse=True)
-def _smoke_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_SMOKE", "1")
+def _default_fault_rate(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
 
 

@@ -1,12 +1,11 @@
 """The experiment registry: completeness, metadata, and spec hygiene.
 
 The registry is the single index every other layer hangs off — the
-CLI (``repro run``/``repro list``), the golden tests, CI's smoke
+CLI (``repro run``/``repro list``), the golden tests, CI's full
 sweep.  These tests pin the registry's invariants: one committed
 golden per registered experiment and no other, cells returning
-cache-safe plain JSON types, the specs' ``prepare()`` sharing the
-context builders, and the smoke/full dataset scale reflected in the
-cache identity.
+cache-safe plain JSON types, and the specs' ``prepare()`` sharing the
+context builders.
 """
 
 import json
@@ -16,7 +15,6 @@ import pytest
 
 from repro.exec import build_spec, experiment_ids
 from repro.exec.experiments import contexts, register
-from repro.exec.experiments.contexts import scale_key
 
 _GOLDEN_DIR = Path(__file__).resolve().parents[2] / "results" / "golden"
 
@@ -45,15 +43,6 @@ def test_cells_return_plain_json_types():
     assert roundtripped == row
 
 
-def test_context_key_tracks_dataset_scale(monkeypatch):
-    monkeypatch.delenv("REPRO_SMOKE", raising=False)
-    assert scale_key() == {"scale": "full"}
-    assert build_spec("e5").context_key == {"scale": "full"}
-    monkeypatch.setenv("REPRO_SMOKE", "1")
-    assert scale_key() == {"scale": "smoke"}
-    assert build_spec("e5").context_key == {"scale": "smoke"}
-
-
 def test_unknown_experiment_is_a_key_error():
     with pytest.raises(KeyError, match="e99"):
         build_spec("e99")
@@ -64,8 +53,7 @@ def test_double_registration_is_rejected():
         register("e1")(lambda: None)
 
 
-def test_spec_prepare_uses_the_same_contexts(monkeypatch):
-    monkeypatch.setenv("REPRO_SMOKE", "1")
+def test_spec_prepare_uses_the_same_contexts():
     e5_ctx = build_spec("e5").prepare()
     assert e5_ctx["data"] is contexts.fanns_dataset()
     assert e5_ctx["index"] is contexts.fanns_index()
@@ -76,12 +64,3 @@ def test_spec_prepare_uses_the_same_contexts(monkeypatch):
     assert build_spec("e9").prepare() == {"model": contexts.microrec_model()}
     e16_ctx = build_spec("e16").prepare()
     assert e16_ctx["index"] is contexts.fanns_index()
-
-
-def test_smoke_and_full_scales_are_distinct_cache_contexts(monkeypatch):
-    monkeypatch.delenv("REPRO_SMOKE", raising=False)
-    full = contexts.fanns_dataset()
-    monkeypatch.setenv("REPRO_SMOKE", "1")
-    smoke = contexts.fanns_dataset()
-    assert smoke is not full
-    assert len(smoke.base) < len(full.base)

@@ -1,7 +1,7 @@
 """Sweep runner: determinism, cache accounting, CLI wiring.
 
 e22 is the workhorse spec here — its grid computes in well under a
-second — so the parallel and cached paths are exercised end to end.
+second — so the cold and cached paths are exercised end to end.
 """
 
 import os
@@ -66,19 +66,6 @@ def test_registry_rejects_unknown_experiment():
         build_spec("e99")
 
 
-def test_parallel_must_be_positive():
-    with pytest.raises(ValueError):
-        SweepRunner(build_spec("e22"), parallel=0)
-
-
-def test_e22_parallel_matches_serial():
-    serial = SweepRunner(build_spec("e22")).run()
-    par = SweepRunner(build_spec("e22"), parallel=2).run()
-    assert par.rows == serial.rows
-    assert [t.render() for t in par.tables] == \
-        [t.render() for t in serial.tables]
-
-
 def test_e22_cached_rerun_is_identical(tmp_path):
     cache = ResultCache(tmp_path)
     cold = SweepRunner(build_spec("e22"), cache=cache).run()
@@ -92,11 +79,11 @@ def test_cli_parallel_run(tmp_path, monkeypatch, capsys):
     from repro.__main__ import main
 
     monkeypatch.chdir(tmp_path)  # results/cache lands in the tmp dir
-    assert main(["run", "e22", "--parallel", "2"]) == 0
+    assert main(["run", "e22"]) == 0
     out = capsys.readouterr().out
     assert "E22: tail latency and goodput under injected faults" in out
-    assert "6 cells: 0 cached, 6 computed (2 workers)" in out
-    assert main(["run", "e22", "--parallel", "2"]) == 0
+    assert "6 cells: 0 cached, 6 computed" in out
+    assert main(["run", "e22"]) == 0
     out = capsys.readouterr().out
     assert "6 cells: 6 cached, 0 computed" in out
     assert (tmp_path / "results" / "cache").is_dir()

@@ -124,9 +124,8 @@ def test_heavy_drops_terminate_with_full_accounting(seed, drop_rate):
         "even at 60% drops some batches land in SLO"
 
 
-def test_e24_fault_variant_keeps_the_service_alive(monkeypatch):
+def test_e24_fault_variant_keeps_the_service_alive():
     """The registered e24 cell wiring, degraded by a seeded plan."""
-    monkeypatch.setenv("REPRO_SMOKE", "1")
     from repro.exec.experiments.serving import build_backend
 
     backend = build_backend("microrec")

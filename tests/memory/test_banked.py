@@ -103,21 +103,6 @@ def test_empty_batch_costs_nothing():
     assert bank.batch_lookup_time_ps({"a": (0, 8)}) == 0
 
 
-def test_striped_scan_uses_aggregate_bandwidth():
-    bank = BankedMemory.uniform(_small_channel(), 4)
-    one_channel = bank.channels[0].stream_time_ps(4000)
-    striped = bank.striped_scan_time_ps(4000)
-    # 4 channels in parallel: ~4x faster (latency aside).
-    assert striped < one_channel
-    assert striped == bank.channels[0].stream_time_ps(1000)
-
-
-def test_region_scan_single_channel():
-    bank = BankedMemory.uniform(_small_channel(), 2)
-    bank.allocate("a", nbytes=500)
-    assert bank.region_scan_time_ps("a") == bank.channels[0].stream_time_ps(500)
-
-
 def test_striped_allocation_spans_channels():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 4)
     shards = bank.allocate_striped("big", nbytes=250)

@@ -73,9 +73,9 @@ def test_rows_are_standard_normal():
 def test_full_scale_tables_allocate_under_one_mib():
     """The e7/e8 model describes 484 MiB of rows; building its tables
     and gathering a batch allocate almost none of it."""
-    from repro.exec.experiments.contexts import _microrec_model
+    from repro.exec.experiments.contexts import microrec_model
 
-    spec = _microrec_model(smoke=False)
+    spec = microrec_model()
     trace = lookup_trace(spec, batch_size=8, seed=2)
     tracemalloc.start()
     try:
@@ -215,10 +215,10 @@ def _e16_fleetrec_model():
 def test_pricing_reads_widths_and_matches_the_eager_weights(which):
     """n_macs, weight_nbytes, the FPGA latency and the CPU's GEMV time
     equal what the drawn weights give, and pricing draws none."""
-    from repro.exec.experiments.contexts import _microrec_model
+    from repro.exec.experiments.contexts import microrec_model
 
     spec = (
-        _microrec_model(smoke=False) if which == "e7"
+        microrec_model() if which == "e7"
         else _e16_fleetrec_model()
     )
     cpu = CpuRecommender(spec, seed=6)

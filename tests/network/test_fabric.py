@@ -28,13 +28,6 @@ def test_node_range_checked():
         fab.message_ps(-1, 0, 10)
 
 
-def test_round_trip():
-    fab = _fabric()
-    assert fab.round_trip_ps(0, 1, 64, 4096) == fab.message_ps(
-        0, 1, 64
-    ) + fab.message_ps(1, 0, 4096)
-
-
 def test_parallel_disjoint_transfers_do_not_add():
     fab = _fabric(8)
     n = 1 << 20

@@ -42,25 +42,6 @@ def test_empty_sketch_estimates_zero():
     assert hll.estimate() == pytest.approx(0.0, abs=1.0)
 
 
-def test_merge_equals_union():
-    rng = np.random.default_rng(2)
-    a_vals = rng.integers(0, 1 << 62, size=20_000)
-    b_vals = rng.integers(0, 1 << 62, size=20_000)
-    a, b, union = (HyperLogLog(12) for _ in range(3))
-    a.add(a_vals)
-    b.add(b_vals)
-    union.add(a_vals)
-    union.add(b_vals)
-    merged = a.merge(b)
-    assert np.array_equal(merged.registers, union.registers)
-    assert merged.estimate() == union.estimate()
-
-
-def test_merge_precision_mismatch():
-    with pytest.raises(ValueError):
-        HyperLogLog(10).merge(HyperLogLog(12))
-
-
 def test_precision_validation():
     with pytest.raises(ValueError):
         HyperLogLog(3)

@@ -45,20 +45,6 @@ def test_cm_from_error_dimensions():
         CountMinSketch.from_error(eps=0.0, delta=0.5)
 
 
-def test_cm_merge_is_additive():
-    a_vals, b_vals = _zipf_stream(seed=4), _zipf_stream(seed=5)
-    a, b, both = (CountMinSketch(1024, 3) for _ in range(3))
-    a.add(a_vals)
-    b.add(b_vals)
-    both.add(a_vals)
-    both.add(b_vals)
-    merged = a.merge(b)
-    assert np.array_equal(merged.counters, both.counters)
-    assert merged.total == both.total
-    with pytest.raises(ValueError):
-        a.merge(CountMinSketch(512, 3))
-
-
 def test_cm_validation_and_empty():
     with pytest.raises(ValueError):
         CountMinSketch(width=0)

@@ -120,12 +120,6 @@ def test_plan_rejects_operators_after_aggregation():
         ))
 
 
-def test_plan_then_builder():
-    plan = QueryPlan().then(Filter(col("key") < 1)).then(Project(("key",)))
-    assert len(plan.operators) == 2
-    assert not plan.has_aggregation
-
-
 def test_columns_needed_prunes_scan():
     all_cols = ("key", "val0", "val1", "val2")
     plan = QueryPlan((

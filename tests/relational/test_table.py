@@ -40,12 +40,6 @@ def test_schema_duplicate_names_rejected():
         Schema((("a", ColumnType.INT64), ("a", ColumnType.INT64)))
 
 
-def test_schema_project_preserves_order():
-    schema = Schema.of(a=ColumnType.INT64, b=ColumnType.FLOAT64,
-                       c=ColumnType.INT32)
-    assert schema.project(["c", "a"]).names == ("c", "a")
-
-
 def test_table_derives_schema():
     t = _table()
     assert t.schema.type_of("key") is ColumnType.INT64

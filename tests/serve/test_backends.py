@@ -93,14 +93,13 @@ def test_microrec_batch_cost_follows_infer():
         )
 
 
-def test_microrec_backend_builds_no_embedding_tables(monkeypatch):
+def test_microrec_backend_builds_no_embedding_tables():
     """The full-scale serving backend prices from the model spec; its
     484 MiB of embedding tables are never drawn."""
     import tracemalloc
 
     from repro.exec.experiments.serving import build_backend
 
-    monkeypatch.delenv("REPRO_SMOKE", raising=False)
     tracemalloc.start()
     try:
         backend = build_backend("microrec")

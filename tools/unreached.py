@@ -7,8 +7,7 @@ Run from anywhere (stdlib only; about 30 s on two cores)::
 Each run below executes in its own interpreter under ``sys.setprofile``,
 which records every code object the run enters:
 
-- ``REPRO_SMOKE=1 python -m repro run all --no-cache``;
-- full-scale ``python -m repro run all --no-cache``;
+- ``python -m repro run all --no-cache``;
 - ``python -m repro serve`` for each of the four backends, plain and
   with ``--faults 0.05 --autoscale``;
 - ``run e22 --faults 0.01`` and ``run e19 --trace OUT.json``;
@@ -30,8 +29,8 @@ output:
   raises if one is missing;
 - the stepped engine, the reference that
   ``test_stepped_engine_matches_golden`` runs against the goldens;
-- the tracer hooks (they run only under a tracer), ``exec/cache``
-  (every run here is uncached) and the parallel runner;
+- the tracer hooks (they run only under a tracer) and ``exec/cache``
+  (every run here is uncached);
 - store operations checked against reference implementations
   (``HashTable.delete``, ``LsmStore.get`` and ``LsmStore.delete``);
 - the PQ test oracles ``decode`` and ``adc_distances``;
@@ -83,37 +82,35 @@ sys.exit(status)
 """
 
 
-def _runs(scratch: Path) -> list[tuple[dict[str, str], list[str]]]:
+def _runs(scratch: Path) -> list[list[str]]:
     runs = [
-        ({"REPRO_SMOKE": "1"}, ["repro", "run", "all", "--no-cache"]),
-        ({}, ["repro", "run", "all", "--no-cache"]),
-        ({}, ["repro", "run", "e22", "--faults", "0.01", "--no-cache"]),
-        ({}, ["repro", "run", "e19", "--trace", str(scratch / "e19.json")]),
-        ({}, ["repro", "list"]),
-        ({}, ["repro", "list", "--json"]),
-        ({}, ["repro", "info"]),
+        ["repro", "run", "all", "--no-cache"],
+        ["repro", "run", "e22", "--faults", "0.01", "--no-cache"],
+        ["repro", "run", "e19", "--trace", str(scratch / "e19.json")],
+        ["repro", "list"],
+        ["repro", "list", "--json"],
+        ["repro", "info"],
     ]
     for backend in ("synthetic", "fanns", "microrec", "farview"):
         serve = ["repro", "serve", "--backend", backend]
-        runs.append(({}, serve))
-        runs.append(({}, serve + ["--faults", "0.05", "--autoscale"]))
+        runs.append(serve)
+        runs.append(serve + ["--faults", "0.05", "--autoscale"])
     for example in sorted((ROOT / "examples").glob("*.py")):
-        runs.append(({}, [str(example)]))
+        runs.append([str(example)])
     return runs
 
 
 def _entered(scratch: Path) -> set[tuple[str, int]]:
     """Run every traced run; return the (file, line) pairs entered."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for key in ("REPRO_SMOKE", "REPRO_FAULT_RATE"):
-        env.pop(key, None)
+    env.pop("REPRO_FAULT_RATE", None)
 
-    def one(index_run):
-        index, (extra, argv) = index_run
+    def one(index_argv):
+        index, argv = index_argv
         out = scratch / f"run{index}.tsv"
         result = subprocess.run(
             [sys.executable, "-c", _CHILD, str(out), *argv],
-            cwd=ROOT, env={**env, **extra}, stdout=subprocess.DEVNULL,
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
         )
         return " ".join(argv), result.returncode, out
 
