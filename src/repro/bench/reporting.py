@@ -85,8 +85,8 @@ class ResultTable:
         """Append an observability metrics section to the table.
 
         ``snapshot`` is a :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
-        dict (``name{labels}`` -> value, histograms as sub-dicts); it is
-        rendered after the rows and footnotes.
+        dict (``name{labels}`` -> value); it is rendered after the rows
+        and footnotes.
         """
         self.metrics_sections.append((title, dict(snapshot)))
 
@@ -99,15 +99,9 @@ class ResultTable:
                 continue
             width = max(len(k) for k in snapshot)
             for key in sorted(snapshot):
-                value = snapshot[key]
-                if isinstance(value, dict):  # histogram snapshot
-                    rendered = (
-                        f"count={format_quantity(value.get('count', 0))} "
-                        f"mean={format_quantity(float(value.get('mean', 0.0)))}"
-                    )
-                else:
-                    rendered = format_quantity(value)
-                lines.append(f"  {key.ljust(width)}  {rendered}")
+                lines.append(
+                    f"  {key.ljust(width)}  {format_quantity(snapshot[key])}"
+                )
         return lines
 
     def render(self) -> str:

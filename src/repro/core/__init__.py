@@ -38,7 +38,7 @@ from .sim import (
     any_of,
     with_timeout,
 )
-from .stream import Burst, END_OF_STREAM, Stream, StreamTimeout
+from .stream import Burst, END_OF_STREAM, Stream
 
 __all__ = [
     "ALVEO_U250",
@@ -70,7 +70,6 @@ __all__ = [
     "Sink",
     "Source",
     "Stream",
-    "StreamTimeout",
     "ThroughputReport",
     "Timeout",
     "WaitTimeout",

@@ -28,7 +28,7 @@ unless it can prove the closed form safe:
 * no tracer is attached (observability wants per-event hooks);
 * every process in the simulator belongs to a registered pipeline
   component, and none has started yet (``run(until=...)``, faults,
-  timeouts, extra processes, or armed stream guards all disqualify);
+  timeouts or extra processes all disqualify);
 * components form linear chains of exactly one ``Source``, zero or
   more ``ItemKernel``/``BurstKernel`` stages, and one ``Sink``, over
   plain single-producer/single-consumer :class:`~repro.core.stream.Stream`
@@ -135,7 +135,7 @@ def _eligible_chains(sim) -> list[list[Any]] | None:
     for sid, stream in streams.items():
         if type(stream) is not Stream:
             return None
-        if stream._queue or stream._getters or stream._putters or stream._guards:
+        if stream._queue or stream._getters or stream._putters:
             return None
         if sid not in producers or sid not in consumers:
             return None

@@ -445,7 +445,10 @@ def with_timeout(sim: "Simulator", event: Event, timeout_ps: int) -> Event:
 
     Returns an event that mirrors ``event`` (same value / exception) if
     it fires within the budget, and fails with :class:`WaitTimeout`
-    otherwise.  On expiry the wait is *abandoned cleanly*: the
+    otherwise; an outcome already due at the expiry tick (an item a
+    same-tick ``put`` handed to a blocked getter) beats the timer, so
+    it is never lost.  Wrapping an already-fired process joins it.
+    On expiry the wait is *abandoned cleanly*: the
     wrapper's callback is unlinked from ``event`` and, if that leaves
     an abandonable waiter (one carrying :meth:`Event.on_cancel` hooks,
     e.g. a blocked stream getter) with no other listeners, the waiter
@@ -462,6 +465,7 @@ def with_timeout(sim: "Simulator", event: Event, timeout_ps: int) -> Event:
         raise SimulationError(f"negative timeout: {timeout_ps}")
     wrapper = Event(sim)
     if event._fired:
+        sim._defuse(event)
         if event.ok:
             wrapper.succeed(event.value)
         else:
@@ -479,7 +483,11 @@ def with_timeout(sim: "Simulator", event: Event, timeout_ps: int) -> Event:
             wrapper.fail(ev.value)
 
     def _expired(_timer: Event) -> None:
-        if wrapper._triggered:
+        if wrapper._triggered or (event._triggered and any(
+            ev is event for when, _, ev in sim._heap if when == sim._now
+        )):
+            # ``event`` fires later this tick with an outcome it already
+            # holds (a popped stream item): ``_won`` delivers it.
             return
         if _won in event.callbacks:
             event.callbacks.remove(_won)

@@ -24,25 +24,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .sim import Event, SimulationError, Simulator, Timeout
+from .sim import Event, SimulationError, Simulator
 
-__all__ = ["Burst", "END_OF_STREAM", "Stream", "StreamStats", "StreamTimeout"]
-
-
-class StreamTimeout(SimulationError):
-    """Raised into a process whose bounded stream wait expired.
-
-    ``side`` is ``"consumer"`` (a ``get`` that found no item in time)
-    or ``"producer"`` (a ``put`` that found no space in time).
-    """
-
-    def __init__(self, stream: str, side: str, timeout_ps: int) -> None:
-        super().__init__(
-            f"{side} wait on stream {stream!r} timed out after {timeout_ps} ps"
-        )
-        self.stream = stream
-        self.side = side
-        self.timeout_ps = timeout_ps
+__all__ = ["Burst", "END_OF_STREAM", "Stream", "StreamStats"]
 
 
 class _EndOfStream:
@@ -127,11 +111,6 @@ class Stream:
         # duration can be accounted when they resolve.
         self._getters: deque[tuple[Event, int]] = deque()
         self._putters: deque[tuple[Event, Any, int]] = deque()
-        # Guard timers for bounded waits, disarmed when the wait
-        # resolves (kept out of the waiter's callback list so an
-        # interrupted waiter still counts as "sole waiter" and gets
-        # cancelled/unlinked).
-        self._guards: dict[Event, Event] = {}
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -146,12 +125,12 @@ class Stream:
         """True if a get would block."""
         return not self._queue
 
-    def put(self, item: Any, timeout: int | None = None) -> Event:
+    def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has been enqueued.
 
-        With ``timeout`` (simulated time units), a put still blocked
-        after that long is abandoned: the item is *not* enqueued and
-        the event fails with :class:`StreamTimeout`.
+        Cancelling the event while the put is blocked (an interrupt, or
+        :func:`~repro.core.sim.with_timeout` expiring) abandons the put:
+        the item is *not* enqueued.
         """
         done = Event(self.sim)
         if self.try_put(item):
@@ -160,8 +139,6 @@ class Stream:
         self.stats.producer_stall_events += 1
         self._putters.append((done, item, self.sim.now))
         done.on_cancel(self._unlink_putter)
-        if timeout is not None:
-            self._arm_timeout(done, int(timeout), "producer")
         tracer = self.sim._tracer
         if tracer is not None:
             tracer.stream_put(
@@ -169,13 +146,11 @@ class Stream:
             )
         return done
 
-    def get(self, timeout: int | None = None) -> Event:
+    def get(self) -> Event:
         """Return an event that fires with the next item.
 
-        With ``timeout`` (simulated time units), a get still blocked
-        after that long is abandoned: the waiter is unlinked from the
-        stream (no later ``put`` can hand an item to it) and the event
-        fails with :class:`StreamTimeout`.
+        Cancelling the event while the get is blocked unlinks the
+        waiter from the stream, so no later ``put`` hands an item to it.
         """
         got = Event(self.sim)
         if self._queue:
@@ -187,8 +162,6 @@ class Stream:
         self.stats.consumer_stall_events += 1
         self._getters.append((got, self.sim.now))
         got.on_cancel(self._unlink_getter)
-        if timeout is not None:
-            self._arm_timeout(got, int(timeout), "consumer")
         tracer = self.sim._tracer
         if tracer is not None:
             tracer.stream_get(self.name, blocked=True)
@@ -249,13 +222,11 @@ class Stream:
         while self._getters:
             getter, since = self._getters.popleft()
             if not (getter._cancelled or getter._triggered):
-                self._disarm(getter)
                 return getter, since
         return None
 
     def _unlink_getter(self, event: Event) -> bool:
         """Remove an abandoned blocked consumer from the wait queue."""
-        self._disarm(event)
         for i, (getter, since) in enumerate(self._getters):
             if getter is event:
                 del self._getters[i]
@@ -265,37 +236,12 @@ class Stream:
 
     def _unlink_putter(self, event: Event) -> bool:
         """Remove an abandoned blocked producer (its item is discarded)."""
-        self._disarm(event)
         for i, (done, _item, since) in enumerate(self._putters):
             if done is event:
                 del self._putters[i]
                 self._end_producer_stall(since)
                 return True
         return False
-
-    def _disarm(self, waiter: Event) -> None:
-        timer = self._guards.pop(waiter, None)
-        if timer is not None:
-            timer.cancel()
-
-    def _arm_timeout(self, waiter: Event, timeout_ps: int, side: str) -> None:
-        timer = Timeout(self.sim, timeout_ps)
-        self._guards[waiter] = timer
-
-        def _expire(_timer: Event) -> None:
-            self._guards.pop(waiter, None)
-            if waiter._triggered or waiter._cancelled:
-                return
-            if side == "consumer":
-                self._unlink_getter(waiter)
-            else:
-                self._unlink_putter(waiter)
-            tracer = self.sim._tracer
-            if tracer is not None:
-                tracer.stream_timeout(self.name, side, timeout_ps)
-            waiter.fail(StreamTimeout(self.name, side, timeout_ps))
-
-        timer.callbacks.append(_expire)
 
     def _drain_putters(self) -> None:
         while len(self._queue) < self.depth:
@@ -320,7 +266,6 @@ class Stream:
         while self._putters:
             done, item, since = self._putters.popleft()
             if not (done._cancelled or done._triggered):
-                self._disarm(done)
                 return done, item, since
         return None
 

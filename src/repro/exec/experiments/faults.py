@@ -55,9 +55,7 @@ def _simulate_farview(rate: float) -> dict:
         spike_rate=rate,
         spike_ps=(2_000_000, 20_000_000),
     )
-    link = FaultyLink(
-        sim, ethernet_100g(), plan, name="farview.egress", mode="silent"
-    )
+    link = FaultyLink(sim, ethernet_100g(), plan, name="farview.egress")
     outcomes = []
 
     def attempt():

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 from ..baselines.cpu import CpuModel, xeon_server
 from ..core.dataflow import ThroughputReport
-from ..faults.plan import FaultPlan
-from ..faults.retry import RetryPolicy, analytic_retries
 from ..relational.engine import cpu_cost_s, execute
 from ..relational.operators import QueryPlan
 from ..relational.table import Table
@@ -63,47 +61,26 @@ class FarviewClient:
     def _request_s(self) -> float:
         return self.protocol.message_ps(_REQUEST_BYTES) / _PS_PER_S
 
-    def query_offload(
-        self,
-        plan: QueryPlan,
-        table_name: str,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
-    ) -> QueryOutcome:
+    def query_offload(self, plan: QueryPlan, table_name: str) -> QueryOutcome:
         """Offloaded execution: plan goes to the node, results come back.
 
         Latency = request + node pipeline (which already streams results
         into the network as they are produced) + the final response
         message latency.
-
-        With ``faults``, each attempt's request/response round trip
-        consults the plan at site ``"farview.offload"``; dropped
-        attempts are retried under ``retry`` (default
-        :class:`RetryPolicy`) and a blown ``deadline_s`` raises
-        :class:`~repro.faults.retry.DeadlineExceeded`.
         """
         execution = self.server.execute(plan, table_name)
         request_s = self._request_s()
         response_latency_s = self.protocol.message_ps(0) / _PS_PER_S
-        happy_s = request_s + execution.processing_s + response_latency_s
-        latency, attempts, retries = analytic_retries(
-            "farview.offload", happy_s, faults,
-            retry or RetryPolicy(), deadline_s,
-        )
-        wire_bytes = attempts * _REQUEST_BYTES + execution.result_bytes
         return QueryOutcome(
             result=execution.result,
-            latency_s=latency,
-            bytes_over_network=wire_bytes,
+            latency_s=request_s + execution.processing_s + response_latency_s,
+            bytes_over_network=_REQUEST_BYTES + execution.result_bytes,
             mode="offload",
             breakdown={
                 "request_s": request_s,
                 "node_processing_s": execution.processing_s,
                 "response_latency_s": response_latency_s,
                 "scan_bytes": float(execution.scan_bytes),
-                "attempts": float(attempts),
-                "retries": float(retries),
             },
             report=execution.report,
         )
@@ -113,9 +90,6 @@ class FarviewClient:
         plan: QueryPlan,
         table_name: str,
         fetch_granularity: str = "columns",
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
     ) -> QueryOutcome:
         """Conventional execution: fetch raw data, process locally.
 
@@ -139,22 +113,15 @@ class FarviewClient:
         compute_s = cpu_cost_s(plan, fetched, self.cpu)
         result = execute(plan, fetched)
         request_s = self._request_s()
-        happy_s = request_s + max(transfer_s, compute_s)
-        latency, attempts, retries = analytic_retries(
-            "farview.fetch", happy_s, faults,
-            retry or RetryPolicy(), deadline_s,
-        )
         return QueryOutcome(
             result=result,
-            latency_s=latency,
-            bytes_over_network=attempts * (_REQUEST_BYTES + read.scan_bytes),
+            latency_s=request_s + max(transfer_s, compute_s),
+            bytes_over_network=_REQUEST_BYTES + read.scan_bytes,
             mode=f"fetch-{fetch_granularity}",
             breakdown={
                 "request_s": request_s,
                 "transfer_s": transfer_s,
                 "cpu_s": compute_s,
                 "fetched_bytes": float(read.scan_bytes),
-                "attempts": float(attempts),
-                "retries": float(retries),
             },
         )

@@ -6,28 +6,19 @@ omit.  A seeded :class:`FaultPlan` decides — deterministically, per
 injection site — which transfers drop, which suffer latency spikes,
 and which nodes crash; :class:`FaultyLink` applies those decisions to
 network links; :func:`call_with_retries` and :class:`RetryPolicy` give
-clients exponential-backoff recovery under per-request deadlines.
+clients exponential-backoff recovery under per-attempt timeouts.
 Experiment ``e22`` measures the cost.
 """
 
-from .injection import FaultyLink, TransferDropped
+from .injection import FaultyLink
 from .plan import FaultPlan, NodeOutage
-from .retry import (
-    CallOutcome,
-    DeadlineExceeded,
-    RetryPolicy,
-    analytic_retries,
-    call_with_retries,
-)
+from .retry import CallOutcome, RetryPolicy, call_with_retries
 
 __all__ = [
     "CallOutcome",
-    "DeadlineExceeded",
     "FaultPlan",
     "FaultyLink",
     "NodeOutage",
     "RetryPolicy",
-    "TransferDropped",
-    "analytic_retries",
     "call_with_retries",
 ]

@@ -1,10 +1,11 @@
-"""Retry with exponential backoff + jitter, under per-call deadlines.
+"""Retry with exponential backoff + jitter, under per-attempt timeouts.
 
 :func:`call_with_retries` is the event-driven recovery loop the fault
 experiments share: spawn an attempt process, bound it with
-:func:`~repro.core.sim.with_timeout`, and on failure (injected drop,
-node down, or timeout) back off and try again — until the policy's
-attempt budget or the caller's deadline runs out.  It is written as a
+:func:`~repro.core.sim.with_timeout`, and on failure (a modelled
+:class:`~repro.core.sim.SimulationError`, or a timeout — how a silently
+dropped transfer shows) back off and try again, until the policy's
+attempt budget runs out.  It is written as a
 generator so client processes use it transparently::
 
     outcome = yield from call_with_retries(sim, make_attempt, policy, rng)
@@ -24,25 +25,7 @@ from typing import Any
 
 from ..core.sim import SimulationError, Simulator, WaitTimeout, with_timeout
 
-__all__ = [
-    "CallOutcome",
-    "DeadlineExceeded",
-    "RetryPolicy",
-    "analytic_retries",
-    "call_with_retries",
-]
-
-_PS_PER_S = 1_000_000_000_000
-
-
-class DeadlineExceeded(SimulationError):
-    """An analytic-layer request exhausted its retries or deadline."""
-
-    def __init__(self, site: str, deadline_s: float | None = None) -> None:
-        budget = "" if deadline_s is None else f" (deadline {deadline_s:.6f} s)"
-        super().__init__(f"request at {site!r} gave up{budget}")
-        self.site = site
-        self.deadline_s = deadline_s
+__all__ = ["CallOutcome", "RetryPolicy", "call_with_retries"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +37,7 @@ class RetryPolicy:
     max_attempts:
         Total tries including the first (1 = no retries).
     timeout_ps:
-        Per-attempt budget; ``None`` waits indefinitely.
+        Per-attempt budget.
     backoff_base_ps:
         Sleep before the second attempt.
     backoff_multiplier:
@@ -64,7 +47,7 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    timeout_ps: int | None = 50_000_000  # 50 us
+    timeout_ps: int = 50_000_000  # 50 us
     backoff_base_ps: int = 1_000_000  # 1 us
     backoff_multiplier: float = 2.0
     jitter: float = 0.2
@@ -72,7 +55,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_ps is not None and self.timeout_ps <= 0:
+        if self.timeout_ps <= 0:
             raise ValueError("timeout_ps must be positive")
         if self.backoff_base_ps < 0:
             raise ValueError("backoff_base_ps must be >= 0")
@@ -93,19 +76,13 @@ class RetryPolicy:
 
 @dataclass(frozen=True, slots=True)
 class CallOutcome:
-    """What one retried call cost.
-
-    ``ok=False`` means the call gave up (attempts or deadline
-    exhausted); ``deadline_missed`` distinguishes a blown deadline from
-    exhausted attempts.
-    """
+    """What one retried call cost (``ok=False``: attempts exhausted)."""
 
     ok: bool
     value: Any
     attempts: int
     retries: int
     latency_ps: int
-    deadline_missed: bool = False
 
 
 def call_with_retries(
@@ -113,130 +90,48 @@ def call_with_retries(
     make_attempt: Callable[[], Generator],
     policy: RetryPolicy,
     rng: random.Random,
-    deadline_ps: int | None = None,
     site: str = "call",
-    retry_on: tuple[type[BaseException], ...] = (SimulationError,),
 ) -> Generator[Any, Any, CallOutcome]:
-    """Run ``make_attempt`` until it succeeds or the budget runs out.
+    """Run ``make_attempt`` until it succeeds or the attempts run out.
 
     Each attempt is spawned as a fresh process and bounded by the
-    policy's per-attempt timeout (clamped to the remaining deadline).
-    A timed-out attempt is interrupted and defused so it cannot leak an
-    unjoined failure; a failed attempt whose exception matches
-    ``retry_on`` triggers backoff + retry, anything else propagates.
+    policy's per-attempt timeout.  A timed-out attempt is interrupted
+    and defused so it cannot leak an unjoined failure; an attempt that
+    fails with a :class:`~repro.core.sim.SimulationError` triggers
+    backoff + retry, anything else propagates.
     """
     tracer = sim._tracer
     start = sim.now
-    retries = 0
-    attempt = 0
-    gave_up_on_deadline = False
-    while attempt < policy.max_attempts:
-        attempt += 1
-        budget = policy.timeout_ps
-        if deadline_ps is not None:
-            remaining = deadline_ps - (sim.now - start)
-            if remaining <= 0:
-                gave_up_on_deadline = True
-                break
-            budget = remaining if budget is None else min(budget, remaining)
+    for attempt in range(1, policy.max_attempts + 1):
+        if attempt > 1:
+            backoff = policy.backoff_ps(attempt - 1, rng)
+            if tracer is not None:
+                tracer.retry_attempted(site, attempt - 1)
+            if backoff:
+                yield sim.timeout(backoff)
         proc = sim.spawn(make_attempt(), name=f"{site}.attempt{attempt}")
-        guarded = proc if budget is None else with_timeout(sim, proc, budget)
         try:
-            value = yield guarded
+            value = yield with_timeout(sim, proc, policy.timeout_ps)
         except WaitTimeout:
             if proc.is_alive:
                 proc.interrupt("attempt timed out")
             proc.defuse()
-        except retry_on:
+        except SimulationError:
             proc.defuse()
         else:
             return CallOutcome(
                 ok=True,
                 value=value,
                 attempts=attempt,
-                retries=retries,
+                retries=attempt - 1,
                 latency_ps=sim.now - start,
             )
-        if attempt >= policy.max_attempts:
-            break
-        backoff = policy.backoff_ps(attempt, rng)
-        if deadline_ps is not None and (sim.now - start) + backoff >= deadline_ps:
-            gave_up_on_deadline = True
-            break
-        retries += 1
-        if tracer is not None:
-            tracer.retry_attempted(site, attempt)
-        if backoff:
-            yield sim.timeout(backoff)
     if tracer is not None:
         tracer.deadline_missed(site)
     return CallOutcome(
         ok=False,
         value=None,
-        attempts=attempt,
-        retries=retries,
+        attempts=policy.max_attempts,
+        retries=policy.max_attempts - 1,
         latency_ps=sim.now - start,
-        deadline_missed=gave_up_on_deadline,
     )
-
-
-def analytic_retries(
-    site: str,
-    base_s: float,
-    faults: "Any",
-    policy: RetryPolicy,
-    deadline_s: float | None = None,
-    tracer: "Any | None" = None,
-) -> tuple[float, int, int]:
-    """Retry accounting for the analytic (non-event-driven) layers.
-
-    Models the same loop as :func:`call_with_retries` in closed form:
-    each attempt consults the fault plan; a dropped attempt costs the
-    per-attempt timeout (the client must *notice* the loss) plus
-    backoff, a spiked attempt costs the spike, and a clean attempt
-    lands after ``base_s``.  Returns ``(latency_s, attempts, retries)``
-    or raises :class:`DeadlineExceeded` when the budget runs out.
-
-    ``faults=None`` is the happy path: ``(base_s, 1, 0)``.
-    """
-    if faults is None:
-        return base_s, 1, 0
-    rng = faults.stream(site)
-    wait_s = (
-        base_s if policy.timeout_ps is None else policy.timeout_ps / _PS_PER_S
-    )
-    elapsed = 0.0
-    attempt = 0
-    retries = 0
-    while attempt < policy.max_attempts:
-        attempt += 1
-        spike_s = faults.spike_delay_ps(site) / _PS_PER_S
-        if spike_s and tracer is not None:
-            tracer.fault_injected(
-                "latency_spike", site, at_ps=int(elapsed * _PS_PER_S),
-                delay_ps=int(spike_s * _PS_PER_S),
-            )
-        if not faults.drop(site):
-            elapsed += base_s + spike_s
-            if deadline_s is not None and elapsed > deadline_s:
-                break
-            return elapsed, attempt, retries
-        if tracer is not None:
-            tracer.fault_injected(
-                "drop", site, at_ps=int(elapsed * _PS_PER_S)
-            )
-        elapsed += wait_s
-        if attempt >= policy.max_attempts:
-            break
-        backoff_s = policy.backoff_ps(attempt, rng) / _PS_PER_S
-        if deadline_s is not None and elapsed + backoff_s >= deadline_s:
-            break
-        retries += 1
-        if tracer is not None:
-            tracer.retry_attempted(
-                site, attempt, at_ps=int(elapsed * _PS_PER_S)
-            )
-        elapsed += backoff_s
-    if tracer is not None:
-        tracer.deadline_missed(site, at_ps=int(elapsed * _PS_PER_S))
-    raise DeadlineExceeded(site, deadline_s)

@@ -2,9 +2,8 @@
 
 Three cooperating pieces (see DESIGN.md §6 "Observability"):
 
-* :mod:`repro.obs.metrics` — a registry of named counters, gauges and
-  fixed-bucket histograms with hierarchical labels; zero overhead when
-  disabled.
+* :mod:`repro.obs.metrics` — a registry of named counters and gauges
+  with hierarchical labels, filled by the tracer.
 * :mod:`repro.obs.trace` — the event tracer the instrumented classes
   (:class:`~repro.core.sim.Simulator`, streams, kernels, links, memory
   ports/banks) emit through, with Chrome ``trace_event`` JSON export
@@ -18,7 +17,7 @@ with one attached, recording never alters simulated behaviour
 (trace transparency).
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .profile import ComponentProfile, ProfileReport, Profiler
 from .trace import TraceEvent, Tracer, get_default_tracer, set_default_tracer
 
@@ -26,7 +25,6 @@ __all__ = [
     "ComponentProfile",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ProfileReport",
     "Profiler",

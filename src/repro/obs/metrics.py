@@ -1,17 +1,11 @@
-"""Lightweight metrics: counters, gauges, fixed-bucket histograms.
+"""Lightweight metrics: counters and gauges.
 
 The registry is the accounting half of the observability layer
-(:mod:`repro.obs`): instrumented components ask it for named
-instruments, optionally qualified by hierarchical labels
-(``kernel="filter", port="in"``), and increment them on the hot path.
-
-Two properties drive the design:
-
-* **zero overhead when disabled** — a disabled registry hands out
-  shared null instruments whose mutators are no-ops, so instrumented
-  code never needs its own ``if enabled`` check;
-* **determinism** — instruments are plain Python numbers; reading or
-  snapshotting them never perturbs a simulation.
+(:mod:`repro.obs`): the tracer asks it for named instruments,
+optionally qualified by hierarchical labels
+(``kernel="filter", port="in"``), and increments them as hooks fire.
+Instruments are plain Python numbers, so reading or snapshotting them
+never perturbs a simulation; an untraced run creates none.
 
 ``snapshot()`` returns a plain dict keyed ``name{label=value,...}`` so
 results can be attached to a bench
@@ -20,17 +14,9 @@ results can be attached to a bench
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 def _key(name: str, labels: dict[str, Any]) -> str:
@@ -86,132 +72,20 @@ class Gauge:
         return f"Gauge({_key(self.name, self.labels)}={self.value})"
 
 
-class Histogram:
-    """Fixed-bucket histogram (bucket upper bounds, plus overflow).
-
-    ``bounds`` are inclusive upper edges in increasing order; an
-    observation lands in the first bucket whose bound is >= the value,
-    or in the overflow bucket.  ``sum``/``count`` allow mean recovery.
-    """
-
-    __slots__ = ("name", "labels", "bounds", "counts", "sum", "count")
-
-    def __init__(
-        self, name: str, labels: dict[str, Any], bounds: Iterable[float]
-    ) -> None:
-        self.name = name
-        self.labels = dict(labels)
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError(f"histogram {name!r} needs at least one bucket")
-        self.counts = [0] * (len(self.bounds) + 1)  # last = overflow
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"Histogram({_key(self.name, self.labels)}: "
-            f"count={self.count}, mean={self.mean:g})"
-        )
-
-
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int | float = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def value(self) -> int:
-        return 0
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-    @property
-    def mean(self) -> float:
-        return 0.0
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-_DEFAULT_BOUNDS = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)
-
-
 class MetricsRegistry:
     """A named collection of instruments with hierarchical labels.
 
-    ``counter``/``gauge``/``histogram`` get-or-create: the same
-    ``(name, labels)`` pair always returns the same instrument, so call
-    sites need not cache handles (though hot paths should).
+    ``counter``/``gauge`` get-or-create: the same ``(name, labels)``
+    pair always returns the same instrument, so call sites need not
+    cache handles (though hot paths should).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+    def __init__(self) -> None:
+        self._instruments: dict[str, Counter | Gauge] = {}
 
     # -- instrument access -------------------------------------------------
 
-    def counter(self, name: str, **labels: Any) -> Counter | _NullCounter:
-        if not self.enabled:
-            return NULL_COUNTER
+    def counter(self, name: str, **labels: Any) -> Counter:
         key = _key(name, labels)
         inst = self._instruments.get(key)
         if inst is None:
@@ -221,32 +95,13 @@ class MetricsRegistry:
             raise TypeError(f"{key!r} already registered as {type(inst).__name__}")
         return inst
 
-    def gauge(self, name: str, **labels: Any) -> Gauge | _NullGauge:
-        if not self.enabled:
-            return NULL_GAUGE
+    def gauge(self, name: str, **labels: Any) -> Gauge:
         key = _key(name, labels)
         inst = self._instruments.get(key)
         if inst is None:
             inst = Gauge(name, labels)
             self._instruments[key] = inst
         elif not isinstance(inst, Gauge):
-            raise TypeError(f"{key!r} already registered as {type(inst).__name__}")
-        return inst
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Iterable[float] = _DEFAULT_BOUNDS,
-        **labels: Any,
-    ) -> Histogram | _NullHistogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        key = _key(name, labels)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = Histogram(name, labels, bounds)
-            self._instruments[key] = inst
-        elif not isinstance(inst, Histogram):
             raise TypeError(f"{key!r} already registered as {type(inst).__name__}")
         return inst
 
@@ -258,7 +113,7 @@ class MetricsRegistry:
     def __contains__(self, key: str) -> bool:
         return key in self._instruments
 
-    def get(self, key: str) -> Counter | Gauge | Histogram | None:
+    def get(self, key: str) -> Counter | Gauge | None:
         """Look up an instrument by its canonical ``name{labels}`` key."""
         return self._instruments.get(key)
 
@@ -271,27 +126,8 @@ class MetricsRegistry:
         """Drop every instrument."""
         self._instruments.clear()
 
-    def snapshot(self) -> dict[str, Any]:
-        """Current values as a plain, JSON-friendly dict.
-
-        Counters and gauges map to their value; histograms map to a
-        dict with ``count``, ``sum``, ``mean``, and per-bucket counts
-        keyed by the bucket's upper bound (``inf`` for overflow).
-        """
-        out: dict[str, Any] = {}
-        for key, inst in sorted(self._instruments.items()):
-            if isinstance(inst, Histogram):
-                buckets = {
-                    f"le_{bound:g}": n
-                    for bound, n in zip(inst.bounds, inst.counts)
-                }
-                buckets["le_inf"] = inst.counts[-1]
-                out[key] = {
-                    "count": inst.count,
-                    "sum": inst.sum,
-                    "mean": inst.mean,
-                    "buckets": buckets,
-                }
-            else:
-                out[key] = inst.value
-        return out
+    def snapshot(self) -> dict[str, float]:
+        """Current values as a plain, JSON-friendly dict."""
+        return {
+            key: inst.value for key, inst in sorted(self._instruments.items())
+        }

@@ -90,34 +90,20 @@ def get_default_tracer() -> "Tracer | None":
 class Tracer:
     """Records simulation activity as trace events plus metrics.
 
-    Parameters
-    ----------
-    registry:
-        Metrics registry for the counter side; a fresh enabled registry
-        is created when omitted.
-    verbose_sim:
-        When True, every scheduler event fire and process resume also
-        becomes an instant trace event.  Off by default — those are
-        per-event-loop-iteration and dominate trace size; the counters
-        still run.
-    clock:
-        Callable returning the current time in ps.  A simulator binds
-        its own clock on attach; standalone use (analytic components
-        such as :class:`~repro.memory.banked.BankedMemory`) defaults to
-        a zero clock, which timestamps records at 0 unless the call
-        site supplies explicit times.
+    ``registry`` holds the counters; ``events`` the trace slices and
+    instants.  Engine-level hooks (event fires, process resumes) only
+    count: as trace events they would dominate the trace's size.
+
+    A simulator binds its own clock on attach; standalone use (analytic
+    components such as :class:`~repro.memory.banked.BankedMemory`)
+    keeps a zero clock, which timestamps records at 0 unless the call
+    site supplies explicit times.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        verbose_sim: bool = False,
-        clock: Callable[[], int] | None = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.verbose_sim = verbose_sim
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.events: list[TraceEvent] = []
-        self._clock: Callable[[], int] = clock if clock is not None else (lambda: 0)
+        self._clock: Callable[[], int] = lambda: 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -177,15 +163,11 @@ class Tracer:
     def process_resumed(self, name: str, at_ps: int) -> None:
         """Called when a process generator is stepped."""
         self.registry.counter("sim.process.resumes", process=name).inc()
-        if self.verbose_sim:
-            self.instant("resume", "sim", f"process:{name}")
 
     def process_finished(self, name: str, at_ps: int, ok: bool) -> None:
         self.registry.counter(
             "sim.process.finished", process=name, ok=ok
         ).inc()
-        if self.verbose_sim:
-            self.instant("finish", "sim", f"process:{name}", ok=ok)
 
     # -- stream hooks ------------------------------------------------------
 
@@ -202,16 +184,6 @@ class Tracer:
         self.registry.counter("stream.gets", stream=stream).inc()
         if blocked:
             self.registry.counter("stream.get_blocked", stream=stream).inc()
-
-    def stream_timeout(self, stream: str, side: str, timeout_ps: int) -> None:
-        """A bounded stream wait expired and the waiter was unlinked."""
-        self.registry.counter(
-            "stream.timeouts", stream=stream, side=side
-        ).inc()
-        self.instant(
-            f"timeout:{side}", "stream.timeout", f"stream:{stream}",
-            timeout_ps=timeout_ps,
-        )
 
     def stream_stall(
         self, stream: str, side: str, start_ps: int, dur_ps: int
@@ -299,13 +271,12 @@ class Tracer:
             )
         )
 
-    def deadline_missed(self, site: str, at_ps: int | None = None) -> None:
-        """A request exhausted its retries or blew its deadline."""
+    def deadline_missed(self, site: str) -> None:
+        """A request exhausted its retries."""
         self.registry.counter("faults.deadline_missed", site=site).inc()
-        ts = at_ps if at_ps is not None else self.now_ps()
         self.events.append(
-            TraceEvent("deadline-missed", "fault.deadline", "i", ts,
-                       f"faults:{site}")
+            TraceEvent("deadline-missed", "fault.deadline", "i",
+                       self.now_ps(), f"faults:{site}")
         )
 
     # -- memory hooks ------------------------------------------------------

@@ -134,11 +134,13 @@ def cpu_cost_s(
     n = table.n_rows
     ops = 0.0
     rows_alive = float(n)
+    alive = None  # conjunction of the filters so far
     for op in plan.operators:
         if isinstance(op, Filter):
             ops += op.predicate.op_count() * rows_alive
             mask = np.asarray(op.predicate.evaluate(table), dtype=bool)
-            rows_alive = float(mask.sum())
+            alive = mask if alive is None else alive & mask
+            rows_alive = float(alive.sum())
         elif isinstance(op, Transform):
             row_bytes = sum(table.column(c).nbytes for c in touched) / max(n, 1)
             ops += op.ops_per_byte * row_bytes * rows_alive

@@ -17,9 +17,8 @@ simulated accelerators under live traffic instead:
 * :mod:`repro.serve.admission` — SLO-aware admission control and load
   shedding, plus a replica-autoscaler hook;
 * :mod:`repro.serve.service` — the event-driven serving loop tying the
-  pieces together, with latency accounting through
-  :mod:`repro.obs` histograms and degradation under
-  :mod:`repro.faults` plans.
+  pieces together, with exact latency percentiles and degradation
+  under :mod:`repro.faults` plans.
 
 Experiment **e24** (``repro run e24``) sweeps offered load per backend
 and renders the latency-percentile / goodput saturation knee;

@@ -21,9 +21,7 @@ engine and returns a :class:`ServiceReport`:
 Everything is seeded; two runs of the same
 ``(backend, traffic, config, seed, plan)`` produce byte-identical
 reports.  Latency percentiles are computed exactly from the per-request
-latency list; the same latencies also feed a
-:class:`~repro.obs.metrics.MetricsRegistry` histogram so serving runs
-show up in metrics snapshots next to every other instrumented layer.
+latency list.
 
 Idle replicas block on the dispatch stream and never poll, so host cost
 scales with requests and batches, not with simulated idle time.  The
@@ -44,7 +42,6 @@ import numpy as np
 
 from ..core.sim import Interrupt, Simulator
 from ..core.stream import Stream
-from ..obs.metrics import MetricsRegistry
 from .admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -68,13 +65,10 @@ class ServiceConfig:
     admission: AdmissionPolicy
     replicas: int = 1
     autoscaler: AutoscalerPolicy | None = None
-    dispatch_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.dispatch_depth < 1:
-            raise ValueError("dispatch_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,22 +127,14 @@ class _OnlineService:
         config: ServiceConfig,
         expected: int,
         plan=None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.sim = sim
         self.backend = backend
         self.config = config
         self.plan = plan
-        # Not `registry or ...`: an empty registry is falsy (__len__).
-        self.registry = (
-            registry if registry is not None
-            else MetricsRegistry(enabled=False)
-        )
-        self.dispatch = Stream(
-            sim,
-            depth=config.dispatch_depth,
-            name=f"serve.{backend.name}.dispatch",
-        )
+        # Formed batches wait here for an idle replica; the stream's
+        # default depth of 2 buffers them before the batcher blocks.
+        self.dispatch = Stream(sim, name=f"serve.{backend.name}.dispatch")
         self.batcher = DynamicBatcher(
             sim, config.batch, self.dispatch,
             name=f"serve.{backend.name}.batcher",
@@ -162,19 +148,6 @@ class _OnlineService:
         self._in_slo = 0
         self._failed = 0
         self._last_done_ps = 0
-        # Metrics instruments (no-ops when the registry is disabled).
-        reg = self.registry
-        self._m_latency = reg.histogram("serve.latency_ps",
-                                        backend=backend.name)
-        self._m_wait = reg.histogram("serve.batch_wait_ps",
-                                     backend=backend.name)
-        self._m_admitted = reg.counter("serve.admitted", backend=backend.name)
-        self._m_shed = reg.counter("serve.shed", backend=backend.name)
-        self._m_completed = reg.counter("serve.completed",
-                                        backend=backend.name)
-        self._m_failed = reg.counter("serve.failed", backend=backend.name)
-        self._m_batches = reg.counter("serve.batches", backend=backend.name)
-        self._m_replicas = reg.gauge("serve.replicas", backend=backend.name)
         self.replica_target = 0
         self._live = 0
         self._next_rid = 0
@@ -209,7 +182,6 @@ class _OnlineService:
         if target < 1:
             raise ValueError("replica target must be >= 1")
         self.replica_target = target
-        self._m_replicas.set(target)
         # Retire surplus idle replicas now, most recently idle first, so
         # the next batch still goes to the longest-idle one.  A replica
         # already handed a batch is busy: it retires after that batch.
@@ -248,7 +220,6 @@ class _OnlineService:
                 service_ps += self.plan.spike_delay_ps(site)
                 dropped = self.plan.drop(site)
             yield sim.timeout(int(service_ps))
-            self._m_batches.inc()
             if dropped:
                 self._fail(batch)
             else:
@@ -260,38 +231,26 @@ class _OnlineService:
         """Run admission for ``req``; queue it or account the shed."""
         admitted, _reason = self.admission.admit(req, self.replica_target)
         if admitted:
-            self._m_admitted.inc()
             self.batcher.submit(req)
         else:
-            self._m_shed.inc()
             self._accounted += 1
 
     def _complete(self, batch: Batch) -> None:
         """Account every request of a batch that finished now."""
         now = self.sim.now
-        formed_ps = batch.formed_ps
-        observe_wait = self._m_wait.observe
-        observe_latency = self._m_latency.observe
         latencies = self._latencies
         in_slo = 0
-        for req, submit_ps in zip(batch.items, batch.submit_ps):
-            observe_wait(formed_ps - submit_ps)
-            latency = now - req.arrival_ps
-            latencies.append(latency)
-            observe_latency(latency)
+        for req in batch.items:
+            latencies.append(now - req.arrival_ps)
             if now <= req.deadline_ps:
                 in_slo += 1
         self._in_slo += in_slo
-        self._m_completed.inc(len(batch))
         self._last_done_ps = max(self._last_done_ps, now)
         self._accounted += len(batch)
 
     def _fail(self, batch: Batch) -> None:
         """Account every request of a batch that was dropped now."""
-        for submit_ps in batch.submit_ps:
-            self._m_wait.observe(batch.formed_ps - submit_ps)
         self._failed += len(batch)
-        self._m_failed.inc(len(batch))
         self._last_done_ps = max(self._last_done_ps, self.sim.now)
         self._accounted += len(batch)
 
@@ -354,7 +313,6 @@ def simulate_service(
     config: ServiceConfig,
     seed: int = 0,
     plan=None,
-    registry: MetricsRegistry | None = None,
     tracer=None,
 ) -> ServiceReport:
     """Run one serving session; see the module docstring for the wiring."""
@@ -363,7 +321,6 @@ def simulate_service(
         sim, backend, config,
         expected=traffic.n_requests,
         plan=plan,
-        registry=registry,
     )
     sim.spawn(
         _open_loop_arrivals(service, generate_requests(traffic, seed)),

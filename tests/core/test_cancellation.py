@@ -3,7 +3,7 @@
 Covers the fault-layer groundwork in the sim core:
 
 * ``Event.cancel`` semantics and ``with_timeout``;
-* ``Stream.get/put(timeout=...)`` bounded waits;
+* bounded stream waits: ``with_timeout`` around ``Stream.get/put``;
 * regression: an interrupted consumer used to leave an orphan getter in
   the stream and the next ``put`` silently lost its item;
 * regression: a process that yielded an already-fired event could be
@@ -19,7 +19,6 @@ from repro.core import (
     Simulator,
     SimulationError,
     Stream,
-    StreamTimeout,
     WaitTimeout,
     with_timeout,
 )
@@ -134,6 +133,48 @@ def test_with_timeout_mirrors_an_already_fired_event():
     assert results == ["done"]
 
 
+def test_with_timeout_on_a_failed_process_counts_as_joining_it():
+    """Regression: wrapping a process that already failed handed the
+    failure to the caller, and ``run()`` then re-raised it as unjoined
+    although the caller had caught it (a plain ``yield`` does not)."""
+    sim = Simulator()
+
+    def doomed():
+        yield sim.timeout(1)
+        raise SimulationError("attempt failed")
+
+    target = sim.spawn(doomed(), name="doomed")
+    caught = []
+
+    def joiner():
+        yield sim.timeout(5)
+        try:
+            yield with_timeout(sim, target, 10)
+        except SimulationError as exc:
+            caught.append((sim.now, str(exc)))
+
+    sim.spawn(joiner())
+    sim.run()
+    assert caught == [(5, "attempt failed")]
+
+
+def test_with_timeout_expires_before_a_later_scheduled_event():
+    """An event already scheduled to fire after the budget still loses:
+    only an outcome due at the expiry tick itself beats the timer."""
+    sim = Simulator()
+    caught = []
+
+    def proc():
+        try:
+            yield with_timeout(sim, sim.timeout(200, value="late"), 100)
+        except WaitTimeout:
+            caught.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run()
+    assert caught == [100]
+
+
 # -- bounded stream waits -------------------------------------------------
 
 
@@ -144,9 +185,9 @@ def test_get_timeout_raises_and_item_goes_to_the_next_consumer():
 
     def impatient():
         try:
-            yield stream.get(timeout=10)
-        except StreamTimeout as exc:
-            log.append(("timeout", sim.now, exc.side))
+            yield with_timeout(sim, stream.get(), 10)
+        except WaitTimeout:
+            log.append(("timeout", sim.now))
 
     def producer():
         yield sim.timeout(50)
@@ -161,7 +202,7 @@ def test_get_timeout_raises_and_item_goes_to_the_next_consumer():
     sim.spawn(producer())
     sim.spawn(second_consumer())
     sim.run()
-    assert ("timeout", 10, "consumer") in log
+    assert ("timeout", 10) in log
     assert ("got", 50, "late-item") in log
 
 
@@ -173,9 +214,9 @@ def test_put_timeout_discards_the_abandoned_item():
     def producer():
         yield stream.put("a")
         try:
-            yield stream.put("b", timeout=10)
-        except StreamTimeout as exc:
-            stream_log.append(("timeout", sim.now, exc.side))
+            yield with_timeout(sim, stream.put("b"), 10)
+        except WaitTimeout:
+            stream_log.append(("timeout", sim.now))
 
     def consumer():
         yield sim.timeout(30)
@@ -188,7 +229,7 @@ def test_put_timeout_discards_the_abandoned_item():
     sim.spawn(producer())
     sim.spawn(consumer())
     sim.run()
-    assert ("timeout", 10, "producer") in stream_log
+    assert ("timeout", 10) in stream_log
     assert ("got", "a") in stream_log
     assert ("got", "b") not in stream_log
 
@@ -241,8 +282,8 @@ def test_timed_out_getter_does_not_swallow_the_next_put():
 
     def impatient():
         try:
-            yield stream.get(timeout=5)
-        except StreamTimeout:
+            yield with_timeout(sim, stream.get(), 5)
+        except WaitTimeout:
             timeouts.append(sim.now)
 
     def producer():

@@ -114,7 +114,7 @@ def test_fifo_order_at_equal_timestamps(delays):
 @settings(max_examples=25, deadline=None)
 def test_trace_transparency(spec):
     sim_plain, log_plain = _run_program(spec)
-    tracer = Tracer(verbose_sim=True)
+    tracer = Tracer()
     sim_traced, log_traced = _run_program(spec, tracer=tracer)
     assert log_traced == log_plain
     assert sim_traced.now == sim_plain.now

@@ -75,7 +75,7 @@ def test_e22_cached_rerun_is_identical(tmp_path):
         [t.render() for t in cold.tables]
 
 
-def test_cli_parallel_run(tmp_path, monkeypatch, capsys):
+def test_cli_cached_rerun(tmp_path, monkeypatch, capsys):
     from repro.__main__ import main
 
     monkeypatch.chdir(tmp_path)  # results/cache lands in the tmp dir

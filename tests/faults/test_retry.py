@@ -1,19 +1,11 @@
-"""RetryPolicy, the event-driven retry loop, and the analytic variant."""
+"""RetryPolicy and the event-driven retry loop."""
 
 import random
 
 import pytest
 
-from repro.core import Event, Simulator
-from repro.faults import (
-    DeadlineExceeded,
-    FaultPlan,
-    FaultyLink,
-    RetryPolicy,
-    analytic_retries,
-    call_with_retries,
-)
-from repro.network.link import ethernet_100g
+from repro.core import Event, SimulationError, Simulator
+from repro.faults import RetryPolicy, call_with_retries
 
 
 # -- RetryPolicy ----------------------------------------------------------
@@ -55,13 +47,12 @@ def test_policy_validation():
 # -- call_with_retries (event-driven) -------------------------------------
 
 
-def _run_call(sim, make_attempt, policy, deadline_ps=None):
+def _run_call(sim, make_attempt, policy):
     results = []
 
     def proc():
         out = yield from call_with_retries(
-            sim, make_attempt, policy, random.Random(1),
-            deadline_ps=deadline_ps, site="t",
+            sim, make_attempt, policy, random.Random(1), site="t"
         )
         results.append(out)
 
@@ -120,37 +111,23 @@ def test_exhausted_attempts_give_up():
     assert out.attempts == 2 and out.retries == 1
 
 
-def test_deadline_cuts_the_attempt_budget():
-    sim = Simulator()
-
-    def attempt():
-        yield Event(sim)
-
-    policy = RetryPolicy(
-        max_attempts=100, timeout_ps=100, backoff_base_ps=0, jitter=0.0
-    )
-    out = _run_call(sim, attempt, policy, deadline_ps=250)
-    assert not out.ok and out.deadline_missed
-    assert out.attempts == 3  # 100 + 100 + clamped 50
-    assert out.latency_ps <= 250
-
-
 def test_failed_attempts_are_retried_on_simulation_errors():
     sim = Simulator()
-    plan = FaultPlan(seed=0, drop_rate=1.0)
-    link = FaultyLink(sim, ethernet_100g(), plan, name="l", mode="error")
+    launches = []
 
     def attempt():
-        value = yield link.transfer(64)
-        return value
+        launches.append(sim.now)
+        yield sim.timeout(5)
+        raise SimulationError("node down")
 
     policy = RetryPolicy(
-        max_attempts=3, timeout_ps=None, backoff_base_ps=10, jitter=0.0
+        max_attempts=3, timeout_ps=100, backoff_base_ps=10, jitter=0.0
     )
     out = _run_call(sim, attempt, policy)
     assert not out.ok
     assert out.attempts == 3 and out.retries == 2
-    assert link.drops == 3
+    # Each failure is seen at once (t+5), then backs off 10 and 20.
+    assert launches == [0, 15, 40]
 
 
 def test_non_retryable_exceptions_propagate():
@@ -162,54 +139,9 @@ def test_non_retryable_exceptions_propagate():
 
     def proc():
         yield from call_with_retries(
-            sim, attempt, RetryPolicy(timeout_ps=None), random.Random(0)
+            sim, attempt, RetryPolicy(), random.Random(0)
         )
 
     sim.spawn(proc())
     with pytest.raises(KeyError):
         sim.run()
-
-
-# -- analytic_retries -----------------------------------------------------
-
-
-def test_analytic_happy_path_is_free():
-    assert analytic_retries("s", 0.5, None, RetryPolicy()) == (0.5, 1, 0)
-
-
-def test_analytic_clean_plan_matches_base_latency():
-    plan = FaultPlan(seed=0)
-    latency, attempts, retries = analytic_retries(
-        "s", 0.5, plan, RetryPolicy()
-    )
-    assert latency == 0.5 and attempts == 1 and retries == 0
-
-
-def test_analytic_drops_add_timeout_and_backoff():
-    plan = FaultPlan(seed=0, drop_rate=1.0)
-    policy = RetryPolicy(
-        max_attempts=3, timeout_ps=1_000_000, backoff_base_ps=0, jitter=0.0
-    )
-    with pytest.raises(DeadlineExceeded):
-        analytic_retries("s", 0.5, plan, policy)
-
-
-def test_analytic_deadline_enforced():
-    plan = FaultPlan(seed=0, drop_rate=0.0)
-    with pytest.raises(DeadlineExceeded):
-        analytic_retries("s", 2.0, plan, RetryPolicy(), deadline_s=1.0)
-
-
-def test_analytic_is_deterministic():
-    def run():
-        plan = FaultPlan(seed=5, drop_rate=0.4, spike_rate=0.2)
-        policy = RetryPolicy(max_attempts=5, timeout_ps=3_000_000)
-        rows = []
-        for _ in range(50):
-            try:
-                rows.append(analytic_retries("s", 1e-6, plan, policy))
-            except DeadlineExceeded:
-                rows.append(("gave-up",))
-        return rows
-
-    assert run() == run()

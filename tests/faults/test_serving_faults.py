@@ -13,7 +13,7 @@ became idle, and a scale-down retires idle replicas at once.  A
 recording plan pins both.
 
 Also pins a stream-timeout race of the core engine: a put landing at
-exactly the tick a ``get(timeout)`` expires must resolve
+exactly the tick a ``with_timeout``-bounded get expires must resolve
 deterministically by FIFO order, without losing the item either way.
 """
 
@@ -21,8 +21,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.sim import Simulator
-from repro.core.stream import Stream, StreamTimeout
+from repro.core.sim import Simulator, WaitTimeout, with_timeout
+from repro.core.stream import Stream
 from repro.faults import FaultPlan
 from repro.serve import (
     AdmissionPolicy,
@@ -165,9 +165,9 @@ def test_get_timeout_racing_same_tick_put_is_fifo_deterministic():
 
         def getter():
             try:
-                value = yield stream.get(timeout=10)
+                value = yield with_timeout(sim, stream.get(), 10)
                 log.append(("got", value))
-            except StreamTimeout:
+            except WaitTimeout:
                 log.append(("timeout",))
 
         def putter():
@@ -184,8 +184,9 @@ def test_get_timeout_racing_same_tick_put_is_fifo_deterministic():
         sim.run()
         outcomes[order] = (tuple(log), len(stream))
 
-    # Putter spawned first: its put is delivered to the waiting getter.
-    assert outcomes["put_first"] == ((("got", "x"), ("put_done",)), 0)
+    # Putter spawned first: its put is delivered to the waiting getter,
+    # which resumes one same-tick hop later, through the wrapper.
+    assert outcomes["put_first"] == ((("put_done",), ("got", "x")), 0)
     # Getter spawned first: its timer (armed at t=0) fires before the
     # putter's same-tick put; the item stays buffered, nothing is lost.
     assert outcomes["timeout_first"] == ((("timeout",), ("put_done",)), 1)

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_counter_semantics():
@@ -29,23 +21,6 @@ def test_gauge_semantics():
     g.set(3.0)
     g.add(-1.0)
     assert g.value == 2.0
-
-
-def test_histogram_semantics():
-    reg = MetricsRegistry()
-    h = reg.histogram("latency", bounds=(10, 100, 1000))
-    for v in (1, 10, 11, 500, 5000):
-        h.observe(v)
-    assert h.count == 5
-    assert h.sum == 5522
-    assert h.mean == pytest.approx(5522 / 5)
-    # buckets are inclusive upper bounds; the last slot is overflow
-    assert h.counts == [2, 1, 1, 1]
-
-
-def test_histogram_needs_buckets():
-    with pytest.raises(ValueError):
-        Histogram("empty", {}, bounds=())
 
 
 def test_get_or_create_same_instrument():
@@ -71,53 +46,27 @@ def test_type_mismatch_rejected():
     reg.counter("v")
     with pytest.raises(TypeError):
         reg.gauge("v")
-    with pytest.raises(TypeError):
-        reg.histogram("v")
 
 
 def test_snapshot_shape():
     reg = MetricsRegistry()
     reg.counter("puts", stream="a").inc(3)
     reg.gauge("depth").set(1.5)
-    reg.histogram("lat", bounds=(10.0, 100.0)).observe(50)
-    snap = reg.snapshot()
-    assert snap["puts{stream=a}"] == 3
-    assert snap["depth"] == 1.5
-    hist = snap["lat"]
-    assert hist["count"] == 1
-    assert hist["sum"] == 50
-    assert hist["buckets"] == {"le_10": 0, "le_100": 1, "le_inf": 0}
+    assert reg.snapshot() == {"depth": 1.5, "puts{stream=a}": 3}
 
 
 def test_reset_zeroes_but_keeps_instruments():
     reg = MetricsRegistry()
     c = reg.counter("n")
     c.inc(7)
-    h = reg.histogram("h", bounds=(1,))
-    h.observe(0.5)
+    g = reg.gauge("g")
+    g.set(0.5)
     reg.reset()
     assert c.value == 0
-    assert h.count == 0 and h.sum == 0.0
+    assert g.value == 0.0
     assert reg.counter("n") is c  # still registered
     reg.clear()
     assert len(reg) == 0
-
-
-def test_disabled_registry_hands_out_shared_nulls():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("a", k="v")
-    g = reg.gauge("b")
-    h = reg.histogram("c")
-    assert c is NULL_COUNTER
-    assert g is NULL_GAUGE
-    assert h is NULL_HISTOGRAM
-    # no-ops, nothing registered
-    c.inc(5)
-    g.set(3)
-    h.observe(1)
-    assert c.value == 0 and g.value == 0.0 and h.count == 0
-    assert len(reg) == 0
-    assert reg.snapshot() == {}
 
 
 def test_unlabelled_key_is_bare_name():

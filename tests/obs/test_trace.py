@@ -109,7 +109,7 @@ def test_default_tracer_is_picked_up_and_releasable():
 def test_trace_transparency_same_timeline_and_results():
     untraced = Simulator()
     k1, sink1 = _run_pipeline(untraced)
-    traced = Simulator(tracer=Tracer(verbose_sim=True))
+    traced = Simulator(tracer=Tracer())
     k2, sink2 = _run_pipeline(traced)
     assert untraced.now == traced.now
     assert sink1.items == sink2.items
@@ -118,7 +118,7 @@ def test_trace_transparency_same_timeline_and_results():
 
 
 def test_chrome_export_round_trips_with_wellformed_fields():
-    tracer = Tracer(verbose_sim=True)
+    tracer = Tracer()
     sim = Simulator(tracer=tracer)
     _run_pipeline(sim)
     buf = io.StringIO()

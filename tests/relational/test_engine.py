@@ -251,3 +251,25 @@ def test_cpu_cost_at_least_stream_time():
         t[c].nbytes for c in ("val0", "val1")
     )
     assert cpu_cost_s(plan, t, cpu) >= cpu.stream_time_s(touched_bytes) * 0.99
+
+
+def test_cpu_cost_chained_filters_price_like_their_conjunction():
+    """Regression: each filter counted its own survivors over the whole
+    table, so a second filter revived the rows the first one dropped
+    and every later operator was priced over them."""
+    cpu = xeon_server()
+    t = _table(100_000)
+    sums = Aggregate(tuple(
+        AggSpec(AggFunc.SUM, "val0", f"s{i}") for i in range(64)
+    ))
+    chained = QueryPlan((
+        Filter(col("key") < 10), Filter(col("val0") >= 0), sums,
+    ))
+    conjunction = QueryPlan((
+        Filter((col("key") < 10) & (col("val0") >= 0)), sums,
+    ))
+    # One core, so the 64 sums would outweigh the scan if they were
+    # priced over the revived rows.
+    assert cpu_cost_s(chained, t, cpu, parallel=False) == cpu_cost_s(
+        conjunction, t, cpu, parallel=False
+    )

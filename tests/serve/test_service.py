@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
@@ -134,30 +134,8 @@ def test_events_per_batch_are_constant(max_batch, load):
     assert events <= report.offered + 8 * report.batches
 
 
-def test_metrics_registry_wiring():
-    be = SyntheticBackend()
-    registry = MetricsRegistry()
-    simulate_service(be, _traffic(be, 1.4), _service(be), seed=9,
-                     registry=registry)
-    snap = registry.snapshot()
-    by_suffix = {
-        key.split("{")[0]: value for key, value in snap.items()
-        if key.startswith("serve.")
-    }
-    assert by_suffix["serve.admitted"] + by_suffix["serve.shed"] == 2_000
-    assert by_suffix["serve.completed"] == by_suffix["serve.admitted"]
-    assert by_suffix["serve.batches"] > 0
-    assert by_suffix["serve.replicas"] == 2
-    hist_keys = [k for k in snap if k.startswith("serve.latency_ps")]
-    assert hist_keys, "latency histogram must be registered"
-
-
 def test_service_config_validation():
     be = SyntheticBackend()
     with pytest.raises(ValueError):
         ServiceConfig(batch=BatchPolicy(4, 10),
                       admission=AdmissionPolicy(max_queue=4), replicas=0)
-    with pytest.raises(ValueError):
-        ServiceConfig(batch=BatchPolicy(4, 10),
-                      admission=AdmissionPolicy(max_queue=4),
-                      dispatch_depth=0)
