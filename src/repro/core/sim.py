@@ -61,14 +61,13 @@ class SimulationError(RuntimeError):
 class WaitTimeout(SimulationError):
     """Raised into a process when a :func:`with_timeout` wait expires.
 
-    ``timeout_ps`` is the budget that ran out; ``waited`` the event the
-    process abandoned (already unlinked/cancelled where possible).
+    ``timeout_ps`` is the budget that ran out.  The abandoned wait is
+    already unlinked/cancelled where possible.
     """
 
-    def __init__(self, timeout_ps: int, waited: "Event | None" = None) -> None:
+    def __init__(self, timeout_ps: int) -> None:
         super().__init__(f"wait timed out after {timeout_ps} ps")
         self.timeout_ps = timeout_ps
-        self.waited = waited
 
 
 class Interrupt(Exception):
@@ -494,7 +493,7 @@ def with_timeout(sim: "Simulator", event: Event, timeout_ps: int) -> Event:
         if (not event.callbacks and not event._triggered
                 and event._cancel_hooks):
             event.cancel()
-        wrapper.fail(WaitTimeout(timeout_ps, waited=event))
+        wrapper.fail(WaitTimeout(timeout_ps))
 
     event.callbacks.append(_won)
     timer.callbacks.append(_expired)

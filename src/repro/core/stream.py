@@ -78,11 +78,8 @@ class StreamStats:
     puts: int = 0
     gets: int = 0
     items: int = 0
-    producer_stall_events: int = 0
-    consumer_stall_events: int = 0
     producer_stall_ps: int = 0
     consumer_stall_ps: int = 0
-    high_watermark: int = 0
 
 
 class Stream:
@@ -136,7 +133,6 @@ class Stream:
         if self.try_put(item):
             done.succeed()
             return done
-        self.stats.producer_stall_events += 1
         self._putters.append((done, item, self.sim.now))
         done.on_cancel(self._unlink_putter)
         tracer = self.sim._tracer
@@ -159,7 +155,6 @@ class Stream:
             got.succeed(self._queue.popleft())
             self._dequeued()
             return got
-        self.stats.consumer_stall_events += 1
         self._getters.append((got, self.sim.now))
         got.on_cancel(self._unlink_getter)
         tracer = self.sim._tracer
@@ -286,7 +281,6 @@ class Stream:
     def _account_put(self, item: Any) -> None:
         self.stats.puts += 1
         self.stats.items += item.count if isinstance(item, Burst) else 1
-        self.stats.high_watermark = max(self.stats.high_watermark, len(self._queue))
 
     def __repr__(self) -> str:
         return (

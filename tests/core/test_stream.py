@@ -48,7 +48,7 @@ def test_full_stream_blocks_producer():
     sim.run()
     assert ("a-put", 0) in times
     assert ("b-put", 50) in times
-    assert stream.stats.producer_stall_events == 1
+    assert stream.stats.producer_stall_ps == 50
 
 
 def test_empty_stream_blocks_consumer():
@@ -68,7 +68,7 @@ def test_empty_stream_blocks_consumer():
     sim.spawn(producer(sim, stream))
     sim.run()
     assert got_at == [("x", 30)]
-    assert stream.stats.consumer_stall_events == 1
+    assert stream.stats.consumer_stall_ps == 30
 
 
 def test_depth_must_be_positive():
@@ -176,23 +176,27 @@ def test_property_stream_is_lossless_and_ordered(items, depth):
     depth=st.integers(min_value=1, max_value=6),
     n=st.integers(min_value=0, max_value=30),
 )
-def test_property_high_watermark_never_exceeds_depth(depth, n):
+def test_property_occupancy_never_exceeds_depth(depth, n):
     sim = Simulator()
     stream = Stream(sim, depth=depth)
+    occupancy = []
 
     def producer(sim, stream):
         for i in range(n):
             yield stream.put(i)
+            occupancy.append(len(stream))
 
     def consumer(sim, stream):
         for _ in range(n):
             yield sim.timeout(3)
             yield stream.get()
+            occupancy.append(len(stream))
 
     sim.spawn(producer(sim, stream))
     sim.spawn(consumer(sim, stream))
     sim.run()
-    assert stream.stats.high_watermark <= depth
+    assert len(occupancy) == 2 * n
+    assert max(occupancy, default=0) <= depth
 
 
 def test_try_put_nonblocking():

@@ -10,7 +10,8 @@ which records every code object the run enters:
 - ``python -m repro run all --no-cache``;
 - ``python -m repro serve`` for each of the four backends, plain and
   with ``--faults 0.05 --autoscale``;
-- ``run e22 --faults 0.01`` and ``run e19 --trace OUT.json``;
+- ``run e22 --faults 0.01``, ``run e19 --trace OUT.json`` and
+  ``run e1 --trace OUT.json`` (a traced run steps e1's pipelines);
 - ``list``, ``list --json`` and ``info``;
 - every ``examples/*.py``.
 
@@ -27,8 +28,9 @@ output:
   (``workloads.orders_table``, ``CartesianPlan.materialize`` and
   ``Simulator.run_until_process`` among them): ``layers.install``
   raises if one is missing;
-- the stepped engine, the reference that
-  ``test_stepped_engine_matches_golden`` runs against the goldens;
+- ``_PipelinedKernel._stalled``, the stepped kernel's blocking wait:
+  the traced e1 run keeps its kernel's input full and its output
+  drained, so only tests make a stepped kernel block;
 - the tracer hooks (they run only under a tracer) and ``exec/cache``
   (every run here is uncached);
 - store operations checked against reference implementations
@@ -87,6 +89,7 @@ def _runs(scratch: Path) -> list[list[str]]:
         ["repro", "run", "all", "--no-cache"],
         ["repro", "run", "e22", "--faults", "0.01", "--no-cache"],
         ["repro", "run", "e19", "--trace", str(scratch / "e19.json")],
+        ["repro", "run", "e1", "--trace", str(scratch / "e1.json")],
         ["repro", "list"],
         ["repro", "list", "--json"],
         ["repro", "info"],
