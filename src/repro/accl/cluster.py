@@ -52,11 +52,7 @@ class _ClusterBase:
         self.n_nodes = n_nodes
         self.fabric = SwitchedFabric(protocol, n_nodes)
 
-    # -- per-step costing (overridden by the host-staged baseline) ----------
-
-    def _step_time_s(self, transfers: list[tuple[int, int, int]],
-                     reduction_bytes: int) -> float:
-        raise NotImplementedError
+    # -- per-step costing (each cluster defines ``_step_time_s``) ----------
 
     def _price(self, steps: list[list[tuple[int, int, int]]],
                reduction_bytes: list[int]) -> float:

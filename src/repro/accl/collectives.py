@@ -58,14 +58,6 @@ class CollectiveOutcome:
     reduction_bytes_per_step: list[int] = field(default_factory=list)
     time_s: float = 0.0
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    @property
-    def bytes_on_wire(self) -> int:
-        return sum(n for step in self.steps for _, _, n in step)
-
 
 def _check(buffers: list[np.ndarray], root: int = 0) -> int:
     """Validate the node buffers and root; return elements per node."""

@@ -66,11 +66,6 @@ class ClockDomain:
         return cls(name, period_ps)
 
     @property
-    def freq_mhz(self) -> float:
-        """Effective frequency in MHz after period rounding."""
-        return PS_PER_S / self.period_ps / 1e6
-
-    @property
     def freq_hz(self) -> float:
         """Effective frequency in Hz after period rounding."""
         return PS_PER_S / self.period_ps
@@ -78,10 +73,6 @@ class ClockDomain:
     def cycles_to_ps(self, cycles: int | float) -> int:
         """Duration of ``cycles`` clock cycles, in picoseconds."""
         return round(cycles * self.period_ps)
-
-    def ps_to_cycles(self, ps: int) -> int:
-        """Number of *complete* cycles in ``ps`` picoseconds."""
-        return int(ps // self.period_ps)
 
     def cycles_to_seconds(self, cycles: int | float) -> float:
         """Duration of ``cycles`` clock cycles, in seconds."""

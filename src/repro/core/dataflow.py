@@ -117,23 +117,6 @@ class DataflowGraph:
         self._edges[upstream].append((downstream, gain))
         self._preds[downstream].append(upstream)
 
-    @property
-    def stage_names(self) -> list[str]:
-        return list(self._stages)
-
-    def stage(self, name: str) -> KernelSpec | RateStage:
-        return self._stages[name]
-
-    def total_resources(self):
-        """Sum of resource vectors over kernel stages."""
-        from .device import ResourceVector
-
-        total = ResourceVector()
-        for stage in self._stages.values():
-            if isinstance(stage, KernelSpec):
-                total = total + stage.resources
-        return total
-
     # -- solver -----------------------------------------------------------
 
     def _toposort(self) -> list[str]:

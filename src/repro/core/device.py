@@ -83,10 +83,6 @@ class ResourceVector:
                 result[f.name] = demand / avail
         return result
 
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True, slots=True)
 class Device:
@@ -125,16 +121,6 @@ class Device:
             dsp=int(r.dsp * self.usable_fraction),
             hbm_channels=r.hbm_channels,
         )
-
-    @property
-    def hbm_total_bandwidth(self) -> float:
-        """Aggregate HBM bandwidth in bytes/s."""
-        return self.resources.hbm_channels * self.hbm_channel_bandwidth
-
-    @property
-    def ddr_total_bandwidth(self) -> float:
-        """Aggregate DDR bandwidth in bytes/s."""
-        return self.ddr_channels * self.ddr_channel_bandwidth
 
     @property
     def onchip_sram_bytes(self) -> int:

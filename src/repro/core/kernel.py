@@ -310,11 +310,3 @@ class Sink:
                 return
             self.received.append(item)
             self.items += item.count if isinstance(item, Burst) else 1
-
-    @property
-    def payloads(self) -> list[Any]:
-        """Payloads of received bursts (or the raw items in item mode)."""
-        return [
-            item.payload if isinstance(item, Burst) else item
-            for item in self.received
-        ]

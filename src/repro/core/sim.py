@@ -117,11 +117,6 @@ class Event:
         return self._triggered
 
     @property
-    def fired(self) -> bool:
-        """True once the event has fired and callbacks have run."""
-        return self._fired
-
-    @property
     def value(self) -> Any:
         """The event payload (valid after the event fired)."""
         return self._value
@@ -130,11 +125,6 @@ class Event:
     def ok(self) -> bool:
         """False if the event carries an exception."""
         return self._ok
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event has been abandoned via :meth:`cancel`."""
-        return self._cancelled
 
     def succeed(self, value: Any = None, delay: int = 0) -> "Event":
         """Schedule the event to fire with ``value`` after ``delay``."""
@@ -533,11 +523,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulated time."""
         return self._now
-
-    @property
-    def tracer(self) -> Any:
-        """The attached :class:`~repro.obs.trace.Tracer`, or ``None``."""
-        return self._tracer
 
     def attach_tracer(self, tracer: Any) -> None:
         """Attach (or replace) a tracer and bind it to this clock."""

@@ -113,11 +113,6 @@ class Stream:
         return len(self._queue)
 
     @property
-    def full(self) -> bool:
-        """True if a put would block."""
-        return len(self._queue) >= self.depth
-
-    @property
     def empty(self) -> bool:
         """True if a get would block."""
         return not self._queue

@@ -57,7 +57,7 @@ def fanns_shape():
 
     return IndexShape(_FANNS_NLIST, _FANNS_DIM, _FANNS_M, _FANNS_KSUB,
                       _FANNS_DIM // _FANNS_M, code_nbytes=_FANNS_M,
-                      residual=True, n_vectors=_FANNS_N)
+                      n_vectors=_FANNS_N)
 
 
 @lru_cache(maxsize=None)

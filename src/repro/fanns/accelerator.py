@@ -4,8 +4,8 @@ Figure 3 of the tutorial: queries stream through
 
 1. a **coarse distance** PE array (dense query x centroid MACs);
 2. a **select-nprobe** unit (K-selection over nlist distances);
-3. a **LUT construction** unit (one ADC table per probed list in
-   residual mode);
+3. a **LUT construction** unit (one ADC table per probed list, since
+   codes are residual);
 4. an array of **ADC scan PEs**, each consuming one PQ code per cycle
    out of HBM-resident inverted lists;
 5. systolic **top-K priority queues** overlapping the scan.
@@ -149,10 +149,9 @@ class FannsAccelerator:
         coarse_cycles = math.ceil(shape.nlist * shape.dim / cfg.n_distance_pes)
         # S2: streaming K-selection over nlist distances.
         select_cycles = shape.nlist + 2 * nprobe
-        # S3: residual mode builds one table per probed list.
-        n_tables = nprobe if shape.residual else 1
+        # S3: one table per probed list (codes are residual).
         lut_cycles = math.ceil(
-            n_tables * shape.ksub * shape.dsub / cfg.n_lut_pes
+            nprobe * shape.ksub * shape.dsub / cfg.n_lut_pes
         )
         # S4: scan expected candidates; 1 code/PE/cycle, HBM-bounded.
         candidates = shape.expected_candidates(nprobe) * self.list_scale

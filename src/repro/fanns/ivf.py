@@ -7,11 +7,11 @@ recipe, one query at a time:
 1. rank the ``nlist`` coarse centroids by distance to the query;
 2. probe the ``nprobe`` nearest non-empty lists;
 3. score all their codes in one ADC pass: one ``adc_table`` call (one
-   table per list in residual mode), one flat ``take``;
+   table per list), one flat ``take``;
 4. return the ``k`` best ids in the total order ``(distance, id)``.
 
-Residual encoding (encode ``x - centroid`` rather than ``x``) is the
-accuracy-relevant option FANNS exposes; both modes are supported.
+Codes are residual: each vector is encoded as ``x - centroid`` of its
+list, the accuracy-relevant encoding FANNS uses.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class IndexShape:
     ksub: int         # centroids per subspace
     dsub: int         # dimensions per subspace
     code_nbytes: int  # bytes per encoded vector
-    residual: bool
     n_vectors: int
 
     def expected_candidates(self, nprobe: int) -> float:
@@ -89,7 +88,6 @@ class IVFPQIndex:
     pq: ProductQuantizer
     list_ids: tuple[np.ndarray, ...]      # per-list vector ids (int64)
     list_codes: tuple[np.ndarray, ...]    # per-list PQ codes (n_i, m) uint8
-    residual: bool = True
 
     @property
     def nlist(self) -> int:
@@ -103,7 +101,7 @@ class IVFPQIndex:
     def shape(self) -> IndexShape:
         pq, n_vectors = self.pq, sum(map(len, self.list_ids))
         return IndexShape(self.nlist, self.dim, pq.m, pq.ksub, pq.dsub,
-                          pq.code_nbytes, self.residual, n_vectors)
+                          pq.code_nbytes, n_vectors)
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, ...]:
@@ -128,14 +126,11 @@ class IVFPQIndex:
         first = np.cumsum(counts) - counts
         rows = np.repeat(starts[lists] - first, counts)
         rows += np.arange(len(rows))
-        entries = slots.take(rows, axis=0)
-        if self.residual:
-            # One table per list: list j's entries start at j * m * ksub.
-            tables = self.pq.adc_table(query - self.centroids[lists])
-            offsets = np.arange(0, tables.size, self.pq.m * self.pq.ksub)
-            entries = np.add(entries, np.repeat(offsets, counts)[:, None])
-        else:
-            tables = self.pq.adc_table(query)
+        # One table per list: list j's entries start at j * m * ksub.
+        tables = self.pq.adc_table(query - self.centroids[lists])
+        offsets = np.arange(0, tables.size, self.pq.m * self.pq.ksub)
+        entries = np.add(slots.take(rows, axis=0),
+                         np.repeat(offsets, counts)[:, None])
         return ids.take(rows), tables.take(entries).sum(axis=1)
 
     def search(
@@ -171,9 +166,7 @@ class IVFPQIndex:
             if stats is not None:
                 n_codes = int(sizes[lists].sum())
                 stats.centroid_distances += self.nlist
-                stats.lut_entries += self.pq.m * self.pq.ksub * (
-                    len(lists) if self.residual else 1
-                )
+                stats.lut_entries += self.pq.m * self.pq.ksub * len(lists)
                 stats.codes_scanned += n_codes
                 stats.code_bytes_scanned += n_codes * self.pq.code_nbytes
         if stats is not None:
@@ -186,8 +179,6 @@ def build_ivfpq(
     nlist: int,
     m: int,
     ksub: int = 256,
-    residual: bool = True,
-    train_sample: int | None = None,
     seed: int = 0,
 ) -> IVFPQIndex:
     """Train and populate an IVF-PQ index over ``base`` vectors."""
@@ -197,17 +188,12 @@ def build_ivfpq(
     n = base.shape[0]
     if not 1 <= nlist <= n:
         raise ValueError(f"need 1 <= nlist <= n, got nlist={nlist}, n={n}")
-    rng = np.random.default_rng(seed)
-    sample = base
-    if train_sample is not None and train_sample < n:
-        sample = base[rng.choice(n, size=train_sample, replace=False)]
-    coarse = kmeans(sample, nlist, seed=seed)
-    centroids = coarse.centroids
+    centroids = kmeans(base, nlist, seed=seed).centroids
     # Assign all vectors to their nearest centroid; |p|^2 is the same
     # for every centroid, so the ranking leaves it out.
     c_sq = (centroids ** 2).sum(axis=1)[None, :]
     assign = _nearest(base, lambda rows: c_sq - 2.0 * (rows @ centroids.T))[0]
-    training = base - centroids[assign] if residual else base
+    training = base - centroids[assign]
     pq = train_pq(training, m=m, ksub=ksub, seed=seed)
     codes = pq.encode(training)
     # A stable sort keeps each list's members in id order.
@@ -218,5 +204,4 @@ def build_ivfpq(
         pq=pq,
         list_ids=tuple(np.split(members, bounds)),
         list_codes=tuple(np.split(codes[members], bounds)),
-        residual=residual,
     )

@@ -133,10 +133,16 @@ class OffloadPlanner:
         transfer_s = scan_bytes / min(wire, server.memory_bandwidth)
         ops = 0.0
         rows = float(table.n_rows)
-        for op in plan.operators:
+        # ``selectivity`` is the filters' combined estimate, so it
+        # applies once, after the last filter; every filter is priced
+        # over the rows that reach the first.
+        filters = [i for i, op in enumerate(plan.operators)
+                   if isinstance(op, Filter)]
+        for i, op in enumerate(plan.operators):
             if isinstance(op, Filter):
                 ops += op.predicate.op_count() * rows
-                rows *= selectivity
+                if i == filters[-1]:
+                    rows *= selectivity
             elif isinstance(op, Transform):
                 ops += op.ops_per_byte * scan_bytes / max(table.n_rows, 1) * rows
             elif isinstance(op, (Aggregate, GroupByAggregate)):

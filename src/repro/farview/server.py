@@ -101,7 +101,7 @@ class FarviewServer:
         if not self.device.fits(demand):
             raise ResourceWarning(
                 f"offload pipeline does not fit {self.device.name}: "
-                f"{demand.as_dict()}"
+                f"{demand}"
             )
         return offload_query(
             plan,

@@ -143,19 +143,3 @@ class FaultPlan:
         return any(
             o.node == node and o.covers(t_ps) for o in self.outages
         )
-
-    def down_nodes(self, t_ps: int) -> frozenset[int]:
-        """All nodes down at ``t_ps``."""
-        return frozenset(o.node for o in self.outages if o.covers(t_ps))
-
-    # -- replay -------------------------------------------------------------
-
-    def replay(self) -> "FaultPlan":
-        """A fresh plan with identical configuration and virgin streams."""
-        return FaultPlan(
-            seed=self.seed,
-            drop_rate=self.drop_rate,
-            spike_rate=self.spike_rate,
-            spike_ps=self.spike_ps,
-            outages=self.outages,
-        )

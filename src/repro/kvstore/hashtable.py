@@ -55,10 +55,6 @@ class HashTable:
         return self.n_buckets * self.slots_per_bucket
 
     @property
-    def load_factor(self) -> float:
-        return self.n_entries / self.capacity
-
-    @property
     def nbytes(self) -> int:
         return 16 * self.capacity  # int64 key + int64 value per slot
 
@@ -121,10 +117,3 @@ class HashTable:
             found[0][found[2]] = _DELETED
             self.n_entries -= 1
         return found is not None
-
-    @property
-    def mean_probes_per_op(self) -> float:
-        """Average bucket reads per operation (drives the cost models)."""
-        if self.operations == 0:
-            return 0.0
-        return self.bucket_probes / self.operations

@@ -86,10 +86,6 @@ class BankedMemory:
     def used_bytes(self) -> int:
         return sum(self._used_bytes)
 
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return sum(c.bandwidth_bytes_per_sec for c in self.channels)
-
     # -- placement ---------------------------------------------------------
 
     def allocate(
@@ -178,12 +174,6 @@ class BankedMemory:
         self._striped[key] = tuple(a.key for a in shards)
         return shards
 
-    def shards_of(self, key: str) -> tuple[str, ...]:
-        """Shard keys of a striped region."""
-        if key not in self._striped:
-            raise KeyError(f"region {key!r} is not striped")
-        return self._striped[key]
-
     def free(self, key: str) -> None:
         """Release a region (striped regions free all their shards)."""
         if key in self._striped:
@@ -194,14 +184,6 @@ class BankedMemory:
         if alloc is None:
             raise KeyError(f"region {key!r} not allocated")
         self._used_bytes[alloc.channel] -= alloc.nbytes
-
-    def allocation(self, key: str) -> Allocation:
-        """Look up where a region lives."""
-        return self._allocations[key]
-
-    def channel_load_bytes(self) -> list[int]:
-        """Per-channel allocated bytes (for balance diagnostics)."""
-        return list(self._used_bytes)
 
     # -- timing ------------------------------------------------------------
 

@@ -124,16 +124,6 @@ class MemoryModel:
             return self.stream_time_ps(nbytes)
         return self.random_access_time_ps(nbytes)
 
-    def effective_bandwidth(self, pattern: AccessPattern) -> float:
-        """Steady-state bytes/s under the given pattern."""
-        if pattern is AccessPattern.SEQUENTIAL:
-            return self.bandwidth_bytes_per_sec
-        return self.bandwidth_bytes_per_sec * self.random_efficiency
-
-    def fits(self, nbytes: int) -> bool:
-        """True if ``nbytes`` fits the capacity."""
-        return 0 <= nbytes <= self.capacity_bytes
-
 
 class MemoryPort:
     """A memory channel as a shared, FIFO-serialised simulator resource."""
@@ -165,8 +155,3 @@ class MemoryPort:
         done = Event(self.sim)
         done.succeed(value=nbytes, delay=self.busy_until_ps - self.sim.now)
         return done
-
-    @property
-    def utilization_window_ps(self) -> int:
-        """How far ahead of ``sim.now`` the port is committed."""
-        return max(0, self.busy_until_ps - self.sim.now)

@@ -51,10 +51,6 @@ class CartesianPlan:
         """Memory accesses per inference after combining."""
         return len(self.groups)
 
-    @property
-    def lookups_saved(self) -> int:
-        return self.spec.n_tables - self.n_lookups
-
     def combined_spec(self) -> RecModelSpec:
         """The model spec after combining (same MLP, wider rows)."""
         rows = tuple(

@@ -89,14 +89,6 @@ class EmbeddingTables:
     def n_tables(self) -> int:
         return self.spec.n_tables
 
-    def table_nbytes(self, table: int) -> int:
-        """Bytes of one table as float32 rows."""
-        return self.spec.table_rows[table] * self.spec.embedding_dim * 4
-
-    @property
-    def total_nbytes(self) -> int:
-        return sum(self.table_nbytes(t) for t in range(self.n_tables))
-
     def rows(self, table: int, ids: np.ndarray) -> np.ndarray:
         """``(len(ids), embedding_dim)`` rows of one table."""
         ids = np.asarray(ids)

@@ -78,12 +78,6 @@ class LinkModel:
         """One-way time for an ``nbytes`` message: serialize + propagate."""
         return self.serialization_ps(nbytes) + self.propagation_ps
 
-    def goodput_bytes_per_sec(self, nbytes: int) -> float:
-        """Payload bytes/s achieved for a message of ``nbytes``."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes * _PS_PER_S / self.transfer_ps(nbytes)
-
 
 class SimLink:
     """A :class:`LinkModel` as a FIFO-serialised simulator resource.
@@ -121,11 +115,6 @@ class SimLink:
         done = Event(self.sim)
         done.succeed(value=nbytes, delay=delivered - self.sim.now)
         return done
-
-    @property
-    def utilization_window_ps(self) -> int:
-        """How far ahead of ``sim.now`` the wire is committed."""
-        return max(0, self.busy_until_ps - self.sim.now)
 
 
 def ethernet_100g(propagation_ps: int = 500_000) -> LinkModel:

@@ -62,9 +62,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
     def reset(self) -> None:
         self.value = 0.0
 
@@ -107,24 +104,10 @@ class MetricsRegistry:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._instruments
-
-    def get(self, key: str) -> Counter | Gauge | None:
-        """Look up an instrument by its canonical ``name{labels}`` key."""
-        return self._instruments.get(key)
-
     def reset(self) -> None:
         """Zero every instrument (the instruments stay registered)."""
         for inst in self._instruments.values():
             inst.reset()
-
-    def clear(self) -> None:
-        """Drop every instrument."""
-        self._instruments.clear()
 
     def snapshot(self) -> dict[str, float]:
         """Current values as a plain, JSON-friendly dict."""

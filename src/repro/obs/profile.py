@@ -41,11 +41,6 @@ class ComponentProfile:
     wall_ps: int
 
     @property
-    def kind(self) -> str:
-        """Component family: ``kernel``/``stream``/``link``/``memory``/…"""
-        return self.track.split(":", 1)[0]
-
-    @property
     def name(self) -> str:
         return self.track.split(":", 1)[-1]
 

@@ -460,8 +460,3 @@ class Tracer:
             path.parent.mkdir(parents=True, exist_ok=True)
             with path.open("w", encoding="utf-8") as fp:
                 json.dump(payload, fp)
-
-    def clear(self) -> None:
-        """Drop recorded events and zero the metrics."""
-        self.events.clear()
-        self.registry.reset()

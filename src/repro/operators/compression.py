@@ -80,10 +80,6 @@ class RleEncoded:
     def nbytes(self) -> int:
         return self.values.nbytes + self.lengths.nbytes
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.lengths.sum())
-
 
 def rle_encode(column: np.ndarray) -> RleEncoded:
     """Run-length encode a column."""

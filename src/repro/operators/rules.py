@@ -61,10 +61,6 @@ class RuleSet:
             raise ValueError("every rule needs lows <= highs")
 
     @property
-    def n_rules(self) -> int:
-        return self.lows.shape[0]
-
-    @property
     def n_attrs(self) -> int:
         return self.lows.shape[1]
 

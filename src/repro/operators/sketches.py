@@ -56,10 +56,6 @@ class CountMinSketch:
             depth=math.ceil(math.log(1.0 / delta)),
         )
 
-    @property
-    def nbytes(self) -> int:
-        return self.counters.nbytes
-
     def add(self, values: np.ndarray) -> None:
         """Insert a batch of integer items (count 1 each)."""
         values = np.asarray(values).reshape(-1)

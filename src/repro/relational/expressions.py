@@ -1,7 +1,7 @@
 """Predicate expressions evaluable against columnar tables.
 
-A tiny expression AST — columns, constants, comparisons, boolean
-connectives, arithmetic — enough to express the selection predicates
+A tiny expression AST — columns, constants, comparisons and boolean
+connectives — enough to express the selection predicates
 Farview offloads ("``key < 42 AND val0 >= 0.5``").  Expressions
 evaluate vectorised over a :class:`~repro.relational.table.Table` and
 report an operation count used by the cost models.
@@ -19,7 +19,6 @@ from .table import Table
 __all__ = ["BinOp", "Col", "Const", "Expr", "col", "lit"]
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
-_ARITHMETIC = {"+", "-", "*", "/"}
 _LOGICAL = {"and", "or"}
 
 
@@ -63,18 +62,6 @@ class Expr:
         return self._bin("!=", other)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: Any) -> "BinOp":
-        return self._bin("+", other)
-
-    def __sub__(self, other: Any) -> "BinOp":
-        return self._bin("-", other)
-
-    def __mul__(self, other: Any) -> "BinOp":
-        return self._bin("*", other)
-
-    def __truediv__(self, other: Any) -> "BinOp":
-        return self._bin("/", other)
 
     def __and__(self, other: "Expr") -> "BinOp":
         return BinOp("and", self, other)
@@ -126,14 +113,14 @@ class Const(Expr):
 
 @dataclass(frozen=True, eq=False)
 class BinOp(Expr):
-    """A binary operation (comparison, arithmetic, or logical)."""
+    """A binary operation (comparison or logical)."""
 
     op: str
     left: Expr
     right: Expr
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARISONS | _ARITHMETIC | _LOGICAL:
+        if self.op not in _COMPARISONS | _LOGICAL:
             raise ValueError(f"unsupported operator {self.op!r}")
 
     def evaluate(self, table: Table) -> np.ndarray:
@@ -152,14 +139,6 @@ class BinOp(Expr):
                 return lhs == rhs
             case "!=":
                 return lhs != rhs
-            case "+":
-                return lhs + rhs
-            case "-":
-                return lhs - rhs
-            case "*":
-                return lhs * rhs
-            case "/":
-                return lhs / rhs
             case "and":
                 return np.logical_and(lhs, rhs)
             case "or":

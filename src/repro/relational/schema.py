@@ -29,11 +29,6 @@ class ColumnType(enum.Enum):
         """Bytes per value."""
         return np.dtype(self.value).itemsize
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The numpy dtype."""
-        return np.dtype(self.value)
-
     @classmethod
     def from_dtype(cls, dtype: np.dtype) -> "ColumnType":
         """Map a numpy dtype to a column type."""
@@ -70,12 +65,6 @@ class Schema:
             if col == name:
                 return ctype
         raise KeyError(f"no column {name!r} in schema {self.names}")
-
-    def __contains__(self, name: str) -> bool:
-        return any(col == name for col, _ in self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
     @property
     def row_nbytes(self) -> int:

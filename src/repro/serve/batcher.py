@@ -63,11 +63,9 @@ class BatchPolicy:
 
 @dataclass(frozen=True)
 class Batch:
-    """One dispatched batch: the items, their submit times, formation time."""
+    """One dispatched batch: its items in submit order."""
 
     items: tuple[Any, ...]
-    submit_ps: tuple[int, ...]
-    formed_ps: int
 
     def __len__(self) -> int:
         return len(self.items)
@@ -97,7 +95,6 @@ class DynamicBatcher:
         self._pending: deque[tuple[Any, int]] = deque()
         self._arrival = None
         self._closed = False
-        self._forming = False
         self.process = sim.spawn(self._run(), name=name)
 
     # -- producer side -----------------------------------------------------
@@ -106,15 +103,6 @@ class DynamicBatcher:
     def depth(self) -> int:
         """Items currently queued (not yet formed into a batch)."""
         return len(self._pending)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def drained(self) -> bool:
-        """True once closed with nothing queued or mid-dispatch."""
-        return self._closed and not self._pending and not self._forming
 
     def submit(self, item: Any) -> None:
         """Queue ``item`` (non-blocking); timestamps it at ``sim.now``."""
@@ -168,13 +156,8 @@ class DynamicBatcher:
                 # An unfired guard timer must not keep the clock alive.
                 timer.cancel()
             take = min(policy.max_batch, len(self._pending))
-            entries = [self._pending.popleft() for _ in range(take)]
-            batch = Batch(
-                items=tuple(item for item, _ in entries),
-                submit_ps=tuple(t for _, t in entries),
-                formed_ps=sim.now,
-            )
-            self._forming = True
-            yield self.out.put(batch)
-            self._forming = False
+            pending = self._pending
+            yield self.out.put(Batch(
+                tuple(pending.popleft()[0] for _ in range(take))
+            ))
             self.batches += 1

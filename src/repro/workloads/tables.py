@@ -55,21 +55,15 @@ def orders_table(n_rows: int, n_customers: int = 1000,
 
 
 def grouped_table(
-    n_rows: int, n_groups: int, skew: float = 0.0, seed: int = 17
+    n_rows: int, n_groups: int, seed: int = 17
 ) -> dict[str, np.ndarray]:
-    """A (group, value) table, optionally Zipf-skewed over groups."""
+    """A (group, value) table, groups drawn uniformly."""
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
     if n_groups < 1:
         raise ValueError("need at least one group")
     rng = np.random.default_rng(seed)
-    if skew > 0:
-        from .zipf import ZipfSampler
-
-        groups = ZipfSampler(n_groups, skew, rng).sample(n_rows)
-    else:
-        groups = rng.integers(0, n_groups, size=n_rows, dtype=np.int64)
     return {
-        "group": groups.astype(np.int64),
+        "group": rng.integers(0, n_groups, size=n_rows, dtype=np.int64),
         "value": rng.random(n_rows),
     }

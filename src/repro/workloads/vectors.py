@@ -28,22 +28,6 @@ class VectorDataset:
     queries: np.ndarray       # (q, dim) float32
     ground_truth: np.ndarray  # (q, k) int64
 
-    @property
-    def n(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[1]
-
-    @property
-    def n_queries(self) -> int:
-        return self.queries.shape[0]
-
-    @property
-    def gt_k(self) -> int:
-        return self.ground_truth.shape[1]
-
 
 def brute_force_knn(
     base: np.ndarray, queries: np.ndarray, k: int, block: int = 1024

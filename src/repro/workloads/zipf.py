@@ -35,17 +35,11 @@ class ZipfSampler:
         self._rng = rng
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** (-s)
-        self._probs = weights / weights.sum()
-        self._cdf = np.cumsum(self._probs)
+        self._cdf = np.cumsum(weights / weights.sum())
         # Float cumsum can leave cdf[-1] slightly below 1.0; a uniform
         # draw landing in that gap would searchsorted to n — one past
         # the last valid id.  Pin the top of the distribution.
         self._cdf[-1] = 1.0
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Per-id probabilities, descending by rank."""
-        return self._probs.copy()
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` ids (int64)."""
@@ -56,9 +50,3 @@ class ZipfSampler:
         # Clamp as a second line of defence (e.g. an rng returning
         # exactly 1.0 would still land one past the end).
         return np.minimum(idx, self.n - 1).astype(np.int64)
-
-    def hot_set_fraction(self, top_k: int) -> float:
-        """Probability mass carried by the ``top_k`` hottest ids."""
-        if top_k <= 0:
-            return 0.0
-        return float(self._probs[: min(top_k, self.n)].sum())

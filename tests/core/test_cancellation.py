@@ -33,7 +33,6 @@ def test_cancel_pending_event_drops_callbacks_and_blocks_trigger():
     fired = []
     ev.callbacks.append(lambda e: fired.append(e))
     assert ev.cancel() is True
-    assert ev.cancelled
     assert not ev.callbacks
     with pytest.raises(SimulationError):
         ev.succeed()

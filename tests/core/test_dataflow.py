@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.clocking import FABRIC_300MHZ
 from repro.core.dataflow import DataflowGraph, RateStage
-from repro.core.device import ResourceVector
 from repro.core.kernel import KernelSpec
 
 
@@ -109,20 +108,6 @@ def test_unknown_edge_endpoint_rejected():
     graph.add(KernelSpec("a"))
     with pytest.raises(KeyError):
         graph.connect("a", "missing")
-
-
-def test_total_resources_sums_kernels_only():
-    graph = DataflowGraph()
-    graph.add(
-        KernelSpec("a", resources=ResourceVector(lut=100, dsp=2)), source=True
-    )
-    graph.add(KernelSpec("b", resources=ResourceVector(lut=50)))
-    graph.add(RateStage("port", rate_items_per_sec=1e9))
-    graph.connect("a", "b")
-    graph.connect("b", "port")
-    total = graph.total_resources()
-    assert total.lut == 150
-    assert total.dsp == 2
 
 
 def test_time_for_items_fill_plus_stream():

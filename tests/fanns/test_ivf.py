@@ -25,9 +25,9 @@ def _index(**kwargs):
 
 def test_index_partitions_all_vectors():
     index = _index()
-    assert index.shape.n_vectors == _DS.n
+    assert index.shape.n_vectors == len(_DS.base)
     all_ids = np.concatenate(index.list_ids)
-    assert len(np.unique(all_ids)) == _DS.n
+    assert len(np.unique(all_ids)) == len(_DS.base)
     assert index.nlist == 32
     assert index.shape.code_nbytes == 4
 
@@ -37,7 +37,7 @@ def test_search_shapes_and_id_validity():
     ids = index.search(_DS.queries, k=10, nprobe=8)
     assert ids.shape == (40, 10)
     valid = ids[ids >= 0]
-    assert valid.max() < _DS.n
+    assert valid.max() < len(_DS.base)
 
 
 def test_recall_increases_with_nprobe():
@@ -56,14 +56,6 @@ def test_full_probe_high_recall_at_1():
     index = _index(m=8, ksub=128)
     ids = index.search(_DS.queries, k=1, nprobe=32)
     assert recall_at_k(ids, _DS.ground_truth, k=1) > 0.75
-
-
-def test_residual_beats_plain_encoding():
-    res = _index(residual=True)
-    plain = _index(residual=False)
-    r_res = recall_at_k(res.search(_DS.queries, 10, 8), _DS.ground_truth)
-    r_plain = recall_at_k(plain.search(_DS.queries, 10, 8), _DS.ground_truth)
-    assert r_res >= r_plain - 0.02  # residual never meaningfully worse
 
 
 def test_stats_count_work():
@@ -114,12 +106,6 @@ def test_build_validation():
         build_ivfpq(np.zeros(8, dtype=np.float32), nlist=1, m=4)
 
 
-def test_train_sample_reduces_training_but_still_works():
-    index = _index(train_sample=500)
-    ids = index.search(_DS.queries, 10, nprobe=16)
-    assert recall_at_k(ids, _DS.ground_truth) > 0.3
-
-
 def test_recall_metric_validation():
     with pytest.raises(ValueError):
         recall_at_k(np.zeros((3, 5), dtype=np.int64),
@@ -150,17 +136,13 @@ def _reference_search(index, queries, k, nprobe):
         coarse = c_sq - 2.0 * (index.centroids @ query)
         probe = np.argpartition(coarse, nprobe - 1)[:nprobe]
         stats.centroid_distances += index.nlist
-        if not index.residual:
-            table = index.pq.adc_table(query)
-            stats.lut_entries += table.size
         ids, dists = [], []
         for list_id in probe:
             codes = index.list_codes[list_id]
             if len(codes) == 0:
                 continue
-            if index.residual:
-                table = index.pq.adc_table(query - index.centroids[list_id])
-                stats.lut_entries += table.size
+            table = index.pq.adc_table(query - index.centroids[list_id])
+            stats.lut_entries += table.size
             ids.append(index.list_ids[list_id])
             dists.append(index.pq.adc_distances(table, codes))
             stats.codes_scanned += len(codes)
@@ -182,8 +164,8 @@ def _assert_matches_reference(index, queries, k, nprobe):
 
 
 @lru_cache(maxsize=None)
-def _cached_index(residual):
-    return _index(residual=residual)
+def _cached_index():
+    return _index()
 
 
 def _without_lists(index, empty):
@@ -197,21 +179,17 @@ def _without_lists(index, empty):
     )
 
 
-@pytest.mark.parametrize("residual", [True, False])
 @pytest.mark.parametrize("nprobe", [1, 32])
 @pytest.mark.parametrize("k", [10, 500])
-def test_search_matches_per_list_reference(residual, nprobe, k):
-    ids = _assert_matches_reference(
-        _cached_index(residual), _DS.queries, k, nprobe
-    )
+def test_search_matches_per_list_reference(nprobe, k):
+    ids = _assert_matches_reference(_cached_index(), _DS.queries, k, nprobe)
     if (k, nprobe) == (500, 1):
         # No list holds 500 of the 3000 vectors: -1 pads every row.
         assert (ids[:, -1] == -1).all()
 
 
-@pytest.mark.parametrize("residual", [True, False])
-def test_search_matches_reference_with_empty_lists(residual):
-    index = _without_lists(_cached_index(residual), range(0, 32, 2))
+def test_search_matches_reference_with_empty_lists():
+    index = _without_lists(_cached_index(), range(0, 32, 2))
     for nprobe in (1, 4, 32):
         for k in (10, 500):
             _assert_matches_reference(index, _DS.queries, k, nprobe)
@@ -276,7 +254,7 @@ def _unblocked_encode(codebooks, vectors):
     return codes
 
 
-def _unblocked_build(base, nlist, m, ksub, residual, seed):
+def _unblocked_build(base, nlist, m, ksub, seed):
     """``(centroids, codebooks, list ids, list codes)`` as ``build_ivfpq``
     built them before row blocking."""
     base = np.ascontiguousarray(base, dtype=np.float32)
@@ -289,7 +267,7 @@ def _unblocked_build(base, nlist, m, ksub, residual, seed):
         chunk = base[start:start + block]
         d = c_sq[None, :] - 2.0 * (chunk @ centroids.T)
         assign[start:start + len(chunk)] = d.argmin(axis=1)
-    training = base - centroids[assign] if residual else base
+    training = base - centroids[assign]
     dsub = training.shape[1] // m
     codebooks = np.empty((m, ksub, dsub), dtype=np.float32)
     for sub in range(m):
@@ -306,13 +284,12 @@ def _unblocked_build(base, nlist, m, ksub, residual, seed):
     return centroids, codebooks, list_ids, list_codes
 
 
-@pytest.mark.parametrize("residual, m", [(True, 4), (False, 4), (True, 16)])
-def test_build_matches_unblocked_build(residual, m):
+@pytest.mark.parametrize("m", [4, 16])
+def test_build_matches_unblocked_build(m):
     # 3000 rows: two row blocks, the second holding the remainder.
-    index = build_ivfpq(_DS.base, nlist=32, m=m, ksub=64,
-                        residual=residual, seed=5)
+    index = build_ivfpq(_DS.base, nlist=32, m=m, ksub=64, seed=5)
     centroids, codebooks, list_ids, list_codes = _unblocked_build(
-        _DS.base, nlist=32, m=m, ksub=64, residual=residual, seed=5
+        _DS.base, nlist=32, m=m, ksub=64, seed=5
     )
     assert np.array_equal(index.centroids, centroids)
     assert np.array_equal(index.pq.codebooks, codebooks)

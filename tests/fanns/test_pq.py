@@ -94,16 +94,13 @@ def test_adc_table_bit_identical_to_per_subspace_loop(m, dsub):
             assert np.array_equal(table, _adc_reference(pq, query))
 
 
-@pytest.mark.parametrize("residual", [True, False])
 @pytest.mark.parametrize("m", [2, 8, 16])
-def test_search_ids_unchanged_against_reference_adc(m, residual, monkeypatch):
+def test_search_ids_unchanged_against_reference_adc(m, monkeypatch):
     data = clustered_dataset(
         n=1500, dim=16, n_queries=12, gt_k=10, n_clusters=12,
         cluster_std=0.2, seed=5,
     )
-    index = build_ivfpq(
-        data.base, nlist=12, m=m, ksub=32, residual=residual, seed=5
-    )
+    index = build_ivfpq(data.base, nlist=12, m=m, ksub=32, seed=5)
     dist = DistributedFanns(index, n_nodes=3)
 
     def search():

@@ -99,3 +99,21 @@ def test_validation():
     planner, _ = _planner(1000)
     with pytest.raises(ValueError):
         OffloadPlanner(planner.client, sample_rows=0)
+
+
+def test_extra_filter_never_lowers_the_fetch_cpu_ops(monkeypatch):
+    """The combined selectivity shrinks the rows once, after the last
+    filter: a second filter adds its own work and removes none."""
+    planner, _ = _planner()
+    priced = []
+    monkeypatch.setattr(
+        type(planner.client.cpu), "compute_time_s",
+        lambda self, ops, element_bytes: priced.append(ops) or 0.0,
+    )
+    half = Filter(col("key") < _KEY_MAX // 2)
+    total = Aggregate((AggSpec(AggFunc.SUM, "val0"),))
+    planner.predict_fetch_s(QueryPlan((half, total)), "t", 0.5)
+    planner.predict_fetch_s(QueryPlan((half, half, total)), "t", 0.5)
+    # One comparison per row per filter, five ops per aggregated row.
+    assert priced == [500_000 + 5 * 250_000,
+                      2 * 500_000 + 5 * 250_000]

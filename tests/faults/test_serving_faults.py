@@ -90,7 +90,7 @@ def test_faulted_run_replays_byte_identically():
     plan = _plan()
     first = simulate_service(backend, traffic, config, seed=7, plan=plan)
     again = simulate_service(backend, traffic, config, seed=7,
-                             plan=plan.replay())
+                             plan=_plan())
     assert first == again
 
 

@@ -50,7 +50,7 @@ def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
 
     result = np.empty(len(codes), dtype=np.float32)
     for sink in sinks:
-        for start, dists in sink.payloads:
+        for start, dists in (burst.payload for burst in sink.received):
             result[start:start + len(dists)] = dists
     return result, max(sink.done_at_ps for sink in sinks)
 
@@ -131,7 +131,8 @@ def test_distributed_distinct_count_with_sketch_merge():
     buffers = [s.registers.astype(np.float64) for s in node_sketches]
     outcome = cluster.gather(buffers, root=0)
     assert outcome.time_s > 0
-    assert outcome.bytes_on_wire == (n_nodes - 1) * buffers[0].nbytes
+    wire = sum(n for step in outcome.steps for _, _, n in step)
+    assert wire == (n_nodes - 1) * buffers[0].nbytes
 
 
 def test_memory_port_feeds_kernel_pipeline():

@@ -46,7 +46,7 @@ def test_full_table_raises():
     table = HashTable(n_buckets=2, slots_per_bucket=2)
     for i in range(4):
         table.put(i, i)
-    assert table.load_factor == 1.0
+    assert table.n_entries == table.capacity
     with pytest.raises(MemoryError):
         table.put(99, 0)
 
@@ -113,15 +113,20 @@ def test_construction_allocates_no_slot_arrays():
     assert peak < 64 * 1024
 
 
+def _mean_probes(table):
+    return table.bucket_probes / table.operations
+
+
 def test_probe_accounting():
     table = HashTable(n_buckets=64, slots_per_bucket=8)
-    assert table.mean_probes_per_op == 0.0
+    assert table.bucket_probes == table.operations == 0
     for i in range(200):
         table.put(i, i)
     for i in range(200):
         table.get(i)
+    assert table.operations == 400
     # Low load factor: almost every op is one bucket probe.
-    assert 1.0 <= table.mean_probes_per_op < 1.5
+    assert 1.0 <= _mean_probes(table) < 1.5
 
 
 def test_probes_grow_with_load():
@@ -130,7 +135,7 @@ def test_probes_grow_with_load():
     for i in range(240):
         light.put(i, i)
         heavy.put(i, i)  # ~94% load
-    assert heavy.mean_probes_per_op >= light.mean_probes_per_op
+    assert _mean_probes(heavy) >= _mean_probes(light)
 
 
 @settings(max_examples=25, deadline=None)

@@ -24,26 +24,25 @@ def test_uniform_construction():
     bank = BankedMemory.uniform(_small_channel(), 4)
     assert bank.n_channels == 4
     assert bank.capacity_bytes == 4000
-    assert bank.aggregate_bandwidth == pytest.approx(4e9)
 
 
 def test_least_loaded_allocation_balances_traffic():
     bank = BankedMemory.uniform(_small_channel(), 4)
-    for i in range(8):
-        bank.allocate(f"t{i}", nbytes=10, expected_traffic=1.0)
-    channels = [bank.allocation(f"t{i}").channel for i in range(8)]
+    channels = [
+        bank.allocate(f"t{i}", nbytes=10, expected_traffic=1.0).channel
+        for i in range(8)
+    ]
     # Two regions per channel.
     assert sorted(channels) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_skewed_traffic_spreads_hot_regions():
     bank = BankedMemory.uniform(_small_channel(), 2)
-    bank.allocate("hot", nbytes=10, expected_traffic=100.0)
-    bank.allocate("cold1", nbytes=10, expected_traffic=1.0)
-    bank.allocate("cold2", nbytes=10, expected_traffic=1.0)
-    hot_ch = bank.allocation("hot").channel
-    assert bank.allocation("cold1").channel != hot_ch
-    assert bank.allocation("cold2").channel != hot_ch
+    hot_ch = bank.allocate("hot", nbytes=10, expected_traffic=100.0).channel
+    cold1 = bank.allocate("cold1", nbytes=10, expected_traffic=1.0)
+    cold2 = bank.allocate("cold2", nbytes=10, expected_traffic=1.0)
+    assert cold1.channel != hot_ch
+    assert cold2.channel != hot_ch
 
 
 def test_explicit_channel_placement():
@@ -108,11 +107,11 @@ def test_striped_allocation_spans_channels():
     shards = bank.allocate_striped("big", nbytes=250)
     assert len(shards) == 3  # ceil(250 / 100)
     assert len({s.channel for s in shards}) == 3
-    assert bank.shards_of("big") == ("big.s0", "big.s1", "big.s2")
+    assert [s.key for s in shards] == ["big.s0", "big.s1", "big.s2"]
     bank.free("big")
     assert bank.used_bytes == 0
     with pytest.raises(KeyError):
-        bank.shards_of("big")
+        bank.free("big")
 
 
 def test_striped_allocation_too_big_rolls_back():
@@ -213,7 +212,6 @@ def test_free_is_symmetric_across_both_namespaces():
     assert bank.used_bytes == 300
     bank.free("plain")
     assert bank.used_bytes == 0
-    assert bank.channel_load_bytes() == [0, 0, 0, 0]
     # Both names are reusable after free, in either namespace.
     bank.allocate_striped("plain", nbytes=400, n_shards=2)
     bank.allocate("striped", nbytes=100)

@@ -66,19 +66,6 @@ def test_access_time_dispatch():
     )
 
 
-def test_effective_bandwidth():
-    m = _model()
-    assert m.effective_bandwidth(AccessPattern.SEQUENTIAL) == 10e9
-    assert m.effective_bandwidth(AccessPattern.RANDOM) == 5e9
-
-
-def test_fits_capacity():
-    m = _model(capacity_bytes=100)
-    assert m.fits(100)
-    assert not m.fits(101)
-    assert not m.fits(-1)
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         _model(bandwidth_bytes_per_sec=0)

@@ -4,7 +4,6 @@ These tests pin the *ordering relations* the use-case arguments depend
 on, not exact datasheet values.
 """
 
-from repro.memory.model import AccessPattern
 from repro.memory.technologies import (
     ddr4_channel,
     hbm2_channel,
@@ -33,6 +32,4 @@ def test_single_hbm_channel_slower_than_ddr_channel():
 def test_random_access_penalties():
     for make in (hbm2_channel, ddr4_channel, host_over_pcie3):
         m = make()
-        assert m.effective_bandwidth(AccessPattern.RANDOM) < m.effective_bandwidth(
-            AccessPattern.SEQUENTIAL
-        )
+        assert m.random_efficiency < 1.0

@@ -58,7 +58,7 @@ def test_fpga_and_cpu_logits_identical():
 
 def test_cartesian_plan_preserves_logits():
     plan = plan_cartesian(_SPEC, byte_budget=4 * _SPEC.total_embedding_bytes)
-    assert plan.lookups_saved >= 1
+    assert plan.n_lookups < _SPEC.n_tables
     plain = MicroRecAccelerator(_SPEC, seed=3)
     combined = MicroRecAccelerator(_SPEC, plan=plan, seed=3)
     assert np.array_equal(
@@ -174,7 +174,8 @@ def test_cpu_working_set_counts_spec_bytes():
     cpu_model = CpuModel(name="small-llc",
                          llc_bytes=spec.total_embedding_bytes)
     tables = EmbeddingTables(spec, seed=1)
-    assert tables.total_nbytes > cpu_model.llc_bytes  # stored as float32
+    float32_bytes = sum(spec.table_rows) * spec.embedding_dim * 4
+    assert float32_bytes > cpu_model.llc_bytes
     cpu = CpuRecommender(spec, cpu=cpu_model, seed=1)
     out = cpu.infer(tables, lookup_trace(spec, batch_size=8, seed=2))
     in_llc = cpu_model.random_access_time_s(
@@ -184,7 +185,7 @@ def test_cpu_working_set_counts_spec_bytes():
     assert out.lookup_s == in_llc
     assert out.lookup_s < cpu_model.random_access_time_s(
         8 * spec.n_tables, spec.embedding_bytes,
-        working_set_bytes=tables.total_nbytes,
+        working_set_bytes=float32_bytes,
     )
 
 

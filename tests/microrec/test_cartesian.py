@@ -18,7 +18,6 @@ def test_identity_plan_when_budget_too_small():
     spec = _spec()
     plan = plan_cartesian(spec, byte_budget=0)
     assert plan.n_lookups == spec.n_tables
-    assert plan.lookups_saved == 0
     assert plan.total_bytes == spec.total_embedding_bytes
     assert plan.capacity_overhead == pytest.approx(1.0)
 
@@ -92,7 +91,7 @@ def test_combined_lookup_equals_uncombined():
     spec = _spec(rows=(4, 6, 50, 200))
     tables = EmbeddingTables(spec, seed=3)
     plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
-    assert plan.lookups_saved >= 1
+    assert plan.n_lookups < spec.n_tables
     trace = lookup_trace(spec, batch_size=32, seed=4)
     per_table = np.concatenate(
         [tables.rows(t, trace[:, t]) for t in range(spec.n_tables)], axis=1
@@ -173,7 +172,7 @@ def test_property_plan_valid_and_lookup_exact(rows, budget_factor):
     flat = sorted(t for g in plan.groups for t in g)
     assert flat == list(range(spec.n_tables))
     # Budget respected unless nothing was combined.
-    if plan.lookups_saved > 0:
+    if plan.n_lookups < spec.n_tables:
         assert plan.total_bytes <= max(budget, spec.total_embedding_bytes)
     # Functional equivalence on a small trace.
     tables = EmbeddingTables(spec, seed=0)

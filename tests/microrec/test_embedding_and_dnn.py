@@ -28,8 +28,6 @@ def test_tables_shapes_and_bytes():
     assert tables.n_tables == 3
     assert tables.rows(2, np.arange(1000)).shape == (1000, 4)
     assert tables.rows(2, np.arange(1000)).dtype == np.float32
-    assert tables.table_nbytes(0) == 10 * 4 * 4
-    assert tables.total_nbytes == (10 + 100 + 1000) * 16
 
 
 def test_row_is_the_same_in_any_batch_or_position():
@@ -84,7 +82,7 @@ def test_full_scale_tables_allocate_under_one_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tables.total_nbytes > 400 * 2 ** 20
+    assert sum(spec.table_rows) * spec.embedding_dim * 4 > 400 * 2 ** 20
     assert rows.shape == (8, spec.concat_width)
     assert peak < 2 ** 20
 

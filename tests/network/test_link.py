@@ -36,11 +36,14 @@ def test_transfer_includes_propagation():
 
 def test_goodput_approaches_line_rate_for_large_messages():
     link = ethernet_100g()
-    small = link.goodput_bytes_per_sec(64)
-    large = link.goodput_bytes_per_sec(16 * 1024 * 1024)
-    assert small < large
-    assert large == pytest.approx(link.bandwidth_bytes_per_sec, rel=0.05)
-    assert link.goodput_bytes_per_sec(0) == 0.0
+
+    def goodput(nbytes):
+        return nbytes * 1e12 / link.transfer_ps(nbytes)
+
+    assert goodput(64) < goodput(16 * 1024 * 1024)
+    assert goodput(16 * 1024 * 1024) == pytest.approx(
+        link.bandwidth_bytes_per_sec, rel=0.05
+    )
 
 
 def test_invalid_link_parameters():

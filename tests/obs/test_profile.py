@@ -87,8 +87,8 @@ def test_component_profile_kind_and_name():
         _pipeline(sim)
         sim.run()
     comp = prof.report().component("kernel:k1")
-    assert comp.kind == "kernel"
     assert comp.name == "k1"
+    assert prof.report().component("k1") is comp
     with pytest.raises(KeyError):
         prof.report().component("kernel:nope")
 

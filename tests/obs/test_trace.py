@@ -60,7 +60,7 @@ def test_traced_off_run_schedules_no_tracer_callbacks(monkeypatch):
     ):
         monkeypatch.setattr(Tracer, hook, poisoned)
     sim = Simulator()
-    assert sim.tracer is None
+    assert sim._tracer is None
     assert get_default_tracer() is None
     _, sink = _run_pipeline(sim)
     assert sink.items == 64
@@ -86,7 +86,7 @@ def test_traced_off_engine_path_schedules_no_tracer_callbacks(monkeypatch):
     set_fast_forward(False)
     try:
         sim = Simulator()
-        assert sim.tracer is None
+        assert sim._tracer is None
         _, sink = _run_pipeline(sim)
     finally:
         set_fast_forward(None)
@@ -98,12 +98,12 @@ def test_default_tracer_is_picked_up_and_releasable():
     set_default_tracer(tracer)
     try:
         sim = Simulator()
-        assert sim.tracer is tracer
+        assert sim._tracer is tracer
         _run_pipeline(sim)
         assert tracer.registry.snapshot()["sim.events.fired"] > 0
     finally:
         set_default_tracer(None)
-    assert Simulator().tracer is None
+    assert Simulator()._tracer is None
 
 
 def test_trace_transparency_same_timeline_and_results():
@@ -184,14 +184,6 @@ def test_utilisation_summary_math():
 
 def test_utilisation_summary_empty():
     assert "(no slices recorded)" in Tracer().utilisation_summary()
-
-
-def test_clear_drops_events_and_metrics():
-    tracer = Tracer()
-    tracer.kernel_busy("k", 0, 10, 1)
-    tracer.clear()
-    assert tracer.events == []
-    assert tracer.registry.snapshot()["kernel.busy_ps{kernel=k}"] == 0
 
 
 def test_trace_event_defaults():

@@ -37,7 +37,7 @@ def test_rle_roundtrip_and_compression():
     encoded = rle_encode(column)
     assert np.array_equal(rle_decode(encoded), column)
     assert encoded.values.size == 50
-    assert encoded.n_rows == 10_000
+    assert encoded.lengths.sum() == 10_000
     assert encoded.nbytes < column.nbytes / 10
 
 
@@ -51,7 +51,7 @@ def test_rle_worst_case_no_runs():
 def test_rle_empty():
     encoded = rle_encode(np.array([], dtype=np.int64))
     assert rle_decode(encoded).size == 0
-    assert encoded.n_rows == 0
+    assert encoded.lengths.sum() == 0
 
 
 def test_codec_kernel_specs():

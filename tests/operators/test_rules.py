@@ -75,7 +75,7 @@ def test_ruleset_validation():
 def test_random_rules_properties():
     rules = random_rules(100, 6, selectivity=0.25,
                          wildcard_fraction=0.5, seed=5)
-    assert rules.n_rules == 100 and rules.n_attrs == 6
+    assert rules.lows.shape == (100, 6) and rules.n_attrs == 6
     wild = np.isinf(rules.lows)
     assert 0.3 < wild.mean() < 0.7
     finite = ~wild

@@ -31,14 +31,6 @@ def test_column_vs_column():
     )
 
 
-def test_arithmetic():
-    t = _table()
-    expr = (col("a") * 2 + col("b")) / 2
-    expected = (t["a"] * 2 + t["b"]) / 2
-    assert np.allclose(expr.evaluate(t), expected)
-    assert np.allclose((col("a") - 1).evaluate(t), t["a"] - 1)
-
-
 def test_boolean_connectives():
     t = _table()
     both = ((col("a") > 1) & (col("b") > 1.5)).evaluate(t)

@@ -29,8 +29,7 @@ def test_schema_row_bytes_and_lookup():
     schema = Schema.of(key=ColumnType.INT64, val=ColumnType.FLOAT64)
     assert schema.row_nbytes == 16
     assert schema.type_of("key") is ColumnType.INT64
-    assert "val" in schema and "ghost" not in schema
-    assert len(schema) == 2
+    assert schema.names == ("key", "val")
     with pytest.raises(KeyError):
         schema.type_of("ghost")
 

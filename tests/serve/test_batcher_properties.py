@@ -11,8 +11,11 @@ uphold the batcher's contract:
 * bounded wait — with a consumer that never backpressures, no item
   sits in the batcher longer than ``max_wait_ps``.
 
-A differential test also pins the batcher's exact schedule against the
-batcher it replaced, which woke on every submitted item.
+The tests keep their own clocks: the producer records each submit time
+and a wrapper around the output stream's ``put`` records when each
+batch is formed. A differential test also pins the batcher's exact
+schedule against the batcher it replaced, which woke on every
+submitted item.
 """
 
 from collections import deque
@@ -43,12 +46,29 @@ _POLICY = st.tuples(
 )
 
 
+def _record_formation(sim, out):
+    """Wrap ``out.put`` so that it logs when each batch is formed: the
+    batcher hands a batch to ``put`` at the instant it forms it."""
+    formed_ps = []
+    put = out.put
+
+    def recording_put(batch):
+        formed_ps.append(sim.now)
+        return put(batch)
+
+    out.put = recording_put
+    return formed_ps
+
+
 def _drive(schedule, max_batch, max_wait_ps, consumer_delay_ps):
-    """Run a schedule through a batcher; return (submitted, batches)."""
+    """Run a schedule through a batcher; return ``(submitted, batches,
+    formed_ps)``: ``(item, submit time)`` pairs, the batches in dispatch
+    order and each batch's formation time."""
     sim = Simulator()
     # Unbounded-enough stream: the consumer can lag without ever
     # blocking the batcher when consumer_delay_ps is 0.
     out = Stream(sim, depth=10_000)
+    formed_ps = _record_formation(sim, out)
     batcher = DynamicBatcher(
         sim, BatchPolicy(max_batch=max_batch, max_wait_ps=max_wait_ps), out
     )
@@ -68,12 +88,7 @@ def _drive(schedule, max_batch, max_wait_ps, consumer_delay_ps):
 
     def consumer():
         while True:
-            ok, batch = out.try_get()
-            if not ok:
-                if batcher.drained and out.empty:
-                    return
-                yield sim.timeout(1)
-                continue
+            batch = yield out.get()
             batches.append(batch)
             if consumer_delay_ps:
                 yield sim.timeout(consumer_delay_ps)
@@ -81,7 +96,7 @@ def _drive(schedule, max_batch, max_wait_ps, consumer_delay_ps):
     sim.spawn(producer(), name="producer")
     sim.spawn(consumer(), name="consumer")
     sim.run()
-    return submitted, batches
+    return submitted, batches, formed_ps
 
 
 @given(schedule=_SCHEDULE, policy=_POLICY,
@@ -89,26 +104,26 @@ def _drive(schedule, max_batch, max_wait_ps, consumer_delay_ps):
 @settings(max_examples=120, deadline=None)
 def test_no_item_lost_duplicated_and_fifo(schedule, policy, consumer_delay):
     max_batch, max_wait = policy
-    submitted, batches = _drive(schedule, max_batch, max_wait,
-                                consumer_delay)
+    submitted, batches, formed_ps = _drive(schedule, max_batch, max_wait,
+                                           consumer_delay)
     dispatched = [item for b in batches for item in b.items]
     assert dispatched == [rid for rid, _ in submitted]
+    assert len(formed_ps) == len(batches)
     for batch in batches:
         assert 1 <= len(batch) <= max_batch
-        assert len(batch.items) == len(batch.submit_ps)
 
 
 @given(schedule=_SCHEDULE, policy=_POLICY)
 @settings(max_examples=120, deadline=None)
 def test_wait_bound_without_backpressure(schedule, policy):
     max_batch, max_wait = policy
-    submitted, batches = _drive(schedule, max_batch, max_wait,
-                                consumer_delay_ps=0)
+    submitted, batches, formed_ps = _drive(schedule, max_batch, max_wait,
+                                           consumer_delay_ps=0)
     submit_at = dict(submitted)
-    for batch in batches:
-        for item, t_submit in zip(batch.items, batch.submit_ps):
-            assert t_submit == submit_at[item]
-            assert batch.formed_ps - t_submit <= max_wait
+    assert len(formed_ps) == len(batches)
+    for batch, formed in zip(batches, formed_ps):
+        for item in batch.items:
+            assert 0 <= formed - submit_at[item] <= max_wait
 
 
 @given(schedule=_SCHEDULE, policy=_POLICY,
@@ -119,8 +134,8 @@ def test_per_tenant_fifo_under_interleaving(schedule, policy,
     # Tag items round-robin across 3 tenants; global FIFO must imply
     # per-tenant FIFO in the dispatched order.
     max_batch, max_wait = policy
-    submitted, batches = _drive(schedule, max_batch, max_wait,
-                                consumer_delay)
+    submitted, batches, _ = _drive(schedule, max_batch, max_wait,
+                                   consumer_delay)
     order = [item for b in batches for item in b.items]
     for tenant in range(3):
         lane = [rid for rid in order if rid % 3 == tenant]
@@ -180,22 +195,22 @@ class _WakePerItemBatcher:
                 timer.cancel()
             take = min(policy.max_batch, len(self._pending))
             entries = [self._pending.popleft() for _ in range(take)]
-            yield self.out.put(Batch(
-                items=tuple(item for item, _ in entries),
-                submit_ps=tuple(t for _, t in entries),
-                formed_ps=sim.now,
-            ))
+            yield self.out.put(Batch(tuple(item for item, _ in entries)))
 
 
 def _handoffs(make_batcher, schedule, policy, depth, consumer_delay_ps):
     """Every batch as ``(items, submit_ps, formed_ps, handed_off_ps)``.
 
     The producer submits all items of one timestamp in one step, as the
-    service's arrival process does; the consumer blocks on the stream.
+    service's arrival process does, and records each submit time; the
+    consumer blocks on the stream. The stream is FIFO, so the k-th batch
+    taken is the k-th formed.
     """
     sim = Simulator()
     out = Stream(sim, depth=depth)
+    formed_ps = _record_formation(sim, out)
     batcher = make_batcher(sim, policy, out)
+    submit_at = {}
     got = []
 
     def producer():
@@ -205,14 +220,16 @@ def _handoffs(make_batcher, schedule, policy, depth, consumer_delay_ps):
                 yield sim.timeout(gap)
             for _ in range(run):
                 batcher.submit(rid)
+                submit_at[rid] = sim.now
                 rid += 1
         batcher.close()
 
     def consumer():
         while True:
             batch = yield out.get()
+            submit_ps = tuple(submit_at[item] for item in batch.items)
             got.append(
-                (batch.items, batch.submit_ps, batch.formed_ps, sim.now)
+                (batch.items, submit_ps, formed_ps[len(got)], sim.now)
             )
             if consumer_delay_ps:
                 yield sim.timeout(consumer_delay_ps)
@@ -296,7 +313,7 @@ def test_submit_after_close_is_rejected():
     with pytest.raises(RuntimeError):
         batcher.submit(0)
     sim.run()
-    assert batcher.drained
+    assert not batcher.process.is_alive
 
 
 @pytest.mark.parametrize("bad", [

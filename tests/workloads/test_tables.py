@@ -28,15 +28,6 @@ def test_orders_table_columns():
     assert len(np.unique(t["order_id"])) == 5000
 
 
-def test_grouped_table_uniform_vs_skewed():
-    uniform = grouped_table(50_000, n_groups=100, skew=0.0, seed=3)
-    skewed = grouped_table(50_000, n_groups=100, skew=1.2, seed=3)
-    cu = np.bincount(uniform["group"], minlength=100)
-    cs = np.bincount(skewed["group"], minlength=100)
-    assert cs.max() > 3 * cu.max()
-    assert skewed["group"].max() < 100
-
-
 def test_determinism():
     a = uniform_table(100, seed=7)
     b = uniform_table(100, seed=7)

@@ -35,8 +35,6 @@ def test_clustered_dataset_shapes_and_dtypes():
     assert ds.queries.shape == (20, 16)
     assert ds.ground_truth.shape == (20, 5)
     assert ds.base.dtype == np.float32
-    assert ds.n == 500 and ds.dim == 16
-    assert ds.n_queries == 20 and ds.gt_k == 5
 
 
 def test_clustered_dataset_deterministic():
@@ -54,7 +52,7 @@ def test_queries_have_close_neighbors():
     nn = ds.ground_truth[:, 0]
     d_nn = ((ds.base[nn] - ds.queries) ** 2).sum(axis=1)
     rng = np.random.default_rng(0)
-    random_ids = rng.integers(0, ds.n, size=ds.n_queries)
+    random_ids = rng.integers(0, len(ds.base), size=len(ds.queries))
     d_rand = ((ds.base[random_ids] - ds.queries) ** 2).sum(axis=1)
     assert d_nn.mean() < d_rand.mean() / 5
 
