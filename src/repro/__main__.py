@@ -4,19 +4,18 @@ Subcommands:
 
 * ``info`` — package version and system inventory;
 * ``list [--json]`` — the registry dump: per experiment the grid
-  size, seeds, and how many cells are already in ``results/cache/``;
-* ``run <id>... | all`` — regenerate experiments through the sweep
-  runner (:mod:`repro.exec`): every cell is cached and re-runs are
-  free.
+  size and seeds;
+* ``run <id>... | all`` — regenerate experiments (:mod:`repro.exec`):
+  every cell is computed in-process and the tables are printed.
 * ``serve [--backend B] [--load X]`` — drive one accelerator as an
   online service (:mod:`repro.serve`): open-loop traffic, dynamic
   batching, SLO-aware admission; prints latency percentiles, goodput,
   and shedding for the run.
 
 ``run --trace OUT.json`` records the run through the observability
-layer: the sweep runs uncached under one shared default tracer, and
-the collected trace is exported as Chrome ``trace_event`` JSON — open
-it at https://ui.perfetto.dev or in ``chrome://tracing``.
+layer: every simulation of the run records into one shared default
+tracer, and the collected trace is exported as Chrome ``trace_event``
+JSON — open it at https://ui.perfetto.dev or in ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ _INVENTORY = [
     ("repro.lsm", "LSM store + compaction offload (X-Engine)"),
     ("repro.kvstore", "smart-NIC key-value store (KV-Direct)"),
     ("repro.faults", "fault injection, timeouts, retry/recovery"),
-    ("repro.exec", "experiment registry, sweep runner, result cache"),
+    ("repro.exec", "experiment registry and runner"),
     ("repro.serve", "online serving: traffic, batching, SLO admission"),
     ("repro.workloads", "synthetic workload generators"),
 ]
@@ -58,32 +57,18 @@ def _cmd_info() -> int:
 
 
 def _registry_rows() -> list[dict]:
-    """One dict per registered experiment, with cache occupancy."""
-    from .exec import (
-        ResultCache,
-        build_spec,
-        cell_key,
-        code_version,
-        experiment_ids,
-    )
+    """One dict per registered experiment."""
+    from .exec import build_spec, experiment_ids
 
-    cache = ResultCache()
-    version = code_version()
     rows = []
     for exp_id in experiment_ids():
         spec = build_spec(exp_id)
-        cached = sum(
-            cache.has(cell_key(exp_id, config, seed, version))
-            for seed in spec.seeds
-            for config in spec.grid
-        )
         rows.append({
             "experiment": exp_id,
             "title": spec.title,
             "grid": len(spec.grid),
             "seeds": list(spec.seeds),
             "cells": spec.cells,
-            "cached": cached,
         })
     return rows
 
@@ -93,11 +78,11 @@ def _cmd_list(as_json: bool) -> int:
     if as_json:
         print(json.dumps(rows, indent=2))
         return 0
-    print(f"  {'id':<4} {'cells':>5} {'cached':>6}  {'seeds':<12} title")
+    print(f"  {'id':<4} {'cells':>5}  {'seeds':<12} title")
     for row in rows:
         seeds = ",".join(str(s) for s in row["seeds"])
-        print(f"  {row['experiment']:<4} {row['cells']:>5} "
-              f"{row['cached']:>6}  {seeds:<12} {row['title']}")
+        print(f"  {row['experiment']:<4} {row['cells']:>5}  "
+              f"{seeds:<12} {row['title']}")
     return 0
 
 
@@ -121,32 +106,19 @@ def _resolve_ids(ids: list[str]) -> list[str] | None:
     return keys
 
 
-def _cmd_run_sweep(
-    ids: list[str],
-    no_cache: bool,
-    faults: float | None,
-) -> int:
-    """Run experiments through the :mod:`repro.exec` sweep runner."""
-    from .exec import ResultCache, SweepRunner, build_spec
+def _cmd_run_sweep(ids: list[str], faults: float | None) -> int:
+    """Run and print experiments through :func:`repro.exec.run_spec`."""
+    from .exec import build_spec, run_spec
+    from .exec.experiments.faults import e22_spec
 
-    # --faults reaches the specs through REPRO_FAULT_RATE; restore the
-    # caller's value afterwards so the rate does not outlive the run.
-    previous = os.environ.get("REPRO_FAULT_RATE")
-    if faults is not None:
-        os.environ["REPRO_FAULT_RATE"] = repr(faults)
-    try:
-        cache = None if no_cache else ResultCache()
-        for exp_id in ids:
-            result = SweepRunner(build_spec(exp_id), cache=cache).run()
-            for table in result.tables:
-                table.show()
-            print(f"[{exp_id}] {result.cells} cells: {result.hits} cached, "
-                  f"{result.computed} computed")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FAULT_RATE", None)
+    for exp_id in ids:
+        if exp_id == "e22" and faults is not None:
+            spec = e22_spec((0.0, faults))
         else:
-            os.environ["REPRO_FAULT_RATE"] = previous
+            spec = build_spec(exp_id)
+        for table in run_spec(spec):
+            table.show()
+        print(f"[{exp_id}] {spec.cells} cells")
     return 0
 
 
@@ -154,7 +126,6 @@ def _cmd_run(
     ids: list[str],
     trace: str | None = None,
     faults: float | None = None,
-    no_cache: bool = False,
 ) -> int:
     if faults is not None and not 0.0 <= faults <= 1.0:
         print(f"error: --faults must be in [0, 1], got {faults}",
@@ -164,14 +135,13 @@ def _cmd_run(
     if keys is None:
         return 2
     if trace is None:
-        return _cmd_run_sweep(keys, no_cache, faults)
-    # Cached cells would record nothing, so a traced run is uncached.
+        return _cmd_run_sweep(keys, faults)
     from .obs import Tracer, set_default_tracer
 
     tracer = Tracer()
     set_default_tracer(tracer)
     try:
-        status = _cmd_run_sweep(keys, True, faults)
+        status = _cmd_run_sweep(keys, faults)
     finally:
         set_default_tracer(None)
     tracer.export_chrome(trace)
@@ -275,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="version and system inventory")
     lst = sub.add_parser(
-        "list", help="registry dump: grid sizes, seeds, cache occupancy"
+        "list", help="registry dump: grid sizes and seeds"
     )
     lst.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the registry as JSON")
@@ -287,17 +257,12 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--trace", metavar="OUT.json", default=None,
         help="record the run through repro.obs and export a Chrome "
-             "trace_event JSON file (uncached)",
+             "trace_event JSON file",
     )
     run.add_argument(
         "--faults", metavar="RATE", type=float, default=None,
         help="inject faults at this rate (0..1) in fault-aware "
              "experiments (e22), e.g. --faults 0.01",
-    )
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every sweep cell instead of reading "
-             "results/cache/",
     )
     serve = sub.add_parser(
         "serve",
@@ -348,8 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return _cmd_list(args.as_json)
     if args.command == "run":
-        return _cmd_run(args.ids, trace=args.trace, faults=args.faults,
-                        no_cache=args.no_cache)
+        return _cmd_run(args.ids, trace=args.trace, faults=args.faults)
     if args.command == "serve":
         return _cmd_serve(args)
     parser.print_help()

@@ -17,7 +17,6 @@ argument of the tutorial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .clocking import FABRIC_300MHZ, ClockDomain
@@ -53,17 +52,13 @@ class LoopNest:
         Total iterations of the flattened nest.
     ops:
         Mapping from op kind (see module source for the supported set)
-        to how many of that op one iteration performs.
-    dependence_distance:
-        0 for fully parallel iterations; ``d > 0`` means iteration ``i``
-        depends on iteration ``i - d`` (a loop-carried dependence, e.g.
-        an accumulator), which bounds the achievable II.
+        to how many of that op one iteration performs.  Iterations are
+        independent of each other (no loop-carried dependence).
     """
 
     name: str
     trip_count: int
     ops: dict[str, int] = field(default_factory=dict)
-    dependence_distance: int = 0
 
     def __post_init__(self) -> None:
         if self.trip_count < 0:
@@ -83,16 +78,6 @@ class LoopNest:
             sum(_OP_COSTS[op][0] * count for op, count in self.ops.items()),
         )
 
-    def min_ii(self) -> int:
-        """The smallest II a pipeline can achieve given loop-carried deps.
-
-        Without a carried dependence the II can reach 1; with distance
-        ``d`` the recurrence forces ``II >= ceil(latency / d)``.
-        """
-        if self.dependence_distance <= 0:
-            return 1
-        return max(1, math.ceil(self.iteration_latency() / self.dependence_distance))
-
     def sequential_cycles(self) -> int:
         """Temporal-architecture cost: every iteration runs start-to-finish."""
         return self.trip_count * self.iteration_latency()
@@ -102,8 +87,8 @@ class LoopNest:
 class Pragmas:
     """The pragma set applied to a loop nest.
 
-    ``pipeline_ii`` is the *requested* II (the achieved II also honors
-    loop-carried dependences); ``unroll`` replicates the datapath.
+    ``pipeline_ii`` is the *requested* II (the achieved II never exceeds
+    the iteration latency); ``unroll`` replicates the datapath.
     """
 
     pipeline: bool = True
@@ -134,15 +119,15 @@ def synthesize(
 
     Without ``pipeline`` the kernel degenerates to a temporal engine:
     II equals the full iteration latency (one iteration at a time).
-    With it, II is ``max(requested, min_ii)``; ``unroll`` multiplies
-    both throughput and resources.
+    With it, II is the requested one, capped at the iteration latency;
+    ``unroll`` multiplies both throughput and resources.
     """
     depth = loop.iteration_latency()
     if pragmas.pipeline:
-        # Honor the requested II and loop-carried dependences, but never
-        # exceed the iteration latency: a pipeline with II == depth is
-        # already the sequential schedule.
-        ii = min(depth, max(pragmas.pipeline_ii, loop.min_ii()))
+        # Honor the requested II, but never exceed the iteration
+        # latency: a pipeline with II == depth is already the sequential
+        # schedule.
+        ii = min(depth, pragmas.pipeline_ii)
     else:
         ii = depth
     resources = _base_resources(loop) * pragmas.unroll

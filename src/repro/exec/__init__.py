@@ -1,17 +1,14 @@
-"""Sweep execution and result caching (``repro.exec``).
+"""Experiment execution (``repro.exec``).
 
 Each experiment is a seed x config grid of independent cells (one
 nprobe, one cluster size, one fault rate).  This package runs that grid
-in-process in a fixed order, and memoises completed cells in a
-content-addressed on-disk cache keyed by
-``(experiment, config, seed, code-version)`` so re-runs only pay for
-what changed.
+in-process: prepare the shared context once, compute every cell in
+seed-major grid order, then assemble the tables.
 
 Entry points:
 
-* :class:`SweepRunner` — executes an :class:`ExperimentSpec`,
-  consulting the :class:`ResultCache` per cell; it is the only way an
-  experiment runs;
+* :func:`run_spec` — runs an :class:`ExperimentSpec` and returns its
+  tables; it is the only way an experiment runs;
 * :func:`build_spec` / :func:`experiment_ids` — the registry of all 23
   experiments' prepare/cell/assemble specs
   (``repro.exec.experiments``);
@@ -22,17 +19,11 @@ The tables each experiment prints are pinned by the committed goldens
 in ``results/golden/``.
 """
 
-from .cache import ResultCache, cell_key, code_version
-from .experiments import ExperimentSpec, build_spec, experiment_ids
-from .runner import SweepResult, SweepRunner
+from .experiments import ExperimentSpec, build_spec, experiment_ids, run_spec
 
 __all__ = [
     "ExperimentSpec",
-    "ResultCache",
-    "SweepResult",
-    "SweepRunner",
     "build_spec",
-    "cell_key",
-    "code_version",
     "experiment_ids",
+    "run_spec",
 ]

@@ -2,13 +2,19 @@
 
 Importing this package registers every experiment family module.  The
 public surface is :func:`build_spec` / :func:`experiment_ids` /
-:func:`register` plus the shared context builders in
+:func:`register` / :func:`run_spec` plus the shared context builders in
 :mod:`.contexts`.
 """
 
 from __future__ import annotations
 
-from .base import ExperimentSpec, build_spec, experiment_ids, register
+from .base import (
+    ExperimentSpec,
+    build_spec,
+    experiment_ids,
+    register,
+    run_spec,
+)
 from .contexts import (
     FANNS_LIST_SCALE,
     fanns_dataset,
@@ -43,5 +49,6 @@ __all__ = [
     "microrec_tables",
     "microrec_trace",
     "register",
+    "run_spec",
     "small_microrec_model",
 ]

@@ -1,21 +1,21 @@
 """The experiment registry: one declarative spec per experiment.
 
-Every experiment is factored into the three phases the sweep runner
-schedules independently:
+Every experiment is factored into three phases, which :func:`run_spec`
+runs in order:
 
 * ``prepare()`` — build the (deterministic, seeded) shared context:
-  datasets, indexes, clusters, baselines.  Runs once per sweep that
-  computes a cell; never cached, never serialised.
-* ``cell(ctx, config, seed)`` — one grid point, returning a plain
-  JSON-able dict.  Cells are independent, so they cache freely.
-  Single-cell experiments have a one-entry grid.
+  datasets, indexes, clusters, baselines.  Runs once per run of the
+  experiment.
+* ``cell(ctx, config, seed)`` — one grid point, returning a dict (one
+  row).  Cells are independent of each other.  Single-cell experiments
+  have a one-entry grid.
 * ``assemble(rows)`` — fold the cell dicts (in grid order) back into
   the experiment's :class:`~repro.bench.ResultTable` list, including
   the experiment's shape-claim assertions.
 
-:class:`~repro.exec.SweepRunner` is the one executor of a spec, and
-the committed goldens in ``results/golden/`` are the one check of the
-tables it assembles.
+:func:`run_spec` is the one executor of a spec, and the committed
+goldens in ``results/golden/`` are the one check of the tables it
+assembles.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ...bench import ResultTable
-from ..cache import _jsonable
 
 __all__ = [
     "ExperimentSpec",
     "build_spec",
     "experiment_ids",
     "register",
+    "run_spec",
 ]
 
-# Experiment id -> spec factory.  Factories are re-invoked per
-# build_spec() call so REPRO_FAULT_RATE is honoured at invocation time.
+# Experiment id -> spec factory.
 _FACTORIES: dict[str, Callable[[], "ExperimentSpec"]] = {}
 
 
@@ -54,10 +53,7 @@ class ExperimentSpec:
     seeds:
         Seeds swept seed-major over the grid.
     prepare / cell / assemble:
-        The three phases (see module docstring).  ``cell`` is wrapped
-        at construction so its return value is normalised to plain
-        JSON types — the in-process row and the cache-roundtripped row
-        are therefore always identical.
+        The three phases (see module docstring).
     """
 
     experiment: str
@@ -67,14 +63,6 @@ class ExperimentSpec:
     prepare: Callable[[], Any]
     cell: Callable[[Any, dict, int], dict]
     assemble: Callable[[list[dict]], list[ResultTable]]
-
-    def __post_init__(self) -> None:
-        raw_cell = self.cell
-
-        def normalised(ctx: Any, config: dict, seed: int) -> dict:
-            return _jsonable(raw_cell(ctx, config, seed))
-
-        object.__setattr__(self, "cell", normalised)
 
     @property
     def cells(self) -> int:
@@ -115,3 +103,14 @@ def build_spec(experiment: str) -> ExperimentSpec:
         f"factory for {experiment!r} built spec {spec.experiment!r}"
     )
     return spec
+
+
+def run_spec(spec: ExperimentSpec) -> list[ResultTable]:
+    """Prepare once, compute every cell seed-major, assemble the tables."""
+    ctx = spec.prepare()
+    rows = [
+        spec.cell(ctx, config, seed)
+        for seed in spec.seeds
+        for config in spec.grid
+    ]
+    return spec.assemble(rows)

@@ -3,7 +3,6 @@ faults."""
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
@@ -21,14 +20,7 @@ _E22_SCAN_PS = 8_000_000
 _E22_N_NODES = 8
 _E22_N_ROUNDS = 10
 _E22_BUFFER_ELEMS = 64 * 1024
-
-
-def e22_rates() -> tuple[float, ...]:
-    """The fault-rate ladder (``REPRO_FAULT_RATE`` overrides)."""
-    override = os.environ.get("REPRO_FAULT_RATE")
-    if override:
-        return (0.0, float(override))
-    return (0.0, 0.001, 0.01)
+_E22_RATES = (0.0, 0.001, 0.01)
 
 
 def _percentiles_us(latencies_ps: list[int]) -> tuple[float, float]:
@@ -197,10 +189,8 @@ def e22_assemble(rows: list[dict]) -> list[ResultTable]:
 
 
 @register("e22")
-def _e22_spec() -> ExperimentSpec:
-    # The rate ladder is part of the grid, so REPRO_FAULT_RATE runs key
-    # separately from the default ladder.
-    rates = e22_rates()
+def e22_spec(rates: tuple[float, ...] = _E22_RATES) -> ExperimentSpec:
+    """E22 over the fault-rate ladder ``rates`` (the lowest must be 0)."""
     grid = tuple(
         [{"workload": "farview", "rate": r} for r in rates]
         + [{"workload": "accl", "rate": r} for r in rates]

@@ -39,6 +39,11 @@ __all__ = ["OffloadPlanner", "PlannedOutcome"]
 
 _PS = 1_000_000_000_000
 
+# Every selectivity estimate filters the same seeded row sample, so a
+# plan is priced the same however many plans came before it.
+_SAMPLE_ROWS = 1024
+_SAMPLE_SEED = 0
+
 
 @dataclass(frozen=True)
 class PlannedOutcome:
@@ -54,13 +59,8 @@ class PlannedOutcome:
 class OffloadPlanner:
     """Per-query offload-or-fetch decisions for a Farview client."""
 
-    def __init__(self, client: FarviewClient, sample_rows: int = 1024,
-                 seed: int = 0) -> None:
-        if sample_rows < 1:
-            raise ValueError("sample_rows must be >= 1")
+    def __init__(self, client: FarviewClient) -> None:
         self.client = client
-        self.sample_rows = sample_rows
-        self._rng = np.random.default_rng(seed)
 
     # -- estimation ----------------------------------------------------------
 
@@ -70,8 +70,9 @@ class OffloadPlanner:
         n = table.n_rows
         if n == 0:
             return 1.0
-        take = min(self.sample_rows, n)
-        picks = self._rng.choice(n, size=take, replace=False)
+        take = min(_SAMPLE_ROWS, n)
+        rng = np.random.default_rng(_SAMPLE_SEED)
+        picks = rng.choice(n, size=take, replace=False)
         sample = table.take(picks)
         survivors = sample
         for op in plan.operators:
@@ -107,15 +108,10 @@ class OffloadPlanner:
         # Source streams at min(memory, slowest kernel) rows/s.
         rates = [server.memory_bandwidth / row_nbytes]
         rates += [spec.throughput_items_per_sec() for spec in kernels]
-        survivors = selectivity if plan.has_aggregation is False else 0.0
-        for op in plan.operators:
-            if isinstance(op, (Aggregate, GroupByAggregate)):
-                survivors = 0.0
-        out_rows = n * (survivors if survivors else 0.0)
-        out_bytes = (
-            out_rows * self._result_row_bytes(plan, table_name)
-            if survivors else self._result_row_bytes(plan, table_name)
-        )
+        # An aggregate returns one row; otherwise the estimated survivors.
+        out_bytes = self._result_row_bytes(plan, table_name)
+        if not plan.has_aggregation:
+            out_bytes *= n * selectivity
         wire = self.client.protocol.link.bandwidth_bytes_per_sec
         stream_s = max(n / min(rates), out_bytes / wire)
         request_s = self.client.protocol.message_ps(128) / _PS

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from repro.core.hls import LoopNest, Pragmas, synthesize
 
 
-def _simple_loop(n=1000, **kwargs):
+def _simple_loop(n=1000):
     return LoopNest(
         name="vadd",
         trip_count=n,
         ops={"mem_read": 2, "add": 1, "mem_write": 1},
-        **kwargs,
     )
 
 
@@ -35,25 +34,6 @@ def test_no_pipeline_degenerates_to_temporal():
     # Pipelining must improve latency for long loops.
     piped = synthesize(loop, Pragmas(pipeline=True))
     assert piped.latency_cycles(1000) < spec.latency_cycles(1000)
-
-
-def test_loop_carried_dependence_bounds_ii():
-    loop = LoopNest(
-        name="accum",
-        trip_count=100,
-        ops={"mem_read": 1, "add": 1},
-        dependence_distance=1,
-    )
-    spec = synthesize(loop, Pragmas(pipeline=True, pipeline_ii=1))
-    # latency 3, distance 1 -> min II 3 even though 1 was requested.
-    assert spec.ii == loop.iteration_latency()
-
-
-def test_dependence_distance_relaxes_min_ii():
-    shallow = LoopNest("a", 10, {"mul": 1}, dependence_distance=1)
-    relaxed = LoopNest("b", 10, {"mul": 1}, dependence_distance=3)
-    assert relaxed.min_ii() == 1
-    assert shallow.min_ii() == 3
 
 
 def test_unroll_multiplies_resources_and_throughput():
@@ -100,10 +80,3 @@ def test_property_pipelining_never_slower_than_sequential(n, ii, unroll):
     loop = _simple_loop(n=n)
     spec = synthesize(loop, Pragmas(pipeline=True, pipeline_ii=ii, unroll=unroll))
     assert spec.latency_cycles(n) <= loop.sequential_cycles() + spec.depth
-
-
-@settings(max_examples=40, deadline=None)
-@given(dep=st.integers(min_value=0, max_value=10))
-def test_property_min_ii_monotone_in_dependence(dep):
-    loop = LoopNest("l", 10, {"div": 1}, dependence_distance=dep)
-    assert 1 <= loop.min_ii() <= loop.iteration_latency()

@@ -1,11 +1,11 @@
 """Every experiment's tables against its committed golden.
 
 ``results/golden/eN.txt`` holds experiment eN's tables exactly as
-``python -m repro run eN --no-cache`` prints them, without the
-``[eN] ... cells`` summary line.  There is one scale: the goldens are
-the full-scale tables the paper's claims are read from.  Each case
-runs the experiment uncached through the :class:`SweepRunner` and
-compares the printed tables with that file.  ``pytest --write-golden``
+``python -m repro run eN`` prints them, without the ``[eN] K cells``
+summary line.  There is one scale: the goldens are the full-scale
+tables the paper's claims are read from.  Each case runs the
+experiment through :func:`~repro.exec.run_spec` and compares the
+printed tables with that file.  ``pytest --write-golden``
 rewrites the files instead; a change that does so must say which
 tables moved and why.
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.fastpath import set_fast_forward
-from repro.exec import SweepRunner, build_spec, experiment_ids
+from repro.exec import build_spec, experiment_ids, run_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parents[2] / "results" / "golden"
 
@@ -38,15 +38,10 @@ _STEPPED_TABLES = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _default_fault_rate(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-
-
 def _printed_tables(exp_id: str) -> str:
     """The tables as ``repro run`` prints them (``ResultTable.show``)."""
-    result = SweepRunner(build_spec(exp_id)).run()
-    return "".join(f"\n{table.render()}\n\n" for table in result.tables)
+    tables = run_spec(build_spec(exp_id))
+    return "".join(f"\n{table.render()}\n\n" for table in tables)
 
 
 @pytest.mark.parametrize("exp_id", experiment_ids())
@@ -64,10 +59,10 @@ def _stepped_tables(exp_id: str) -> tuple[str, ...]:
     """Each table as printed with the fast-forward off (one run per id)."""
     set_fast_forward(False)
     try:
-        result = SweepRunner(build_spec(exp_id)).run()
+        tables = run_spec(build_spec(exp_id))
     finally:
         set_fast_forward(None)
-    return tuple(f"\n{table.render()}\n\n" for table in result.tables)
+    return tuple(f"\n{table.render()}\n\n" for table in tables)
 
 
 def _golden_tables(exp_id: str) -> list[str]:

@@ -1,23 +1,18 @@
-"""Sweep runner: determinism, cache accounting, CLI wiring.
+"""Experiment runner: grid order, CLI wiring, the --faults ladder.
 
 e22 is the workhorse spec here — its grid computes in well under a
-second — so the cold and cached paths are exercised end to end.
+second — so the CLI is exercised end to end.
 """
-
-import os
 
 import pytest
 
-from repro.exec import (
-    ExperimentSpec,
-    ResultCache,
-    SweepRunner,
-    build_spec,
-)
+from repro.exec import ExperimentSpec, build_spec, run_spec
 
 
-def _counting_spec(calls):
-    return ExperimentSpec(
+def test_serial_order_is_seed_major_grid_minor():
+    calls = []
+    assembled = []
+    spec = ExperimentSpec(
         experiment="toy",
         title="toy counting spec",
         grid=tuple({"x": x} for x in (1, 2, 3)),
@@ -27,38 +22,11 @@ def _counting_spec(calls):
             calls.append(1) or
             {"y": ctx["offset"] + config["x"] * 10 + seed}
         ),
-        assemble=lambda rows: [],
+        assemble=lambda rows: assembled.append(rows) or [],
     )
-
-
-def test_serial_order_is_seed_major_grid_minor():
-    calls = []
-    result = SweepRunner(_counting_spec(calls)).run()
-    assert [r["y"] for r in result.rows] == [110, 120, 130, 111, 121, 131]
-    assert result.computed == 6 and result.hits == 0
+    assert run_spec(spec) == []
+    assert [r["y"] for r in assembled[0]] == [110, 120, 130, 111, 121, 131]
     assert len(calls) == 6
-
-
-def test_cache_skips_completed_cells(tmp_path):
-    calls = []
-    spec = _counting_spec(calls)
-    cache = ResultCache(tmp_path)
-    first = SweepRunner(spec, cache=cache).run()
-    assert first.hits == 0 and first.computed == 6
-    second = SweepRunner(spec, cache=cache).run()
-    assert second.hits == 6 and second.computed == 0
-    assert second.rows == first.rows
-    assert len(calls) == 6, "cached cells must not recompute"
-
-
-def test_code_version_change_invalidates(tmp_path, monkeypatch):
-    calls = []
-    spec = _counting_spec(calls)
-    cache = ResultCache(tmp_path)
-    SweepRunner(spec, cache=cache).run()
-    monkeypatch.setattr("repro.exec.cache._CODE_VERSION", "0123456789abcdef")
-    stale = SweepRunner(spec, cache=cache).run()
-    assert stale.hits == 0 and stale.computed == 6
 
 
 def test_registry_rejects_unknown_experiment():
@@ -66,40 +34,41 @@ def test_registry_rejects_unknown_experiment():
         build_spec("e99")
 
 
-def test_e22_cached_rerun_is_identical(tmp_path):
-    cache = ResultCache(tmp_path)
-    cold = SweepRunner(build_spec("e22"), cache=cache).run()
-    warm = SweepRunner(build_spec("e22"), cache=cache).run()
-    assert warm.hits == warm.cells and warm.computed == 0
-    assert [t.render() for t in warm.tables] == \
-        [t.render() for t in cold.tables]
-
-
-def test_cli_cached_rerun(tmp_path, monkeypatch, capsys):
+def test_cli_run_writes_no_file(tmp_path, monkeypatch, capsys):
     from repro.__main__ import main
 
-    monkeypatch.chdir(tmp_path)  # results/cache lands in the tmp dir
+    monkeypatch.chdir(tmp_path)
     assert main(["run", "e22"]) == 0
     out = capsys.readouterr().out
     assert "E22: tail latency and goodput under injected faults" in out
-    assert "6 cells: 0 cached, 6 computed" in out
-    assert main(["run", "e22"]) == 0
-    out = capsys.readouterr().out
-    assert "6 cells: 6 cached, 0 computed" in out
-    assert (tmp_path / "results" / "cache").is_dir()
+    assert "[e22] 6 cells\n" in out
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_faults_do_not_outlive_the_run(monkeypatch, capsys):
+def test_cli_rejects_no_cache(capsys):
     from repro.__main__ import main
 
-    monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-    assert main(["run", "e22", "--no-cache", "--faults", "0.05"]) == 0
-    assert "[e22] 4 cells" in capsys.readouterr().out
-    assert "REPRO_FAULT_RATE" not in os.environ
-    # The next run in the same process sweeps the default 3-rate ladder.
-    assert main(["run", "e22", "--no-cache"]) == 0
-    assert "[e22] 6 cells" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "e22", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
 
-    monkeypatch.setenv("REPRO_FAULT_RATE", "0.02")
-    assert main(["run", "e22", "--no-cache", "--faults", "0.05"]) == 0
-    assert os.environ["REPRO_FAULT_RATE"] == "0.02"
+
+def _farview_rates(out: str) -> list[str]:
+    """The fault % column of the printed E22 Farview rows."""
+    return [line.split()[2] for line in out.splitlines()
+            if line.startswith(" farview scans")]
+
+
+def test_cli_faults_do_not_outlive_the_run(capsys):
+    from repro.__main__ import main
+
+    assert main(["run", "e22", "--faults", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "[e22] 4 cells" in out
+    assert _farview_rates(out) == ["0", "5"]
+    # The next run in the same process sweeps the default 3-rate ladder.
+    assert main(["run", "e22"]) == 0
+    out = capsys.readouterr().out
+    assert "[e22] 6 cells" in out
+    assert _farview_rates(out) == ["0", "0.1", "1"]

@@ -95,10 +95,16 @@ def test_prediction_magnitudes_reasonable():
     assert out.predicted_fetch_s == pytest.approx(measured_fetch, rel=2.0)
 
 
-def test_validation():
-    planner, _ = _planner(1000)
-    with pytest.raises(ValueError):
-        OffloadPlanner(planner.client, sample_rows=0)
+def test_planning_twice_gives_equal_estimates():
+    """The estimate is a function of the plan and table, not of how many
+    plans the planner has priced before."""
+    planner, _ = _planner()
+    plan = _agg_plan(0.5)
+    first = planner.query(plan, "t")
+    second = planner.query(plan, "t")
+    assert first.estimated_selectivity == second.estimated_selectivity
+    assert first.predicted_offload_s == second.predicted_offload_s
+    assert first.predicted_fetch_s == second.predicted_fetch_s
 
 
 def test_extra_filter_never_lowers_the_fetch_cpu_ops(monkeypatch):

@@ -7,13 +7,12 @@ Farview scans plus the resilient allreduce — renders byte-identical
 tables across two runs in one process.
 """
 
-from repro.exec import SweepRunner, build_spec
+from repro.exec import build_spec, run_spec
 from repro.faults import FaultPlan, NodeOutage
 
 
 def _e22_tables() -> list[str]:
-    result = SweepRunner(build_spec("e22")).run()
-    return [table.render() for table in result.tables]
+    return [table.render() for table in run_spec(build_spec("e22"))]
 
 
 def _plan() -> FaultPlan:

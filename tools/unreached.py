@@ -7,7 +7,7 @@ Run from anywhere (stdlib only)::
 
 Each run below executes in its own interpreter, two at a time:
 
-- ``python -m repro run all --no-cache``;
+- ``python -m repro run all``;
 - ``python -m repro serve`` for each of the four backends, plain and
   with ``--faults 0.05 --autoscale``;
 - ``run e22 --faults 0.05`` (the lowest rate at which a Farview row
@@ -104,8 +104,8 @@ sys.exit(status)
 
 def _runs(scratch: Path) -> list[list[str]]:
     runs = [
-        ["repro", "run", "all", "--no-cache"],
-        ["repro", "run", "e22", "--faults", "0.05", "--no-cache"],
+        ["repro", "run", "all"],
+        ["repro", "run", "e22", "--faults", "0.05"],
         ["repro", "run", "e19", "--trace", str(scratch / "e19.json")],
         ["repro", "run", "e1", "--trace", str(scratch / "e1.json")],
         ["repro", "list"],
@@ -124,7 +124,6 @@ def _runs(scratch: Path) -> list[list[str]]:
 def _reached(scratch: Path, mode: str) -> set[tuple[str, int]]:
     """Run every run in ``mode``; return the (file, line) pairs reached."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("REPRO_FAULT_RATE", None)
     package = str(PACKAGE) + os.sep
 
     def one(index_argv):
