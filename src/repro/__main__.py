@@ -113,7 +113,8 @@ def _cmd_run_sweep(ids: list[str], faults: float | None) -> int:
 
     for exp_id in ids:
         if exp_id == "e22" and faults is not None:
-            spec = e22_spec((0.0, faults))
+            # --faults 0 is the fault-free rung itself, not a second one.
+            spec = e22_spec(tuple(dict.fromkeys((0.0, faults))))
         else:
             spec = build_spec(exp_id)
         for table in run_spec(spec):
@@ -133,6 +134,10 @@ def _cmd_run(
         return 2
     keys = _resolve_ids(ids)
     if keys is None:
+        return 2
+    if faults is not None and "e22" not in keys:
+        print("error: --faults applies only to e22; select e22 or all",
+              file=sys.stderr)
         return 2
     if trace is None:
         return _cmd_run_sweep(keys, faults)
@@ -261,8 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument(
         "--faults", metavar="RATE", type=float, default=None,
-        help="inject faults at this rate (0..1) in fault-aware "
-             "experiments (e22), e.g. --faults 0.01",
+        help="inject faults at this rate (0..1) in the fault-aware "
+             "experiment e22 (the selection must include it), e.g. "
+             "--faults 0.01",
     )
     serve = sub.add_parser(
         "serve",

@@ -192,7 +192,13 @@ def build_ivfpq(
     # Assign all vectors to their nearest centroid; |p|^2 is the same
     # for every centroid, so the ranking leaves it out.
     c_sq = (centroids ** 2).sum(axis=1)[None, :]
-    assign = _nearest(base, lambda rows: c_sq - 2.0 * (rows @ centroids.T))[0]
+
+    def ranking(rows: np.ndarray, out: np.ndarray, _) -> np.ndarray:
+        cross = np.matmul(rows, centroids.T, out=out)
+        cross *= 2.0
+        return np.subtract(c_sq, cross, out=cross)
+
+    assign = _nearest(base, nlist, ranking)[0]
     training = base - centroids[assign]
     pq = train_pq(training, m=m, ksub=ksub, seed=seed)
     codes = pq.encode(training)

@@ -14,12 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kmeans import (
-    _nearest,
-    _squared_distances_columns,
-    _squared_distances_to,
-    kmeans,
-)
+from .kmeans import _nearest, _squared_distances_columns, kmeans
 
 __all__ = ["ProductQuantizer", "train_pq"]
 
@@ -83,11 +78,8 @@ class ProductQuantizer:
             chunk = vectors[:, sub * self.dsub:(sub + 1) * self.dsub]
             cb = self.codebooks[sub]
             cb_sq = (cb ** 2).sum(axis=1)[None, :]
-            codes[:, sub] = _nearest(chunk, lambda rows: (
-                (rows ** 2).sum(axis=1)[:, None]
-                - 2.0 * rows @ cb.T
-                + cb_sq
-            ))[0]
+            codes[:, sub] = _nearest(chunk, self.ksub, lambda rows, out, _: (
+                _code_distances(rows, cb, cb_sq, out)))[0]
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
@@ -105,17 +97,14 @@ class ProductQuantizer:
         ``query`` is ``(..., dim)`` and the table ``(..., m, ksub)``:
         entry ``[..., sub, c]`` is the squared distance from the query's
         ``sub``-th subvector to centroid ``c`` of that subspace, summed
-        exactly as :func:`~repro.fanns.kmeans._squared_distances_to` sums,
-        so each query's table is the same whatever the leading shape.
+        exactly as :func:`~repro.fanns.kmeans._squared_distances_columns`
+        sums (numpy's order for one subvector), so each query's table is
+        the same whatever the leading shape.
         """
         query = np.ascontiguousarray(query, dtype=np.float32)
         self._check_dim(query)
         subvectors = query.reshape(query.shape[:-1] + (self.m, self.dsub))
-        if self.dsub >= 8:
-            table = _squared_distances_to(self.codebooks, subvectors)
-        else:
-            table = _squared_distances_columns(self._codebook_columns,
-                                               subvectors)
+        table = _squared_distances_columns(self._codebook_columns, subvectors)
         return table.astype(np.float32, copy=False)
 
     @cached_property
@@ -130,6 +119,16 @@ class ProductQuantizer:
         # Gather table[sub, codes[:, sub]] and sum over sub.
         gathered = table[np.arange(self.m)[None, :], codes]
         return gathered.sum(axis=1)
+
+
+def _code_distances(rows: np.ndarray, codebook: np.ndarray,
+                    cb_sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``|p|^2 - 2 p.c + |c|^2`` from a block of subvectors to every
+    centroid of ``codebook``, computed in ``out``."""
+    cross = np.matmul(2.0 * rows, codebook.T, out=out)
+    np.subtract((rows ** 2).sum(axis=1)[:, None], cross, out=cross)
+    cross += cb_sq
+    return cross
 
 
 def train_pq(

@@ -72,3 +72,21 @@ def test_cli_faults_do_not_outlive_the_run(capsys):
     out = capsys.readouterr().out
     assert "[e22] 6 cells" in out
     assert _farview_rates(out) == ["0", "0.1", "1"]
+
+
+def test_cli_faults_zero_runs_one_fault_free_rung(capsys):
+    from repro.__main__ import main
+
+    assert main(["run", "e22", "--faults", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "[e22] 2 cells" in out
+    assert _farview_rates(out) == ["0"]
+
+
+def test_cli_faults_without_e22_is_an_error(capsys):
+    from repro.__main__ import main
+
+    assert main(["run", "e1", "--faults", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "e22" in captured.err
+    assert captured.out == ""

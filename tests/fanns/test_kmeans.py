@@ -9,8 +9,9 @@ from repro.fanns.kmeans import (
     _BLOCK_ROWS,
     _cluster_sums,
     _nearest,
+    _first_above,
     _squared_distances,
-    _squared_distances_to,
+    _squared_distances_columns,
     kmeans,
     kmeans_pp_init,
 )
@@ -129,6 +130,9 @@ def _reference_pp_init(points, k, rng):
 @pytest.mark.parametrize(
     "n, dim, k, duplicate",
     [
+        (20_000, 2, 256, False),   # a PQ subspace seeding
+        (20_000, 32, 256, False),  # the IVF coarse seeding
+        (20_000, 2, 256, True),    # half the distances are zero
         (500, 1, 40, False),
         (500, 2, 255, False),
         (400, 7, 60, False),
@@ -147,7 +151,7 @@ def test_kmeans_pp_init_matches_rng_choice_draws(n, dim, k, duplicate):
         points[:] = points[0]
     elif duplicate:
         points[n // 2:] = points[0]
-    for seed in range(3):
+    for seed in range(3 if n < 10_000 else 1):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = kmeans_pp_init(points, k, rng)
         want = _reference_pp_init(points, k, ref_rng)
@@ -177,17 +181,64 @@ def test_kmeans_pp_init_rejects_non_finite_distances(dim):
                        np.random.default_rng(seed))
 
 
+#: Term counts around every branch of numpy's pairwise sum: left to
+#: right below 8, 8 accumulators up to 128 (with and without a
+#: remainder), recursive halving above.
+_DIMS = tuple(range(1, 34)) + (64, 127, 128, 129, 200)
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_squared_distances_to_is_the_plain_expression(lead):
+    """The column form sums in numpy's own order; a numpy release that
+    changes its pairwise order fails here."""
     rng = np.random.default_rng(len(lead))
-    for d in range(1, 21):
+    for d in _DIMS:
         for n in (1, 5, 257):
             points = rng.standard_normal(lead + (n, d)).astype(np.float32)
             centre = rng.standard_normal(lead + (d,)).astype(np.float32)
-            got = _squared_distances_to(points, centre)
             want = ((points - centre[..., None, :]) ** 2).sum(-1)
-            assert got.shape == lead + (n,)
-            assert np.array_equal(got, want)
+            columns = points.swapaxes(-1, -2)
+            for form in (columns, np.ascontiguousarray(columns)):
+                got = _squared_distances_columns(form, centre)
+                assert got.shape == lead + (n,)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (d, n)
+
+
+def test_squared_distances_columns_leave_their_inputs():
+    rng = np.random.default_rng(5)
+    for d in (2, 32, 200):
+        columns = rng.standard_normal((d, 300)).astype(np.float32)
+        centre = rng.standard_normal(d).astype(np.float32)
+        before = columns.copy(), centre.copy()
+        got = _squared_distances_columns(columns, centre)
+        assert np.array_equal(columns, before[0])
+        assert np.array_equal(centre, before[1])
+        assert not np.shares_memory(got, columns)
+
+
+@pytest.mark.parametrize("normalise", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_first_above_is_the_normalised_searchsorted(n, normalise):
+    """Every uniform lands where ``choice``'s ``cdf / cdf[-1]`` puts it,
+    also on runs of equal sums (zero weights) and at the edges.  A sum
+    far from 1 makes ``u * cdf[-1]`` miss by a rounding, which the
+    search must step over."""
+    rng = np.random.default_rng(n)
+    weights = rng.random(n).astype(np.float32)
+    weights[rng.random(n) < 0.5] = 0.0
+    weights[-1] = 1.0
+    if normalise:
+        weights /= weights.sum()
+    cdf = np.cumsum(weights, dtype=np.float64)
+    normalised = cdf / cdf[-1]
+    uniforms = np.concatenate([
+        rng.random(500), normalised, np.nextafter(normalised, 0.0),
+        np.nextafter(normalised, 1.0), [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    for u in uniforms[(uniforms >= 0) & (uniforms < 1)]:
+        want = int(normalised.searchsorted(u, side="right"))
+        assert _first_above(cdf, float(u)) == want
 
 
 def test_squared_distances_matches_one_line_expression():
@@ -202,6 +253,11 @@ def test_squared_distances_matches_one_line_expression():
         got = _squared_distances(points, centroids)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        # The same arithmetic into caller-owned buffers, as _nearest runs it.
+        out, scratch = np.full((2, n, k), np.nan, dtype=np.float32)
+        buffered = _squared_distances(points, centroids, out, scratch)
+        assert buffered is out
+        assert np.array_equal(buffered, want)
 
 
 def _unblocked(points, centroids):
@@ -223,7 +279,8 @@ def test_blocked_pass_matches_one_unblocked_matrix(n, dim, k):
     centroids = rng.standard_normal((k, dim)).astype(np.float32)
     centroids[0] = points[0]  # one exact hit: distance clamps to 0
     nearest, nearest_distance = _nearest(
-        points, lambda rows: _squared_distances(rows, centroids)
+        points, k, lambda rows, out, scratch: _squared_distances(
+            rows, centroids, out, scratch)
     )
     want_nearest, want_distance, want_inertia = _unblocked(points, centroids)
     assert nearest.dtype == np.int64
@@ -231,6 +288,56 @@ def test_blocked_pass_matches_one_unblocked_matrix(n, dim, k):
     assert nearest_distance.dtype == want_distance.dtype
     assert np.array_equal(nearest_distance, want_distance)
     assert float(nearest_distance.sum()) == want_inertia
+
+
+@pytest.mark.parametrize("n, blocks", [(_BLOCK_ROWS - 1, 1),
+                                       (2 * _BLOCK_ROWS + 3, 2)])
+def test_nearest_buffers_are_per_call_and_never_returned(n, blocks):
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((n, 4)).astype(np.float32)
+    centroids = rng.standard_normal((16, 4)).astype(np.float32)
+    calls = []
+
+    def distances(rows, out, scratch):
+        calls[-1].append((out, scratch))
+        return _squared_distances(rows, centroids, out, scratch)
+
+    results = []
+    for _ in range(2):
+        calls.append([])
+        results.append(_nearest(points, 16, distances))
+    first_copy = [a.copy() for a in results[0]]
+    first, second = calls
+    assert len(first) == blocks
+    # One pair of buffers serves every block of a call ...
+    assert np.shares_memory(first[0][0], first[-1][0])
+    assert np.shares_memory(first[0][1], first[-1][1])
+    # ... and each call has its own.
+    assert not np.shares_memory(first[0][0], second[0][0])
+    assert not np.shares_memory(first[0][1], second[0][1])
+    buffers = [b for pair in first + second for b in pair]
+    returned = list(results[0]) + list(results[1])
+    for array in returned:
+        assert not any(np.shares_memory(array, b) for b in buffers)
+    for a in results[0]:
+        assert not any(np.shares_memory(a, b) for b in results[1])
+    # The second call left the first call's results as they were.
+    for got, want in zip(results[0], first_copy):
+        assert np.array_equal(got, want)
+
+
+def test_successive_kmeans_results_are_independent():
+    points = np.random.default_rng(8).standard_normal((3000, 4))
+    a = kmeans(points.astype(np.float32), 8, seed=1)
+    a_centroids, a_assignments = a.centroids.copy(), a.assignments.copy()
+    b = kmeans(points.astype(np.float32), 8, seed=1)
+    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a.assignments, b.assignments)
+    assert not np.shares_memory(a.centroids, b.centroids)
+    assert not np.shares_memory(a.assignments, b.assignments)
+    # Reading b's lazy final pass left a's arrays as they were.
+    assert np.array_equal(a.centroids, a_centroids)
+    assert np.array_equal(a.assignments, a_assignments)
 
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS + 3])

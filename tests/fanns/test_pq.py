@@ -33,6 +33,31 @@ def test_encode_produces_valid_codes():
     assert codes.max() < 16
 
 
+def test_encode_is_the_nearest_code_under_one_distance_matrix():
+    """Under 2,048 rows the encoder assigns one block, so its codes are
+    the argmin of ``|p|^2 - 2 p.c + |c|^2`` over the whole matrix."""
+    pq = train_pq(_vectors(), m=4, ksub=16)
+    vectors = _vectors(n=1500, seed=2)
+    want = np.empty((1500, pq.m), dtype=np.uint8)
+    for sub in range(pq.m):
+        chunk = vectors[:, sub * pq.dsub:(sub + 1) * pq.dsub]
+        cb = pq.codebooks[sub]
+        matrix = ((chunk ** 2).sum(axis=1)[:, None] - 2.0 * chunk @ cb.T
+                  + (cb ** 2).sum(axis=1)[None, :])
+        want[:, sub] = matrix.argmin(axis=1)
+    assert np.array_equal(pq.encode(vectors), want)
+
+
+def test_successive_encodes_are_independent():
+    pq = train_pq(_vectors(), m=4, ksub=16)
+    first = pq.encode(_vectors(n=2500, seed=1))
+    kept = first.copy()
+    second = pq.encode(_vectors(n=2500, seed=2))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, pq.encode(_vectors(n=2500, seed=2)))
+
+
 def test_roundtrip_error_bounded():
     vectors = _vectors()
     pq = train_pq(vectors, m=8, ksub=64)
