@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Generator, Iterable
 from typing import Any
 
@@ -515,6 +516,10 @@ class Simulator:
         # inspects them at ``run()`` entry.
         self._pipeline_components: list[Any] = []
         self._fastpath_attempted = False
+        # The latest time ``skip_to`` may move the clock to: ``run``'s
+        # ``until`` (infinity without one) while ``run`` fires events,
+        # None everywhere else.
+        self._skip_horizon: float | None = None
         self._tracer = tracer if tracer is not None else get_default_tracer()
         if self._tracer is not None:
             self._tracer.bind_clock(lambda: self._now)
@@ -577,6 +582,39 @@ class Simulator:
         """Time of the next scheduled event, or None if the heap is empty."""
         self._prune_cancelled()
         return self._heap[0][0] if self._heap else None
+
+    def skip_to(self, when: int) -> bool:
+        """Move the clock to ``when`` if nothing else is due by then.
+
+        A process that would ``yield self.timeout(when - now)`` may call
+        this instead: it returns True, with ``now == when``, only when
+        no live event is due at or before ``when``, so the timeout would
+        have been the heap minimum, without a tie, and would have fired
+        next.  Carrying on at ``when`` without yielding is then the same
+        run minus one event: everything scheduled afterwards keeps its
+        relative counter order.  On False nothing but cancelled heap
+        entries has changed and the caller yields the timeout.
+
+        Only ``run`` grants it (never ``step`` or ``run_until_process``),
+        never past ``run``'s ``until``, and only to a process whose
+        resumption is the sole callback of the event firing now (a
+        process waiting on its own timeout), so no later callback of
+        that event sees the moved clock.
+        """
+        horizon = self._skip_horizon
+        if horizon is None or when > horizon:
+            return False
+        if when < self._now:
+            raise SimulationError(
+                f"cannot skip into the past (when={when}, now={self._now})"
+            )
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)
+        if heap and heap[0][0] <= when:
+            return False
+        self._now = when
+        return True
 
     def step(self) -> None:
         """Fire the single next event."""
@@ -647,15 +685,19 @@ class Simulator:
 
             try_fast_forward(self)
         heap = self._heap
-        while heap:
-            when, _, event = heap[0]
-            if event._cancelled:
-                heapq.heappop(heap)
-            elif until is not None and when > until:
-                break
-            else:
-                heapq.heappop(heap)
-                self._fire(event, when)
+        self._skip_horizon = until if until is not None else math.inf
+        try:
+            while heap:
+                when, _, event = heap[0]
+                if event._cancelled:
+                    heapq.heappop(heap)
+                elif until is not None and when > until:
+                    break
+                else:
+                    heapq.heappop(heap)
+                    self._fire(event, when)
+        finally:
+            self._skip_horizon = None
         if until is not None:
             self._now = max(self._now, until)
         if not self._heap:

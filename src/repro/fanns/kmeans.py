@@ -13,6 +13,9 @@ What the training guarantees, bit for bit:
   one point: left to right below 8 dimensions, numpy's pairwise order
   up to 128 and the plain expression above; each equals
   ``((points - centre) ** 2).sum(-1)``.
+* Squared row norms (:func:`_squared_norms`) below 8 dimensions are
+  summed from columns, left to right as numpy sums one point; each
+  equals ``(points ** 2).sum(axis=1)``.
 * Nearest-centroid passes (:func:`_nearest`) compute fixed row blocks
   into two buffers owned by the call; nothing is kept between calls and
   no returned array shares memory with them.
@@ -80,13 +83,29 @@ def _squared_distances(
     The result goes into ``out`` and the cross term into ``scratch``
     when given (both ``(n, k)``, of the points' dtype); the arithmetic
     is the same either way."""
-    p_sq = (points ** 2).sum(axis=1)[:, None]
-    c_sq = (centroids ** 2).sum(axis=1)[None, :]
+    p_sq = _squared_norms(points)[:, None]
+    c_sq = _squared_norms(centroids)[None, :]
     cross = np.matmul(points, centroids.T, out=scratch)
     cross *= 2.0
     out = np.add(p_sq, c_sq, out=out)
     out -= cross
     return np.maximum(out, 0.0, out=out)
+
+
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """``(n,)`` squared norms of ``(n, d)`` points, equal bit for bit
+    to ``(points ** 2).sum(axis=1)``.
+
+    Below 8 dimensions numpy adds one point's ``d`` squares left to
+    right, and so does summing the ``(d, n)`` columns of squares, which
+    makes ``d - 1`` whole-row additions instead of one short reduction
+    per point: at ``d = 2`` a 1,024-row block takes ~7 us, not ~27 us
+    (2-core Xeon, numpy 2.4).  Wider points keep the plain expression,
+    which is faster there.
+    """
+    if points.shape[1] < 8:
+        return np.square(points.T, order="C").sum(axis=0)
+    return (points ** 2).sum(axis=1)
 
 
 def _nearest(

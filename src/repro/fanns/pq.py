@@ -14,7 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .kmeans import _nearest, _squared_distances_columns, kmeans
+from .kmeans import (
+    _nearest,
+    _squared_distances_columns,
+    _squared_norms,
+    kmeans,
+)
 
 __all__ = ["ProductQuantizer", "train_pq"]
 
@@ -126,7 +131,7 @@ def _code_distances(rows: np.ndarray, codebook: np.ndarray,
     """``|p|^2 - 2 p.c + |c|^2`` from a block of subvectors to every
     centroid of ``codebook``, computed in ``out``."""
     cross = np.matmul(2.0 * rows, codebook.T, out=out)
-    np.subtract((rows ** 2).sum(axis=1)[:, None], cross, out=cross)
+    np.subtract(_squared_norms(rows)[:, None], cross, out=cross)
     cross += cb_sq
     return cross
 

@@ -24,13 +24,17 @@ reports.  Latency percentiles are computed exactly from the per-request
 latency list.
 
 Idle replicas block on the dispatch stream and never poll, so host cost
-scales with requests and batches, not with simulated idle time.  The
-event budget is one timeout per arrival plus a constant number of
-events per batch: the batcher wakes on the first item, when the batch
-is full, at the head's deadline or on close, and a replica accounts a
-finished batch in one pass.  The run ends when the event heap drains,
-idle replicas still blocked; the report asserts that every request was
-accounted.
+scales with requests and batches, not with simulated idle time.  An
+arrival costs an event only when something else is due first: the
+arrival process moves the clock itself (``Simulator.skip_to``) when
+its next arrival would be the next event anyway, and yields a timeout
+only when another live event is due at or before it.  Each such
+timeout therefore stands for a distinct non-arrival event, and the
+budget is a constant number of events per batch: the batcher wakes on
+the first item, when the batch is full, at the head's deadline or on
+close, and a replica accounts a finished batch in one pass.  The run
+ends when the event heap drains, idle replicas still blocked; the
+report asserts that every request was accounted.
 """
 
 from __future__ import annotations
@@ -300,9 +304,11 @@ class _OnlineService:
 def _open_loop_arrivals(service: _OnlineService, requests: list[Request]):
     sim = service.sim
     for req in requests:
-        gap = req.arrival_ps - sim.now
-        if gap > 0:
-            yield sim.timeout(gap)
+        # An arrival that nothing else precedes moves the clock without
+        # an event; otherwise its timeout orders it among the others.
+        arrival = req.arrival_ps
+        if arrival > sim.now and not sim.skip_to(arrival):
+            yield sim.timeout(arrival - sim.now)
         service.offer(req)
     service.batcher.close()
 

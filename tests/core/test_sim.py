@@ -266,3 +266,153 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == 12
     sim.run()
     assert sim.peek() is None
+
+
+# -- skip_to ----------------------------------------------------------------
+
+
+def _skipper(sim, when, results):
+    """A process that asks to skip to ``when`` and records the answer."""
+    results.append(sim.skip_to(when))
+    results.append(sim.now)
+    yield sim.timeout(0)
+
+
+def test_skip_to_moves_the_clock_when_nothing_is_due_first():
+    sim = Simulator()
+    log, results = [], []
+
+    def later(sim):
+        yield sim.timeout(20)
+        log.append(sim.now)
+
+    sim.spawn(later(sim))
+    sim.spawn(_skipper(sim, 10, results))
+    sim.run()
+    assert results == [True, 10]
+    assert log == [20]
+    assert sim.now == 20
+
+
+@pytest.mark.parametrize("due", [5, 10])
+def test_skip_to_is_refused_when_a_live_event_is_due_first_or_at_the_same_ps(
+        due):
+    sim = Simulator()
+    results = []
+    sim.timeout(due)
+    sim.spawn(_skipper(sim, 10, results))
+    sim.run()
+    assert results == [False, 0]
+
+
+def test_skip_to_is_refused_by_an_event_scheduled_now():
+    sim = Simulator()
+    results = []
+
+    def kick_then_skip(sim):
+        sim.event().succeed()
+        yield from _skipper(sim, 10, results)
+
+    sim.spawn(kick_then_skip(sim))
+    sim.run()
+    assert results == [False, 0]
+
+
+@pytest.mark.parametrize("live_at, granted", [(30, True), (7, False)])
+def test_skip_to_passes_a_cancelled_guard_timer_at_the_heap_top(live_at,
+                                                                granted):
+    """The cancelled timer at 3 never blocks; the live event behind it
+    decides."""
+    sim = Simulator()
+    results = []
+    guard = sim.timeout(3)
+    guard.cancel()
+    sim.timeout(live_at)
+    sim.spawn(_skipper(sim, 10, results))
+    sim.run()
+    assert results == [granted, 10 if granted else 0]
+    assert sim.now == live_at
+
+
+@pytest.mark.parametrize("when, granted", [(15, True), (16, False)])
+def test_skip_to_never_passes_run_until(when, granted):
+    sim = Simulator()
+    results = []
+    sim.spawn(_skipper(sim, when, results))
+    sim.run(until=15)
+    assert results == [granted, 15 if granted else 0]
+    assert sim.now == 15
+
+
+def test_skip_to_is_refused_outside_run_and_under_step_and_run_until_process():
+    sim = Simulator()
+    assert sim.skip_to(10) is False
+    results = []
+    sim.spawn(_skipper(sim, 10, results))
+    sim.step()
+    proc = sim.spawn(_skipper(sim, 10, results))
+    sim.run_until_process(proc)
+    sim.run()
+    assert sim.skip_to(10) is False
+    assert results == [False, 0, False, 0]
+    assert sim.now == 0
+
+
+def test_skip_to_is_refused_after_run_raised():
+    sim = Simulator()
+
+    def broken(sim):
+        yield sim.timeout(1)
+        raise KeyError("bug")
+
+    sim.spawn(broken(sim))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.skip_to(10) is False
+
+
+def test_skip_to_into_the_past_is_an_error():
+    sim = Simulator()
+    errors = []
+
+    def backwards(sim):
+        yield sim.timeout(5)
+        try:
+            sim.skip_to(4)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.spawn(backwards(sim))
+    sim.run()
+    assert len(errors) == 1
+
+
+def test_skipping_replays_the_timeout_schedule_exactly(monkeypatch):
+    """Arrivals that skip when they can, among periodic workers with
+    same-ps ties, produce the log one timeout per arrival produces."""
+
+    def session():
+        sim = Simulator()
+        log = []
+
+        def worker(sim, name, period, count):
+            for _ in range(count):
+                yield sim.timeout(period)
+                log.append((sim.now, name))
+
+        def arrivals(sim, times):
+            for when in times:
+                if when > sim.now and not sim.skip_to(when):
+                    yield sim.timeout(when - sim.now)
+                log.append((sim.now, "arrival"))
+                if when % 4 == 0:
+                    sim.spawn(worker(sim, f"job{when}", 3, 2))
+
+        sim.spawn(worker(sim, "tick", 7, 12))
+        sim.spawn(arrivals(sim, [1, 2, 7, 8, 14, 20, 21, 22, 40, 41, 100]))
+        sim.run()
+        return log, sim.now
+
+    skipped = session()
+    monkeypatch.setattr(Simulator, "skip_to", lambda self, when: False)
+    assert session() == skipped

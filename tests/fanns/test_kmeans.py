@@ -12,6 +12,7 @@ from repro.fanns.kmeans import (
     _first_above,
     _squared_distances,
     _squared_distances_columns,
+    _squared_norms,
     kmeans,
     kmeans_pp_init,
 )
@@ -215,6 +216,24 @@ def test_squared_distances_columns_leave_their_inputs():
         assert np.array_equal(columns, before[0])
         assert np.array_equal(centre, before[1])
         assert not np.shares_memory(got, columns)
+
+
+def test_squared_norms_are_the_plain_expression():
+    """Row norms from columns below 8 dimensions, the plain reduction
+    above, equal to ``(points ** 2).sum(axis=1)`` on contiguous blocks
+    and on the strided column slices ``ProductQuantizer.encode`` hands
+    it; the input is left as it was."""
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((1_100, 64)).astype(np.float32)
+    for d in (1, 2, 3, 7, 8, 9, 32):
+        for points in (wide[:1_024, :d].copy(), wide[:257, 5:5 + d],
+                       wide[:0, :d]):
+            before = points.copy()
+            want = (points ** 2).sum(axis=1)
+            got = _squared_norms(points)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (d, points.shape)
+            assert np.array_equal(points, before)
 
 
 @pytest.mark.parametrize("normalise", [False, True])

@@ -134,6 +134,29 @@ def test_events_per_batch_are_constant(max_batch, load):
     assert events <= report.offered + 8 * report.batches
 
 
+@pytest.mark.parametrize("max_batch", [8, 16])
+@pytest.mark.parametrize("load", [0.5, 0.9])
+def test_events_per_batch_are_constant_with_arrivals_included(max_batch,
+                                                              load):
+    """Arrivals cost no events of their own: the total is bounded per
+    batch, however many requests a batch holds.
+
+    The arrival process yields a timeout only when ``skip_to`` is
+    refused, that is when a live event other than its own is due no
+    later than the arrival; that event fires after the timeout is
+    scheduled and no later than it fires.  The process waits on one
+    timeout at a time, so these windows do not overlap and each
+    arrival timeout needs a distinct non-arrival event.  With at most
+    8 non-arrival events per batch, a session fires at most 2 x 8 per
+    batch."""
+    be = SyntheticBackend(max_batch=max_batch)
+    tracer = _EventCounter()
+    report = simulate_service(be, _traffic(be, load), _service(be),
+                              seed=1, tracer=tracer)
+    events = tracer.registry.counter("sim.events.fired").value
+    assert events <= 2 * 8 * report.batches
+
+
 def test_service_config_validation():
     be = SyntheticBackend()
     with pytest.raises(ValueError):
