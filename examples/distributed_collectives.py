@@ -12,7 +12,7 @@ Run:  python examples/distributed_collectives.py
 import numpy as np
 
 from repro.accl import FpgaCluster, HostStagedCluster
-from repro.bench import ResultTable, speedup
+from repro.bench import ResultTable
 
 NODES = 8
 
@@ -35,8 +35,7 @@ def main() -> None:
         f = fpga.allreduce(buffers)
         h = host.allreduce(buffers)
         label = f"{buffers[0].nbytes:,} B"
-        report.add(label, f.time_s * 1e6, h.time_s * 1e6,
-                   speedup(h.time_s, f.time_s))
+        report.add(label, f.time_s * 1e6, h.time_s * 1e6, h.time_s / f.time_s)
     report.note("host staging pays 2x PCIe + kernel TCP per step")
     report.show()
 
@@ -57,15 +56,12 @@ def main() -> None:
     crossover.note("tree: 2 log2(P) full-message steps; ring: 2(P-1) of n/P")
     crossover.show()
 
-    # The full collective repertoire, functionally verified.
+    # A tree broadcast, functionally verified.
     buffers = _buffers(1 << 12, seed=3)
     bcast = fpga.broadcast(buffers, root=2)
-    gathered = fpga.gather(buffers, root=0)
-    allg = fpga.allgather(buffers)
+    assert all((b == buffers[2]).all() for b in bcast.buffers)
     print(
-        f"broadcast {bcast.time_s * 1e6:.1f} us | "
-        f"gather {gathered.time_s * 1e6:.1f} us | "
-        f"allgather {allg.time_s * 1e6:.1f} us "
+        f"broadcast {bcast.time_s * 1e6:.1f} us "
         f"({NODES} nodes, {buffers[0].nbytes:,} B each)"
     )
 

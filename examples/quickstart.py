@@ -54,7 +54,8 @@ def main() -> None:
             spec.resources.dsp,
         )
     table.note(
-        f"sequential (CPU-style) execution: {loop.sequential_cycles():,} cycles"
+        "sequential (CPU-style) execution: "
+        f"{loop.trip_count * loop.iteration_latency():,} cycles"
     )
     table.show()
 

@@ -10,13 +10,14 @@ latency/bytes-moved comparison (the Figure-2 argument of the tutorial).
 Run:  python examples/smart_memory_offload.py
 """
 
-from repro.bench import ResultTable, speedup
+from repro.bench import ResultTable
 from repro.farview import FarviewClient, FarviewServer
 from repro.relational import (
     AggFunc,
     AggSpec,
     Aggregate,
     Filter,
+    Project,
     QueryPlan,
     Table,
     col,
@@ -50,7 +51,7 @@ def main() -> None:
             selectivity,
             off.latency_s * 1e3,
             fetch.latency_s * 1e3,
-            speedup(fetch.latency_s, off.latency_s),
+            fetch.latency_s / off.latency_s,
             off.bytes_over_network,
             fetch.bytes_over_network,
         )
@@ -63,8 +64,6 @@ def main() -> None:
     # A projection query: the offload's result volume now *grows* with
     # selectivity, so its advantage shrinks toward the crossover where
     # nearly every row comes back anyway.
-    from repro.relational import Project
-
     crossover = ResultTable(
         "Offload advantage vs selectivity: SELECT key, val0 WHERE key < t",
         ("selectivity", "offload ms", "fetch ms", "speedup",
@@ -81,27 +80,11 @@ def main() -> None:
             selectivity,
             off.latency_s * 1e3,
             fetch.latency_s * 1e3,
-            speedup(fetch.latency_s, off.latency_s),
+            fetch.latency_s / off.latency_s,
             fetch.bytes_over_network / off.bytes_over_network,
         )
     crossover.note("at selectivity 1.0 the offload ships ~the whole table too")
     crossover.show()
-
-    # The same query can be posed in SQL and routed by the cost-based
-    # planner, which predicts both modes and picks the cheaper one.
-    from repro.farview import OffloadPlanner
-    from repro.relational import parse_query
-
-    planner = OffloadPlanner(client)
-    planned = planner.query(
-        parse_query("SELECT sum(val0) AS s WHERE key < 10000"), "lineitems"
-    )
-    print(
-        f"planner chose {planned.chose!r} "
-        f"(predicted offload {planned.predicted_offload_s * 1e3:.2f} ms vs "
-        f"fetch {planned.predicted_fetch_s * 1e3:.2f} ms, "
-        f"estimated selectivity {planned.estimated_selectivity:.3f})"
-    )
 
     # The block-storage variant: the table is moved as a unit.
     plan = QueryPlan((

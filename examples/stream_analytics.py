@@ -39,10 +39,12 @@ def sketch_demo() -> None:
         f"HLL: {true_distinct:,} distinct -> estimate "
         f"{hll.estimate():,.0f} "
         f"({abs(hll.estimate() - true_distinct) / true_distinct:.2%} err, "
-        f"{hll.nbytes // 1024} KiB sketch)"
+        f"{hll.registers.nbytes // 1024} KiB sketch)"
     )
 
-    cm = CountMinSketch.from_error(eps=1e-4, delta=1e-3)
+    # Error <= 1e-4 * N at 99.9% confidence: width ceil(e / 1e-4),
+    # depth ceil(ln 1000).
+    cm = CountMinSketch(width=27_183, depth=7)
     cm.add(stream)
     hottest = int(np.bincount(stream[:100_000]).argmax())
     true_count = int((stream == hottest).sum())

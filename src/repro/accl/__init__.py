@@ -6,11 +6,9 @@ Figure 1's HACC rack).
 from .cluster import FpgaCluster, HostStagedCluster
 from .collectives import (
     CollectiveOutcome,
-    allgather_ring,
     allreduce_ring,
     allreduce_tree,
     broadcast_tree,
-    gather_flat,
 )
 from .resilient import ResilientAllreduce, allreduce_with_faults
 
@@ -20,9 +18,7 @@ __all__ = [
     "HostStagedCluster",
     "ResilientAllreduce",
     "allreduce_with_faults",
-    "allgather_ring",
     "allreduce_ring",
     "allreduce_tree",
     "broadcast_tree",
-    "gather_flat",
 ]

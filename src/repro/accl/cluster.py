@@ -26,11 +26,9 @@ from ..network.fabric import SwitchedFabric
 from ..network.protocol import ProtocolModel, fpga_tcp, kernel_tcp
 from .collectives import (
     CollectiveOutcome,
-    allgather_ring,
     allreduce_ring,
     allreduce_tree,
     broadcast_tree,
-    gather_flat,
     ring_allreduce_schedule,
     tree_allreduce_schedule,
     tree_broadcast_schedule,
@@ -90,15 +88,6 @@ class _ClusterBase:
         sizes alone: equal to ``broadcast(buffers).time_s`` for any
         buffers of ``nbytes`` each."""
         return self._price(*tree_broadcast_schedule(self.n_nodes, 0, nbytes))
-
-    def gather(self, buffers: list[np.ndarray],
-               root: int = 0) -> CollectiveOutcome:
-        """Gather all buffers to the root (rank order)."""
-        return self._run(gather_flat, buffers, root)
-
-    def allgather(self, buffers: list[np.ndarray]) -> CollectiveOutcome:
-        """Ring allgather."""
-        return self._run(allgather_ring, buffers)
 
     def allreduce(self, buffers: list[np.ndarray],
                   algorithm: str = "ring") -> CollectiveOutcome:

@@ -14,8 +14,6 @@ as ``x_s + x_{s+1} + ... + x_{s+p-1}``.
 Algorithms (the standard alpha-beta repertoire ACCL implements):
 
 * broadcast — binomial tree (``log2 P`` full-message steps);
-* gather — a flat schedule: every node sends its buffer to the root;
-* allgather — ring (``P-1`` steps of ``n/P``);
 * allreduce — ring (reduce-scatter + allgather, ``2(P-1)`` steps of
   ``n/P``) or tree (reduce + broadcast, ``2 log2 P`` full-message
   steps).  The ring wins for large payloads, the tree for small — the
@@ -30,11 +28,9 @@ import numpy as np
 
 __all__ = [
     "CollectiveOutcome",
-    "allgather_ring",
     "allreduce_ring",
     "allreduce_tree",
     "broadcast_tree",
-    "gather_flat",
     "ring_allreduce_schedule",
     "tree_allreduce_schedule",
     "tree_broadcast_schedule",
@@ -164,27 +160,6 @@ def broadcast_tree(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcom
     p = len(buffers)
     schedule = tree_broadcast_schedule(p, root, buffers[0].nbytes)
     return CollectiveOutcome(_shared(buffers[root].copy(), p), *schedule)
-
-
-def gather_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
-    """Root gathers every node's buffer, concatenated in rank order.
-
-    Non-root nodes keep their own (unchanged) buffers.
-    """
-    _check(buffers, root)
-    out = list(buffers)
-    out[root] = np.concatenate(buffers)
-    step = [(node, root, buffers[0].nbytes)
-            for node in range(len(buffers)) if node != root]
-    return CollectiveOutcome(out, [step] if step else [])
-
-
-def allgather_ring(buffers: list[np.ndarray]) -> CollectiveOutcome:
-    """Ring allgather: every node ends with all buffers concatenated."""
-    _check(buffers)
-    p = len(buffers)
-    return CollectiveOutcome(_shared(np.concatenate(buffers), p),
-                             _ring(p, buffers[0].nbytes, p - 1))
 
 
 def allreduce_ring(buffers: list[np.ndarray]) -> CollectiveOutcome:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["ResultTable", "format_quantity", "speedup"]
+__all__ = ["ResultTable", "format_quantity"]
 
 
 _SUFFIX_SCALES = (
@@ -47,13 +47,6 @@ def format_quantity(value: Any, digits: int = 3) -> str:
         if magnitude >= cut:
             return f"{rounded / cut:.{digits}g}{suffix}"
     return f"{rounded:.{digits}g}"
-
-
-def speedup(baseline: float, accelerated: float) -> float:
-    """Baseline time over accelerated time (>1 means the accelerator wins)."""
-    if accelerated <= 0:
-        raise ValueError("accelerated time must be positive")
-    return baseline / accelerated
 
 
 @dataclass

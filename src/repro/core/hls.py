@@ -9,10 +9,9 @@ operation counts, choose pragmas (:class:`Pragmas`), and
 the "compiler" would produce — including a first-order resource
 estimate, so unrolling visibly spends LUTs/DSPs to buy throughput.
 
-The temporal (CPU-style) execution cost of the same loop is available
-from :meth:`LoopNest.sequential_cycles` for side-by-side comparison;
-bench E1 sweeps II and unroll and regenerates the spatial-vs-temporal
-argument of the tutorial.
+The temporal (CPU-style) execution of the same loop is its synthesis
+with ``Pragmas(pipeline=False)``; bench E1 sweeps II and unroll against
+it and regenerates the spatial-vs-temporal argument of the tutorial.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class LoopNest:
             1,
             sum(_OP_COSTS[op][0] * count for op, count in self.ops.items()),
         )
-
-    def sequential_cycles(self) -> int:
-        """Temporal-architecture cost: every iteration runs start-to-finish."""
-        return self.trip_count * self.iteration_latency()
 
 
 @dataclass(frozen=True, slots=True)

@@ -128,7 +128,7 @@ class FannsAccelerator:
         if enforce_fit and not device.fits(demand):
             raise ResourceWarning(
                 f"FANNS config does not fit {device.name}: "
-                f"{demand.utilization_report(demand)}"
+                f"{device.utilization_report(demand)}"
             )
         code_bytes = shape.n_vectors * shape.code_nbytes * list_scale
         if code_bytes > config.n_hbm_channels * hbm2_channel().capacity_bytes:

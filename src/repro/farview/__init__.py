@@ -10,7 +10,6 @@ compares that against fetching raw data and processing on a local CPU.
 from .client import FarviewClient, QueryOutcome
 from .concurrency import ConcurrencyResult, simulate_clients
 from .offload import OffloadExecution, offload_query
-from .planner import OffloadPlanner, PlannedOutcome
 from .server import FarviewServer, ReadExecution
 
 __all__ = [
@@ -18,8 +17,6 @@ __all__ = [
     "FarviewClient",
     "FarviewServer",
     "OffloadExecution",
-    "OffloadPlanner",
-    "PlannedOutcome",
     "QueryOutcome",
     "ReadExecution",
     "offload_query",

@@ -51,11 +51,6 @@ class HyperLogLog:
         self.m = 1 << precision
         self.registers = np.zeros(self.m, dtype=np.uint8)
 
-    @property
-    def nbytes(self) -> int:
-        """Sketch memory footprint."""
-        return self.registers.nbytes
-
     def add(self, values: np.ndarray) -> None:
         """Insert a batch of integer items."""
         values = np.asarray(values)

@@ -46,16 +46,6 @@ class CountMinSketch:
         self.counters = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
 
-    @classmethod
-    def from_error(cls, eps: float, delta: float) -> "CountMinSketch":
-        """Dimension the sketch for error ``eps*N`` at confidence 1-delta."""
-        if not 0 < eps < 1 or not 0 < delta < 1:
-            raise ValueError("eps and delta must be in (0, 1)")
-        return cls(
-            width=math.ceil(math.e / eps),
-            depth=math.ceil(math.log(1.0 / delta)),
-        )
-
     def add(self, values: np.ndarray) -> None:
         """Insert a batch of integer items (count 1 each)."""
         values = np.asarray(values).reshape(-1)

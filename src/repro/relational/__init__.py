@@ -7,7 +7,7 @@ plan, and are what Farview offloads to smart memory.
 """
 
 from .engine import cpu_cost_s, execute
-from .expressions import BinOp, Col, Const, Expr, col, lit
+from .expressions import BinOp, Col, Const, Expr, col
 from .fpga_ops import make_operator_kernel, plan_kernels, rows_per_cycle
 from .join import FpgaJoinModel, JoinTiming, cpu_join_time_s, hash_join
 from .operators import (
@@ -22,7 +22,6 @@ from .operators import (
     Transform,
 )
 from .schema import ColumnType, Schema
-from .sql import SqlError, parse_query
 from .table import Table
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "Project",
     "QueryPlan",
     "Schema",
-    "SqlError",
     "Table",
     "Transform",
     "col",
@@ -50,9 +48,7 @@ __all__ = [
     "cpu_join_time_s",
     "execute",
     "hash_join",
-    "lit",
     "make_operator_kernel",
-    "parse_query",
     "plan_kernels",
     "rows_per_cycle",
 ]

@@ -1,7 +1,7 @@
 """Predicate expressions evaluable against columnar tables.
 
-A tiny expression AST — columns, constants, comparisons and boolean
-connectives — enough to express the selection predicates
+A tiny expression AST — columns, constants, comparisons and their
+conjunction — enough to express the selection predicates
 Farview offloads ("``key < 42 AND val0 >= 0.5``").  Expressions
 evaluate vectorised over a :class:`~repro.relational.table.Table` and
 report an operation count used by the cost models.
@@ -16,10 +16,9 @@ import numpy as np
 
 from .table import Table
 
-__all__ = ["BinOp", "Col", "Const", "Expr", "col", "lit"]
+__all__ = ["BinOp", "Col", "Const", "Expr", "col"]
 
-_COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
-_LOGICAL = {"and", "or"}
+_OPERATORS = {"<", "<=", ">", ">=", "==", "!=", "and"}
 
 
 class Expr:
@@ -66,12 +65,6 @@ class Expr:
     def __and__(self, other: "Expr") -> "BinOp":
         return BinOp("and", self, other)
 
-    def __or__(self, other: "Expr") -> "BinOp":
-        return BinOp("or", self, other)
-
-    def __invert__(self) -> "Not":
-        return Not(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Col(Expr):
@@ -108,19 +101,19 @@ class Const(Expr):
         return set()
 
     def __repr__(self) -> str:
-        return f"lit({self.value!r})"
+        return repr(self.value)
 
 
 @dataclass(frozen=True, eq=False)
 class BinOp(Expr):
-    """A binary operation (comparison or logical)."""
+    """A binary operation: a comparison or ``and``."""
 
     op: str
     left: Expr
     right: Expr
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARISONS | _LOGICAL:
+        if self.op not in _OPERATORS:
             raise ValueError(f"unsupported operator {self.op!r}")
 
     def evaluate(self, table: Table) -> np.ndarray:
@@ -141,8 +134,6 @@ class BinOp(Expr):
                 return lhs != rhs
             case "and":
                 return np.logical_and(lhs, rhs)
-            case "or":
-                return np.logical_or(lhs, rhs)
         raise AssertionError("unreachable")
 
     def op_count(self) -> int:
@@ -155,31 +146,7 @@ class BinOp(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Not(Expr):
-    """Logical negation."""
-
-    child: Expr
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        return np.logical_not(self.child.evaluate(table))
-
-    def op_count(self) -> int:
-        return 1 + self.child.op_count()
-
-    def columns_used(self) -> set[str]:
-        return self.child.columns_used()
-
-    def __repr__(self) -> str:
-        return f"~{self.child!r}"
-
-
 def col(name: str) -> Col:
     """Shorthand column reference."""
     return Col(name)
-
-
-def lit(value: Any) -> Const:
-    """Shorthand literal."""
-    return Const(value)
 

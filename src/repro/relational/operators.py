@@ -140,13 +140,6 @@ class QueryPlan:
             if isinstance(op, (Aggregate, GroupByAggregate)):
                 seen_agg = True
 
-    @property
-    def has_aggregation(self) -> bool:
-        return any(
-            isinstance(op, (Aggregate, GroupByAggregate))
-            for op in self.operators
-        )
-
     def columns_needed(self, all_columns: tuple[str, ...]) -> tuple[str, ...]:
         """Columns the plan actually touches (for scan pruning).
 

@@ -59,13 +59,6 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.columns)
 
-    def type_of(self, name: str) -> ColumnType:
-        """Type of a column; raises ``KeyError`` for unknown names."""
-        for col, ctype in self.columns:
-            if col == name:
-                return ctype
-        raise KeyError(f"no column {name!r} in schema {self.names}")
-
     @property
     def row_nbytes(self) -> int:
         """Bytes of one row across all columns."""

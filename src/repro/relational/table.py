@@ -78,12 +78,6 @@ class Table:
              for name, col in self._columns.items()}
         )
 
-    def take(self, indices: np.ndarray) -> "Table":
-        """A table with the rows at ``indices`` (gather)."""
-        return Table(
-            {name: col[indices] for name, col in self._columns.items()}
-        )
-
     def equals(self, other: "Table") -> bool:
         """Exact equality of schema and data."""
         if self.schema != other.schema:

@@ -72,11 +72,6 @@ class RecModelSpec:
         """Input width of the first FC layer."""
         return self.n_tables * self.embedding_dim
 
-    def mlp_flops(self) -> int:
-        """Multiply-accumulate count of one inference through the MLP."""
-        widths = (self.concat_width, *self.mlp_layers, 1)
-        return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-
 
 def production_like_model(
     n_tables: int = 47,

@@ -72,13 +72,6 @@ def test_ring_vs_tree_crossover():
     )
 
 
-def test_allgather_timed():
-    cluster = FpgaCluster(4)
-    out = cluster.allgather(_buffers(4, n=8))
-    assert out.time_s > 0
-    assert all(len(b) == 32 for b in out.buffers)
-
-
 def test_single_node_collectives_are_free():
     cluster = FpgaCluster(1)
     buffers = _buffers(1, n=8)

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accl.collectives import (
-    allgather_ring,
-    allreduce_ring,
-    allreduce_tree,
-    broadcast_tree,
-    gather_flat,
-)
+from repro.accl.collectives import allreduce_ring, allreduce_tree, broadcast_tree
 
 
 def _buffers(p, n=8, seed=0):
@@ -41,24 +35,6 @@ def test_broadcast_tree_takes_log_steps():
     for p in (2, 4, 8, 16):
         out = broadcast_tree(_buffers(p))
         assert len(out.steps) == math.ceil(math.log2(p))
-
-
-def test_gather_concatenates_in_rank_order():
-    buffers = _buffers(4, n=4, seed=4)
-    out = gather_flat(buffers, root=2)
-    assert np.array_equal(out.buffers[2], np.concatenate(buffers))
-    # Non-root buffers untouched.
-    assert np.array_equal(out.buffers[0], buffers[0])
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
-def test_allgather_every_node_has_everything(p):
-    buffers = _buffers(p, n=4, seed=5)
-    out = allgather_ring(buffers)
-    want = np.concatenate(buffers)
-    for b in out.buffers:
-        assert np.array_equal(b, want)
-    assert len(out.steps) == p - 1
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])

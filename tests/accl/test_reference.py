@@ -14,11 +14,9 @@ import pytest
 from repro.accl.cluster import FpgaCluster, HostStagedCluster
 from repro.accl.collectives import (
     CollectiveOutcome,
-    allgather_ring,
     allreduce_ring,
     allreduce_tree,
     broadcast_tree,
-    gather_flat,
 )
 from repro.exec.experiments.accl import (
     _E10_NODES,
@@ -107,43 +105,6 @@ def _reference_reduce_tree(buffers: list[np.ndarray], root: int = 0) -> Collecti
     )
 
 
-def _reference_gather_flat(buffers: list[np.ndarray], root: int = 0) -> CollectiveOutcome:
-    """Root gathers every node's buffer, concatenated in rank order."""
-    p = len(buffers)
-    _reference_check_buffers(buffers)
-    _reference_check_root(root, p)
-    step = [
-        (node, root, buffers[node].nbytes)
-        for node in range(p)
-        if node != root
-    ]
-    gathered = np.concatenate([buffers[node] for node in range(p)])
-    out = [b.copy() for b in buffers]
-    out[root] = gathered
-    return CollectiveOutcome(buffers=out, steps=[step] if step else [])
-
-
-def _reference_allgather_ring(buffers: list[np.ndarray]) -> CollectiveOutcome:
-    """Ring allgather: every node ends with all buffers concatenated."""
-    p = len(buffers)
-    _reference_check_buffers(buffers)
-    pieces = [[None] * p for _ in range(p)]
-    for node in range(p):
-        pieces[node][node] = buffers[node].copy()
-    chunk_bytes = buffers[0].nbytes
-    steps = []
-    for round_ in range(p - 1):
-        step = []
-        for node in range(p):
-            send_idx = (node - round_) % p
-            dst = (node + 1) % p
-            step.append((node, dst, chunk_bytes))
-            pieces[dst][send_idx] = pieces[node][send_idx].copy()
-        steps.append(step)
-    out = [np.concatenate(row) for row in pieces]
-    return CollectiveOutcome(buffers=out, steps=steps)
-
-
 def _reference_allreduce_ring(buffers: list[np.ndarray]) -> CollectiveOutcome:
     """Ring allreduce: reduce-scatter then allgather, 2(P-1) steps.
 
@@ -217,10 +178,8 @@ def _reference_allreduce_tree(buffers: list[np.ndarray]) -> CollectiveOutcome:
 
 _ROOTED = (
     (broadcast_tree, _reference_broadcast_tree),
-    (gather_flat, _reference_gather_flat),
 )
 _UNROOTED = (
-    (allgather_ring, _reference_allgather_ring),
     (allreduce_ring, _reference_allreduce_ring),
     (allreduce_tree, _reference_allreduce_tree),
 )
@@ -336,7 +295,7 @@ def test_float32_tree_broadcasts_the_payload_size():
 
 @pytest.mark.parametrize(
     "collective",
-    [broadcast_tree, allgather_ring, allreduce_ring, allreduce_tree],
+    [broadcast_tree, allreduce_ring, allreduce_tree],
 )
 def test_shared_results_are_read_only(collective):
     out = collective(_buffers(4, 8, np.float64, seed=1))

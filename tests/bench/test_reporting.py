@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.reporting import ResultTable, format_quantity, speedup
+from repro.bench.reporting import ResultTable, format_quantity
 
 
 def test_format_quantity_suffixes():
@@ -44,12 +44,6 @@ def test_format_quantity_below_smallest_suffix_is_scientific():
 def test_format_quantity_negative_and_digits():
     assert format_quantity(-1500.0) == "-1.5K"
     assert format_quantity(1234.0, digits=4) == "1.234K"
-
-
-def test_speedup():
-    assert speedup(10.0, 2.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        speedup(1.0, 0.0)
 
 
 def test_result_table_render():

@@ -36,6 +36,12 @@ def test_default_config_fits_u55c():
     assert ALVEO_U55C.fits(demand)
 
 
+def test_misfit_config_raises_resource_warning():
+    config = FannsConfig(n_distance_pes=4096, n_adc_pes=4096)
+    with pytest.raises(ResourceWarning, match=ALVEO_U55C.name):
+        FannsAccelerator(_INDEX.shape, config)
+
+
 def test_accelerator_recall_matches_index():
     """The accelerator prices ``index.search``; its recall is the index's."""
     ids = _INDEX.search(_DS.queries, 10, 16)

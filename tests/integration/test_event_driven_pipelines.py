@@ -103,7 +103,6 @@ def test_distributed_distinct_count_with_sketch_merge():
     """HLL sketches built per cluster node and merged at the root give
     the same estimate as a centralized sketch — the pattern ACCL-style
     reductions enable for mergeable aggregates."""
-    from repro.accl import FpgaCluster
     from repro.operators import HyperLogLog
 
     rng = np.random.default_rng(11)
@@ -124,15 +123,6 @@ def test_distributed_distinct_count_with_sketch_merge():
     # An HLL union is the register-wise max.
     merged = np.maximum.reduce([s.registers for s in node_sketches])
     assert np.array_equal(merged, centralized.registers)
-
-    # And the shipping cost is one register array per node: time it
-    # through the cluster's gather.
-    cluster = FpgaCluster(n_nodes)
-    buffers = [s.registers.astype(np.float64) for s in node_sketches]
-    outcome = cluster.gather(buffers, root=0)
-    assert outcome.time_s > 0
-    wire = sum(n for step in outcome.steps for _, _, n in step)
-    assert wire == (n_nodes - 1) * buffers[0].nbytes
 
 
 def test_memory_port_feeds_kernel_pipeline():

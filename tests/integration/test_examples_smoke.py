@@ -40,6 +40,21 @@ def test_storage_offload_runs():
     assert "smart NIC" in out
 
 
+def test_smart_memory_offload_runs():
+    out = _run("smart_memory_offload.py")
+    assert "block-granularity fetch moves" in out
+
+
+def test_stream_analytics_runs():
+    out = _run("stream_analytics.py")
+    assert "Count-Min: hottest key" in out
+
+
+def test_recommendation_inference_runs():
+    out = _run("recommendation_inference.py")
+    assert "MicroRec + Cartesian" in out
+
+
 def test_cli_info_and_experiments():
     for args in (["info"], ["list"]):
         result = subprocess.run(

@@ -9,15 +9,18 @@ def test_quickstart_snippet():
     assert spec.throughput_items_per_sec() > 1e9
 
 
-def test_sql_offload_snippet():
+def test_plan_offload_snippet():
     from repro.farview import FarviewClient, FarviewServer
-    from repro.relational import Table, parse_query
+    from repro.relational import (
+        AggFunc, AggSpec, Aggregate, Filter, QueryPlan, Table, col,
+    )
     from repro.workloads import uniform_table
 
     server = FarviewServer()
     server.store("t", Table(uniform_table(100_000)))
     client = FarviewClient(server)
-    plan = parse_query("SELECT sum(val0) WHERE key < 10000")
+    plan = QueryPlan((Filter(col("key") < 10000),
+                      Aggregate((AggSpec(AggFunc.SUM, "val0"),))))
     outcome = client.query_offload(plan, "t")
     assert "node_processing_s" in outcome.breakdown
     assert outcome.result.n_rows == 1

@@ -226,7 +226,7 @@ def test_pricing_reads_widths_and_matches_the_eager_weights(which):
     cpu_dnn_s = cpu._dnn_time_s(1, parallel=False)
     assert mlp._params is None
     weights, _ = _eager_parameters(mlp.widths, 6)
-    assert macs == sum(w.size for w in weights) == spec.mlp_flops()
+    assert macs == sum(w.size for w in weights)
     assert nbytes == sum(w.nbytes for w in weights)
     cycles = sum(math.ceil(w.size / 2048) + 32 for w in weights)
     assert fpga_s == FABRIC_300MHZ.cycles_to_seconds(cycles)

@@ -37,14 +37,6 @@ def test_cm_error_within_bound_for_heavy_hitters():
     assert ((est - true) <= cm.error_bound()).all()
 
 
-def test_cm_from_error_dimensions():
-    cm = CountMinSketch.from_error(eps=0.001, delta=0.01)
-    assert cm.width >= 2718
-    assert cm.depth >= 5
-    with pytest.raises(ValueError):
-        CountMinSketch.from_error(eps=0.0, delta=0.5)
-
-
 def test_cm_validation_and_empty():
     with pytest.raises(ValueError):
         CountMinSketch(width=0)

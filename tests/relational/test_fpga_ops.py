@@ -26,7 +26,7 @@ def test_wider_rows_lower_unroll():
 def test_filter_depth_grows_with_predicate_complexity():
     simple = make_operator_kernel(Filter(col("a") < 1), row_nbytes=16)
     complex_ = make_operator_kernel(
-        Filter((col("a") < 1) & (col("b") > 2) | (col("c") == 3)),
+        Filter((col("a") < 1) & (col("b") > 2) & (col("c") == 3)),
         row_nbytes=16,
     )
     assert complex_.depth > simple.depth

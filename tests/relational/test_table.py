@@ -28,10 +28,8 @@ def test_column_type_widths():
 def test_schema_row_bytes_and_lookup():
     schema = Schema.of(key=ColumnType.INT64, val=ColumnType.FLOAT64)
     assert schema.row_nbytes == 16
-    assert schema.type_of("key") is ColumnType.INT64
+    assert dict(schema.columns)["key"] is ColumnType.INT64
     assert schema.names == ("key", "val")
-    with pytest.raises(KeyError):
-        schema.type_of("ghost")
 
 
 def test_schema_duplicate_names_rejected():
@@ -41,8 +39,7 @@ def test_schema_duplicate_names_rejected():
 
 def test_table_derives_schema():
     t = _table()
-    assert t.schema.type_of("key") is ColumnType.INT64
-    assert t.schema.type_of("val") is ColumnType.FLOAT64
+    assert t.schema == Schema.of(key=ColumnType.INT64, val=ColumnType.FLOAT64)
     assert t.n_rows == 10
     assert t.nbytes == 10 * 16
 
@@ -72,12 +69,6 @@ def test_filter_by_mask():
         t.filter(np.ones(5, dtype=bool))
     with pytest.raises(ValueError):
         t.filter(np.ones(10, dtype=np.int64))
-
-
-def test_take_gathers_rows():
-    t = _table()
-    g = t.take(np.array([9, 0, 9]))
-    assert np.array_equal(g["key"], [9, 0, 9])
 
 
 def test_equals():

@@ -19,8 +19,6 @@ def test_spec_derived_quantities():
     assert spec.table_bytes(1) == 1000 * 32
     assert spec.total_embedding_bytes == (100 + 1000) * 32
     assert spec.concat_width == 16
-    # MLP MACs: 16*64 + 64*32 + 32*1.
-    assert spec.mlp_flops() == 16 * 64 + 64 * 32 + 32
 
 
 def test_spec_validation():

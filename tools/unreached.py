@@ -2,8 +2,8 @@
 
 Run from anywhere (stdlib only)::
 
-    python tools/unreached.py          # functions no run enters (~25 s)
-    python tools/unreached.py --lines  # lines no run executes (~35 s)
+    python tools/unreached.py          # functions no run enters (~20 s)
+    python tools/unreached.py --lines  # lines no run executes (~20 s)
 
 Each run below executes in its own interpreter, two at a time:
 
@@ -14,8 +14,10 @@ Each run below executes in its own interpreter, two at a time:
   injects latency spikes; a node still crashes), ``run e19 --trace
   OUT.json`` and ``run e1 --trace OUT.json`` (a traced run steps e1's
   pipelines);
-- ``list``, ``list --json`` and ``info``;
-- every ``examples/*.py``.
+- ``list``, ``list --json`` and ``info``.
+
+The examples are not runs: code that only an example reaches counts as
+unreached.
 
 Without ``--lines``, each run is profiled with ``sys.setprofile``. The
 script then walks the AST of every module under ``src/repro`` and prints
@@ -52,13 +54,13 @@ from types import CodeType
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
-# Runs inside each child: record what the target, run as ``__main__``,
+# Runs inside each child: record what the module, run as ``__main__``,
 # reaches, then write it as (file, line) pairs. In "functions" mode the
 # line is each entered code object's first line; in "lines" mode it is
 # each line executed in a frame under the package.
 _CHILD = r"""
 import runpy, sys
-out, mode, package, target = sys.argv[1:5]
+out, mode, package, module = sys.argv[1:5]
 argv = sys.argv[5:]
 seen = set()
 
@@ -83,14 +85,11 @@ else:
     start = lambda: sys.setprofile(profile)
     stop = lambda: sys.setprofile(None)
 
-sys.argv = [target] + argv
+sys.argv = [module] + argv
 status = 0
 start()
 try:
-    if target.endswith(".py"):
-        runpy.run_path(target, run_name="__main__")
-    else:
-        runpy.run_module(target, run_name="__main__", alter_sys=True)
+    runpy.run_module(module, run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     status = exc.code
 finally:
@@ -116,8 +115,6 @@ def _runs(scratch: Path) -> list[list[str]]:
         serve = ["repro", "serve", "--backend", backend]
         runs.append(serve)
         runs.append(serve + ["--faults", "0.05", "--autoscale"])
-    for example in sorted((ROOT / "examples").glob("*.py")):
-        runs.append([str(example)])
     return runs
 
 
