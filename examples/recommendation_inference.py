@@ -24,20 +24,19 @@ BATCH = 256
 
 def main() -> None:
     spec = production_like_model(n_tables=47, max_rows=2_000_000, seed=21)
-    cpu = CpuRecommender(spec, seed=5)
+    cpu = CpuRecommender(spec)
     print(
         f"model: {spec.n_tables} tables, "
         f"{spec.total_embedding_bytes / 1e6:.1f} MB of embeddings, "
         f"{cpu.mlp.n_macs:,} MLP MACs/inference"
     )
     tables = EmbeddingTables(spec, seed=21)
-    trace = lookup_trace(spec, batch_size=BATCH, seed=22)
+    trace = lookup_trace(spec, batch_size=BATCH, seed=22, skew=0.8)
 
-    plain = MicroRecAccelerator(spec, seed=5)
+    plain = MicroRecAccelerator(spec)
     cartesian = MicroRecAccelerator(
         spec,
         plan=plan_cartesian(spec, byte_budget=3 * spec.total_embedding_bytes),
-        seed=5,
     )
 
     cpu_out = cpu.infer(tables, trace)
@@ -91,9 +90,7 @@ def main() -> None:
         plan = plan_cartesian(
             spec, byte_budget=int(mult * spec.total_embedding_bytes)
         )
-        accel = MicroRecAccelerator(
-            spec, plan=plan, config=constrained, seed=5
-        )
+        accel = MicroRecAccelerator(spec, plan=plan, config=constrained)
         ablation.add(
             f"{mult:.1f}x",
             accel.lookups_per_inference,

@@ -30,7 +30,8 @@ KEY_MAX = 1_000_000
 
 def main() -> None:
     server = FarviewServer()
-    table = Table(uniform_table(N_ROWS, n_payload_cols=4, key_max=KEY_MAX))
+    table = Table(uniform_table(N_ROWS, n_payload_cols=4, key_max=KEY_MAX,
+                                seed=11))
     server.store("lineitems", table)
     client = FarviewClient(server)
 

@@ -69,7 +69,8 @@ def kv_demo() -> None:
         else:
             ops.append(("get", key, 0))
 
-    nic = SmartNicKvServer(HashTable(1 << 16, 8), value_bytes=64)
+    nic = SmartNicKvServer(HashTable(1 << 16, 8), value_bytes=64,
+                           n_memory_channels=4)
     sw = SoftwareKvServer(HashTable(1 << 16, 8), value_bytes=64)
     nic_out = nic.serve(ops)
     sw_out = sw.serve(ops)

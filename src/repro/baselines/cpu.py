@@ -83,7 +83,7 @@ class CpuModel:
         return max(1, self.simd_bytes // element_bytes)
 
     def compute_time_s(
-        self, n_ops: int, element_bytes: int = 4, parallel: bool = True
+        self, n_ops: int, element_bytes: int, parallel: bool = True
     ) -> float:
         """Time for ``n_ops`` element operations, SIMD-vectorised.
 
@@ -108,7 +108,7 @@ class CpuModel:
     def scan_time_s(
         self,
         nbytes: int,
-        ops_per_byte: float = 0.25,
+        ops_per_byte: float,
         element_bytes: int = 4,
         parallel: bool = True,
     ) -> float:

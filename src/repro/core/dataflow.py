@@ -106,7 +106,7 @@ class DataflowGraph:
             self._sources.append(stage.name)
         return stage.name
 
-    def connect(self, upstream: str, downstream: str, gain: float = 1.0) -> None:
+    def connect(self, upstream: str, downstream: str, gain: float) -> None:
         """Add an edge; ``gain`` is items emitted per upstream item consumed."""
         if upstream not in self._stages:
             raise KeyError(f"unknown stage {upstream!r}")

@@ -71,9 +71,9 @@ class KernelSpec:
     """
 
     name: str
-    ii: int = 1
-    depth: int = 1
-    unroll: int = 1
+    ii: int
+    depth: int
+    unroll: int
     clock: ClockDomain = FABRIC_300MHZ
     resources: ResourceVector = field(default_factory=ResourceVector)
 

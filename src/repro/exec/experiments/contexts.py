@@ -81,7 +81,7 @@ def microrec_trace():
     """The session lookup trace (one batch of inferences)."""
     from ...workloads import lookup_trace
 
-    return lookup_trace(microrec_model(), batch_size=256, seed=22)
+    return lookup_trace(microrec_model(), batch_size=256, skew=0.8, seed=22)
 
 
 @lru_cache(maxsize=None)

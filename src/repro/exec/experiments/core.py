@@ -177,7 +177,8 @@ def e2_cell(ctx: Any, config: dict, seed: int) -> dict:
     # drawn and the stream's size comes from the layout.
     layout = Schema.of(key=ColumnType.INT64, val0=ColumnType.FLOAT64,
                        val1=ColumnType.FLOAT64)
-    table_data = Table(uniform_table(_E2_N_ROWS, n_payload_cols=1, seed=2))
+    table_data = Table(uniform_table(_E2_N_ROWS, n_payload_cols=1,
+                                     key_max=1_000_000, seed=2))
     row_bytes = layout.row_nbytes
     plan = QueryPlan((
         Filter(col("key") < 500_000),

@@ -168,6 +168,7 @@ def _e6_spec() -> ExperimentSpec:
 # -- E16: scale-out (distributed FANNS + FleetRec) --------------------------
 
 _E16_NODES = (1, 2, 4, 8)
+_E16_BATCH = 512
 
 
 def e16_prepare() -> dict:
@@ -198,12 +199,11 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
     # pays off.
     from ...microrec import (
         CpuRecommender,
-        EmbeddingTables,
         FleetRecCluster,
         MicroRecAccelerator,
         V100,
     )
-    from ...workloads import lookup_trace, production_like_model
+    from ...workloads import production_like_model
 
     spec = production_like_model(n_tables=47, max_rows=500_000, seed=51)
     spec = type(spec)(
@@ -211,15 +211,11 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
         embedding_dim=spec.embedding_dim,
         mlp_layers=(4096, 2048, 1024),
     )
-    tables = EmbeddingTables(spec, seed=51)
-    trace = lookup_trace(spec, batch_size=512, seed=52)
-    # FleetRec computes the logits; the CPU and MicroRec share that one
-    # functional model and contribute only their timing models.
-    fleet = FleetRecCluster(tables, n_lookup_nodes=2, n_gpu_nodes=2,
-                            gpu=V100, seed=6)
-    fleet_out = fleet.infer(trace)
-    cpu_out = CpuRecommender(spec, seed=6).price(len(trace))
-    micro_out = MicroRecAccelerator(spec, seed=6).price(len(trace))
+    # All three engines price a batch of 512 from the model spec alone.
+    fleet = FleetRecCluster(spec, n_lookup_nodes=2, n_gpu_nodes=2, gpu=V100)
+    fleet_out = fleet.price(_E16_BATCH)
+    cpu_out = CpuRecommender(spec).price(_E16_BATCH)
+    micro_out = MicroRecAccelerator(spec).price(_E16_BATCH)
     assert fleet_out.qps > micro_out.qps, \
         "GPU DNN tier lifts throughput for big MLPs"
     assert micro_out.latency_s < cpu_out.latency_s

@@ -27,7 +27,7 @@ def e3_prepare() -> dict:
     server.store(
         "t",
         Table(uniform_table(_E3_N_ROWS, n_payload_cols=1,
-                            key_max=_E3_KEY_MAX)),
+                            key_max=_E3_KEY_MAX, seed=11)),
     )
     return {"client": FarviewClient(server)}
 
@@ -246,7 +246,8 @@ def e19_prepare() -> dict:
     from ...workloads import uniform_table
 
     server = FarviewServer()
-    server.store("t", Table(uniform_table(500_000, n_payload_cols=2)))
+    server.store("t", Table(uniform_table(500_000, n_payload_cols=2,
+                                          key_max=1_000_000, seed=11)))
     plan = QueryPlan((
         Filter(col("key") < 10_000),
         Aggregate((AggSpec(AggFunc.SUM, "val0"),)),

@@ -38,6 +38,7 @@ def _simulate_farview(rate: float) -> dict:
         max_attempts=4,
         timeout_ps=60_000_000,
         backoff_base_ps=2_000_000,
+        backoff_multiplier=2.0,
         jitter=0.2,
     )
     sim = Simulator()

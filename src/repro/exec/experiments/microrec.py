@@ -22,23 +22,19 @@ _E7_BATCHES = (1, 16, 64, 256)
 
 
 def e7_prepare() -> dict:
-    return {"model": microrec_model(), "tables": microrec_tables()}
+    """Only the model spec: both engines price a batch from its size."""
+    return {"model": microrec_model()}
 
 
 def e7_cell(ctx: dict, config: dict, seed: int) -> dict:
     from ...microrec import CpuRecommender, MicroRecAccelerator
-    from ...obs import Profiler
-    from ...workloads import lookup_trace
+    from ...obs import Tracer
 
-    prof = Profiler()
-    accel = MicroRecAccelerator(ctx["model"], seed=5, tracer=prof.tracer)
+    tracer = Tracer()
     batch = config["batch"]
-    trace = lookup_trace(ctx["model"], batch_size=batch, seed=31)
-    # One functional model computes the logits; the CPU shares it and
-    # contributes only its timing model.
-    f = accel.infer(ctx["tables"], trace)
-    c = CpuRecommender(ctx["model"], seed=5).price(batch)
-    snapshot = prof.tracer.registry.snapshot()
+    f = MicroRecAccelerator(ctx["model"], tracer=tracer).price(batch)
+    c = CpuRecommender(ctx["model"]).price(batch)
+    snapshot = tracer.registry.snapshot()
     accesses = sum(
         v for k, v in snapshot.items()
         if k.startswith("memory.bank_accesses")
@@ -127,9 +123,7 @@ def e8_cell(ctx: dict, config: dict, seed: int) -> dict:
     plan = plan_cartesian(
         model, byte_budget=int(mult * model.total_embedding_bytes)
     )
-    accel = MicroRecAccelerator(
-        model, plan=plan, config=_e8_config(), seed=5
-    )
+    accel = MicroRecAccelerator(model, plan=plan, config=_e8_config())
     out = accel.price(len(ctx["trace"]))
     assert np.array_equal(
         plan.lookup(ctx["tables"], ctx["trace"]), ctx["features"]
@@ -196,7 +190,7 @@ def e9_cell(ctx: dict, config: dict, seed: int) -> dict:
         # the sweep can start at 1 channel.
         channels = config["channels"]
         cfg = MicroRecConfig(sram_budget_bytes=0, n_hbm_channels=channels)
-        accel = MicroRecAccelerator(small_microrec_model(), config=cfg, seed=5)
+        accel = MicroRecAccelerator(small_microrec_model(), config=cfg)
         return {
             "part": "channels",
             "channels": channels,
@@ -207,7 +201,7 @@ def e9_cell(ctx: dict, config: dict, seed: int) -> dict:
     cfg = MicroRecConfig(
         sram_budget_bytes=budget_mb << 20, n_hbm_channels=32
     )
-    accel = MicroRecAccelerator(ctx["model"], config=cfg, seed=5)
+    accel = MicroRecAccelerator(ctx["model"], config=cfg)
     return {
         "part": "sram",
         "budget_mb": budget_mb,

@@ -61,8 +61,8 @@ def e13_cell(ctx: Any, config: dict, seed: int) -> dict:
                                  counter_bytes_total=256 * 1024)
     cm_fpga = n / cm_spec.latency_seconds(n)
     cm_core = n / cpu_update_time_s(cpu, n, 4, parallel=False)
-    assert fpga_rate > 4 * core_rate
-    assert cm_fpga > 4 * cm_core
+    assert fpga_rate > 4 * core_rate, "the HLL kernel beats a core 4x"
+    assert cm_fpga > 4 * cm_core, "the Count-Min kernel beats a core 4x"
     return {
         "part": "throughput",
         "fpga_rate": fpga_rate,
@@ -348,8 +348,10 @@ def e20_assemble(rows: list[dict]) -> list[ResultTable]:
                    row["fpga_rate"] / row["cpu_rate"])
     # The CIDR verdict: small build sides (BRAM) strongly favor the
     # FPGA; huge standalone joins are contested, not dominated.
-    assert ratios["bram"] > 2
-    assert 0.2 < ratios["hbm"] < 5
+    assert ratios.get("bram", 0) > 2, (
+        "small build sides (BRAM) favour the FPGA")
+    assert 0.2 < ratios.get("hbm", 0) < 5, (
+        "huge build sides (HBM) are contested, not dominated")
     streaming = FpgaJoinModel().streaming_probe_rate(100_000, 16)
     report.note("streaming-fused probes additionally ride at line rate "
                 f"({streaming / 1e6:.0f} M/s)")
@@ -380,7 +382,8 @@ def e21_prepare() -> None:
     """Functional spot check on a small rule set."""
     from ...operators import random_rules
 
-    rules = random_rules(200, _E21_N_ATTRS, seed=7)
+    rules = random_rules(200, _E21_N_ATTRS, selectivity=0.3,
+                         wildcard_fraction=0.3, seed=7)
     rng = np.random.default_rng(8)
     queries = rng.random((500, _E21_N_ATTRS))
     best = rules.best_match(queries)

@@ -40,7 +40,8 @@ def _farview_backend():
     from ...workloads import uniform_table
 
     server = FarviewServer()
-    server.store("t", Table(uniform_table(200_000, n_payload_cols=2)))
+    server.store("t", Table(uniform_table(200_000, n_payload_cols=2,
+                                          key_max=1_000_000, seed=11)))
     plan = QueryPlan((
         Filter(col("key") < 10_000),
         Aggregate((AggSpec(AggFunc.SUM, "val0"),)),

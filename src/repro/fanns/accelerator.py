@@ -116,7 +116,8 @@ class FannsAccelerator:
         config: FannsConfig = FannsConfig(),
         device: Device = ALVEO_U55C,
         enforce_fit: bool = True,
-        list_scale: int = 1,
+        *,
+        list_scale: int,
     ) -> None:
         if list_scale < 1:
             raise ValueError("list_scale must be >= 1")

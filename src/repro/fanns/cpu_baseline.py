@@ -45,7 +45,8 @@ class CpuAnnSearcher:
         self,
         shape: IndexShape,
         cpu: CpuModel | None = None,
-        list_scale: int = 1,
+        *,
+        list_scale: int,
     ) -> None:
         if list_scale < 1:
             raise ValueError("list_scale must be >= 1")

@@ -55,7 +55,8 @@ class DistributedFanns:
         n_nodes: int,
         config: FannsConfig = FannsConfig(),
         device: Device = ALVEO_U55C,
-        list_scale: int = 1,
+        *,
+        list_scale: int,
         cluster: FpgaCluster | None = None,
     ) -> None:
         if n_nodes < 1:

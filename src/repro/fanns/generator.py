@@ -66,9 +66,10 @@ class HardwareGenerator:
         index: IVFPQIndex,
         sample_queries: np.ndarray,
         ground_truth: np.ndarray,
-        k: int = 10,
+        k: int,
         device: Device = ALVEO_U55C,
-        list_scale: int = 1,
+        *,
+        list_scale: int,
     ) -> None:
         if sample_queries.shape[0] != ground_truth.shape[0]:
             raise ValueError("queries and ground truth disagree on count")

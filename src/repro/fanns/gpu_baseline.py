@@ -48,7 +48,8 @@ class GpuAnnSearcher:
         self,
         shape: IndexShape,
         gpu: GpuModel = V100,
-        list_scale: int = 1,
+        *,
+        list_scale: int,
         scan_ops_per_code: int = 8,
         full_utilization_batch: int = 64,
     ) -> None:

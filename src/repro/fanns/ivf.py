@@ -178,8 +178,8 @@ def build_ivfpq(
     base: np.ndarray,
     nlist: int,
     m: int,
-    ksub: int = 256,
-    seed: int = 0,
+    ksub: int,
+    seed: int,
 ) -> IVFPQIndex:
     """Train and populate an IVF-PQ index over ``base`` vectors."""
     base = np.ascontiguousarray(base, dtype=np.float32)

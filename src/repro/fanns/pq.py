@@ -139,9 +139,9 @@ def _code_distances(rows: np.ndarray, codebook: np.ndarray,
 def train_pq(
     vectors: np.ndarray,
     m: int,
-    ksub: int = 256,
+    ksub: int,
+    seed: int,
     max_iterations: int = 15,
-    seed: int = 0,
 ) -> ProductQuantizer:
     """Train a product quantizer on ``vectors``.
 

@@ -51,6 +51,7 @@ def _egress_model(server: FarviewServer) -> MemoryModel:
         latency_ps=server.protocol.message_ps(0),
         bandwidth_bytes_per_sec=link.bandwidth_bytes_per_sec,
         min_burst_bytes=link.mtu_bytes,
+        random_efficiency=1.0,
     )
 
 
@@ -62,6 +63,7 @@ def _memory_model(server: FarviewServer) -> MemoryModel:
         latency_ps=int(server.memory_latency_s * _PS),
         bandwidth_bytes_per_sec=server.memory_bandwidth,
         min_burst_bytes=64,
+        random_efficiency=1.0,
     )
 
 

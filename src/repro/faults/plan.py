@@ -70,7 +70,7 @@ class FaultPlan:
         Statically scheduled :class:`NodeOutage` intervals.
     """
 
-    seed: int = 0
+    seed: int
     drop_rate: float = 0.0
     spike_rate: float = 0.0
     spike_ps: tuple[int, int] = (1_000_000, 10_000_000)

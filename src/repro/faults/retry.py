@@ -46,11 +46,11 @@ class RetryPolicy:
         Fractional uniform jitter (0.2 = ±20%) applied to each backoff.
     """
 
-    max_attempts: int = 3
-    timeout_ps: int = 50_000_000  # 50 us
-    backoff_base_ps: int = 1_000_000  # 1 us
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.2
+    max_attempts: int
+    timeout_ps: int
+    backoff_base_ps: int
+    backoff_multiplier: float
+    jitter: float
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

@@ -33,7 +33,7 @@ def _check_key(key: int) -> int:
 class HashTable:
     """Bucketized linear-probing hash table (int64 keys and values)."""
 
-    def __init__(self, n_buckets: int = 1024, slots_per_bucket: int = 8) -> None:
+    def __init__(self, n_buckets: int, slots_per_bucket: int) -> None:
         if n_buckets < 1 or n_buckets & (n_buckets - 1):
             raise ValueError("n_buckets must be a positive power of two")
         if slots_per_bucket < 1:

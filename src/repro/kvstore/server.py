@@ -105,8 +105,9 @@ class SmartNicKvServer(_KvServerBase):
         table: HashTable,
         protocol: ProtocolModel | None = None,
         memory: MemoryModel | None = None,
-        n_memory_channels: int = 4,
-        value_bytes: int = 64,
+        *,
+        n_memory_channels: int,
+        value_bytes: int,
     ) -> None:
         super().__init__(table)
         if n_memory_channels < 1:
@@ -160,7 +161,8 @@ class SoftwareKvServer(_KvServerBase):
         table: HashTable,
         protocol: ProtocolModel | None = None,
         cpu: CpuModel | None = None,
-        value_bytes: int = 64,
+        *,
+        value_bytes: int,
     ) -> None:
         super().__init__(table)
         if value_bytes < 1:

@@ -50,7 +50,7 @@ def cpu_compaction_bandwidth(cpu: CpuModel, cores: int) -> float:
     return min(compute, memory)
 
 
-def fpga_compaction_bandwidth(n_merge_trees: int = 2) -> float:
+def fpga_compaction_bandwidth(n_merge_trees: int) -> float:
     """Bytes/s of the FPGA merge-tree accelerator.
 
     Each merge tree emits 64 B per cycle at 300 MHz (19.2 GB/s) and is

@@ -108,8 +108,8 @@ class LsmStore:
         leveled compaction).
     """
 
-    def __init__(self, memtable_limit: int = 4096, level0_limit: int = 4,
-                 fanout: int = 4) -> None:
+    def __init__(self, memtable_limit: int, level0_limit: int,
+                 fanout: int) -> None:
         if memtable_limit < 1:
             raise ValueError("memtable_limit must be >= 1")
         if level0_limit < 1:

@@ -92,7 +92,7 @@ class BankedMemory:
         self,
         key: str,
         nbytes: int,
-        expected_traffic: float = 1.0,
+        expected_traffic: float,
         channel: int | None = None,
     ) -> Allocation:
         """Place region ``key`` (``nbytes``) on a channel.
@@ -129,7 +129,7 @@ class BankedMemory:
         self,
         key: str,
         nbytes: int,
-        expected_traffic: float = 1.0,
+        expected_traffic: float,
         n_shards: int | None = None,
     ) -> list[Allocation]:
         """Place a region as equal shards across several channels.

@@ -54,8 +54,8 @@ class MemoryModel:
     capacity_bytes: int
     latency_ps: int
     bandwidth_bytes_per_sec: float
-    min_burst_bytes: int = 1
-    random_efficiency: float = 1.0
+    min_burst_bytes: int
+    random_efficiency: float
     row_cycle_ps: int = 0
 
     def __post_init__(self) -> None:

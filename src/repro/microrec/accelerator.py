@@ -111,7 +111,6 @@ class MicroRecAccelerator:
         plan: CartesianPlan | None = None,
         config: MicroRecConfig = MicroRecConfig(),
         device: Device = ALVEO_U280,
-        seed: int = 0,
         tracer=None,
     ) -> None:
         self.config = config
@@ -153,7 +152,7 @@ class MicroRecAccelerator:
                 )
             else:
                 self._hbm.allocate(f"t{idx}", sizes[idx], expected_traffic=1.0)
-        self.mlp = Mlp(spec.concat_width, spec.mlp_layers, seed=seed)
+        self.mlp = Mlp(spec.concat_width, spec.mlp_layers)
 
     # -- performance model ---------------------------------------------------
 

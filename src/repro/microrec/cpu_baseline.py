@@ -29,11 +29,10 @@ class CpuRecommender:
         self,
         spec: RecModelSpec,
         cpu: CpuModel | None = None,
-        seed: int = 0,
     ) -> None:
         self.spec = spec
         self.cpu = cpu or xeon_server()
-        self.mlp = Mlp(spec.concat_width, spec.mlp_layers, seed=seed)
+        self.mlp = Mlp(spec.concat_width, spec.mlp_layers)
 
     def _lookup_time_s(self, batch: int, parallel: bool) -> float:
         spec = self.spec

@@ -27,21 +27,20 @@ class Mlp:
 
     Layer ``l`` maps ``widths[l]`` to ``widths[l + 1]`` features.  Its
     float32 weights and biases are drawn, layer by layer, from one
-    generator seeded with ``seed`` on the first :meth:`forward`.
+    generator with a fixed seed on the first :meth:`forward`: no table
+    reads a logit, so the weights are never a modelling choice.
     """
 
     def __init__(
         self,
         input_width: int,
         hidden_layers: tuple[int, ...],
-        seed: int = 0,
     ) -> None:
         if input_width < 1:
             raise ValueError("input width must be >= 1")
         if any(w < 1 for w in hidden_layers):
             raise ValueError("hidden widths must be >= 1")
         self.widths = (input_width, *hidden_layers, 1)
-        self.seed = seed
         self._params: tuple[list[np.ndarray], list[np.ndarray]] | None = None
 
     @property
@@ -62,7 +61,7 @@ class Mlp:
     def parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``(weights, biases)``, drawn on the first call."""
         if self._params is None:
-            rng = np.random.default_rng(self.seed)
+            rng = np.random.default_rng(0)
             weights: list[np.ndarray] = []
             biases: list[np.ndarray] = []
             for fan_in, fan_out in self.layer_shapes:
@@ -97,7 +96,7 @@ class Mlp:
 
 def fpga_mlp_latency_s(
     mlp: Mlp,
-    n_dsp_macs: int = 2048,
+    n_dsp_macs: int,
     clock: ClockDomain = FABRIC_300MHZ,
     pipeline_depth: int = 32,
 ) -> float:

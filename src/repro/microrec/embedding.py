@@ -79,7 +79,7 @@ class EmbeddingTables:
     occupy if stored, derived from the spec.
     """
 
-    def __init__(self, spec: RecModelSpec, seed: int = 0) -> None:
+    def __init__(self, spec: RecModelSpec, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be >= 0")
         self.spec = spec

@@ -9,8 +9,10 @@ MLPs stop starving the lookup pipeline and vice versa.
 
 :class:`GpuModel` is a roofline GPU (tensor-core FLOP/s, HBM bandwidth,
 kernel-launch latency); :class:`FleetRecCluster` composes lookup nodes,
-GPU nodes and the fabric into a staged pipeline and reports the same
-outcome shape as :class:`~repro.microrec.accelerator.MicroRecAccelerator`.
+GPU nodes and the fabric into a staged pipeline.  Like
+:class:`~repro.microrec.accelerator.MicroRecAccelerator`, it is built
+from a :class:`~repro.workloads.traces.RecModelSpec` and prices a batch
+from its size alone.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..network.fabric import SwitchedFabric
 from ..network.protocol import ProtocolModel, fpga_tcp
+from ..workloads.traces import RecModelSpec
 from .accelerator import MicroRecAccelerator, MicroRecConfig
-from .embedding import EmbeddingTables
 
 __all__ = ["FleetRecCluster", "FleetRecOutcome", "GpuModel", "V100", "A100"]
 
@@ -62,9 +62,8 @@ A100 = GpuModel(name="A100", flops=78e12, hbm_bandwidth=1555e9)
 
 @dataclass(frozen=True)
 class FleetRecOutcome:
-    """Logits plus the staged-pipeline timing."""
+    """The staged-pipeline timing of one batch."""
 
-    logits: np.ndarray
     lookup_s: float     # FPGA tier, for the batch
     network_s: float    # feature shipping, for the batch
     dnn_s: float        # GPU tier, for the batch
@@ -78,30 +77,26 @@ class FleetRecCluster:
 
     def __init__(
         self,
-        tables: EmbeddingTables,
-        n_lookup_nodes: int = 1,
-        n_gpu_nodes: int = 1,
+        spec: RecModelSpec,
+        n_lookup_nodes: int,
+        n_gpu_nodes: int,
         gpu: GpuModel = V100,
         config: MicroRecConfig = MicroRecConfig(),
         protocol: ProtocolModel | None = None,
-        seed: int = 0,
     ) -> None:
         if n_lookup_nodes < 1 or n_gpu_nodes < 1:
             raise ValueError("need at least one node per tier")
-        self.tables = tables
         self.n_lookup_nodes = n_lookup_nodes
         self.n_gpu_nodes = n_gpu_nodes
         self.gpu = gpu
         # Each lookup node serves a slice of the tables; we model the
         # tier with one accelerator handling 1/N of the lookups.
-        self._lookup_node = MicroRecAccelerator(
-            tables.spec, config=config, seed=seed
-        )
+        self._lookup_node = MicroRecAccelerator(spec, config=config)
         self.fabric = SwitchedFabric(
             protocol or fpga_tcp(), n_lookup_nodes + n_gpu_nodes
         )
         self.mlp = self._lookup_node.mlp
-        self._feature_bytes = tables.spec.concat_width * 4
+        self._feature_bytes = spec.concat_width * 4
 
     def _lookup_tier_s(self, batch: int) -> float:
         per_node_batch = math.ceil(batch / self.n_lookup_nodes)
@@ -118,14 +113,11 @@ class FleetRecCluster:
             self.mlp.n_macs, self.mlp.weight_nbytes, per_gpu
         )
 
-    def infer(self, trace: np.ndarray) -> FleetRecOutcome:
-        """Run a batch through lookup tier -> network -> GPU tier."""
-        trace = np.asarray(trace)
-        batch = trace.shape[0]
+    def price(self, batch: int) -> FleetRecOutcome:
+        """Modeled timing of ``batch`` inferences through lookup tier ->
+        network -> GPU tier."""
         if batch < 1:
             raise ValueError("batch must contain at least one inference")
-        features = self.tables.lookup(trace)
-        logits = self.mlp.forward(features)
         lookup_s = self._lookup_tier_s(batch)
         network_s = self._network_s(batch)
         dnn_s = self._gpu_tier_s(batch)
@@ -136,7 +128,6 @@ class FleetRecCluster:
             lookup_s, network_s, dnn_s
         )
         return FleetRecOutcome(
-            logits=logits,
             lookup_s=lookup_s,
             network_s=network_s,
             dnn_s=dnn_s,

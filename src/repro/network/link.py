@@ -44,7 +44,7 @@ class LinkModel:
 
     name: str
     bandwidth_bits_per_sec: float
-    propagation_ps: int = 500_000  # 0.5 us: in-rack cable + transceivers
+    propagation_ps: int
     frame_overhead_bytes: int = 78  # Eth+IP+TCP-ish framing
     mtu_bytes: int = 4096
 

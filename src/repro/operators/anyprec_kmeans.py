@@ -66,8 +66,8 @@ def anyprec_kmeans(
     points: np.ndarray,
     k: int,
     bits: int,
+    seed: int,
     max_iterations: int = 25,
-    seed: int = 0,
 ) -> AnyPrecisionResult:
     """Run k-means on the top ``bits`` bit planes of ``points``.
 

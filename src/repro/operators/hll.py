@@ -44,7 +44,7 @@ def _hash64(values: np.ndarray) -> np.ndarray:
 class HyperLogLog:
     """A dense HyperLogLog sketch with ``2**precision`` registers."""
 
-    def __init__(self, precision: int = 12) -> None:
+    def __init__(self, precision: int) -> None:
         if not 4 <= precision <= 18:
             raise ValueError("precision must be in 4..18")
         self.precision = precision
@@ -109,7 +109,7 @@ def _alpha(m: int) -> float:
 
 
 def hll_kernel_spec(
-    precision: int = 12, clock: ClockDomain = FABRIC_300MHZ
+    precision: int, clock: ClockDomain = FABRIC_300MHZ
 ) -> KernelSpec:
     """The synthesized HLL insertion kernel.
 

@@ -85,9 +85,9 @@ class RuleSet:
 def random_rules(
     n_rules: int,
     n_attrs: int,
-    selectivity: float = 0.3,
-    wildcard_fraction: float = 0.3,
-    seed: int = 0,
+    selectivity: float,
+    wildcard_fraction: float,
+    seed: int,
 ) -> RuleSet:
     """Generate rules whose per-attribute ranges cover ``selectivity``
     of a unit domain, with some attributes wildcarded."""

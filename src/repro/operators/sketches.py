@@ -38,7 +38,7 @@ def _row_hash(values: np.ndarray, seed: int, buckets: int) -> np.ndarray:
 class CountMinSketch:
     """A Count-Min sketch with ``depth`` rows of ``width`` counters."""
 
-    def __init__(self, width: int = 2048, depth: int = 4) -> None:
+    def __init__(self, width: int, depth: int) -> None:
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be >= 1")
         self.width = width

@@ -112,7 +112,7 @@ class Transform(Operator):
     """
 
     name: str
-    ops_per_byte: float = 1.0
+    ops_per_byte: float
 
     def __post_init__(self) -> None:
         if self.ops_per_byte < 0:

@@ -64,7 +64,7 @@ def _check_batch(backend: "Backend", batch: int) -> None:
         )
 
 
-def capacity_qps(backend: Backend, replicas: int = 1) -> float:
+def capacity_qps(backend: Backend, replicas: int) -> float:
     """Max sustainable request rate at full batches on ``replicas``."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -110,9 +110,9 @@ class FannsBackend:
     def __init__(
         self,
         shape,
-        nprobe: int = 16,
-        max_batch: int = 16,
-        list_scale: int = 1,
+        nprobe: int,
+        max_batch: int,
+        list_scale: int,
         config=None,
     ) -> None:
         from ..fanns.accelerator import FannsAccelerator, FannsConfig
@@ -142,7 +142,7 @@ class MicroRecBackend:
     the backend holds no embedding data.
     """
 
-    def __init__(self, spec, max_batch: int = 32, config=None) -> None:
+    def __init__(self, spec, max_batch: int, config=None) -> None:
         from ..microrec.accelerator import MicroRecAccelerator, MicroRecConfig
 
         if max_batch < 1:
@@ -175,7 +175,7 @@ class FarviewBackend:
     _REQUEST_BYTES = 128
 
     def __init__(self, server, plan, table_name: str,
-                 max_batch: int = 8) -> None:
+                 max_batch: int) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.name = "farview"

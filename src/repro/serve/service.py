@@ -67,7 +67,7 @@ class ServiceConfig:
 
     batch: BatchPolicy
     admission: AdmissionPolicy
-    replicas: int = 1
+    replicas: int
     autoscaler: AutoscalerPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -317,7 +317,7 @@ def simulate_service(
     backend: Backend,
     traffic: OpenLoopConfig,
     config: ServiceConfig,
-    seed: int = 0,
+    seed: int,
     plan=None,
     tracer=None,
 ) -> ServiceReport:

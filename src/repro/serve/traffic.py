@@ -70,9 +70,9 @@ class OpenLoopConfig:
     offered_qps: float
     n_requests: int
     slo_ps: int
+    burst_factor: float
     n_tenants: int = 8
     tenant_skew: float = 1.1
-    burst_factor: float = 1.0
     burst_len: int = 32
     priority_tenants: tuple[int, ...] = (0,)
 

@@ -16,9 +16,9 @@ __all__ = ["orders_table", "uniform_table", "grouped_table"]
 
 def uniform_table(
     n_rows: int,
-    n_payload_cols: int = 4,
-    key_max: int = 1_000_000,
-    seed: int = 11,
+    n_payload_cols: int,
+    key_max: int,
+    seed: int,
 ) -> dict[str, np.ndarray]:
     """A table with a uniform int64 ``key`` plus float64 payload columns.
 
@@ -37,8 +37,8 @@ def uniform_table(
     return table
 
 
-def orders_table(n_rows: int, n_customers: int = 1000,
-                 seed: int = 13) -> dict[str, np.ndarray]:
+def orders_table(n_rows: int, n_customers: int,
+                 seed: int) -> dict[str, np.ndarray]:
     """An orders-style fact table for group-by and join workloads."""
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -55,7 +55,7 @@ def orders_table(n_rows: int, n_customers: int = 1000,
 
 
 def grouped_table(
-    n_rows: int, n_groups: int, seed: int = 17
+    n_rows: int, n_groups: int, seed: int
 ) -> dict[str, np.ndarray]:
     """A (group, value) table, groups drawn uniformly."""
     if n_rows < 0:

@@ -6,8 +6,10 @@ the substitute preserves what the accelerator design exploits:
 * **many tables** (tens to hundreds) of wildly different cardinalities
   (a log-uniform spread from tens of rows to millions);
 * **one lookup per table per inference**;
-* **skew** in which rows are hit (Zipf), which drives the SRAM-vs-HBM
-  placement decision.
+* **skew** in which rows are hit (Zipf). The accelerator places tables
+  by size, smallest first, so skew moves no placement and no table; the
+  lookup rows feed only functional checks (e8's Cartesian decode,
+  ``MicroRecAccelerator.infer``).
 
 :class:`RecModelSpec` describes a model (table cardinalities, embedding
 dimension, MLP layer widths); :func:`lookup_trace` draws a batch of
@@ -16,7 +18,7 @@ per-table row ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,7 @@ class RecModelSpec:
     """
 
     table_rows: tuple[int, ...]
-    embedding_dim: int = 16
+    embedding_dim: int
     mlp_layers: tuple[int, ...] = (1024, 512, 256)
     bytes_per_value: int = 4
 
@@ -74,11 +76,11 @@ class RecModelSpec:
 
 
 def production_like_model(
-    n_tables: int = 47,
+    n_tables: int,
+    max_rows: int,
+    seed: int,
     embedding_dim: int = 16,
-    max_rows: int = 2_000_000,
     min_rows: int = 10,
-    seed: int = 23,
 ) -> RecModelSpec:
     """A model with a log-uniform spread of table cardinalities.
 
@@ -98,8 +100,8 @@ def production_like_model(
 def lookup_trace(
     spec: RecModelSpec,
     batch_size: int,
-    skew: float = 0.8,
-    seed: int = 29,
+    skew: float,
+    seed: int,
 ) -> np.ndarray:
     """Draw a ``(batch_size, n_tables)`` matrix of row ids.
 

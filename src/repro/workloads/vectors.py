@@ -59,10 +59,10 @@ def clustered_dataset(
     n: int,
     dim: int,
     n_queries: int,
-    gt_k: int = 10,
-    n_clusters: int = 64,
-    cluster_std: float = 0.15,
-    seed: int = 7,
+    gt_k: int,
+    n_clusters: int,
+    cluster_std: float,
+    seed: int,
 ) -> VectorDataset:
     """Generate a clustered Gaussian dataset with exact ground truth.
 

@@ -18,8 +18,8 @@ def test_simd_lanes():
 
 def test_compute_time_scales_inversely_with_parallelism():
     cpu = xeon_server()
-    serial = cpu.compute_time_s(1_000_000, parallel=False)
-    parallel = cpu.compute_time_s(1_000_000, parallel=True)
+    serial = cpu.compute_time_s(1_000_000, parallel=False, element_bytes=4)
+    parallel = cpu.compute_time_s(1_000_000, parallel=True, element_bytes=4)
     assert serial == pytest.approx(parallel * cpu.cores)
 
 
@@ -35,7 +35,7 @@ def test_scan_roofline_switches_regimes():
     heavy = cpu.scan_time_s(n, ops_per_byte=100.0)
     assert light == pytest.approx(cpu.stream_time_s(n))
     assert heavy > light
-    assert heavy == pytest.approx(cpu.compute_time_s(100 * n))
+    assert heavy == pytest.approx(cpu.compute_time_s(100 * n, element_bytes=4))
 
 
 def test_random_access_llc_vs_dram():
@@ -54,16 +54,17 @@ def test_random_access_wide_reads_cost_more_lines():
 
 def test_zero_work_costs_nothing():
     cpu = xeon_server()
-    assert cpu.compute_time_s(0) == 0.0
+    assert cpu.compute_time_s(0, element_bytes=4) == 0.0
     assert cpu.stream_time_s(0) == 0.0
     assert cpu.random_access_time_s(0, 64, 1) == 0.0
-    assert cpu.scan_time_s(0) == 0.0
+    assert cpu.scan_time_s(0, ops_per_byte=0.25) == 0.0
 
 
 def test_gemv_small_weights_compute_bound():
     cpu = xeon_server()
     t = cpu.gemv_time_s(256, 256)
-    assert t == pytest.approx(cpu.compute_time_s(256 * 256, parallel=False))
+    assert t == pytest.approx(cpu.compute_time_s(256 * 256, parallel=False,
+                                                 element_bytes=4))
 
 
 def test_gemv_large_weights_memory_bound():

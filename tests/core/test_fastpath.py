@@ -43,7 +43,8 @@ def _build_item_chain(sim, n_items, kernel_params, stream_depth=4,
     for i, (ii, depth) in enumerate(kernel_params):
         fn = fns[i] if fns else (lambda x: x)
         kernels.append(
-            ItemKernel(sim, KernelSpec(name=f"k{i}", ii=ii, depth=depth),
+            ItemKernel(sim, KernelSpec(name=f"k{i}", ii=ii, depth=depth,
+                                       unroll=1),
                        fn, streams[i], streams[i + 1])
         )
     return source, streams, kernels, Sink(sim, streams[-1])
@@ -124,7 +125,7 @@ def test_burst_chain_matches_engine():
         source = Source(sim, streams[0],
                         [Burst(i, count=i % 7 + 1) for i in range(60)])
         kernels = [
-            BurstKernel(sim, KernelSpec(name="k0", ii=2, depth=9),
+            BurstKernel(sim, KernelSpec(name="k0", ii=2, depth=9, unroll=1),
                         lambda b: b, streams[0], streams[1]),
             BurstKernel(sim, KernelSpec(name="k1", ii=1, depth=4, unroll=2),
                         lambda b: b, streams[1], streams[2]),
@@ -154,7 +155,8 @@ def test_multiple_independent_chains_match_engine():
             ]
             source = Source(sim, streams[0], range(50 * (c + 1)))
             kernels = [
-                ItemKernel(sim, KernelSpec(name=f"c{c}k", ii=c + 1, depth=4),
+                ItemKernel(sim, KernelSpec(name=f"c{c}k", ii=c + 1, depth=4,
+                                           unroll=1),
                            lambda x: x, streams[0], streams[1])
             ]
             parts.append((source, streams, kernels, Sink(sim, streams[1])))
@@ -329,7 +331,7 @@ def test_burst_type_error_still_raised():
     sim = Simulator()
     streams = [Stream(sim, depth=2, name=f"s{i}") for i in range(2)]
     Source(sim, streams[0], range(5))  # raw ints into a BurstKernel
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1),
+    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
                 lambda b: b, streams[0], streams[1])
     Sink(sim, streams[1])
     with pytest.raises(TypeError):
@@ -346,7 +348,7 @@ def test_burst_output_type_error_still_raised():
     sim = Simulator()
     streams = [Stream(sim, depth=2, name=f"s{i}") for i in range(2)]
     Source(sim, streams[0], [Burst(i, count=2) for i in range(5)])
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1),
+    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
                 lambda b: b.payload, streams[0], streams[1])  # raw ints out
     Sink(sim, streams[1])
     with pytest.raises(TypeError, match="'k' expected Burst"):
@@ -360,7 +362,7 @@ def test_type_error_leaves_every_chain_uncommitted():
     source, streams, kernels, sink = _build_item_chain(sim, 10, [(1, 2)])
     bad_in, bad_out = Stream(sim, depth=2), Stream(sim, depth=2)
     Source(sim, bad_in, range(3))
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1),
+    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
                 lambda b: b, bad_in, bad_out)
     Sink(sim, bad_out)
     with pytest.raises(TypeError):

@@ -11,7 +11,7 @@ from repro.core.stream import Burst, Stream
 
 
 def test_latency_formula_matches_hls():
-    spec = KernelSpec("k", ii=2, depth=10)
+    spec = KernelSpec("k", ii=2, depth=10, unroll=1)
     # depth + (n-1) * ii
     assert spec.latency_cycles(1) == 10
     assert spec.latency_cycles(5) == 10 + 4 * 2
@@ -26,8 +26,8 @@ def test_unroll_divides_initiations():
 
 
 def test_throughput_scales_with_unroll_and_ii():
-    base = KernelSpec("k", ii=1, depth=1, clock=FABRIC_300MHZ)
-    slow = KernelSpec("k2", ii=4, depth=1, clock=FABRIC_300MHZ)
+    base = KernelSpec("k", ii=1, depth=1, clock=FABRIC_300MHZ, unroll=1)
+    slow = KernelSpec("k2", ii=4, depth=1, clock=FABRIC_300MHZ, unroll=1)
     wide = KernelSpec("k3", ii=1, depth=1, unroll=8, clock=FABRIC_300MHZ)
     assert slow.throughput_items_per_sec() == pytest.approx(
         base.throughput_items_per_sec() / 4
@@ -39,11 +39,11 @@ def test_throughput_scales_with_unroll_and_ii():
 
 def test_invalid_spec_parameters_rejected():
     with pytest.raises(ValueError):
-        KernelSpec("k", ii=0)
+        KernelSpec("k", ii=0, depth=1, unroll=1)
     with pytest.raises(ValueError):
-        KernelSpec("k", depth=0)
+        KernelSpec("k", depth=0, ii=1, unroll=1)
     with pytest.raises(ValueError):
-        KernelSpec("k", unroll=0)
+        KernelSpec("k", unroll=0, ii=1, depth=1)
 
 
 def _run_burst_chain(specs, bursts, fn=None):
@@ -61,7 +61,7 @@ def _run_burst_chain(specs, bursts, fn=None):
 
 
 def test_burst_kernel_timing_single_burst():
-    spec = KernelSpec("k", ii=2, depth=10, clock=FABRIC_300MHZ)
+    spec = KernelSpec("k", ii=2, depth=10, clock=FABRIC_300MHZ, unroll=1)
     n = 100
     sim, sink = _run_burst_chain([spec], [Burst(payload=None, count=n)])
     assert sink.done_at_ps == spec.clock.cycles_to_ps(spec.latency_cycles(n))
@@ -69,7 +69,7 @@ def test_burst_kernel_timing_single_burst():
 
 
 def test_burst_kernel_functional_transform():
-    spec = KernelSpec("double", ii=1, depth=1)
+    spec = KernelSpec("double", ii=1, depth=1, unroll=1)
 
     def double(burst):
         return Burst(payload=[2 * x for x in burst.payload], count=burst.count)
@@ -81,7 +81,7 @@ def test_burst_kernel_functional_transform():
 
 
 def test_burst_kernel_can_drop_bursts():
-    spec = KernelSpec("filter", ii=1, depth=1)
+    spec = KernelSpec("filter", ii=1, depth=1, unroll=1)
 
     def drop_odd(burst):
         return burst if burst.meta.get("keep") else None
@@ -102,7 +102,7 @@ def test_burst_kernel_can_drop_bursts():
 
 
 def test_item_kernel_matches_hls_latency():
-    spec = KernelSpec("k", ii=3, depth=12, clock=FABRIC_300MHZ)
+    spec = KernelSpec("k", ii=3, depth=12, clock=FABRIC_300MHZ, unroll=1)
     sim = Simulator()
     s_in = Stream(sim, depth=2)
     s_out = Stream(sim, depth=2)
@@ -116,7 +116,7 @@ def test_item_kernel_matches_hls_latency():
 
 
 def test_item_kernel_rejects_unrolled_spec():
-    spec = KernelSpec("k", unroll=2)
+    spec = KernelSpec("k", unroll=2, ii=1, depth=1)
     sim = Simulator()
     with pytest.raises(ValueError):
         ItemKernel(sim, spec, lambda x: x, Stream(sim), Stream(sim))
@@ -130,7 +130,7 @@ def test_item_kernel_rejects_unrolled_spec():
 )
 def test_property_burst_and_item_kernels_agree_on_total_cycles(ii, depth, n):
     """The burst abstraction must not change the total cycle count."""
-    spec = KernelSpec("k", ii=ii, depth=depth)
+    spec = KernelSpec("k", ii=ii, depth=depth, unroll=1)
 
     # Item-mode run.
     sim_a = Simulator()
@@ -153,8 +153,8 @@ def test_property_burst_and_item_kernels_agree_on_total_cycles(ii, depth, n):
 
 def test_chain_of_burst_kernels_fill_latency_accumulates():
     specs = [
-        KernelSpec("k1", ii=1, depth=5),
-        KernelSpec("k2", ii=1, depth=7),
+        KernelSpec("k1", ii=1, depth=5, unroll=1),
+        KernelSpec("k2", ii=1, depth=7, unroll=1),
     ]
     n = 50
     sim, sink = _run_burst_chain(specs, [Burst(payload=None, count=n)])

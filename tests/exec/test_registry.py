@@ -57,10 +57,10 @@ def test_spec_prepare_uses_the_same_contexts():
     e5_ctx = build_spec("e5").prepare()
     assert e5_ctx["data"] is contexts.fanns_dataset()
     assert e5_ctx["index"] is contexts.fanns_index()
+    # e7 and e9 only price: their context is the spec, no tables.
     e7_ctx = build_spec("e7").prepare()
+    assert e7_ctx == {"model": contexts.microrec_model()}
     assert e7_ctx["model"] is contexts.microrec_model()
-    assert e7_ctx["tables"] is contexts.microrec_tables()
-    # e9 only prices lookups: its context is the spec, no tables.
     assert build_spec("e9").prepare() == {"model": contexts.microrec_model()}
     e16_ctx = build_spec("e16").prepare()
     assert e16_ctx["index"] is contexts.fanns_index()

@@ -1,7 +1,8 @@
 """Systems cells do their functional work once, on the columns it reads.
 
 e17 runs its operations once, in prepare, and each cell prices both
-servers from that run; e2 draws only the two columns its plan reads.
+servers from that run; e2 draws only the two columns its plan reads;
+e20's assemble fails a named claim when a placement has no row.
 """
 
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 from repro import kvstore
 from repro.exec.experiments.core import e2_cell
+from repro.exec.experiments.operators import e20_assemble
 from repro.exec.experiments.storage import (
     _E17_VALUE_BYTES,
     _e17_ops,
@@ -71,3 +73,19 @@ def test_e2_cell_draws_only_the_columns_it_reads():
         tracemalloc.stop()
     # key + val0 over 4M rows take 64 MiB; the unread val1 would add 32.
     assert peak < 72 * 2**20
+
+
+@pytest.mark.parametrize("placement, claim", [
+    ("hbm", r"small build sides \(BRAM\)"),
+    ("bram", r"huge build sides \(HBM\)"),
+])
+def test_e20_without_a_placement_fails_its_claim(placement, claim):
+    """A model that places every build side in one memory fails the
+    claim that names the other, not a lookup of the missing placement."""
+    rows = [
+        {"n_build": n, "placement": placement, "fpga_rate": 3e9,
+         "cpu_rate": 1e9}
+        for n in (100_000, 100_000_000)
+    ]
+    with pytest.raises(AssertionError, match=claim):
+        e20_assemble(rows)

@@ -39,7 +39,7 @@ def test_default_config_fits_u55c():
 def test_misfit_config_raises_resource_warning():
     config = FannsConfig(n_distance_pes=4096, n_adc_pes=4096)
     with pytest.raises(ResourceWarning, match=ALVEO_U55C.name):
-        FannsAccelerator(_INDEX.shape, config)
+        FannsAccelerator(_INDEX.shape, config, list_scale=1)
 
 
 def test_accelerator_recall_matches_index():
@@ -49,7 +49,7 @@ def test_accelerator_recall_matches_index():
 
 
 def test_stage_times_positive_and_latency_is_sum():
-    accel = FannsAccelerator(_INDEX.shape)
+    accel = FannsAccelerator(_INDEX.shape, list_scale=1)
     stages = accel.stage_times(nprobe=8)
     parts = [stages.coarse_s, stages.select_s, stages.lut_s,
              stages.scan_s, stages.topk_drain_s]
@@ -59,18 +59,20 @@ def test_stage_times_positive_and_latency_is_sum():
 
 
 def test_qps_decreases_with_nprobe():
-    accel = FannsAccelerator(_INDEX.shape)
+    accel = FannsAccelerator(_INDEX.shape, list_scale=1)
     assert accel.price(2, 1).qps > accel.price(32, 1).qps
 
 
 def test_more_adc_pes_speed_up_scan():
-    slow = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=8))
-    fast = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=64))
+    slow = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=8),
+                            list_scale=1)
+    fast = FannsAccelerator(_INDEX.shape, FannsConfig(n_adc_pes=64),
+                            list_scale=1)
     assert fast.stage_times(32).scan_s <= slow.stage_times(32).scan_s
 
 
 def test_batch_time_pipelines_queries():
-    accel = FannsAccelerator(_INDEX.shape)
+    accel = FannsAccelerator(_INDEX.shape, list_scale=1)
     n = _DS.queries.shape[0]
     out = accel.price(8, n)
     serial = n * out.stages.latency_s
@@ -79,7 +81,7 @@ def test_batch_time_pipelines_queries():
 
 
 def test_nprobe_validation():
-    accel = FannsAccelerator(_INDEX.shape)
+    accel = FannsAccelerator(_INDEX.shape, list_scale=1)
     with pytest.raises(ValueError):
         accel.stage_times(0)
     with pytest.raises(ValueError):
@@ -88,8 +90,8 @@ def test_nprobe_validation():
 
 def test_fpga_beats_cpu_on_latency():
     """The FANNS claim: accelerator latency is well below CPU latency."""
-    accel = FannsAccelerator(_INDEX.shape)
-    cpu = CpuAnnSearcher(_INDEX.shape)
+    accel = FannsAccelerator(_INDEX.shape, list_scale=1)
+    cpu = CpuAnnSearcher(_INDEX.shape, list_scale=1)
     stats = SearchStats()
     _INDEX.search(_DS.queries, 10, 16, stats=stats)
     a = accel.price(16, len(_DS.queries))
@@ -98,7 +100,7 @@ def test_fpga_beats_cpu_on_latency():
 
 
 def test_cpu_outcome_counts():
-    cpu = CpuAnnSearcher(_INDEX.shape)
+    cpu = CpuAnnSearcher(_INDEX.shape, list_scale=1)
     stats = SearchStats()
     _INDEX.search(_DS.queries, 10, 8, stats=stats)
     out = cpu.price(stats)
@@ -113,7 +115,8 @@ def test_cpu_outcome_counts():
 
 def _generator():
     return HardwareGenerator(
-        _INDEX, _DS.queries, _DS.ground_truth, k=10, device=ALVEO_U55C
+        _INDEX, _DS.queries, _DS.ground_truth, k=10, device=ALVEO_U55C,
+        list_scale=1
     )
 
 
@@ -170,9 +173,11 @@ def test_explore_validation():
 
 def test_generator_constructor_validation():
     with pytest.raises(ValueError):
-        HardwareGenerator(_INDEX, _DS.queries, _DS.ground_truth[:5], k=10)
+        HardwareGenerator(_INDEX, _DS.queries, _DS.ground_truth[:5], k=10,
+                          list_scale=1)
     with pytest.raises(ValueError):
-        HardwareGenerator(_INDEX, _DS.queries, _DS.ground_truth, k=99)
+        HardwareGenerator(_INDEX, _DS.queries, _DS.ground_truth, k=99,
+                          list_scale=1)
 
 
 def test_higher_recall_target_costs_qps():

@@ -15,7 +15,7 @@ _INDEX = build_ivfpq(_DS.base, nlist=32, m=4, ksub=64, seed=11)
 
 
 def test_sharded_result_equals_single_node():
-    dist = DistributedFanns(_INDEX, n_nodes=4)
+    dist = DistributedFanns(_INDEX, n_nodes=4, list_scale=1)
     out = dist.search(_DS.queries, k=10, nprobe=16)
     single = _INDEX.search(_DS.queries, 10, 16)
     assert np.array_equal(out.ids, single)
@@ -25,7 +25,7 @@ def test_sharded_search_matches_single_node_for_every_shard_count():
     """The distributed algorithm (per-node scans and top-k cuts, a
     root merge) returns exactly the single-node ids."""
     for n_nodes in (1, 2, 3, 4, 5):
-        dist = DistributedFanns(_INDEX, n_nodes=n_nodes)
+        dist = DistributedFanns(_INDEX, n_nodes=n_nodes, list_scale=1)
         for nprobe in (1, 4, 16, 32):
             sharded = dist.search(_DS.queries, k=10, nprobe=nprobe).ids
             single = _INDEX.search(_DS.queries, 10, nprobe)
@@ -51,15 +51,15 @@ def test_latency_includes_gather_and_merge():
 
 
 def test_single_node_has_no_gather_cost():
-    dist = DistributedFanns(_INDEX, n_nodes=1)
+    dist = DistributedFanns(_INDEX, n_nodes=1, list_scale=1)
     out = dist.search(_DS.queries, 10, 8)
     assert out.gather_s == 0.0
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        DistributedFanns(_INDEX, n_nodes=0)
-    dist = DistributedFanns(_INDEX, n_nodes=2)
+        DistributedFanns(_INDEX, n_nodes=0, list_scale=1)
+    dist = DistributedFanns(_INDEX, n_nodes=2, list_scale=1)
     with pytest.raises(ValueError):
         dist.search(_DS.queries, k=0, nprobe=4)
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_sharded_search_matches_single_node_under_exact_ties():
     index, queries = _duplicate_setup()
     single = index.search(queries, 10, 8)
     for n_nodes in (1, 2, 3, 4, 5):
-        dist = DistributedFanns(index, n_nodes=n_nodes)
+        dist = DistributedFanns(index, n_nodes=n_nodes, list_scale=1)
         sharded = dist.search(queries, k=10, nprobe=8).ids
         assert np.array_equal(sharded, single), f"n_nodes={n_nodes}"
 

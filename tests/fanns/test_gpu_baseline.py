@@ -51,11 +51,11 @@ def test_bigger_gpu_is_faster():
 
 
 def test_outcome_consistency_and_validation():
-    gpu = GpuAnnSearcher(_INDEX.shape)
+    gpu = GpuAnnSearcher(_INDEX.shape, list_scale=1)
     out = gpu.price(_stats(_DS.queries, 4))
     assert out.batch_time_s > 0
     assert out.qps == pytest.approx(30 / out.batch_time_s)
     with pytest.raises(ValueError):
         GpuAnnSearcher(_INDEX.shape, list_scale=0)
     with pytest.raises(ValueError):
-        GpuAnnSearcher(_INDEX.shape, scan_ops_per_code=0)
+        GpuAnnSearcher(_INDEX.shape, scan_ops_per_code=0, list_scale=1)

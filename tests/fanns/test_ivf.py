@@ -99,11 +99,12 @@ def test_search_validation():
 
 def test_build_validation():
     with pytest.raises(ValueError):
-        build_ivfpq(_DS.base, nlist=0, m=4)
+        build_ivfpq(_DS.base, nlist=0, m=4, ksub=256, seed=0)
     with pytest.raises(ValueError):
-        build_ivfpq(_DS.base, nlist=10_000_000, m=4)
+        build_ivfpq(_DS.base, nlist=10_000_000, m=4, ksub=256, seed=0)
     with pytest.raises(ValueError):
-        build_ivfpq(np.zeros(8, dtype=np.float32), nlist=1, m=4)
+        build_ivfpq(np.zeros(8, dtype=np.float32), nlist=1, m=4, ksub=256,
+                    seed=0)
 
 
 def test_recall_metric_validation():

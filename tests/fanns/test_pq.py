@@ -17,7 +17,7 @@ def _vectors(n=600, dim=16, seed=0):
 
 
 def test_shapes_and_properties():
-    pq = train_pq(_vectors(), m=4, ksub=32)
+    pq = train_pq(_vectors(), m=4, ksub=32, seed=0)
     assert pq.m == 4
     assert pq.ksub == 32
     assert pq.dsub == 4
@@ -26,7 +26,7 @@ def test_shapes_and_properties():
 
 
 def test_encode_produces_valid_codes():
-    pq = train_pq(_vectors(), m=4, ksub=16)
+    pq = train_pq(_vectors(), m=4, ksub=16, seed=0)
     codes = pq.encode(_vectors(seed=1))
     assert codes.shape == (600, 4)
     assert codes.dtype == np.uint8
@@ -36,7 +36,7 @@ def test_encode_produces_valid_codes():
 def test_encode_is_the_nearest_code_under_one_distance_matrix():
     """Under 2,048 rows the encoder assigns one block, so its codes are
     the argmin of ``|p|^2 - 2 p.c + |c|^2`` over the whole matrix."""
-    pq = train_pq(_vectors(), m=4, ksub=16)
+    pq = train_pq(_vectors(), m=4, ksub=16, seed=0)
     vectors = _vectors(n=1500, seed=2)
     want = np.empty((1500, pq.m), dtype=np.uint8)
     for sub in range(pq.m):
@@ -49,7 +49,7 @@ def test_encode_is_the_nearest_code_under_one_distance_matrix():
 
 
 def test_successive_encodes_are_independent():
-    pq = train_pq(_vectors(), m=4, ksub=16)
+    pq = train_pq(_vectors(), m=4, ksub=16, seed=0)
     first = pq.encode(_vectors(n=2500, seed=1))
     kept = first.copy()
     second = pq.encode(_vectors(n=2500, seed=2))
@@ -60,7 +60,7 @@ def test_successive_encodes_are_independent():
 
 def test_roundtrip_error_bounded():
     vectors = _vectors()
-    pq = train_pq(vectors, m=8, ksub=64)
+    pq = train_pq(vectors, m=8, ksub=64, seed=0)
     recon = pq.decode(pq.encode(vectors))
     err = ((vectors - recon) ** 2).sum(axis=1).mean()
     baseline = ((vectors - vectors.mean(axis=0)) ** 2).sum(axis=1).mean()
@@ -80,7 +80,7 @@ def test_more_subspaces_reduce_error():
 def test_adc_matches_decoded_distance():
     """ADC distance == exact distance to the *reconstructed* vector."""
     vectors = _vectors(seed=3)
-    pq = train_pq(vectors, m=4, ksub=32)
+    pq = train_pq(vectors, m=4, ksub=32, seed=0)
     codes = pq.encode(vectors[:50])
     recon = pq.decode(codes)
     query = vectors[100]
@@ -126,7 +126,7 @@ def test_search_ids_unchanged_against_reference_adc(m, monkeypatch):
         cluster_std=0.2, seed=5,
     )
     index = build_ivfpq(data.base, nlist=12, m=m, ksub=32, seed=5)
-    dist = DistributedFanns(index, n_nodes=3)
+    dist = DistributedFanns(index, n_nodes=3, list_scale=1)
 
     def search():
         return (
@@ -142,13 +142,13 @@ def test_search_ids_unchanged_against_reference_adc(m, monkeypatch):
 
 
 def test_adc_empty_codes():
-    pq = train_pq(_vectors(), m=4, ksub=16)
+    pq = train_pq(_vectors(), m=4, ksub=16, seed=0)
     table = pq.adc_table(_vectors()[0])
     assert pq.adc_distances(table, np.empty((0, 4), dtype=np.uint8)).shape == (0,)
 
 
 def test_dimension_validation():
-    pq = train_pq(_vectors(), m=4, ksub=16)
+    pq = train_pq(_vectors(), m=4, ksub=16, seed=0)
     with pytest.raises(ValueError):
         pq.encode(np.zeros((3, 10), dtype=np.float32))
     with pytest.raises(ValueError):
@@ -159,13 +159,13 @@ def test_dimension_validation():
 
 def test_training_validation():
     with pytest.raises(ValueError):
-        train_pq(_vectors(), m=3)  # 16 % 3 != 0
+        train_pq(_vectors(), m=3, ksub=256, seed=0)  # 16 % 3 != 0
     with pytest.raises(ValueError):
-        train_pq(_vectors(), m=4, ksub=300)
+        train_pq(_vectors(), m=4, ksub=300, seed=0)
     with pytest.raises(ValueError):
-        train_pq(_vectors(n=10), m=4, ksub=64)  # too few samples
+        train_pq(_vectors(n=10), m=4, ksub=64, seed=0)  # too few samples
     with pytest.raises(ValueError):
-        train_pq(np.zeros(16, dtype=np.float32), m=4)
+        train_pq(np.zeros(16, dtype=np.float32), m=4, ksub=256, seed=0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -175,7 +175,7 @@ def test_training_validation():
 )
 def test_property_adc_is_nonnegative_and_finite(m, ksub):
     vectors = _vectors(n=200, dim=8, seed=9)
-    pq = train_pq(vectors, m=m, ksub=ksub, max_iterations=5)
+    pq = train_pq(vectors, m=m, ksub=ksub, max_iterations=5, seed=0)
     codes = pq.encode(vectors)
     table = pq.adc_table(vectors[0])
     d = pq.adc_distances(table, codes)

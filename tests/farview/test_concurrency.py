@@ -18,7 +18,8 @@ from repro.workloads import uniform_table
 
 def _setup(n_rows=200_000):
     server = FarviewServer()
-    server.store("t", Table(uniform_table(n_rows, n_payload_cols=2)))
+    server.store("t", Table(uniform_table(n_rows, n_payload_cols=2,
+                                          key_max=1_000_000, seed=11)))
     plan = QueryPlan((
         Filter(col("key") < 10_000),
         Aggregate((AggSpec(AggFunc.SUM, "val0"),)),

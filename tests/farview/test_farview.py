@@ -25,7 +25,8 @@ from repro.workloads.tables import grouped_table, uniform_table
 
 def _server_with_table(n_rows=10_000, seed=1):
     server = FarviewServer()
-    table = Table(uniform_table(n_rows, n_payload_cols=4, seed=seed))
+    table = Table(uniform_table(n_rows, n_payload_cols=4, seed=seed,
+                                key_max=1_000_000))
     server.store("t", table)
     return server, table
 
@@ -139,7 +140,8 @@ def test_pipeline_resource_check():
 
 
 def test_offload_invalid_memory_parameters():
-    table = Table(uniform_table(10))
+    table = Table(uniform_table(10, n_payload_cols=4, key_max=1_000_000,
+                                seed=11))
     with pytest.raises(ValueError):
         offload_query(QueryPlan(), table, memory_bandwidth_bytes_per_sec=0,
                       memory_latency_s=0, protocol=fpga_rdma())

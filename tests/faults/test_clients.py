@@ -14,7 +14,8 @@ from repro.workloads.tables import uniform_table
 
 def _client(n_rows=5_000):
     server = FarviewServer()
-    server.store("t", Table(uniform_table(n_rows, n_payload_cols=2, seed=1)))
+    server.store("t", Table(uniform_table(n_rows, n_payload_cols=2, seed=1,
+                                          key_max=1_000_000)))
     return FarviewClient(server)
 
 

@@ -65,7 +65,7 @@ def test_outage_windows():
     plan = FaultPlan(outages=(
         NodeOutage(node=2, down_at_ps=100, up_at_ps=200),
         NodeOutage(node=5, down_at_ps=150),  # never recovers
-    ))
+    ), seed=0)
     assert not plan.node_down(2, 99)
     assert plan.node_down(2, 100)
     assert plan.node_down(2, 199)
@@ -75,11 +75,11 @@ def test_outage_windows():
 
 def test_invalid_parameters_are_rejected():
     with pytest.raises(ValueError):
-        FaultPlan(drop_rate=1.5)
+        FaultPlan(drop_rate=1.5, seed=0)
     with pytest.raises(ValueError):
-        FaultPlan(spike_rate=-0.1)
+        FaultPlan(spike_rate=-0.1, seed=0)
     with pytest.raises(ValueError):
-        FaultPlan(spike_ps=(10, 5))
+        FaultPlan(spike_ps=(10, 5), seed=0)
     with pytest.raises(ValueError):
         NodeOutage(node=0, down_at_ps=-1)
     with pytest.raises(ValueError):

@@ -11,10 +11,17 @@ from repro.faults import RetryPolicy, call_with_retries
 # -- RetryPolicy ----------------------------------------------------------
 
 
+
+def _policy(**overrides):
+    """A policy with every field stated; ``overrides`` replace some."""
+    fields = dict(max_attempts=3, timeout_ps=50_000_000,
+                  backoff_base_ps=1_000_000, backoff_multiplier=2.0,
+                  jitter=0.2)
+    fields.update(overrides)
+    return RetryPolicy(**fields)
+
 def test_backoff_grows_exponentially_without_jitter():
-    policy = RetryPolicy(
-        backoff_base_ps=1000, backoff_multiplier=2.0, jitter=0.0
-    )
+    policy = _policy(backoff_base_ps=1000, jitter=0.0)
     rng = random.Random(0)
     assert policy.backoff_ps(1, rng) == 1000
     assert policy.backoff_ps(2, rng) == 2000
@@ -22,9 +29,8 @@ def test_backoff_grows_exponentially_without_jitter():
 
 
 def test_backoff_jitter_stays_within_band():
-    policy = RetryPolicy(
-        backoff_base_ps=10_000, backoff_multiplier=1.0, jitter=0.25
-    )
+    policy = _policy(backoff_base_ps=10_000, backoff_multiplier=1.0,
+                     jitter=0.25)
     rng = random.Random(7)
     for _ in range(100):
         b = policy.backoff_ps(1, rng)
@@ -33,15 +39,15 @@ def test_backoff_jitter_stays_within_band():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
+        _policy(max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(timeout_ps=0)
+        _policy(timeout_ps=0)
     with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.0)
+        _policy(jitter=1.0)
     with pytest.raises(ValueError):
-        RetryPolicy(backoff_multiplier=0.5)
+        _policy(backoff_multiplier=0.5)
     with pytest.raises(ValueError):
-        RetryPolicy().backoff_ps(0, random.Random(0))
+        _policy().backoff_ps(0, random.Random(0))
 
 
 # -- call_with_retries (event-driven) -------------------------------------
@@ -68,7 +74,7 @@ def test_first_attempt_success_has_no_retries():
         yield sim.timeout(5)
         return "value"
 
-    out = _run_call(sim, attempt, RetryPolicy(max_attempts=3))
+    out = _run_call(sim, attempt, _policy())
     assert out.ok and out.value == "value"
     assert out.attempts == 1 and out.retries == 0
     assert out.latency_ps == 5
@@ -86,9 +92,8 @@ def test_timed_out_attempts_are_retried_and_cleaned_up():
             yield sim.timeout(5)
         return "finally"
 
-    policy = RetryPolicy(
-        max_attempts=4, timeout_ps=100, backoff_base_ps=10, jitter=0.0
-    )
+    policy = _policy(max_attempts=4, timeout_ps=100, backoff_base_ps=10,
+                     jitter=0.0)
     out = _run_call(sim, attempt, policy)
     assert out.ok and out.value == "finally"
     assert out.attempts == 3 and out.retries == 2
@@ -103,9 +108,8 @@ def test_exhausted_attempts_give_up():
     def attempt():
         yield Event(sim)  # never completes
 
-    policy = RetryPolicy(
-        max_attempts=2, timeout_ps=100, backoff_base_ps=10, jitter=0.0
-    )
+    policy = _policy(max_attempts=2, timeout_ps=100, backoff_base_ps=10,
+                     jitter=0.0)
     out = _run_call(sim, attempt, policy)
     assert not out.ok and out.value is None
     assert out.attempts == 2 and out.retries == 1
@@ -120,9 +124,8 @@ def test_failed_attempts_are_retried_on_simulation_errors():
         yield sim.timeout(5)
         raise SimulationError("node down")
 
-    policy = RetryPolicy(
-        max_attempts=3, timeout_ps=100, backoff_base_ps=10, jitter=0.0
-    )
+    policy = _policy(max_attempts=3, timeout_ps=100, backoff_base_ps=10,
+                     jitter=0.0)
     out = _run_call(sim, attempt, policy)
     assert not out.ok
     assert out.attempts == 3 and out.retries == 2
@@ -139,7 +142,7 @@ def test_non_retryable_exceptions_propagate():
 
     def proc():
         yield from call_with_retries(
-            sim, attempt, RetryPolicy(), random.Random(0)
+            sim, attempt, _policy(), random.Random(0)
         )
 
     sim.spawn(proc())

@@ -32,7 +32,7 @@ def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
         part = codes[start:start + chunk]
         bursts.append(Burst(payload=(start, part), count=len(part)))
 
-    spec = KernelSpec("adc-pe", ii=1, depth=12)
+    spec = KernelSpec("adc-pe", ii=1, depth=12, unroll=1)
 
     def score(burst):
         start, part = burst.payload
@@ -58,7 +58,7 @@ def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
 def test_adc_pe_array_matches_direct_adc_and_scales():
     rng = np.random.default_rng(3)
     vectors = rng.random((600, 16), dtype=np.float32)
-    pq = train_pq(vectors, m=4, ksub=32, max_iterations=5)
+    pq = train_pq(vectors, m=4, ksub=32, max_iterations=5, seed=0)
     codes = pq.encode(vectors)
     table = pq.adc_table(vectors[0])
     want = pq.adc_distances(table, codes)
@@ -85,7 +85,8 @@ def test_offload_and_fetch_match_cpu_engine():
     )
     from repro.workloads import uniform_table
 
-    table = Table(uniform_table(5_000, seed=9))
+    table = Table(uniform_table(5_000, seed=9, n_payload_cols=4,
+                                key_max=1_000_000))
     plan = QueryPlan((
         Filter(col("key") < 400_000),
         Project(("key", "val0")),

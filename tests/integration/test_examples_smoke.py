@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 _EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 

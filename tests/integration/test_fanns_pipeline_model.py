@@ -38,7 +38,7 @@ _NPROBE = 4
 
 def _build_event_pipeline(n_queries: int):
     """The 5-stage FANNS pipeline as burst kernels; returns done_ps."""
-    accel = FannsAccelerator(_INDEX.shape, _CONFIG)
+    accel = FannsAccelerator(_INDEX.shape, _CONFIG, list_scale=1)
     index, cfg = _INDEX, _CONFIG
     clock = cfg.clock
     candidates = math.ceil(index.shape.expected_candidates(_NPROBE))

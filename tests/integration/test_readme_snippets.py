@@ -17,7 +17,8 @@ def test_plan_offload_snippet():
     from repro.workloads import uniform_table
 
     server = FarviewServer()
-    server.store("t", Table(uniform_table(100_000)))
+    server.store("t", Table(uniform_table(100_000, n_payload_cols=4,
+                                          key_max=1_000_000, seed=11)))
     client = FarviewClient(server)
     plan = QueryPlan((Filter(col("key") < 10000),
                       Aggregate((AggSpec(AggFunc.SUM, "val0"),))))

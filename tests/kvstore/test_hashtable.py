@@ -53,11 +53,11 @@ def test_full_table_raises():
 
 def test_validation():
     with pytest.raises(ValueError):
-        HashTable(n_buckets=0)
+        HashTable(n_buckets=0, slots_per_bucket=8)
     with pytest.raises(ValueError):
-        HashTable(n_buckets=3)  # not a power of two
+        HashTable(n_buckets=3, slots_per_bucket=8)  # not a power of two
     with pytest.raises(ValueError):
-        HashTable(slots_per_bucket=0)
+        HashTable(slots_per_bucket=0, n_buckets=1024)
 
 
 def _state(table: HashTable) -> tuple[int, int, int]:

@@ -96,11 +96,11 @@ def test_tombstone_value_rejected():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        LsmStore(memtable_limit=0)
+        LsmStore(memtable_limit=0, level0_limit=4, fanout=4)
     with pytest.raises(ValueError):
-        LsmStore(level0_limit=0)
+        LsmStore(level0_limit=0, memtable_limit=4096, fanout=4)
     with pytest.raises(ValueError):
-        LsmStore(fanout=1)
+        LsmStore(fanout=1, memtable_limit=4096, level0_limit=4)
 
 
 def test_sorted_run_validation():

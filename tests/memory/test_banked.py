@@ -47,41 +47,41 @@ def test_skewed_traffic_spreads_hot_regions():
 
 def test_explicit_channel_placement():
     bank = BankedMemory.uniform(_small_channel(), 4)
-    alloc = bank.allocate("t", nbytes=10, channel=3)
+    alloc = bank.allocate("t", nbytes=10, channel=3, expected_traffic=1.0)
     assert alloc.channel == 3
     with pytest.raises(IndexError):
-        bank.allocate("t2", nbytes=10, channel=9)
+        bank.allocate("t2", nbytes=10, channel=9, expected_traffic=1.0)
 
 
 def test_capacity_overflow_raises():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 2)
-    bank.allocate("a", nbytes=100)
-    bank.allocate("b", nbytes=100)
+    bank.allocate("a", nbytes=100, expected_traffic=1.0)
+    bank.allocate("b", nbytes=100, expected_traffic=1.0)
     with pytest.raises(MemoryError):
-        bank.allocate("c", nbytes=1)
+        bank.allocate("c", nbytes=1, expected_traffic=1.0)
 
 
 def test_free_releases_capacity():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 1)
-    bank.allocate("a", nbytes=100)
+    bank.allocate("a", nbytes=100, expected_traffic=1.0)
     bank.free("a")
-    bank.allocate("b", nbytes=100)  # must not raise
+    bank.allocate("b", nbytes=100, expected_traffic=1.0)  # must not raise
     with pytest.raises(KeyError):
         bank.free("a")
 
 
 def test_duplicate_key_rejected():
     bank = BankedMemory.uniform(_small_channel(), 1)
-    bank.allocate("a", nbytes=1)
+    bank.allocate("a", nbytes=1, expected_traffic=1.0)
     with pytest.raises(ValueError):
-        bank.allocate("a", nbytes=1)
+        bank.allocate("a", nbytes=1, expected_traffic=1.0)
 
 
 def test_batch_lookup_makespan_is_busiest_channel():
     bank = BankedMemory.uniform(_small_channel(), 2)
-    bank.allocate("a", nbytes=10, channel=0)
-    bank.allocate("b", nbytes=10, channel=0)
-    bank.allocate("c", nbytes=10, channel=1)
+    bank.allocate("a", nbytes=10, channel=0, expected_traffic=1.0)
+    bank.allocate("b", nbytes=10, channel=0, expected_traffic=1.0)
+    bank.allocate("c", nbytes=10, channel=1, expected_traffic=1.0)
     ch = bank.channels[0]
     # Channel 0 serves a and b (20 accesses), channel 1 serves c (5).
     t = bank.batch_lookup_time_ps({"a": (10, 8), "b": (10, 8), "c": (5, 8)})
@@ -97,14 +97,14 @@ def test_batch_lookup_unallocated_region_raises():
 
 def test_empty_batch_costs_nothing():
     bank = BankedMemory.uniform(_small_channel(), 2)
-    bank.allocate("a", nbytes=10)
+    bank.allocate("a", nbytes=10, expected_traffic=1.0)
     assert bank.batch_lookup_time_ps({}) == 0
     assert bank.batch_lookup_time_ps({"a": (0, 8)}) == 0
 
 
 def test_striped_allocation_spans_channels():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 4)
-    shards = bank.allocate_striped("big", nbytes=250)
+    shards = bank.allocate_striped("big", nbytes=250, expected_traffic=1.0)
     assert len(shards) == 3  # ceil(250 / 100)
     assert len({s.channel for s in shards}) == 3
     assert [s.key for s in shards] == ["big.s0", "big.s1", "big.s2"]
@@ -117,16 +117,16 @@ def test_striped_allocation_spans_channels():
 def test_striped_allocation_too_big_rolls_back():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 2)
     with pytest.raises(MemoryError):
-        bank.allocate_striped("huge", nbytes=500)
+        bank.allocate_striped("huge", nbytes=500, expected_traffic=1.0)
     assert bank.used_bytes == 0
 
 
 def test_striped_lookup_spreads_accesses():
     bank = BankedMemory.uniform(_small_channel(capacity=100), 4)
-    bank.allocate_striped("big", nbytes=400, n_shards=4)
+    bank.allocate_striped("big", nbytes=400, n_shards=4, expected_traffic=1.0)
     spread = bank.batch_lookup_time_ps({"big": (40, 8)})
     single_bank = BankedMemory.uniform(_small_channel(capacity=1000), 4)
-    single_bank.allocate("big", nbytes=400)
+    single_bank.allocate("big", nbytes=400, expected_traffic=1.0)
     concentrated = single_bank.batch_lookup_time_ps({"big": (40, 8)})
     assert spread < concentrated
 
@@ -134,12 +134,12 @@ def test_striped_lookup_spreads_accesses():
 def test_striped_invalid_parameters():
     bank = BankedMemory.uniform(_small_channel(), 2)
     with pytest.raises(ValueError):
-        bank.allocate_striped("r", nbytes=-1)
+        bank.allocate_striped("r", nbytes=-1, expected_traffic=1.0)
     with pytest.raises(ValueError):
-        bank.allocate_striped("r", nbytes=10, n_shards=3)
-    bank.allocate_striped("r", nbytes=10, n_shards=2)
+        bank.allocate_striped("r", nbytes=10, n_shards=3, expected_traffic=1.0)
+    bank.allocate_striped("r", nbytes=10, n_shards=2, expected_traffic=1.0)
     with pytest.raises(ValueError):
-        bank.allocate_striped("r", nbytes=10)
+        bank.allocate_striped("r", nbytes=10, expected_traffic=1.0)
 
 
 def test_row_cycle_floors_random_occupancy():
@@ -181,7 +181,7 @@ def test_property_makespan_shrinks_or_holds_with_more_channels(
 def test_property_used_bytes_tracks_allocations(sizes):
     bank = BankedMemory.uniform(_small_channel(capacity=10_000), 4)
     for i, size in enumerate(sizes):
-        bank.allocate(f"r{i}", nbytes=size)
+        bank.allocate(f"r{i}", nbytes=size, expected_traffic=1.0)
     assert bank.used_bytes == sum(sizes)
 
 
@@ -190,14 +190,14 @@ def test_plain_and_striped_namespaces_are_exclusive():
     succeed, and free(key) then released only the shards — leaking the
     plain allocation forever."""
     bank = BankedMemory.uniform(_small_channel(capacity=10_000), 4)
-    bank.allocate("emb", nbytes=100)
+    bank.allocate("emb", nbytes=100, expected_traffic=1.0)
     with pytest.raises(ValueError, match="already allocated"):
-        bank.allocate_striped("emb", nbytes=400)
+        bank.allocate_striped("emb", nbytes=400, expected_traffic=1.0)
     bank.free("emb")
 
-    bank.allocate_striped("emb", nbytes=400, n_shards=4)
+    bank.allocate_striped("emb", nbytes=400, n_shards=4, expected_traffic=1.0)
     with pytest.raises(ValueError, match="already allocated"):
-        bank.allocate("emb", nbytes=100)
+        bank.allocate("emb", nbytes=100, expected_traffic=1.0)
     bank.free("emb")
     assert bank.used_bytes == 0
 
@@ -205,13 +205,15 @@ def test_plain_and_striped_namespaces_are_exclusive():
 def test_free_is_symmetric_across_both_namespaces():
     """Every allocate/allocate_striped must be fully undone by one free."""
     bank = BankedMemory.uniform(_small_channel(capacity=10_000), 4)
-    bank.allocate("plain", nbytes=300)
-    bank.allocate_striped("striped", nbytes=800, n_shards=4)
+    bank.allocate("plain", nbytes=300, expected_traffic=1.0)
+    bank.allocate_striped("striped", nbytes=800, n_shards=4,
+                          expected_traffic=1.0)
     assert bank.used_bytes == 300 + 800
     bank.free("striped")
     assert bank.used_bytes == 300
     bank.free("plain")
     assert bank.used_bytes == 0
     # Both names are reusable after free, in either namespace.
-    bank.allocate_striped("plain", nbytes=400, n_shards=2)
-    bank.allocate("striped", nbytes=100)
+    bank.allocate_striped("plain", nbytes=400, n_shards=2,
+                          expected_traffic=1.0)
+    bank.allocate("striped", nbytes=100, expected_traffic=1.0)

@@ -92,7 +92,7 @@ def test_combined_lookup_equals_uncombined():
     tables = EmbeddingTables(spec, seed=3)
     plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
     assert plan.n_lookups < spec.n_tables
-    trace = lookup_trace(spec, batch_size=32, seed=4)
+    trace = lookup_trace(spec, batch_size=32, seed=4, skew=0.8)
     per_table = np.concatenate(
         [tables.rows(t, trace[:, t]) for t in range(spec.n_tables)], axis=1
     )
@@ -106,7 +106,7 @@ def test_combined_lookup_equals_uncombined():
 def test_decode_inverts_rewrite_in_member_order():
     spec = _spec(rows=(3, 5, 7, 11))
     plan = CartesianPlan(spec=spec, groups=((0, 2, 3), (1,)))
-    trace = lookup_trace(spec, batch_size=64, seed=9)
+    trace = lookup_trace(spec, batch_size=64, seed=9, skew=0.8)
     combined = plan.rewrite_trace(trace)
     assert np.array_equal(plan.decode_trace(combined), trace)
     # (i, j, k) of the 3 x 7 x 11 group is ((i * 7) + j) * 11 + k.
@@ -176,7 +176,7 @@ def test_property_plan_valid_and_lookup_exact(rows, budget_factor):
         assert plan.total_bytes <= max(budget, spec.total_embedding_bytes)
     # Functional equivalence on a small trace.
     tables = EmbeddingTables(spec, seed=0)
-    trace = lookup_trace(spec, batch_size=5, seed=1)
+    trace = lookup_trace(spec, batch_size=5, seed=1, skew=0.8)
     assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
     assert np.array_equal(
         _lookup_via_combined_tables(plan, tables, trace), tables.lookup(trace)

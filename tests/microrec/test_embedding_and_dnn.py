@@ -74,7 +74,7 @@ def test_full_scale_tables_allocate_under_one_mib():
     from repro.exec.experiments.contexts import microrec_model
 
     spec = microrec_model()
-    trace = lookup_trace(spec, batch_size=8, seed=2)
+    trace = lookup_trace(spec, batch_size=8, seed=2, skew=0.8)
     tracemalloc.start()
     try:
         tables = EmbeddingTables(spec, seed=21)
@@ -101,7 +101,7 @@ def test_lookup_gathers_and_concatenates():
 def test_lookup_width_is_the_mlp_input_width():
     spec = RecModelSpec(table_rows=(10, 20, 30), embedding_dim=4)
     tables = EmbeddingTables(spec, seed=0)
-    trace = lookup_trace(spec, batch_size=4, seed=1)
+    trace = lookup_trace(spec, batch_size=4, seed=1, skew=0.8)
     assert tables.lookup(trace).shape[1] == spec.concat_width
     Mlp(spec.concat_width, spec.mlp_layers).forward(tables.lookup(trace))
 
@@ -123,22 +123,22 @@ def test_lookup_validation():
 def test_lookup_deterministic_per_seed():
     a = EmbeddingTables(_spec(), seed=4)
     b = EmbeddingTables(_spec(), seed=4)
-    trace = lookup_trace(_spec(), 8, seed=2)
+    trace = lookup_trace(_spec(), 8, seed=2, skew=0.8)
     assert np.array_equal(a.lookup(trace), b.lookup(trace))
 
 
 def test_mlp_shapes_and_determinism():
-    mlp = Mlp(12, (32, 16), seed=0)
+    mlp = Mlp(12, (32, 16))
     x = np.random.default_rng(0).random((5, 12), dtype=np.float32)
     out = mlp.forward(x)
     assert out.shape == (5,)
-    assert np.array_equal(out, Mlp(12, (32, 16), seed=0).forward(x))
+    assert np.array_equal(out, Mlp(12, (32, 16)).forward(x))
     assert mlp.n_macs == 12 * 32 + 32 * 16 + 16
     assert mlp.weight_nbytes == mlp.n_macs * 4
 
 
 def test_mlp_relu_nonlinearity():
-    mlp = Mlp(4, (8,), seed=1)
+    mlp = Mlp(4, (8,))
     x = np.random.default_rng(1).random((10, 4), dtype=np.float32)
     # Doubling the input must not exactly double the output (ReLU kinks
     # + bias make the map non-linear in general); a linear map would.
@@ -157,7 +157,7 @@ def test_mlp_validation():
 
 
 def test_fpga_mlp_latency_scales():
-    mlp = Mlp(512, (1024, 512, 256), seed=0)
+    mlp = Mlp(512, (1024, 512, 256))
     fast = fpga_mlp_latency_s(mlp, n_dsp_macs=4096)
     slow = fpga_mlp_latency_s(mlp, n_dsp_macs=256)
     assert slow > fast
@@ -183,12 +183,12 @@ def _eager_parameters(widths, seed):
 
 
 def test_mlp_weights_drawn_on_first_forward_equal_eager_draw():
-    mlp = Mlp(12, (32, 16), seed=3)
+    mlp = Mlp(12, (32, 16))
     assert mlp._params is None
     x = np.random.default_rng(0).random((5, 12), dtype=np.float32)
     out = mlp.forward(x)
     weights, biases = mlp.parameters()
-    want_w, want_b = _eager_parameters(mlp.widths, 3)
+    want_w, want_b = _eager_parameters(mlp.widths, 0)
     assert len(weights) == len(want_w) == 3
     for got, want in zip(weights + biases, want_w + want_b):
         assert got.dtype == np.float32
@@ -219,13 +219,13 @@ def test_pricing_reads_widths_and_matches_the_eager_weights(which):
         microrec_model() if which == "e7"
         else _e16_fleetrec_model()
     )
-    cpu = CpuRecommender(spec, seed=6)
+    cpu = CpuRecommender(spec)
     mlp = cpu.mlp
     macs, nbytes = mlp.n_macs, mlp.weight_nbytes
-    fpga_s = fpga_mlp_latency_s(mlp)
+    fpga_s = fpga_mlp_latency_s(mlp, n_dsp_macs=2048)
     cpu_dnn_s = cpu._dnn_time_s(1, parallel=False)
     assert mlp._params is None
-    weights, _ = _eager_parameters(mlp.widths, 6)
+    weights, _ = _eager_parameters(mlp.widths, 0)
     assert macs == sum(w.size for w in weights)
     assert nbytes == sum(w.nbytes for w in weights)
     cycles = sum(math.ceil(w.size / 2048) + 32 for w in weights)

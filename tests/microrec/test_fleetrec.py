@@ -1,16 +1,12 @@
 """Tests for the FleetRec hybrid GPU-FPGA cluster."""
 
-import numpy as np
 import pytest
 
 from repro.microrec.accelerator import MicroRecAccelerator
 from repro.microrec.fleetrec import A100, FleetRecCluster, GpuModel, V100
-from repro.workloads.traces import lookup_trace, production_like_model
-from repro.microrec.embedding import EmbeddingTables
+from repro.workloads.traces import production_like_model
 
 _SPEC = production_like_model(n_tables=30, max_rows=300_000, seed=41)
-_TABLES = EmbeddingTables(_SPEC, seed=41)
-_TRACE = lookup_trace(_SPEC, batch_size=128, seed=42)
 
 
 def test_gpu_model_validation():
@@ -33,46 +29,45 @@ def test_gpu_mlp_time_regimes():
     )
 
 
-def test_fleetrec_logits_match_single_fpga():
-    fleet = FleetRecCluster(_TABLES, seed=3)
-    single = MicroRecAccelerator(_SPEC, seed=3)
-    f = fleet.infer(_TRACE)
-    s = single.infer(_TABLES, _TRACE)
-    assert np.allclose(f.logits, s.logits, rtol=1e-5, atol=1e-5)
+def test_one_lookup_node_prices_lookups_as_one_fpga():
+    fleet = FleetRecCluster(_SPEC, n_lookup_nodes=1, n_gpu_nodes=1)
+    single = MicroRecAccelerator(_SPEC)
+    for batch in (1, 128):
+        assert fleet.price(batch).lookup_s == single.lookup_time_s(batch)
+    assert fleet.mlp.layer_shapes == single.mlp.layer_shapes
 
 
 def test_outcome_consistency():
-    fleet = FleetRecCluster(_TABLES)
-    out = fleet.infer(_TRACE)
-    assert out.logits.shape == (128,)
+    fleet = FleetRecCluster(_SPEC, n_lookup_nodes=1, n_gpu_nodes=1)
+    out = fleet.price(128)
     assert out.batch_time_s >= max(out.lookup_s, out.network_s, out.dnn_s)
     assert out.latency_s > 0
     assert out.qps == pytest.approx(128 / out.batch_time_s)
     with pytest.raises(ValueError):
-        fleet.infer(_TRACE[:0])
+        fleet.price(0)
 
 
 def test_more_gpu_nodes_shrink_dnn_stage():
-    one = FleetRecCluster(_TABLES, n_gpu_nodes=1).infer(_TRACE)
-    four = FleetRecCluster(_TABLES, n_gpu_nodes=4).infer(_TRACE)
+    one = FleetRecCluster(_SPEC, n_gpu_nodes=1, n_lookup_nodes=1).price(128)
+    four = FleetRecCluster(_SPEC, n_gpu_nodes=4, n_lookup_nodes=1).price(128)
     assert four.dnn_s <= one.dnn_s
 
 
 def test_more_lookup_nodes_shrink_lookup_stage():
-    one = FleetRecCluster(_TABLES, n_lookup_nodes=1).infer(_TRACE)
-    four = FleetRecCluster(_TABLES, n_lookup_nodes=4).infer(_TRACE)
+    one = FleetRecCluster(_SPEC, n_lookup_nodes=1, n_gpu_nodes=1).price(128)
+    four = FleetRecCluster(_SPEC, n_lookup_nodes=4, n_gpu_nodes=1).price(128)
     assert four.lookup_s <= one.lookup_s
 
 
 def test_network_stage_positive_and_scales_with_batch():
-    fleet = FleetRecCluster(_TABLES)
-    small = fleet.infer(_TRACE[:1])
-    large = fleet.infer(_TRACE)
+    fleet = FleetRecCluster(_SPEC, n_lookup_nodes=1, n_gpu_nodes=1)
+    small = fleet.price(1)
+    large = fleet.price(128)
     assert 0 < small.network_s <= large.network_s
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        FleetRecCluster(_TABLES, n_lookup_nodes=0)
+        FleetRecCluster(_SPEC, n_lookup_nodes=0, n_gpu_nodes=1)
     with pytest.raises(ValueError):
-        FleetRecCluster(_TABLES, n_gpu_nodes=0)
+        FleetRecCluster(_SPEC, n_gpu_nodes=0, n_lookup_nodes=1)

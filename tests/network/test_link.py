@@ -48,9 +48,10 @@ def test_goodput_approaches_line_rate_for_large_messages():
 
 def test_invalid_link_parameters():
     with pytest.raises(ValueError):
-        LinkModel("bad", bandwidth_bits_per_sec=0)
+        LinkModel("bad", bandwidth_bits_per_sec=0, propagation_ps=500_000)
     with pytest.raises(ValueError):
-        LinkModel("bad", bandwidth_bits_per_sec=1e9, mtu_bytes=0)
+        LinkModel("bad", bandwidth_bits_per_sec=1e9, mtu_bytes=0,
+                  propagation_ps=500_000)
     with pytest.raises(ValueError):
         LinkModel("bad", bandwidth_bits_per_sec=1e9, propagation_ps=-1)
 

@@ -24,10 +24,12 @@ def _pipeline(sim):
     s2 = Stream(sim, depth=2, name="s2")
     s3 = Stream(sim, depth=2, name="s3")
     k1 = BurstKernel(
-        sim, KernelSpec("k1", ii=1, depth=2, clock=_GHZ), lambda b: b, s1, s2
+        sim, KernelSpec("k1", ii=1, depth=2, clock=_GHZ, unroll=1),
+        lambda b: b, s1, s2
     )
     k2 = BurstKernel(
-        sim, KernelSpec("k2", ii=4, depth=4, clock=_GHZ), lambda b: b, s2, s3
+        sim, KernelSpec("k2", ii=4, depth=4, clock=_GHZ, unroll=1),
+        lambda b: b, s2, s3
     )
     Source(sim, s1, [Burst(None, 8) for _ in range(3)])
     sink = Sink(sim, s3)
@@ -106,12 +108,12 @@ def test_report_render_lists_components_busiest_first():
 def test_analytic_bank_profiling_without_a_simulator():
     model = MemoryModel(
         name="ch", capacity_bytes=1 << 30, latency_ps=100,
-        bandwidth_bytes_per_sec=1e9, min_burst_bytes=32,
+        bandwidth_bytes_per_sec=1e9, min_burst_bytes=32, random_efficiency=1.0,
     )
     prof = Profiler()
     bank = BankedMemory.uniform(model, 4, name="hbm", tracer=prof.tracer)
-    bank.allocate("hot", 1 << 20)
-    bank.allocate("cold", 1 << 20)
+    bank.allocate("hot", 1 << 20, expected_traffic=1.0)
+    bank.allocate("cold", 1 << 20, expected_traffic=1.0)
     makespan = bank.batch_lookup_time_ps({"hot": (64, 32), "cold": (8, 32)})
     report = prof.report()
     busiest = max(report.components, key=lambda c: c.busy_ps)
@@ -125,12 +127,12 @@ def test_analytic_bank_profiling_without_a_simulator():
 def test_bank_conflicts_counted_when_regions_share_a_channel():
     model = MemoryModel(
         name="ch", capacity_bytes=1 << 30, latency_ps=100,
-        bandwidth_bytes_per_sec=1e9, min_burst_bytes=32,
+        bandwidth_bytes_per_sec=1e9, min_burst_bytes=32, random_efficiency=1.0,
     )
     tracer = Tracer()
     bank = BankedMemory.uniform(model, 2, name="b", tracer=tracer)
-    bank.allocate("a", 1024, channel=0)
-    bank.allocate("b", 1024, channel=0)
+    bank.allocate("a", 1024, channel=0, expected_traffic=1.0)
+    bank.allocate("b", 1024, channel=0, expected_traffic=1.0)
     bank.batch_lookup_time_ps({"a": (4, 32), "b": (4, 32)})
     snap = tracer.registry.snapshot()
     assert snap["memory.bank_conflicts{channel=0,memory=b}"] == 1

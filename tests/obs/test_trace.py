@@ -22,7 +22,7 @@ def _run_pipeline(sim, n_bursts=4, burst=16):
     s_in = Stream(sim, depth=2, name="in")
     s_out = Stream(sim, depth=2, name="out")
     kernel = BurstKernel(
-        sim, KernelSpec("k", ii=2, depth=6), lambda b: b, s_in, s_out
+        sim, KernelSpec("k", ii=2, depth=6, unroll=1), lambda b: b, s_in, s_out
     )
     Source(sim, s_in, [Burst(None, burst) for _ in range(n_bursts)])
     sink = Sink(sim, s_out)

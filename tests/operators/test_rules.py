@@ -47,7 +47,7 @@ def test_best_match_uses_priority():
 
 
 def test_matches_naive_reference():
-    rules = random_rules(30, 4, seed=3)
+    rules = random_rules(30, 4, seed=3, selectivity=0.3, wildcard_fraction=0.3)
     rng = np.random.default_rng(4)
     queries = rng.random((20, 4))
     got = rules.matches(queries)
@@ -82,9 +82,9 @@ def test_random_rules_properties():
     widths = (rules.highs - rules.lows)[finite]
     assert np.allclose(widths, 0.25)
     with pytest.raises(ValueError):
-        random_rules(0, 1)
+        random_rules(0, 1, selectivity=0.3, wildcard_fraction=0.3, seed=0)
     with pytest.raises(ValueError):
-        random_rules(1, 1, selectivity=0.0)
+        random_rules(1, 1, selectivity=0.0, wildcard_fraction=0.3, seed=0)
 
 
 def test_kernel_latency_flat_in_rule_count():
@@ -129,7 +129,8 @@ def test_cpu_match_validation():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=500))
 def test_property_best_match_is_a_match(seed):
-    rules = random_rules(20, 3, seed=seed)
+    rules = random_rules(20, 3, seed=seed, selectivity=0.3,
+                         wildcard_fraction=0.3)
     rng = np.random.default_rng(seed + 1)
     queries = rng.random((10, 3))
     best = rules.best_match(queries)

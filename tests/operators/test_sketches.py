@@ -39,7 +39,7 @@ def test_cm_error_within_bound_for_heavy_hitters():
 
 def test_cm_validation_and_empty():
     with pytest.raises(ValueError):
-        CountMinSketch(width=0)
+        CountMinSketch(width=0, depth=4)
     cm = CountMinSketch(16, 2)
     cm.add(np.array([], dtype=np.int64))
     assert cm.total == 0

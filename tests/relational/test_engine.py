@@ -21,7 +21,7 @@ from repro.workloads.tables import grouped_table, uniform_table
 
 
 def _table(n=100):
-    return Table(uniform_table(n, n_payload_cols=2, seed=3))
+    return Table(uniform_table(n, n_payload_cols=2, seed=3, key_max=1_000_000))
 
 
 def test_filter_project():
@@ -208,7 +208,7 @@ _PUSHDOWN_PLANS = {
         Project(("flag", "val0", "small")),
     )),
     "transform+filter+groupby": QueryPlan((
-        Transform("decompress"),
+        Transform("decompress", ops_per_byte=1.0),
         Filter(col("small") < 50),
         GroupByAggregate("key", (AggSpec(AggFunc.MAX, "val0"),)),
     )),

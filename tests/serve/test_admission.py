@@ -118,8 +118,8 @@ def test_autoscaler_scales_up_under_overload_and_back_down():
                                     scale_up_depth=4.0),
     )
     traffic = OpenLoopConfig(
-        offered_qps=capacity_qps(backend) * 2.5,
-        n_requests=1_500, slo_ps=200_000_000,
+        offered_qps=capacity_qps(backend, replicas=1) * 2.5,
+        n_requests=1_500, slo_ps=200_000_000, burst_factor=1.0,
     )
     report = simulate_service(backend, traffic, config, seed=7)
     replicas_seen = [r for _, _, r in report.autoscale_decisions]

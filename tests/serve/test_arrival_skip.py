@@ -133,7 +133,7 @@ def test_arrival_on_a_replica_completion_ps_keeps_its_place(monkeypatch):
     requests = [Request(rid, 0, t, t + 1_000 * full)
                 for rid, t in enumerate(times)]
     traffic = OpenLoopConfig(offered_qps=1.0, n_requests=len(requests),
-                             slo_ps=1_000 * full)
+                             slo_ps=1_000 * full, burst_factor=1.0)
     monkeypatch.setattr(service_module, "generate_requests",
                         lambda cfg, seed: list(requests))
 

@@ -27,7 +27,7 @@ def test_synthetic_cost_arithmetic_and_protocol():
 def test_capacity_qps_definition():
     be = SyntheticBackend(service_ps=0, per_item_ps=1_000_000, max_batch=8)
     # 1 us per item at full batches -> 1M items/s per replica.
-    assert capacity_qps(be) == pytest.approx(1e6)
+    assert capacity_qps(be, replicas=1) == pytest.approx(1e6)
     assert capacity_qps(be, replicas=3) == pytest.approx(3e6)
     with pytest.raises(ValueError):
         capacity_qps(be, replicas=0)
@@ -86,7 +86,7 @@ def test_microrec_batch_cost_follows_infer():
     accel = MicroRecAccelerator(model)
     tables = EmbeddingTables(model, seed=2)
     for b in range(1, be.max_batch + 1):
-        trace = lookup_trace(model, batch_size=b, seed=b)
+        trace = lookup_trace(model, batch_size=b, seed=b, skew=0.8)
         out = accel.infer(tables, trace)
         assert be.batch_service_ps(b) == max(
             1, int(out.batch_time_s * _PS_PER_S)
@@ -119,7 +119,8 @@ def test_farview_batch_cost_is_near_linear():
     from repro.workloads import uniform_table
 
     server = FarviewServer()
-    server.store("t", Table(uniform_table(10_000, n_payload_cols=1)))
+    server.store("t", Table(uniform_table(10_000, n_payload_cols=1,
+                                          key_max=1_000_000, seed=11)))
     plan = QueryPlan((
         Filter(col("key") < 100),
         Aggregate((AggSpec(AggFunc.SUM, "val0"),)),

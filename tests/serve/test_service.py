@@ -30,6 +30,7 @@ def _traffic(backend, load, n_requests=2_000, **kw):
         offered_qps=load * capacity_qps(backend, 2),
         n_requests=n_requests,
         slo_ps=20_000_000,
+        burst_factor=1.0,
     )
     base.update(kw)
     return OpenLoopConfig(**base)
@@ -87,7 +88,7 @@ def test_single_request_flushes_on_close_without_batch_wait():
     be = SyntheticBackend(service_ps=1_000_000, per_item_ps=100_000,
                           max_batch=8)
     traffic = OpenLoopConfig(offered_qps=1.0, n_requests=1,
-                             slo_ps=10_000_000)
+                             slo_ps=10_000_000, burst_factor=1.0)
     config = _service(be, batch=BatchPolicy(max_batch=8,
                                             max_wait_ps=300_000))
     report = simulate_service(be, traffic, config, seed=0)

@@ -11,7 +11,8 @@ _PS_PER_S = 1_000_000_000_000
 
 
 def _cfg(**kw):
-    base = dict(offered_qps=1e6, n_requests=500, slo_ps=10_000_000)
+    base = dict(offered_qps=1e6, n_requests=500, slo_ps=10_000_000,
+                burst_factor=1.0)
     base.update(kw)
     return OpenLoopConfig(**base)
 

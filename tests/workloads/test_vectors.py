@@ -30,7 +30,8 @@ def test_brute_force_k_validation():
 
 
 def test_clustered_dataset_shapes_and_dtypes():
-    ds = clustered_dataset(n=500, dim=16, n_queries=20, gt_k=5, seed=1)
+    ds = clustered_dataset(n=500, dim=16, n_queries=20, gt_k=5, seed=1,
+                           n_clusters=64, cluster_std=0.15)
     assert ds.base.shape == (500, 16)
     assert ds.queries.shape == (20, 16)
     assert ds.ground_truth.shape == (20, 5)
@@ -38,8 +39,10 @@ def test_clustered_dataset_shapes_and_dtypes():
 
 
 def test_clustered_dataset_deterministic():
-    a = clustered_dataset(n=100, dim=4, n_queries=5, seed=9)
-    b = clustered_dataset(n=100, dim=4, n_queries=5, seed=9)
+    a = clustered_dataset(n=100, dim=4, n_queries=5, seed=9, gt_k=10,
+                          n_clusters=64, cluster_std=0.15)
+    b = clustered_dataset(n=100, dim=4, n_queries=5, seed=9, gt_k=10,
+                          n_clusters=64, cluster_std=0.15)
     assert np.array_equal(a.base, b.base)
     assert np.array_equal(a.ground_truth, b.ground_truth)
 
@@ -47,7 +50,8 @@ def test_clustered_dataset_deterministic():
 def test_queries_have_close_neighbors():
     """Perturbed-base queries must find their source cluster."""
     ds = clustered_dataset(
-        n=1000, dim=8, n_queries=50, gt_k=1, cluster_std=0.05, seed=2
+        n=1000, dim=8, n_queries=50, gt_k=1, cluster_std=0.05, seed=2,
+        n_clusters=64
     )
     nn = ds.ground_truth[:, 0]
     d_nn = ((ds.base[nn] - ds.queries) ** 2).sum(axis=1)
@@ -59,6 +63,8 @@ def test_queries_have_close_neighbors():
 
 def test_invalid_dataset_parameters():
     with pytest.raises(ValueError):
-        clustered_dataset(n=0, dim=4, n_queries=1)
+        clustered_dataset(n=0, dim=4, n_queries=1, gt_k=10, n_clusters=64,
+                          cluster_std=0.15, seed=7)
     with pytest.raises(ValueError):
-        clustered_dataset(n=10, dim=4, n_queries=1, n_clusters=0)
+        clustered_dataset(n=10, dim=4, n_queries=1, n_clusters=0, gt_k=10,
+                          cluster_std=0.15, seed=7)
