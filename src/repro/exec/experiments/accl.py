@@ -58,7 +58,9 @@ def e10_assemble(rows: list[dict]) -> list[ResultTable]:
         report.add("allreduce", row["message_bytes"],
                    row["allreduce_fpga_s"] * 1e6,
                    row["allreduce_host_s"] * 1e6, gain)
-    assert small_gain is not None and large_gain is not None
+    assert small_gain is not None and large_gain is not None, (
+        "E10 covers the smallest and largest messages"
+    )
     assert small_gain > 3, "stack overheads dominate small messages"
     assert large_gain > 1.5, "PCIe staging still costs at bulk sizes"
     assert small_gain > large_gain, "advantage peaks at small messages"
@@ -136,9 +138,13 @@ def e11_assemble(rows: list[dict]) -> list[ResultTable]:
         )
     if scaling:
         # Tree latency grows with log P.
-        assert tree_small_series == sorted(tree_small_series)
+        assert tree_small_series == sorted(tree_small_series), (
+            "tree allreduce time grows with log P"
+        )
         # Ring bandwidth time is near-flat: 32 nodes < 2.5x the 2-node time.
-        assert ring_large_series[-1] < 2.5 * ring_large_series[0]
+        assert ring_large_series[-1] < 2.5 * ring_large_series[0], (
+            "rings bandwidth-optimal: 32 nodes < 2.5x the 2-node time"
+        )
 
     report_b = ResultTable(
         "E11b: ring vs tree crossover (16 nodes)",

@@ -90,7 +90,9 @@ def e1_cell(ctx: Any, config: dict, seed: int) -> dict:
     t_solver = graph.solve().time_for_items(n) * 1e6
 
     assert t_item == t_burst, "burst abstraction changed total cycles"
-    assert abs(t_solver - t_item) / t_item < 0.01
+    assert abs(t_solver - t_item) / t_item < 0.01, (
+        "analytic solver within 1% of per-item simulation"
+    )
     return {
         "part": "ablation",
         "t_item_us": t_item,
@@ -306,7 +308,9 @@ def e12_cell(ctx: Any, config: dict, seed: int) -> dict:
     util = demand.utilization(DEVICE_CATALOG["u55c"].budget)
     finite = [v for v in util.values() if v != float("inf")]
     # Fitting designs stay within budget (HBM may be fully used).
-    assert max(finite) <= 1.0 or not fits["u55c"]
+    assert max(finite) <= 1.0 or not fits["u55c"], (
+        "designs are bounded by per-card resource budgets"
+    )
     return {
         "design": name,
         "lut": demand.lut,

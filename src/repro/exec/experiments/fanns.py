@@ -72,7 +72,9 @@ def e5_assemble(rows: list[dict]) -> list[ResultTable]:
             row["cpu_lat_us"], row["gpu_lat_us"],
         )
         # The SLA triangle: FPGA holds the latency edge over both.
-        assert row["fpga_beats_gpu"]
+        assert row["fpga_beats_gpu"], (
+            "the FPGA holds the latency edge over the GPU"
+        )
     assert recalls == sorted(recalls), "recall monotone in nprobe"
     assert recalls[-1] > 0.85, "high-recall regime reachable"
     assert min(latency_gains) > 5, "FPGA latency advantage holds"
@@ -109,14 +111,18 @@ def e6_cell(ctx: dict, config: dict, seed: int) -> dict:
     target = config["target"]
     best, points = generator.explore(recall_target=target)
     assert best is not None, f"target {target} unreachable"
-    assert best.fits
+    assert best.fits, "the chosen design fits the resource budget"
     demand = best.config.resources(index.pq.m)
-    assert ALVEO_U55C.fits(demand)
+    assert ALVEO_U55C.fits(demand), (
+        "the chosen design's resources fit the U55C"
+    )
 
     # The resource budget must actually bind somewhere in the space.
     monster = FannsConfig(n_distance_pes=32, n_lut_pes=32,
                           n_adc_pes=4096, n_hbm_channels=32)
-    assert not ALVEO_U55C.fits(monster.resources(index.pq.m))
+    assert not ALVEO_U55C.fits(monster.resources(index.pq.m)), (
+        "the resource budget binds somewhere in the space"
+    )
 
     return {
         "target": target,
@@ -218,7 +224,9 @@ def e16_cell(ctx: dict, config: dict, seed: int) -> dict:
     micro_out = MicroRecAccelerator(spec).price(_E16_BATCH)
     assert fleet_out.qps > micro_out.qps, \
         "GPU DNN tier lifts throughput for big MLPs"
-    assert micro_out.latency_s < cpu_out.latency_s
+    assert micro_out.latency_s < cpu_out.latency_s, (
+        "MicroRec beats CPU inference latency"
+    )
     return {
         "part": "fleetrec",
         "engines": [
@@ -246,7 +254,9 @@ def e16_assemble(rows: list[dict]) -> list[ResultTable]:
             report.add(row["nodes"], row["qps"], row["lat_us"],
                        row["qps"] / qps_series[0])
         assert qps_series == sorted(qps_series), "QPS grows with nodes"
-        assert qps_series[-1] > 3 * qps_series[0]
+        assert qps_series[-1] > 3 * qps_series[0], (
+            "sharded vector search multiplies QPS (>3x)"
+        )
         tables.append(report)
     if fleet_rows:
         report = ResultTable(

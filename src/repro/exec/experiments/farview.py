@@ -55,7 +55,9 @@ def e3_cell(ctx: dict, config: dict, seed: int) -> dict:
     off = client.query_offload(plan, "t")
     fetch = client.query_fetch(plan, "t")
     if config["part"] == "agg":
-        assert off.result.equals(fetch.result)
+        assert off.result.equals(fetch.result), (
+            "offloaded aggregate equals the fetched one"
+        )
     return {
         "part": config["part"],
         "selectivity": selectivity,
@@ -209,7 +211,9 @@ def e4_assemble(rows: list[dict]) -> list[ResultTable]:
         )
     # Depth must not collapse throughput: the deepest pipeline is within
     # 2x of the shallowest (streaming, not serial re-scans).
-    assert max(latencies) < 2.0 * min(latencies)
+    assert max(latencies) < 2.0 * min(latencies), (
+        "deeper pipelines do not lose throughput"
+    )
     report.note("all results verified against the CPU engine")
     return [report]
 

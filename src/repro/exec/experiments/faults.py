@@ -170,7 +170,9 @@ def e22_assemble(rows: list[dict]) -> list[ResultTable]:
     assert clean_fv["retries"] == 0 and clean_fv["gave_up"] == 0, (
         "the 0% row must be fault-free"
     )
-    assert clean_ar["retries"] == 0 and clean_ar["reroutes"] == 0
+    assert clean_ar["retries"] == 0 and clean_ar["reroutes"] == 0, (
+        "the 0% allreduce row must be fault-free"
+    )
     worst = max(rates)
     if worst >= 0.01:
         assert farview[worst]["retries"] > 0, (
@@ -180,7 +182,7 @@ def e22_assemble(rows: list[dict]) -> list[ResultTable]:
             "the scheduled crash must force a ring->tree reroute"
         )
     for row in list(farview.values()) + list(accl.values()):
-        assert row["p99_us"] >= row["p50_us"]
+        assert row["p99_us"] >= row["p50_us"], "p99 latency is at least p50"
     report.note(
         "farview: 4 clients x 30 scans, silent drops, 60 us attempt "
         "timeout, <=4 attempts; accl: 10 ring allreduces on 8 nodes, "

@@ -153,7 +153,9 @@ def e8_assemble(rows: list[dict]) -> list[ResultTable]:
         )
     assert lookups[-1] < lookups[0], "budget buys fewer lookups"
     assert stage_times[-1] < stage_times[0], "fewer lookups -> faster stage"
-    assert lookups == sorted(lookups, reverse=True)
+    assert lookups == sorted(lookups, reverse=True), (
+        "a larger Cartesian budget never adds lookups"
+    )
     return [report]
 
 
@@ -231,7 +233,7 @@ def e9_assemble(rows: list[dict]) -> list[ResultTable]:
         # Saturation: the last doubling helps less than the first.
         first_gain = times[0] / times[1]
         last_gain = times[-2] / times[-1]
-        assert last_gain < first_gain
+        assert last_gain < first_gain, "HBM channel speedup saturates"
         tables.append(report)
     if sram:
         report = ResultTable(

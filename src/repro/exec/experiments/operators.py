@@ -26,7 +26,9 @@ def e13_cell(ctx: Any, config: dict, seed: int) -> dict:
             hll.add(rng.integers(0, 1 << 62, size=true_n))
             est = hll.estimate()
             err = abs(est - true_n) / true_n
-            assert err < 4 * hll.relative_error_bound()
+            assert err < 4 * hll.relative_error_bound(), (
+                "the sketches stay accurate: HLL error < 4x bound"
+            )
             hll_rows.append({"true_n": true_n, "est": est, "err": err})
         stream = ZipfSampler(100_000, 1.1, rng).sample(500_000)
         cm = CountMinSketch(width=8192, depth=4)
@@ -37,8 +39,10 @@ def e13_cell(ctx: Any, config: dict, seed: int) -> dict:
         cm_rows = []
         for key in range(5):
             rel = (est[key] - true[key]) / max(1, true[key])
-            assert est[key] >= true[key]
-            assert est[key] - true[key] <= cm.error_bound()
+            assert est[key] >= true[key], "Count-Min never underestimates"
+            assert est[key] - true[key] <= cm.error_bound(), (
+                "Count-Min error within its bound"
+            )
             cm_rows.append({"key": key, "true": int(true[key]),
                             "est": int(est[key]), "rel": rel})
         return {"part": "accuracy", "hll": hll_rows, "cm": cm_rows}
@@ -163,12 +167,14 @@ def e14_assemble(rows: list[dict]) -> list[ResultTable]:
         ratios.append(ratio)
         report.add(row["bits"], row["traffic_speedup"], ratio,
                    row["iterations"])
-    assert abs(ratios[-1] - 1.0) < 1e-6
+    assert abs(ratios[-1] - 1.0) < 1e-6, "the 32-bit objective is the baseline"
     # A handful of bits reaches within 10% of full quality...
     assert min(r for row, r in zip(rows, ratios)
-               if row["bits"] >= 8) < 1.1
+               if row["bits"] >= 8) < 1.1, (
+        "a handful of bits already matches full precision"
+    )
     # ...while 1-bit data is measurably worse on this geometry.
-    assert ratios[0] > ratios[-1]
+    assert ratios[0] > ratios[-1], "1-bit data is measurably worse"
     report.note("objective = full-precision inertia of learned centroids")
     return [report]
 
@@ -204,14 +210,18 @@ def e15_cell(ctx: Any, config: dict, seed: int) -> dict:
         rng = np.random.default_rng(9)
         low_card = rng.integers(0, 50, size=1_000_000)
         encoded = dict_encode(low_card)
-        assert np.array_equal(dict_decode(encoded), low_card)
-        assert encoded.ratio > 6
+        assert np.array_equal(dict_decode(encoded), low_card), (
+            "dictionary decoding round-trips"
+        )
+        assert encoded.ratio > 6, "dictionary encoding compresses >6x"
 
         sorted_col = np.sort(ZipfSampler(200, 1.2, rng).sample(1_000_000))
         rle = rle_encode(sorted_col)
-        assert np.array_equal(rle_decode(rle), sorted_col)
+        assert np.array_equal(rle_decode(rle), sorted_col), (
+            "RLE decoding round-trips"
+        )
         rle_ratio = sorted_col.nbytes / rle.nbytes
-        assert rle_ratio > 100
+        assert rle_ratio > 100, "RLE compresses sorted columns >100x"
 
         grouped = grouped_table(1_000_000, n_groups=1000, seed=1)["group"]
         d = dict_encode(grouped)
@@ -308,8 +318,12 @@ def e20_prepare() -> None:
         "b": rng.integers(0, 100, size=1000).astype(np.int64),
     })
     out = hash_join(probe, build, "k", "k")
-    assert out.n_rows == probe.n_rows  # unique build keys cover everything
-    assert np.array_equal(out["b"], build["b"][probe["k"]])
+    assert out.n_rows == probe.n_rows, (
+        "unique build keys cover every probe row"
+    )
+    assert np.array_equal(out["b"], build["b"][probe["k"]]), (
+        "the modeled join is a real join"
+    )
 
 
 def e20_cell(ctx: Any, config: dict, seed: int) -> dict:
@@ -388,7 +402,9 @@ def e21_prepare() -> None:
     queries = rng.random((500, _E21_N_ATTRS))
     best = rules.best_match(queries)
     match = rules.matches(queries)
-    assert ((best >= 0) == match.any(axis=1)).all()
+    assert ((best >= 0) == match.any(axis=1)).all(), (
+        "a best match exists iff some rule matches"
+    )
 
 
 def e21_cell(ctx: Any, config: dict, seed: int) -> dict:
@@ -428,13 +444,15 @@ def e21_assemble(rows: list[dict]) -> list[ResultTable]:
                    row["fpga_s"] * 1e3, row["cpu_s"] / row["fpga_s"],
                    row["lut"], "yes" if row["fits"] else "no")
     # Flat FPGA time, linear CPU time -> speedup grows with rules.
-    assert max(fpga_times) < 1.02 * min(fpga_times)
-    assert speedups == sorted(speedups)
-    assert speedups[-1] > 50
+    assert max(fpga_times) < 1.02 * min(fpga_times), (
+        "query latency is independent of the rule count"
+    )
+    assert speedups == sorted(speedups), "speedup grows with the rule count"
+    assert speedups[-1] > 50, "FPGA >50x faster at the largest rule set"
     # The fabric eventually caps the rule count.
     assert not ALVEO_U250.fits(
         rules_kernel_spec(300_000, _E21_N_ATTRS).resources
-    )
+    ), "the fabric's comparator budget caps the rule set"
     report.note("spatial evaluation: latency independent of rule count")
     return [report]
 

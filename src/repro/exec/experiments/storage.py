@@ -47,7 +47,9 @@ def e17_prepare() -> dict:
 
     ops = _e17_ops(20_000)
     table = HashTable(1 << 15, 8)
-    assert run_ops(table, ops) == _e17_replay(ops)
+    assert run_ops(table, ops) == _e17_replay(ops), (
+        "the KV ops match a dict replay"
+    )
     return {"table": table, "n_ops": len(ops), "probes": table.bucket_probes}
 
 
@@ -125,8 +127,12 @@ def e18_prepare() -> dict:
     values = rng.integers(0, 1 << 30, size=n)
     store.put_batch(keys, values)
     store.flush()
-    assert store.write_amplification > 1.0
-    assert store.n_live_keys == len(np.unique(keys))
+    assert store.write_amplification > 1.0, (
+        "compaction rewrites data (write amplification > 1)"
+    )
+    assert store.n_live_keys == len(np.unique(keys)), (
+        "every distinct key stays live"
+    )
     return {
         "bytes_flushed": store.bytes_flushed,
         "compactions": len(store.compactions),

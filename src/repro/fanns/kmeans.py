@@ -7,7 +7,9 @@ What the training guarantees, bit for bit:
 
 * k-means++ seeding (:func:`kmeans_pp_init`) makes the draws
   ``Generator.choice(n, p=closest / total)`` would make, and consumes
-  the same random numbers.
+  the same random numbers.  Blocked sums bracket each uniform
+  (:func:`_d2_pick`); ``choice``'s own float64 cumulative sum is
+  taken only within a proven rounding bound of a step.
 * Its distances come from the points' columns
   (:func:`_squared_distances_columns`), summed in numpy's own order for
   one point: left to right below 8 dimensions, numpy's pairwise order
@@ -189,14 +191,16 @@ def kmeans_pp_init(
     """k-means++ seeding: spread initial centroids by D^2 sampling.
 
     Each draw picks the index ``Generator.choice(n, p=closest / total)``
-    picks and consumes the same one ``rng.random()``: the same float32
-    weights, the same float64 cumulative sum and the same comparison of
-    ``cdf / cdf[-1]`` with the uniform, without ``choice``'s per-call
-    validation of ``p``.  Like ``choice``, it raises ValueError when the
-    distances are not finite (NaN or inf in ``points``, or float32
-    overflow).  The points' columns are built once, each draw's
-    distances come from them (:func:`_squared_distances_columns`), and
-    the weights and sums of every draw reuse two buffers of this call.
+    picks and consumes the same one ``rng.random()``, without
+    ``choice``'s per-call validation of ``p``: blocked float64 sums of
+    the same float32 weights bracket the uniform, and ``choice``'s own
+    cumulative sum is taken only when it lands within ``slack = n *
+    2**-50 * total`` of a step (:func:`_d2_pick`).  Like ``choice``, it
+    raises ValueError when the distances are not finite (NaN or inf in
+    ``points``, or float32 overflow).  The points' columns are built
+    once, each draw's distances come from them
+    (:func:`_squared_distances_columns`), and the weights and sums of
+    every draw reuse three buffers of this call.
     """
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -207,7 +211,7 @@ def kmeans_pp_init(
     centroids[0] = points[first]
     closest = _squared_distances_columns(columns, centroids[0])
     weights = np.empty_like(closest)
-    cdf = np.empty(n, dtype=np.float64)
+    wide, cdf = np.empty((2, n), dtype=np.float64)
     for i in range(1, k):
         total = closest.sum()
         if not np.isfinite(total):
@@ -217,12 +221,47 @@ def kmeans_pp_init(
             pick = int(rng.integers(0, n))
         else:
             np.divide(closest, total, out=weights)
-            np.cumsum(weights, dtype=np.float64, out=cdf)
-            pick = _first_above(cdf, rng.random())
+            pick = _d2_pick(weights, rng.random(), wide, cdf)
         centroids[i] = points[pick]
         np.minimum(closest, _squared_distances_columns(columns, centroids[i]),
                    out=closest)
     return centroids
+
+
+#: Points per block of a D^2 draw's blocked sums (:func:`_d2_pick`).
+_DRAW_BLOCK = 128
+
+
+def _d2_pick(weights: np.ndarray, u: float, wide: np.ndarray,
+             cdf: np.ndarray) -> int:
+    """The index ``(cdf / cdf[-1]).searchsorted(u, side="right")`` gives,
+    ``cdf`` being ``np.cumsum(weights, dtype=float64)``, without that
+    chain of ``n`` dependent additions unless ``u`` needs it.
+
+    Blocks of :data:`_DRAW_BLOCK` widened weights bracket ``target = u *
+    total``.  Any order of summing non-negative terms, the chain's
+    included, errs by at most ``n * 2**-53`` of the sum (Higham), so a
+    candidate whose prefixes on both sides clear ``target`` by ``slack =
+    n * 2**-50 * total`` is the chain's pick.  Otherwise the chain goes
+    into ``cdf`` and :func:`_first_above` decides.
+    """
+    np.copyto(wide, weights)
+    n = len(wide)
+    edges = np.cumsum(np.add.reduceat(wide, np.arange(0, n, _DRAW_BLOCK)))
+    total = edges[-1]
+    target, slack = u * total, n * 2.0 ** -50 * total
+    block = int(edges.searchsorted(target, side="right"))
+    if block < len(edges):
+        base = edges[block - 1] if block else 0.0
+        start = block * _DRAW_BLOCK
+        prefix = base + np.cumsum(wide[start:start + _DRAW_BLOCK])
+        i = int(prefix.searchsorted(target, side="right"))
+        before = prefix[i - 1] if i else base
+        if (i < len(prefix) and before < target - slack
+                and prefix[i] > target + slack):
+            return start + i
+    np.cumsum(weights, dtype=np.float64, out=cdf)
+    return _first_above(cdf, u)
 
 
 def _first_above(cdf: np.ndarray, u: float) -> int:

@@ -8,6 +8,7 @@ cache-safe plain JSON types, and the specs' ``prepare()`` sharing the
 context builders.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.exec import build_spec, experiment_ids
 from repro.exec.experiments import contexts, register
 
 _GOLDEN_DIR = Path(__file__).resolve().parents[2] / "results" / "golden"
+_EXPERIMENTS_DIR = Path(contexts.__file__).parent
 
 
 def test_every_experiment_has_a_golden_and_every_golden_an_experiment():
@@ -64,3 +66,15 @@ def test_spec_prepare_uses_the_same_contexts():
     assert build_spec("e9").prepare() == {"model": contexts.microrec_model()}
     e16_ctx = build_spec("e16").prepare()
     assert e16_ctx["index"] is contexts.fanns_index()
+
+
+def test_every_experiment_assert_names_its_claim():
+    """A broken claim stops ``run all`` with the claim's name, not a
+    bare ``AssertionError``."""
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(_EXPERIMENTS_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert) and node.msg is None
+    ]
+    assert bare == []

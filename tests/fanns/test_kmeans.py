@@ -1,5 +1,7 @@
 """Unit tests for k-means."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,20 @@ from hypothesis import strategies as st
 
 from repro.fanns.kmeans import (
     _BLOCK_ROWS,
+    _DRAW_BLOCK,
     _cluster_sums,
-    _nearest,
+    _d2_pick,
     _first_above,
+    _nearest,
     _squared_distances,
     _squared_distances_columns,
     _squared_norms,
     kmeans,
     kmeans_pp_init,
 )
+
+#: The module itself; ``repro.fanns.kmeans`` names the function.
+_KMEANS = importlib.import_module("repro.fanns.kmeans")
 
 
 def _blobs(n_per=50, k=4, dim=2, spread=0.05, seed=0):
@@ -260,6 +267,68 @@ def test_first_above_is_the_normalised_searchsorted(n, normalise):
         assert _first_above(cdf, float(u)) == want
 
 
+def _draw_weights(n, pattern):
+    """float32 D^2 weights of ``n`` points, all summing above zero."""
+    rng = np.random.default_rng(n)
+    if pattern == "zero runs":
+        weights = rng.random(n).astype(np.float32)
+        for start in range(0, n, 3 * _DRAW_BLOCK // 2):
+            weights[start + 5:start + 5 + _DRAW_BLOCK // 2] = 0.0
+        weights[0] = 1.0
+        return weights / weights.sum()
+    if pattern == "denormals":
+        bits = rng.integers(1, 2 ** 23, n).astype(np.uint32)
+        weights = bits.view(np.float32)
+        weights[rng.random(n) < 0.3] = 0.0
+        weights[-1] = np.float32(2.0 ** -140)
+        return weights
+    # 1.0 and then terms below half an ulp of 1: the sequential chain
+    # stays at 1.0 until the final 1.0, while the blocked sums grow by
+    # about n * 2**-54.
+    weights = (rng.uniform(0.5, 1.5, n) * 2.0 ** -54).astype(np.float32)
+    weights[0] = weights[-1] = 1.0
+    return weights
+
+
+@pytest.mark.parametrize("pattern", ["zero runs", "denormals", "one then tiny"])
+@pytest.mark.parametrize(
+    "n", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 20_000])
+def test_d2_pick_is_the_normalised_searchsorted(n, pattern, monkeypatch):
+    """The bracketed search and its exact fallback pick what the plain
+    float64 chain picks: random uniforms mostly clear the rounding bound,
+    and uniforms at each normalised step and its neighbours force the
+    fallback."""
+    weights = _draw_weights(n, pattern)
+    cdf = np.cumsum(weights, dtype=np.float64)
+    normalised = cdf / cdf[-1]
+    steps = np.unique(normalised)
+    rng = np.random.default_rng(n + 1)
+    if len(steps) > 4 * _DRAW_BLOCK:
+        # Every step of the first two blocks and the last one, and a
+        # sample of the rest, keeps the test to a second.
+        steps = np.unique(np.concatenate([
+            steps[:2 * _DRAW_BLOCK], steps[-_DRAW_BLOCK:],
+            rng.choice(steps, 1_000)]))
+    forced = np.concatenate([
+        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0), [0.0]])
+    fallbacks = []
+
+    def spy(cdf, u):
+        fallbacks.append(u)
+        return _first_above(cdf, u)
+
+    monkeypatch.setattr(_KMEANS, "_first_above", spy)
+    wide, scratch = np.full((2, n), np.nan)
+    uniforms = np.concatenate([rng.random(200),
+                               forced[(forced >= 0) & (forced < 1)]])
+    for u in uniforms:
+        want = int(normalised.searchsorted(u, side="right"))
+        assert _d2_pick(weights, float(u), wide, scratch) == want, u
+    # Both branches ran: the bracket decided some uniforms, the exact
+    # chain the others.
+    assert 0 < len(fallbacks) < len(uniforms)
+
+
 def test_squared_distances_matches_one_line_expression():
     rng = np.random.default_rng(11)
     for n, k, dim in ((1, 1, 1), (300, 17, 2), (200, 64, 32)):
@@ -385,7 +454,7 @@ def test_cluster_sums_match_add_at(n, dim, k):
 @pytest.mark.xfail(
     strict=True,
     reason="Lloyd's loop stops after one iteration: the first convergence "
-    "test reads inf <= tolerance * inf.  Fixing it changes the e5/e6/e16 "
+    "test reads inf <= tolerance * inf.  Fixing it changes the e5, e6 "
     "and E14 tables and the benchmark's reference digests.",
 )
 def test_lloyd_runs_more_than_one_iteration():
