@@ -87,19 +87,6 @@ def main() -> None:
     crossover.note("at selectivity 1.0 the offload ships ~the whole table too")
     crossover.show()
 
-    # The block-storage variant: the table is moved as a unit.
-    plan = QueryPlan((
-        Filter(col("key") < KEY_MAX // 100),
-        Aggregate((AggSpec(AggFunc.SUM, "val0"),)),
-    ))
-    blocks = client.query_fetch(plan, "lineitems", fetch_granularity="table")
-    off = client.query_offload(plan, "lineitems")
-    print(
-        f"block-granularity fetch moves {blocks.bytes_over_network:,} B; "
-        f"offload moves {off.bytes_over_network:,} B "
-        f"({blocks.bytes_over_network / off.bytes_over_network:,.0f}x less)"
-    )
-
 
 if __name__ == "__main__":
     main()

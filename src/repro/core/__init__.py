@@ -2,9 +2,9 @@
 
 This package is the reproduction's substitute for the FPGA itself: a
 cycle-approximate spatial-dataflow simulator whose vocabulary mirrors
-HLS (initiation interval, pipeline depth, unroll, dataflow regions,
-bounded FIFO streams) and whose resource model mirrors the Alveo cards
-the tutorial uses.
+HLS (initiation interval, pipeline depth, unroll, bounded FIFO
+streams, dataflow regions solved as chains of stages) and whose
+resource model mirrors the Alveo cards the tutorial uses.
 """
 
 from .clocking import (
@@ -15,7 +15,7 @@ from .clocking import (
     NETWORK_322MHZ,
     ClockDomain,
 )
-from .dataflow import DataflowGraph, RateStage, ThroughputReport
+from .dataflow import RateStage, ThroughputReport, solve_chain
 from .device import (
     ALVEO_U250,
     ALVEO_U280,
@@ -48,7 +48,6 @@ __all__ = [
     "BurstKernel",
     "ClockDomain",
     "DEVICE_CATALOG",
-    "DataflowGraph",
     "Device",
     "END_OF_STREAM",
     "Event",
@@ -75,6 +74,7 @@ __all__ = [
     "WaitTimeout",
     "all_of",
     "any_of",
+    "solve_chain",
     "synthesize",
     "with_timeout",
 ]

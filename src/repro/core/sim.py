@@ -529,12 +529,6 @@ class Simulator:
         """Current simulated time."""
         return self._now
 
-    def attach_tracer(self, tracer: Any) -> None:
-        """Attach (or replace) a tracer and bind it to this clock."""
-        self._tracer = tracer
-        if tracer is not None:
-            tracer.bind_clock(lambda: self._now)
-
     # -- event factories --------------------------------------------------
 
     def event(self) -> Event:

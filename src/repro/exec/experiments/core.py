@@ -36,13 +36,13 @@ def e1_cell(ctx: Any, config: dict, seed: int) -> dict:
     from ...core import (
         Burst,
         BurstKernel,
-        DataflowGraph,
         ItemKernel,
         Pragmas,
         Simulator,
         Sink,
         Source,
         Stream,
+        solve_chain,
         synthesize,
     )
 
@@ -85,9 +85,7 @@ def e1_cell(ctx: Any, config: dict, seed: int) -> dict:
     sim_burst.run()
     t_burst = sink_burst.done_at_ps / 1e6
 
-    graph = DataflowGraph()
-    graph.add(spec, source=True)
-    t_solver = graph.solve().time_for_items(n) * 1e6
+    t_solver = solve_chain([spec], []).time_for_items(n) * 1e6
 
     assert t_item == t_burst, "burst abstraction changed total cycles"
     assert abs(t_solver - t_item) / t_item < 0.01, (

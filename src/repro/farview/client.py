@@ -5,12 +5,10 @@
 
 * :meth:`query_offload` — ship the plan, receive only results
   (Farview's mode);
-* :meth:`query_fetch` — READ the raw columns over the network and run
-  the plan on the local CPU (the conventional disaggregated-memory
-  baseline).  ``fetch_granularity`` controls how much the baseline must
-  move: ``"columns"`` (a columnar store that can prune) or ``"table"``
-  (block storage that treats the table as a unit — the "data treated
-  as a unit" inefficiency the tutorial's introduction calls out).
+* :meth:`query_fetch` — READ the raw columns the plan touches over the
+  network and run the plan on the local CPU (the conventional
+  disaggregated-memory baseline, given a columnar store that can
+  prune).
 
 Both modes return a :class:`QueryOutcome` with the same functional
 result (tested) and a latency breakdown.
@@ -85,28 +83,16 @@ class FarviewClient:
             report=execution.report,
         )
 
-    def query_fetch(
-        self,
-        plan: QueryPlan,
-        table_name: str,
-        fetch_granularity: str = "columns",
-    ) -> QueryOutcome:
+    def query_fetch(self, plan: QueryPlan, table_name: str) -> QueryOutcome:
         """Conventional execution: fetch raw data, process locally.
 
-        The transfer and the local CPU work are overlapped (the client
+        Only the columns the plan touches cross the network.  The
+        transfer and the local CPU work are overlapped (the client
         processes arriving blocks), so latency charges their max — a
         deliberately generous baseline.
         """
-        if fetch_granularity not in ("columns", "table"):
-            raise ValueError(
-                f"fetch_granularity must be 'columns' or 'table', "
-                f"got {fetch_granularity!r}"
-            )
         table = self.server.table(table_name)
-        if fetch_granularity == "columns":
-            columns = plan.columns_needed(table.column_names)
-        else:
-            columns = table.column_names
+        columns = plan.columns_needed(table.column_names)
         read = self.server.read(table_name, columns)
         transfer_s = read.processing_s + self.protocol.message_ps(0) / _PS_PER_S
         fetched = table.project(columns)
@@ -117,7 +103,7 @@ class FarviewClient:
             result=result,
             latency_s=request_s + max(transfer_s, compute_s),
             bytes_over_network=_REQUEST_BYTES + read.scan_bytes,
-            mode=f"fetch-{fetch_granularity}",
+            mode="fetch-columns",
             breakdown={
                 "request_s": request_s,
                 "transfer_s": transfer_s,

@@ -2,26 +2,26 @@
 
 A Farview query pushes a linear operator pipeline into the smart-memory
 node; the data streams **memory -> operators -> network** without ever
-visiting a CPU.  This module builds the corresponding
-:class:`~repro.core.dataflow.DataflowGraph`:
+visiting a CPU.  This module times that chain with
+:func:`~repro.core.dataflow.solve_chain`:
 
 * a :class:`~repro.core.dataflow.RateStage` for the striped memory scan
   (rows/s = aggregate DRAM bandwidth / row bytes);
 * one kernel stage per operator (specs from
-  :mod:`repro.relational.fpga_ops`); the edge leaving an operator
+  :mod:`repro.relational.fpga_ops`); the link leaving an operator
   carries its *measured* selectivity as the gain, so the analytic
   throughput matches the functional execution;
 * a rate stage for the network egress (rows/s at the result row width).
 
 :func:`offload_query` runs the functional pipeline (numpy, exact result)
-to measure per-operator row counts, then solves the graph for timing.
+to measure per-operator row counts, then solves the chain for timing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.dataflow import DataflowGraph, RateStage, ThroughputReport
+from ..core.dataflow import RateStage, ThroughputReport, solve_chain
 from ..network.protocol import ProtocolModel
 from ..relational.engine import _apply
 from ..relational.fpga_ops import plan_kernels
@@ -79,29 +79,19 @@ def offload_query(
     out_row_nbytes = max(1, result.schema.row_nbytes)
 
     # Analytic dataflow: scan -> kernels -> egress, with measured gains
-    # on the edge *leaving* each operator.
-    graph = DataflowGraph("farview-offload")
+    # on the link *leaving* each operator.
     scan = RateStage(
         "dram-scan",
         rate_items_per_sec=memory_bandwidth_bytes_per_sec / row_nbytes,
         latency_seconds=memory_latency_s,
     )
-    graph.add(scan, source=True)
     egress = RateStage(
         "net-egress",
         rate_items_per_sec=protocol.link.bandwidth_bytes_per_sec / out_row_nbytes,
         latency_seconds=protocol.message_ps(0) / _PS_PER_S,
     )
     kernels = plan_kernels(plan, row_nbytes)
-    prev_name, prev_gain = scan.name, 1.0
-    for spec, gain in zip(kernels, gains):
-        graph.add(spec)
-        graph.connect(prev_name, spec.name, gain=prev_gain)
-        prev_name, prev_gain = spec.name, gain
-    graph.add(egress)
-    graph.connect(prev_name, egress.name, gain=prev_gain)
-
-    report = graph.solve()
+    report = solve_chain([scan, *kernels, egress], [1.0, *gains])
     processing_s = report.time_for_items(max(n_rows, 1))
     return OffloadExecution(
         result=result,

@@ -8,8 +8,8 @@ Three cooperating pieces (see DESIGN.md §6 "Observability"):
   (:class:`~repro.core.sim.Simulator`, streams, kernels, links, memory
   ports/banks) emit through, with Chrome ``trace_event`` JSON export
   and plain-text utilisation summaries.
-* :mod:`repro.obs.profile` — a context-manager profiler reporting
-  cycles-busy vs cycles-stalled per component.
+* :mod:`repro.obs.profile` — a profiler that owns a tracer and reports
+  time busy vs time stalled per component.
 
 The contract every instrumented hot path honours: with no tracer
 attached (the default) the pre-observability code path runs unchanged;

@@ -42,9 +42,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r}: cannot add {amount}")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:
         return f"Counter({_key(self.name, self.labels)}={self.value})"
 
@@ -61,9 +58,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def reset(self) -> None:
-        self.value = 0.0
 
     def __repr__(self) -> str:
         return f"Gauge({_key(self.name, self.labels)}={self.value})"
@@ -101,13 +95,6 @@ class MetricsRegistry:
         elif not isinstance(inst, Gauge):
             raise TypeError(f"{key!r} already registered as {type(inst).__name__}")
         return inst
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self) -> None:
-        """Zero every instrument (the instruments stay registered)."""
-        for inst in self._instruments.values():
-            inst.reset()
 
     def snapshot(self) -> dict[str, float]:
         """Current values as a plain, JSON-friendly dict."""

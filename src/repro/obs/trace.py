@@ -329,24 +329,6 @@ class Tracer:
             f"bank:{memory}:ch{channel}", regions=n_regions,
         )
 
-    # -- dataflow hooks ----------------------------------------------------
-
-    def dataflow_solved(
-        self,
-        graph: str,
-        bottleneck: str,
-        stage_utilisation: dict[str, float],
-    ) -> None:
-        """Analytic solver result: per-stage steady-state utilisation."""
-        self.registry.counter("dataflow.solves", graph=graph).inc()
-        for stage, util in stage_utilisation.items():
-            self.registry.gauge(
-                "dataflow.stage_utilisation", graph=graph, stage=stage
-            ).set(util)
-        self.instant(
-            "solved", "dataflow", f"dataflow:{graph}", bottleneck=bottleneck
-        )
-
     # -- analysis ----------------------------------------------------------
 
     def busy_by_track(self) -> dict[str, int]:

@@ -185,16 +185,15 @@ def test_offload_faster_at_low_selectivity():
     assert off.latency_s < fetch.latency_s
 
 
-def test_fetch_table_granularity_moves_everything():
+def test_fetch_moves_only_the_touched_columns():
     server, table = _server_with_table(50_000)
     client = FarviewClient(server)
     plan = _selective_plan(0.1)
-    cols = client.query_fetch(plan, "t", fetch_granularity="columns")
-    blocks = client.query_fetch(plan, "t", fetch_granularity="table")
-    assert blocks.bytes_over_network > cols.bytes_over_network
-    assert blocks.result.equals(cols.result)
-    with pytest.raises(ValueError):
-        client.query_fetch(plan, "t", fetch_granularity="pages")
+    fetch = client.query_fetch(plan, "t")
+    touched = table.project(plan.columns_needed(table.column_names))
+    assert touched.nbytes < table.nbytes
+    assert fetch.breakdown["fetched_bytes"] == touched.nbytes
+    assert fetch.result.equals(execute(plan, table))
 
 
 def test_breakdowns_are_populated():

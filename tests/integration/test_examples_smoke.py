@@ -40,7 +40,7 @@ def test_storage_offload_runs():
 
 def test_smart_memory_offload_runs():
     out = _run("smart_memory_offload.py")
-    assert "block-granularity fetch moves" in out
+    assert "Offload vs fetch-all" in out
 
 
 def test_stream_analytics_runs():

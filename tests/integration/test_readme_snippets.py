@@ -1,5 +1,10 @@
 """The README's code snippets must actually run."""
 
+import json
+import re
+from pathlib import Path
+
+
 def test_quickstart_snippet():
     from repro.core import LoopNest, Pragmas, synthesize
 
@@ -25,3 +30,17 @@ def test_plan_offload_snippet():
     outcome = client.query_offload(plan, "t")
     assert "node_processing_s" in outcome.breakdown
     assert outcome.result.n_rows == 1
+
+
+def test_profiler_snippet(tmp_path, monkeypatch, capsys):
+    """The observability example runs exactly as the README prints it."""
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    (snippet,) = [block for block in blocks if "Profiler()" in block]
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert namespace["dram"].busy_fraction > 0.5
+    assert capsys.readouterr().out.startswith("DRAM busy ")
+    trace = json.loads((tmp_path / "out.json").read_text())
+    assert trace["traceEvents"]

@@ -56,18 +56,6 @@ def test_snapshot_shape():
     assert reg.snapshot() == {"depth": 1.5, "puts{stream=a}": 3}
 
 
-def test_reset_zeroes_but_keeps_instruments():
-    reg = MetricsRegistry()
-    c = reg.counter("n")
-    c.inc(7)
-    g = reg.gauge("g")
-    g.set(0.5)
-    reg.reset()
-    assert c.value == 0
-    assert g.value == 0.0
-    assert reg.counter("n") is c  # still registered
-
-
 def test_unlabelled_key_is_bare_name():
     reg = MetricsRegistry()
     reg.counter("bare").inc()

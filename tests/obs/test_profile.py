@@ -36,12 +36,17 @@ def _pipeline(sim):
     return k1, k2, sink
 
 
+def _profiled_run():
+    """Run the pipeline on a simulator recording to a profiler's tracer."""
+    prof = Profiler()
+    sim = Simulator(tracer=prof.tracer)
+    k1, k2, sink = _pipeline(sim)
+    sim.run()
+    return prof.report(), sim, k1, k2, sink
+
+
 def test_two_kernel_pipeline_busy_math():
-    sim = Simulator()
-    with Profiler(sim) as prof:
-        k1, k2, sink = _pipeline(sim)
-        sim.run()
-    report = prof.report()
+    report, sim, k1, k2, sink = _profiled_run()
     # k1: first burst pays full latency 2+(8-1)*1 = 9 cycles, later
     # bursts occupancy 8 cycles -> 9+8+8 = 25 cycles of 1000 ps.
     assert report.component("kernel:k1").busy_ps == 25_000
@@ -55,17 +60,13 @@ def test_two_kernel_pipeline_busy_math():
     k1p = report.component("kernel:k1")
     k2p = report.component("kernel:k2")
     assert k2p.busy_fraction > 0.8
-    assert k1p.stall_fraction > k2p.stall_fraction
+    assert k1p.stall_ps > k2p.stall_ps
     assert k1p.busy_ps + k1p.stall_ps <= report.wall_ps
     assert sink.items == 24
 
 
 def test_stall_accounting_matches_kernel_counters():
-    sim = Simulator()
-    with Profiler(sim) as prof:
-        k1, k2, _ = _pipeline(sim)
-        sim.run()
-    report = prof.report()
+    report, _, k1, k2, _ = _profiled_run()
     assert (
         report.component("kernel:k1").stall_ps
         == k1.stall_in_ps + k1.stall_out_ps
@@ -84,25 +85,13 @@ def test_stall_accounting_matches_kernel_counters():
 
 
 def test_component_profile_kind_and_name():
-    sim = Simulator()
-    with Profiler(sim) as prof:
-        _pipeline(sim)
-        sim.run()
-    comp = prof.report().component("kernel:k1")
-    assert comp.name == "k1"
-    assert prof.report().component("k1") is comp
-    with pytest.raises(KeyError):
-        prof.report().component("kernel:nope")
-
-
-def test_report_render_lists_components_busiest_first():
-    sim = Simulator()
-    with Profiler(sim) as prof:
-        _pipeline(sim)
-        sim.run()
-    text = prof.report().render()
-    assert text.index("kernel:k2") < text.index("kernel:k1")
-    assert "busy/stall profile" in text
+    report = _profiled_run()[0]
+    comp = report.component("kernel:k1")
+    assert comp.track == "kernel:k1"
+    # A component is looked up by its full kind:name track.
+    for missing in ("k1", "kernel:nope"):
+        with pytest.raises(KeyError):
+            report.component(missing)
 
 
 def test_analytic_bank_profiling_without_a_simulator():
@@ -138,10 +127,12 @@ def test_bank_conflicts_counted_when_regions_share_a_channel():
     assert snap["memory.bank_conflicts{channel=0,memory=b}"] == 1
 
 
-def test_profiler_report_with_explicit_wall():
-    tracer = Tracer()
-    tracer.kernel_busy("k", 0, 500, 1)
-    prof = Profiler(tracer=tracer)
-    report = prof.report(wall_ps=1000)
+def test_profiler_wall_is_the_traced_span():
+    prof = Profiler()
+    prof.tracer.kernel_busy("k", 0, 500, 1)
+    prof.tracer.kernel_busy("j", 500, 500, 1)
+    report = prof.report()
+    assert report.wall_ps == 1000
     assert report.component("kernel:k").busy_fraction == pytest.approx(0.5)
-    assert "(no instrumented components ran)" in Profiler().report().render()
+    empty = Profiler().report()
+    assert empty.components == () and empty.wall_ps == 0

@@ -55,7 +55,7 @@ def test_traced_off_run_schedules_no_tracer_callbacks(monkeypatch):
         "sim_event_scheduled", "sim_event_fired", "process_resumed",
         "process_finished", "stream_put", "stream_get", "stream_stall",
         "kernel_busy", "kernel_stall", "link_transfer", "memory_access",
-        "bank_access", "bank_conflict", "dataflow_solved", "instant",
+        "bank_access", "bank_conflict", "instant",
         "complete",
     ):
         monkeypatch.setattr(Tracer, hook, poisoned)
@@ -79,7 +79,7 @@ def test_traced_off_engine_path_schedules_no_tracer_callbacks(monkeypatch):
         "sim_event_scheduled", "sim_event_fired", "process_resumed",
         "process_finished", "stream_put", "stream_get", "stream_stall",
         "kernel_busy", "kernel_stall", "link_transfer", "memory_access",
-        "bank_access", "bank_conflict", "dataflow_solved", "instant",
+        "bank_access", "bank_conflict", "instant",
         "complete",
     ):
         monkeypatch.setattr(Tracer, hook, poisoned)
