@@ -3,8 +3,8 @@
 
 This walks the tutorial's *Programming* section: describe a loop,
 apply HLS pragmas, see how pipelining and unrolling trade resources for
-throughput against temporal (CPU-style) execution — then run the same
-kernel as a live dataflow region in the event simulator.
+throughput against temporal (CPU-style) execution — then time the same
+kernel as a dataflow pipeline fed through bounded FIFOs.
 
 Run:  python examples/quickstart.py
 """
@@ -16,10 +16,7 @@ from repro.core import (
     BurstKernel,
     LoopNest,
     Pragmas,
-    Simulator,
-    Sink,
-    Source,
-    Stream,
+    run_pipeline,
     synthesize,
 )
 
@@ -59,19 +56,16 @@ def main() -> None:
     )
     table.show()
 
-    # The same kernel, live: a dataflow region in the event simulator.
+    # The same kernel as a dataflow pipeline: source -> kernel -> sink
+    # over two depth-4 FIFOs.
     spec = synthesize(loop, Pragmas(pipeline=True, unroll=4))
-    sim = Simulator()
-    s_in = Stream(sim, depth=4, name="in")
-    s_out = Stream(sim, depth=4, name="out")
     items = [Burst(payload=None, count=250_000) for _ in range(4)]
-    Source(sim, s_in, items)
-    BurstKernel(sim, spec, lambda burst: burst, s_in, s_out)
-    sink = Sink(sim, s_out)
-    sim.run()
-    seconds = sink.done_at_ps / 1e12
-    print(f"dataflow simulation: {sink.items:,} items in {seconds * 1e3:.3f} ms "
-          f"({sink.items / seconds / 1e6:.0f} M items/s)")
+    result = run_pipeline(items, [BurstKernel(spec, lambda burst: burst)],
+                          depths=(4, 4))
+    seconds = result.done_at_ps / 1e12
+    n = result.items_received
+    print(f"dataflow simulation: {n:,} items in {seconds * 1e3:.3f} ms "
+          f"({n / seconds / 1e6:.0f} M items/s)")
 
     # And the resource check a real deployment would run.
     demand = spec.resources

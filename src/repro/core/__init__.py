@@ -25,7 +25,8 @@ from .device import (
     ResourceVector,
 )
 from .hls import LoopNest, Pragmas, synthesize
-from .kernel import BurstKernel, ItemKernel, KernelSpec, Sink, Source
+from .kernel import BurstKernel, ItemKernel, KernelSpec
+from .pipeline import KernelStats, PipelineResult, run_pipeline
 from .sim import (
     Event,
     Interrupt,
@@ -58,22 +59,23 @@ __all__ = [
     "Interrupt",
     "ItemKernel",
     "KernelSpec",
+    "KernelStats",
     "LoopNest",
     "NETWORK_322MHZ",
+    "PipelineResult",
     "Pragmas",
     "Process",
     "RateStage",
     "ResourceVector",
     "SimulationError",
     "Simulator",
-    "Sink",
-    "Source",
     "Stream",
     "ThroughputReport",
     "Timeout",
     "WaitTimeout",
     "all_of",
     "any_of",
+    "run_pipeline",
     "solve_chain",
     "synthesize",
     "with_timeout",

@@ -1,4 +1,4 @@
-"""HLS kernel cost model and pipelined kernel processes.
+"""HLS kernel cost model and the kernel stages of a pipeline chain.
 
 A kernel in this reproduction is what a single HLS function becomes
 after synthesis: a pipelined datapath characterised by
@@ -16,37 +16,28 @@ The classic HLS latency formula for a loop of ``n`` iterations,
 
 is exposed by :meth:`KernelSpec.latency_cycles` and drives all timing.
 
-Two execution granularities share the same spec:
+Two stage granularities share the same spec; both are values (a spec
+and a function) that :func:`~repro.core.pipeline.run_pipeline` times:
 
-* :class:`ItemKernel` processes one item per event — exact but slow;
-  used by tests and the E1 timing ablation.
-* :class:`BurstKernel` processes a :class:`~repro.core.stream.Burst` per
-  event, charging the initiation-limited occupancy for the whole burst
+* :class:`ItemKernel` takes one item per input — exact per-item
+  timing; used by tests and the E1 timing ablation.
+* :class:`BurstKernel` takes a :class:`~repro.core.stream.Burst` per
+  input, charging the initiation-limited occupancy for the whole burst
   (plus the pipeline depth once, for the first burst).  This is the
   granularity the use-case systems run at.
-
-:class:`Source` and :class:`Sink` bracket a dataflow region.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
 from .clocking import FABRIC_300MHZ, ClockDomain
 from .device import ResourceVector
-from .sim import Simulator
-from .stream import Burst, END_OF_STREAM, Stream
 
-__all__ = [
-    "BurstKernel",
-    "ItemKernel",
-    "KernelSpec",
-    "Sink",
-    "Source",
-]
+__all__ = ["BurstKernel", "ItemKernel", "KernelSpec"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,205 +99,40 @@ class KernelSpec:
         return self.clock.freq_hz * self.unroll / self.ii
 
 
-class _PipelinedKernel:
-    """The loop both kernel granularities share.
+@dataclass(frozen=True, slots=True)
+class BurstKernel:
+    """A pipelined kernel stage that consumes and produces bursts.
 
-    Each input of ``n`` items keeps the kernel busy
-    ``latency_cycles(n)`` the first time (pipeline fill included) and
-    ``occupancy_cycles(n)`` after that.  Subclasses differ only in
-    :meth:`_count`, which reads ``n`` off an input or output.
+    ``fn`` maps an input :class:`~repro.core.stream.Burst` to an output
+    ``Burst`` (or ``None`` to emit nothing, e.g. a fully-selective
+    filter).  Timing: the kernel is busy ``occupancy_cycles(burst.count)``
+    per burst, plus ``depth`` cycles once before its first output — so a
+    chain of burst kernels reproduces the fill-then-stream behaviour of
+    a real dataflow pipeline without timing every item.  Anything but a
+    ``Burst`` on its input or output raises ``TypeError``.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: KernelSpec,
-        fn: Callable[[Any], Any],
-        inp: Stream,
-        out: Stream,
-    ) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.fn = fn
-        self.inp = inp
-        self.out = out
-        self.items_in = 0
-        self.items_out = 0
-        self.busy_ps = 0
-        self.stall_in_ps = 0
-        self.stall_out_ps = 0
-        self._first = True
-        sim._pipeline_components.append(self)
-        sim._fastpath_attempted = False
-        self.process = sim.spawn(self._run(), name=spec.name)
-
-    def _count(self, item: Any) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _run(self):
-        sim = self.sim
-        spec = self.spec
-        inp, out = self.inp, self.out
-        name = spec.name
-        count = self._count
-        while True:
-            tracer = sim._tracer
-            # Uncontended fast path: take/emit without allocating wait
-            # events; fall back to the blocking path on contention.
-            ok, item = inp.try_get()
-            if not ok:
-                item = yield from self._stalled(inp.get(), "input")
-            if item is END_OF_STREAM:
-                if not out.try_put(END_OF_STREAM):
-                    yield from self._stalled(out.put(END_OF_STREAM), "output")
-                return
-            n = count(item)
-            self.items_in += n
-            if self._first:
-                cycles = spec.latency_cycles(n)
-                self._first = False
-            else:
-                cycles = spec.occupancy_cycles(n)
-            delay = spec.clock.cycles_to_ps(cycles)
-            self.busy_ps += delay
-            busy_start = sim.now
-            if delay:
-                yield sim.timeout(delay)
-            if tracer is not None:
-                tracer.kernel_busy(name, busy_start, delay, n)
-            result = self.fn(item)
-            if result is None:
-                continue
-            self.items_out += count(result)
-            if not out.try_put(result):
-                yield from self._stalled(out.put(result), "output")
-
-    def _stalled(self, event, side: str):
-        """Wait on a blocked get or put and charge the wait as a stall."""
-        sim = self.sim
-        start = sim.now
-        value = yield event
-        stalled = sim.now - start
-        if side == "input":
-            self.stall_in_ps += stalled
-        else:
-            self.stall_out_ps += stalled
-        tracer = sim._tracer
-        if tracer is not None and stalled:
-            tracer.kernel_stall(self.spec.name, start, stalled, side)
-        return value
+    spec: KernelSpec
+    fn: Callable[[Any], Any]
 
 
-class BurstKernel(_PipelinedKernel):
-    """A pipelined kernel that consumes and produces bursts.
-
-    ``fn`` maps an input :class:`Burst` to an output ``Burst`` (or
-    ``None`` to emit nothing, e.g. a fully-selective filter).  Timing:
-    the kernel is busy ``occupancy_cycles(burst.count)`` per burst, plus
-    ``depth`` cycles once before its first output — so a chain of burst
-    kernels reproduces the fill-then-stream behaviour of a real dataflow
-    pipeline without simulating every item.
-    """
-
-    def _count(self, burst: Any) -> int:
-        if not isinstance(burst, Burst):
-            raise TypeError(
-                f"kernel {self.spec.name!r} expected Burst, got "
-                f"{type(burst).__name__}"
-            )
-        return burst.count
-
-
-class ItemKernel(_PipelinedKernel):
-    """A pipelined kernel that consumes and produces individual items.
+@dataclass(frozen=True, slots=True)
+class ItemKernel:
+    """A pipelined kernel stage that consumes and produces single items.
 
     Exact per-item timing: one initiation every ``ii`` cycles, an output
     ``depth`` cycles after its input.  ``fn`` maps an item to an item or
     ``None`` (dropped).  This is the burst timing with a count of 1 per
-    item, since ``latency_cycles(1) == depth`` and
+    input, since ``latency_cycles(1) == depth`` and
     ``occupancy_cycles(1) == ii``: the skid is charged once, before the
     first output, which matches per-item skids in total cycles for a
-    full stream.  Used by unit tests and the E1
-    burst-vs-item ablation; burst mode must agree with it on total
-    cycles.
+    full stream.  The E1 burst-vs-item ablation checks that burst mode
+    agrees with it on total cycles.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: KernelSpec,
-        fn: Callable[[Any], Any],
-        inp: Stream,
-        out: Stream,
-    ) -> None:
-        if spec.unroll != 1:
+    spec: KernelSpec
+    fn: Callable[[Any], Any]
+
+    def __post_init__(self) -> None:
+        if self.spec.unroll != 1:
             raise ValueError("ItemKernel models unroll=1 kernels only")
-        super().__init__(sim, spec, fn, inp, out)
-
-    def _count(self, item: Any) -> int:
-        return 1
-
-
-class Source:
-    """Feeds a sequence of items (or bursts) into a stream.
-
-    ``interval_ps`` spaces successive puts; 0 means the source is only
-    limited by downstream backpressure (a line-rate producer).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        out: Stream,
-        items: Iterable[Any],
-        interval_ps: int = 0,
-        name: str = "source",
-    ) -> None:
-        self.sim = sim
-        self.out = out
-        self.items = items
-        self.interval_ps = interval_ps
-        self.count = 0
-        sim._pipeline_components.append(self)
-        sim._fastpath_attempted = False
-        self.process = sim.spawn(self._run(), name=name)
-
-    def _run(self):
-        sim = self.sim
-        out = self.out
-        interval = self.interval_ps
-        for item in self.items:
-            if interval:
-                yield sim.timeout(interval)
-            if not out.try_put(item):
-                yield out.put(item)
-            self.count += item.count if isinstance(item, Burst) else 1
-        if not out.try_put(END_OF_STREAM):
-            yield out.put(END_OF_STREAM)
-
-
-class Sink:
-    """Drains a stream, recording items and the completion timestamp."""
-
-    def __init__(self, sim: Simulator, inp: Stream, name: str = "sink") -> None:
-        self.sim = sim
-        self.inp = inp
-        self.received: list[Any] = []
-        self.items = 0
-        self.done_at_ps: int | None = None
-        sim._pipeline_components.append(self)
-        sim._fastpath_attempted = False
-        self.process = sim.spawn(self._run(), name=name)
-
-    def _run(self):
-        sim = self.sim
-        inp = self.inp
-        while True:
-            ok, item = inp.try_get()
-            if not ok:
-                item = yield inp.get()
-            if item is END_OF_STREAM:
-                self.done_at_ps = sim.now
-                return
-            self.received.append(item)
-            self.items += item.count if isinstance(item, Burst) else 1

@@ -6,8 +6,9 @@ the style of SimPy: *processes* are Python generators that ``yield``
 engine keeps simulated time in abstract *time units*; higher layers
 interpret one unit as one nanosecond (see :mod:`repro.core.clocking`).
 
-The engine is deliberately minimal but complete enough to model FPGA
-dataflow regions, memory ports, and network links:
+The engine is deliberately minimal but complete enough to model memory
+ports, network links, contending clients and serving replicas (pipeline
+chains are timed without it, by :mod:`repro.core.pipeline`):
 
 * :class:`Simulator` — the event loop (a binary heap of scheduled
   events).
@@ -511,11 +512,6 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._counter = itertools.count()
         self._processes: list[Process] = []
-        # Dataflow components (Source/Sink/kernels) register here; the
-        # analytic fast-forward pass (:mod:`repro.core.fastpath`)
-        # inspects them at ``run()`` entry.
-        self._pipeline_components: list[Any] = []
-        self._fastpath_attempted = False
         # The latest time ``skip_to`` may move the clock to: ``run``'s
         # ``until`` (infinity without one) while ``run`` fires events,
         # None everywhere else.
@@ -666,18 +662,6 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        if (
-            until is None
-            and not self._fastpath_attempted
-            and self._pipeline_components
-        ):
-            # Analytic fast-forward: solve eligible Source->kernel->Sink
-            # chains in closed form instead of stepping per item (falls
-            # back to the event loop for anything it cannot prove safe).
-            self._fastpath_attempted = True
-            from .fastpath import try_fast_forward
-
-            try_fast_forward(self)
         heap = self._heap
         self._skip_horizon = until if until is not None else math.inf
         try:

@@ -1,18 +1,16 @@
 """Bounded streams with backpressure — the HLS ``hls::stream`` analogue.
 
-Streams connect kernels in a dataflow region.  They are bounded FIFOs:
-a ``put`` into a full stream blocks the producer and a ``get`` from an
+A :class:`Stream` is a bounded FIFO between simulator processes: a
+``put`` into a full stream blocks the producer and a ``get`` from an
 empty stream blocks the consumer, which is exactly the backpressure
-behaviour of FIFO channels between HLS dataflow stages.
+behaviour of FIFO channels between HLS dataflow stages.  The serving
+layer's dispatch queue is one.
 
-Two granularities are supported:
-
-* **item streams** (:class:`Stream`) carry individual Python/numpy
-  objects; used by fine-grained tests and the per-item timing ablation.
-* **burst streams** — the same class with items that are
-  :class:`Burst` records (a payload plus a count); the performance
-  layers move bursts so that simulating a million tuples costs a
-  handful of events rather than a million.
+A :class:`Burst` is a batch of items moving as one unit (a payload plus
+a count), so that timing a million tuples costs a handful of steps
+rather than a million.  :func:`~repro.core.pipeline.run_pipeline`
+times chains of kernels over the same FIFO semantics in closed form,
+with :class:`StreamStats` as its per-stream counters.
 
 ``END_OF_STREAM`` is the conventional last-token sentinel (HLS designs
 use a side-band ``last`` flag; a sentinel keeps the Python API simple).

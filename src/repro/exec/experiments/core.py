@@ -38,10 +38,7 @@ def e1_cell(ctx: Any, config: dict, seed: int) -> dict:
         BurstKernel,
         ItemKernel,
         Pragmas,
-        Simulator,
-        Sink,
-        Source,
-        Stream,
+        run_pipeline,
         solve_chain,
         synthesize,
     )
@@ -69,21 +66,11 @@ def e1_cell(ctx: Any, config: dict, seed: int) -> dict:
     spec = synthesize(loop, Pragmas(pipeline=True, pipeline_ii=2))
     n = _E1_ABLATION_ITEMS
 
-    sim_item = Simulator()
-    a_in, a_out = Stream(sim_item, 4), Stream(sim_item, 4)
-    Source(sim_item, a_in, range(n))
-    ItemKernel(sim_item, spec, lambda x: x, a_in, a_out)
-    sink_item = Sink(sim_item, a_out)
-    sim_item.run()
-    t_item = sink_item.done_at_ps / 1e6
-
-    sim_burst = Simulator()
-    b_in, b_out = Stream(sim_burst, 4), Stream(sim_burst, 4)
-    Source(sim_burst, b_in, [Burst(payload=None, count=n)])
-    BurstKernel(sim_burst, spec, lambda b: b, b_in, b_out)
-    sink_burst = Sink(sim_burst, b_out)
-    sim_burst.run()
-    t_burst = sink_burst.done_at_ps / 1e6
+    item = run_pipeline(range(n), [ItemKernel(spec, lambda x: x)], (4, 4))
+    t_item = item.done_at_ps / 1e6
+    burst = run_pipeline([Burst(payload=None, count=n)],
+                         [BurstKernel(spec, lambda b: b)], (4, 4))
+    t_burst = burst.done_at_ps / 1e6
 
     t_solver = solve_chain([spec], []).time_for_items(n) * 1e6
 

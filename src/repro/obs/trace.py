@@ -24,9 +24,10 @@ code path with zero observability overhead.
 
 A process-wide *default tracer* can be installed with
 :func:`set_default_tracer`; a :class:`~repro.core.sim.Simulator`
-constructed without an explicit ``tracer`` picks it up.  The benchmark
-harness uses this to trace experiments that build their simulators
-internally (``python -m repro run e19 --trace out.json``).
+constructed without an explicit ``tracer`` picks it up, and so does
+every :func:`~repro.core.pipeline.run_pipeline` call.  ``python -m
+repro run eN --trace out.json`` uses this to trace experiments that
+build their simulators and pipelines internally.
 """
 
 from __future__ import annotations
@@ -98,18 +99,36 @@ class Tracer:
     components such as :class:`~repro.memory.banked.BankedMemory`)
     keeps a zero clock, which timestamps records at 0 unless the call
     site supplies explicit times.
+
+    The events fall into *timelines*, each starting at t = 0: one per
+    simulator (a new one begins when a simulator attaches) and one per
+    pipeline call (:func:`~repro.core.pipeline.run_pipeline`).  The
+    Chrome export gives each timeline its own ``pid``.
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.events: list[TraceEvent] = []
         self._clock: Callable[[], int] = lambda: 0
+        # Index into ``events`` where each timeline begins.
+        self._timeline_starts = [0]
 
     # -- wiring ------------------------------------------------------------
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
-        """Bind the time source (the simulator calls this on attach)."""
+        """Start a new timeline on ``clock`` (a simulator does on attach)."""
         self._clock = clock
+        self.new_timeline()
+
+    def new_timeline(self) -> None:
+        """Record what follows on a new timeline, which starts at t = 0."""
+        if self._timeline_starts[-1] < len(self.events):
+            self._timeline_starts.append(len(self.events))
+
+    def timelines(self) -> list[list[TraceEvent]]:
+        """The recorded events split by timeline, in recording order."""
+        bounds = [*self._timeline_starts, len(self.events)]
+        return [self.events[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def now_ps(self) -> int:
         return self._clock()
@@ -354,11 +373,23 @@ class Tracer:
             end = max(end, ev.ts_ps + ev.dur_ps)
         return end
 
-    def utilisation_summary(self, total_ps: int | None = None) -> str:
-        """Plain-text per-component busy/stall/utilisation table."""
-        wall = total_ps if total_ps is not None else self.span_ps()
+    def utilisation_summary(self) -> str:
+        """Plain-text per-component busy/stall/utilisation table.
+
+        Every timeline restarts at t = 0, so a track's utilisation is
+        its busy time over the summed spans of the timelines it was
+        recorded on.
+        """
         busy = self.busy_by_track()
         stall = self.stall_by_track()
+        walls: dict[str, int] = {}
+        timelines = self.timelines()
+        total = 0
+        for events in timelines:
+            span = max(ev.ts_ps + ev.dur_ps for ev in events)
+            total += span
+            for track in {ev.track for ev in events}:
+                walls[track] = walls.get(track, 0) + span
         tracks = sorted(set(busy) | set(stall))
         lines = ["component utilisation", "---------------------"]
         if not tracks:
@@ -373,12 +404,16 @@ class Tracer:
         for track in tracks:
             b = busy.get(track, 0)
             s = stall.get(track, 0)
+            wall = walls[track]
             util = b / wall if wall else 0.0
             lines.append(
                 f"{track.ljust(width)}  {b / _PS_PER_US:>12.3f}  "
                 f"{s / _PS_PER_US:>12.3f}  {util:>6.1%}"
             )
-        lines.append(f"wall: {wall / _PS_PER_US:.3f} us over {len(tracks)} tracks")
+        lines.append(
+            f"wall: {total / _PS_PER_US:.3f} us over {len(tracks)} tracks "
+            f"in {len(timelines)} timelines"
+        )
         return "\n".join(lines)
 
     # -- Chrome trace_event export ----------------------------------------
@@ -387,49 +422,52 @@ class Tracer:
         """The trace as a Chrome ``trace_event`` JSON object.
 
         Slices become ``"X"`` events, instants ``"i"``; ``ts``/``dur``
-        are microseconds (the format's unit), tracks map to ``tid`` with
-        ``thread_name`` metadata so Perfetto shows component names.
+        are microseconds (the format's unit).  Each timeline is a
+        ``pid`` (so timelines that restart at t = 0 do not overlap), and
+        its tracks map to ``tid`` with ``thread_name`` metadata so
+        Perfetto shows component names.
         """
-        pid = 1
-        tids: dict[str, int] = {}
-        out: list[dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": "repro-sim"},
-            }
-        ]
-        for ev in self.events:
-            tid = tids.get(ev.track)
-            if tid is None:
-                tid = len(tids) + 1
-                tids[ev.track] = tid
-                out.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {"name": ev.track},
-                    }
-                )
-            record: dict[str, Any] = {
-                "name": ev.name,
-                "cat": ev.cat,
-                "ph": ev.ph,
-                "ts": ev.ts_ps / _PS_PER_US,
-                "pid": pid,
-                "tid": tid,
-            }
-            if ev.ph == "X":
-                record["dur"] = ev.dur_ps / _PS_PER_US
-            if ev.ph == "i":
-                record["s"] = "t"  # thread-scoped instant
-            if ev.args:
-                record["args"] = ev.args
-            out.append(record)
+        out: list[dict[str, Any]] = []
+        for pid, events in enumerate(self.timelines(), start=1):
+            out.append(
+                {
+                    "name": "process_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": 0,
+                    "args": {"name": f"repro-sim timeline {pid}"},
+                }
+            )
+            tids: dict[str, int] = {}
+            for ev in events:
+                tid = tids.get(ev.track)
+                if tid is None:
+                    tid = len(tids) + 1
+                    tids[ev.track] = tid
+                    out.append(
+                        {
+                            "name": "thread_name",
+                            "ph": "M",
+                            "pid": pid,
+                            "tid": tid,
+                            "args": {"name": ev.track},
+                        }
+                    )
+                record: dict[str, Any] = {
+                    "name": ev.name,
+                    "cat": ev.cat,
+                    "ph": ev.ph,
+                    "ts": ev.ts_ps / _PS_PER_US,
+                    "pid": pid,
+                    "tid": tid,
+                }
+                if ev.ph == "X":
+                    record["dur"] = ev.dur_ps / _PS_PER_US
+                if ev.ph == "i":
+                    record["s"] = "t"  # thread-scoped instant
+                if ev.args:
+                    record["args"] = ev.args
+                out.append(record)
         return {"traceEvents": out, "displayTimeUnit": "ns"}
 
     def export_chrome(self, dest: str | IO[str]) -> None:

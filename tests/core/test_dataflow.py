@@ -123,10 +123,10 @@ def test_time_for_items_fill_plus_stream():
 
 
 def test_solver_matches_event_simulation_for_chain():
-    """The analytic chain solver agrees with the burst event simulation."""
-    from repro.core.kernel import BurstKernel, Sink, Source
-    from repro.core.sim import Simulator
-    from repro.core.stream import Burst, Stream
+    """The analytic chain solver agrees with the burst pipeline."""
+    from repro.core.kernel import BurstKernel
+    from repro.core.pipeline import run_pipeline
+    from repro.core.stream import Burst
 
     specs = [
         KernelSpec("k1", ii=2, depth=8, unroll=1),
@@ -135,15 +135,11 @@ def test_solver_matches_event_simulation_for_chain():
     n = 1000
     report = _chain(*specs)
 
-    sim = Simulator()
-    streams = [Stream(sim, depth=2) for _ in range(3)]
-    Source(sim, streams[0], [Burst(payload=None, count=n)])
-    for spec, inp, out in zip(specs, streams[:-1], streams[1:]):
-        BurstKernel(sim, spec, lambda b: b, inp, out)
-    sink = Sink(sim, streams[-1])
-    sim.run()
+    result = run_pipeline([Burst(payload=None, count=n)],
+                          [BurstKernel(spec, lambda b: b) for spec in specs],
+                          [2, 2, 2])
 
-    simulated = sink.done_at_ps / 1e12
+    simulated = result.done_at_ps / 1e12
     analytic = report.time_for_items(n)
     # One whole-dataset burst serialises the stages; the analytic model
     # pipelines them. They agree within the sum-of-occupancies bound.

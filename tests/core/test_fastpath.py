@@ -1,12 +1,23 @@
-"""Analytic fast-forward: equivalence with the stepped engine.
+"""The pipeline recurrence against the stepped engine.
 
-The contract under test (see ``repro.core.fastpath``): for eligible
-Source → kernels → Sink chains, solving the max-plus recurrence item by
-item must reproduce the stepped engine's observable results *exactly* —
-payloads, completion times, source/sink counts, kernel stats, and
-stream counters.  Anything the solver cannot prove eligible must fall
-back to the engine unchanged.
+:func:`repro.core.run_pipeline` times a source -> kernels -> sink chain
+as a max-plus recurrence.  ``stepped_pipeline.py`` runs the same chain
+as processes on the event engine.  Every observable must be identical:
+payloads, completion time, source and sink counts, per-kernel
+``items_in/out``, ``busy_ps`` and stalls, and per-stream puts, gets,
+items and stalls.
+
+Traced (a default tracer installed), both must also record the same
+spans, compared as a multiset, and the same nonzero ``kernel.*`` and
+``stream.stall_ps`` counters.  Zero-length stalls are the one
+difference in what the two record: a stepped ``Stream`` resolves a
+waiter that blocked and was served at the same timestamp (which waiter
+blocks on such a tie depends on event order) with a zero-valued
+``stream.stall_ps`` increment and no span; the recurrence records
+neither.  So the counters are compared where they are nonzero.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,80 +26,69 @@ from hypothesis import strategies as st
 from repro.core import (
     Burst,
     BurstKernel,
+    Event,
     ItemKernel,
     KernelSpec,
     Simulator,
-    Sink,
-    Source,
     Stream,
+    run_pipeline,
 )
-from repro.core.fastpath import set_fast_forward, try_fast_forward
+from repro.obs import Tracer, set_default_tracer
+
+from .stepped_pipeline import build_stepped, run_stepped
 
 
-@pytest.fixture(autouse=True)
-def _reset_override():
-    yield
-    set_fast_forward(None)
+def _traced(run, *args):
+    """``run(*args)`` under a fresh default tracer: (result, tracer)."""
+    tracer = Tracer()
+    set_default_tracer(tracer)
+    try:
+        return run(*args), tracer
+    finally:
+        set_default_tracer(None)
 
 
-def _build_item_chain(sim, n_items, kernel_params, stream_depth=4,
-                      interval_ps=0, fns=None):
-    n_kernels = len(kernel_params)
-    streams = [
-        Stream(sim, depth=stream_depth, name=f"s{i}")
-        for i in range(n_kernels + 1)
-    ]
-    source = Source(sim, streams[0], range(n_items), interval_ps=interval_ps)
-    kernels = []
-    for i, (ii, depth) in enumerate(kernel_params):
-        fn = fns[i] if fns else (lambda x: x)
-        kernels.append(
-            ItemKernel(sim, KernelSpec(name=f"k{i}", ii=ii, depth=depth,
-                                       unroll=1),
-                       fn, streams[i], streams[i + 1])
-        )
-    return source, streams, kernels, Sink(sim, streams[-1])
+def _records(tracer):
+    """The spans a tracer holds, as a multiset."""
+    return Counter(
+        (ev.ph, ev.cat, ev.name, ev.track, ev.ts_ps, ev.dur_ps,
+         tuple(sorted(ev.args.items())))
+        for ev in tracer.events
+    )
 
 
-def _observables(sim, source, streams, kernels, sink):
-    """Everything fast-forward promises to reproduce exactly."""
+def _counters(tracer):
     return {
-        "now": sim.now,
-        "done_at": sink.done_at_ps,
-        "received": [
-            (x.payload, x.count) if isinstance(x, Burst) else x
-            for x in sink.received
-        ],
-        "source_count": source.count,
-        "sink_items": sink.items,
-        "kernels": [
-            (k.items_in, k.items_out, k.busy_ps, k.stall_in_ps,
-             k.stall_out_ps, k._first)
-            for k in kernels
-        ],
-        "streams": [
-            (s.stats.puts, s.stats.gets, s.stats.items,
-             s.stats.producer_stall_ps, s.stats.consumer_stall_ps)
-            for s in streams
-        ],
+        key: value
+        for key, value in tracer.registry.snapshot().items()
+        if value and key.startswith(("kernel.", "stream.stall_ps"))
     }
 
 
-def _run_both(build):
-    """Run the same chain with fast-forward off and on."""
-    set_fast_forward(False)
-    sim = Simulator()
-    parts = build(sim)
-    sim.run()
-    engine = _observables(sim, *parts)
+def _run_both(make_items, stages, depths, interval_ps=0):
+    """Run the chain stepped and solved; check they agree; return one.
 
-    set_fast_forward(True)
-    sim = Simulator()
-    parts = build(sim)
-    assert try_fast_forward(sim), "eligible chain must take the fast path"
-    sim.run()
-    fast = _observables(sim, *parts)
-    return engine, fast
+    ``make_items`` builds fresh items per run, so no run sees another's
+    objects.
+    """
+    stepped, stepped_tracer = _traced(
+        run_stepped, make_items(), stages, depths, interval_ps)
+    solved = run_pipeline(make_items(), stages, depths, interval_ps)
+    traced, tracer = _traced(
+        run_pipeline, make_items(), stages, depths, interval_ps)
+    assert solved == stepped
+    assert traced == solved
+    assert _records(tracer) == _records(stepped_tracer)
+    assert _counters(tracer) == _counters(stepped_tracer)
+    return solved
+
+
+def _item_chain(kernel_params, fns=None):
+    return [
+        ItemKernel(KernelSpec(name=f"k{i}", ii=ii, depth=depth, unroll=1),
+                   fns[i] if fns else (lambda x: x))
+        for i, (ii, depth) in enumerate(kernel_params)
+    ]
 
 
 @pytest.mark.parametrize("kernel_params", [
@@ -98,83 +98,67 @@ def _run_both(build):
 ])
 @pytest.mark.parametrize("interval_ps", [0, 3333])
 def test_item_chain_matches_engine(kernel_params, interval_ps):
-    def build(sim):
-        return _build_item_chain(
-            sim, 200, kernel_params, interval_ps=interval_ps
-        )
-
-    engine, fast = _run_both(build)
-    assert fast == engine
+    stages = _item_chain(kernel_params)
+    result = _run_both(lambda: range(200), stages,
+                       [4] * (len(stages) + 1), interval_ps)
+    assert result.received == list(range(200))
 
 
 def test_item_chain_with_drops_matches_engine():
-    def build(sim):
-        return _build_item_chain(
-            sim, 300, [(1, 4), (2, 3)],
-            fns=[lambda x: x if x % 3 else None, lambda x: x * 2],
-        )
-
-    engine, fast = _run_both(build)
-    assert fast == engine
-    assert fast["received"] == [x * 2 for x in range(300) if x % 3]
+    stages = _item_chain(
+        [(1, 4), (2, 3)],
+        fns=[lambda x: x if x % 3 else None, lambda x: x * 2],
+    )
+    result = _run_both(lambda: range(300), stages, [4, 4, 4])
+    assert result.received == [x * 2 for x in range(300) if x % 3]
 
 
 def test_burst_chain_matches_engine():
-    def build(sim):
-        streams = [Stream(sim, depth=2, name=f"s{i}") for i in range(3)]
-        source = Source(sim, streams[0],
-                        [Burst(i, count=i % 7 + 1) for i in range(60)])
-        kernels = [
-            BurstKernel(sim, KernelSpec(name="k0", ii=2, depth=9, unroll=1),
-                        lambda b: b, streams[0], streams[1]),
-            BurstKernel(sim, KernelSpec(name="k1", ii=1, depth=4, unroll=2),
-                        lambda b: b, streams[1], streams[2]),
-        ]
-        return source, streams, kernels, Sink(sim, streams[2])
-
-    engine, fast = _run_both(build)
-    assert fast == engine
+    stages = [
+        BurstKernel(KernelSpec(name="k0", ii=2, depth=9, unroll=1),
+                    lambda b: b),
+        BurstKernel(KernelSpec(name="k1", ii=1, depth=4, unroll=2),
+                    lambda b: b),
+    ]
+    result = _run_both(
+        lambda: [Burst(i, count=i % 7 + 1) for i in range(60)],
+        stages, [2, 2, 2])
+    assert result.items_received == sum(i % 7 + 1 for i in range(60))
 
 
 def test_source_direct_to_sink_matches_engine():
-    def build(sim):
-        stream = Stream(sim, depth=1, name="s")
-        source = Source(sim, stream, range(1000), interval_ps=100)
-        return source, [stream], [], Sink(sim, stream)
-
-    engine, fast = _run_both(build)
-    assert fast == engine
+    result = _run_both(lambda: range(1000), [], [1], interval_ps=100)
+    assert result.done_at_ps == 100_000
 
 
 def test_multiple_independent_chains_match_engine():
-    def build(sim):
-        parts = []
-        for c in range(3):
-            streams = [
-                Stream(sim, depth=3, name=f"c{c}s{i}") for i in range(2)
-            ]
-            source = Source(sim, streams[0], range(50 * (c + 1)))
-            kernels = [
-                ItemKernel(sim, KernelSpec(name=f"c{c}k", ii=c + 1, depth=4,
-                                           unroll=1),
-                           lambda x: x, streams[0], streams[1])
-            ]
-            parts.append((source, streams, kernels, Sink(sim, streams[1])))
-        return parts
+    """Chains sharing one simulator interleave on its heap; each still
+    times as its own call."""
+    chains = [
+        (range(50 * (c + 1)),
+         [ItemKernel(KernelSpec(name=f"c{c}k", ii=c + 1, depth=4,
+                                unroll=1), lambda x: x)])
+        for c in range(3)
+    ]
 
-    set_fast_forward(False)
-    sim = Simulator()
-    parts = build(sim)
-    sim.run()
-    engine = [_observables(sim, *p) for p in parts]
+    def stepped():
+        sim = Simulator()
+        results = [build_stepped(sim, items, stages, [3, 3])
+                   for items, stages in chains]
+        sim.run()
+        return [result() for result in results]
 
-    set_fast_forward(True)
-    sim = Simulator()
-    parts = build(sim)
-    assert try_fast_forward(sim)
-    sim.run()
-    fast = [_observables(sim, *p) for p in parts]
+    def solved():
+        return [run_pipeline(items, stages, [3, 3])
+                for items, stages in chains]
+
+    engine, engine_tracer = _traced(stepped)
+    fast, tracer = _traced(solved)
     assert fast == engine
+    assert _records(tracer) == _records(engine_tracer)
+    assert _counters(tracer) == _counters(engine_tracer)
+    # One timeline per call, against the simulator's one.
+    assert (len(tracer.timelines()), len(engine_tracer.timelines())) == (3, 1)
 
 
 def _drop_or_pass(drops, is_burst, shrink):
@@ -201,174 +185,80 @@ def _random_chain(draw):
     counts = draw(st.lists(st.integers(0, 6), min_size=n_items,
                            max_size=n_items))
     n_kernels = draw(st.integers(0, 4))
-    kernels = []
-    for _ in range(n_kernels):
+    stages = []
+    for i in range(n_kernels):
         # Only bursts can feed a BurstKernel; an ItemKernel passes
         # bursts on and counts each as one item.
         is_burst = bursts and draw(st.booleans())
-        kernels.append((
-            is_burst,
-            draw(st.integers(1, 4)),  # ii
-            draw(st.integers(1, 12)),  # depth
-            draw(st.integers(1, 3)) if is_burst else 1,  # unroll
+        spec = KernelSpec(
+            name=f"k{i}",
+            ii=draw(st.integers(1, 4)),
+            depth=draw(st.integers(1, 12)),
+            unroll=draw(st.integers(1, 3)) if is_burst else 1,
+        )
+        fn = _drop_or_pass(
             frozenset(draw(st.lists(st.integers(0, max(n_items - 1, 0)),
                                     max_size=4))),
+            is_burst,
             draw(st.integers(0, 2)),  # burst count shrink
-        ))
+        )
+        stages.append((BurstKernel if is_burst else ItemKernel)(spec, fn))
     return {
-        "items": ([Burst(i, count=c) for i, c in enumerate(counts)]
-                  if bursts else list(range(n_items))),
+        "counts": counts if bursts else None,
+        "n_items": n_items,
         "interval_ps": draw(st.one_of(st.just(0), st.integers(1, 20_000))),
-        "stream_depths": draw(st.lists(st.integers(1, 4),
-                                       min_size=n_kernels + 1,
-                                       max_size=n_kernels + 1)),
-        "kernels": kernels,
+        "depths": draw(st.lists(st.integers(1, 4), min_size=n_kernels + 1,
+                                max_size=n_kernels + 1)),
+        "stages": stages,
     }
 
 
 @settings(max_examples=300, deadline=None)
 @given(_random_chain())
 def test_property_random_chain_matches_engine(chain):
-    def build(sim):
-        streams = [Stream(sim, depth=d, name=f"s{i}")
-                   for i, d in enumerate(chain["stream_depths"])]
-        # Fresh Burst objects per run: kernels must not share state.
-        items = [Burst(b.payload, count=b.count) if isinstance(b, Burst)
-                 else b for b in chain["items"]]
-        source = Source(sim, streams[0], items,
-                        interval_ps=chain["interval_ps"])
-        kernels = []
-        for i, (is_burst, ii, depth, unroll, drops, shrink) in enumerate(
-                chain["kernels"]):
-            cls = BurstKernel if is_burst else ItemKernel
-            spec = KernelSpec(name=f"k{i}", ii=ii, depth=depth,
-                              unroll=unroll)
-            kernels.append(cls(sim, spec,
-                               _drop_or_pass(drops, is_burst, shrink),
-                               streams[i], streams[i + 1]))
-        return source, streams, kernels, Sink(sim, streams[-1])
+    counts = chain["counts"]
 
-    engine, fast = _run_both(build)
-    assert fast == engine
+    def make_items():
+        if counts is None:
+            return list(range(chain["n_items"]))
+        return [Burst(i, count=c) for i, c in enumerate(counts)]
 
-
-# -- fallback conditions ---------------------------------------------------
-
-
-def test_foreign_process_forces_fallback():
-    """An unregistered process makes the topology unprovable: engine runs."""
-
-    def build(sim):
-        parts = _build_item_chain(sim, 100, [(1, 4)])
-
-        def bystander():
-            yield sim.timeout(5)
-
-        sim.spawn(bystander(), name="bystander")
-        return parts
-
-    set_fast_forward(True)
-    sim = Simulator()
-    parts = build(sim)
-    assert not try_fast_forward(sim)
-    sim.run()
-
-    set_fast_forward(False)
-    sim2 = Simulator()
-    parts2 = build(sim2)
-    sim2.run()
-    assert _observables(sim, *parts) == _observables(sim2, *parts2)
-
-
-def test_tracer_forces_fallback():
-    from repro.obs import Tracer
-
-    set_fast_forward(True)
-    sim = Simulator(tracer=Tracer())
-    source, streams, kernels, sink = _build_item_chain(sim, 20, [(1, 2)])
-    assert not try_fast_forward(sim)
-    sim.run()
-    assert sink.items == 20
-
-
-def test_disabled_override_uses_engine():
-    set_fast_forward(False)
-    sim = Simulator()
-    _build_item_chain(sim, 20, [(1, 2)])
-    assert not try_fast_forward(sim)
-
-
-def test_set_fast_forward_is_the_only_switch(monkeypatch):
-    # No environment variable reaches the switch.
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-
-    def engages():
-        sim = Simulator()
-        _build_item_chain(sim, 20, [(1, 2)])
-        return try_fast_forward(sim)
-
-    assert engages()
-    set_fast_forward(False)
-    assert not engages()
-    set_fast_forward(None)
-    assert engages()
-
-
-def test_run_until_never_fast_forwards():
-    """Bounded runs must step, or `until` semantics would break."""
-    set_fast_forward(True)
-    sim = Simulator()
-    source, streams, kernels, sink = _build_item_chain(sim, 1000, [(1, 4)])
-    sim.run(until=50)
-    assert sim.now <= 50
-    assert sink.done_at_ps is None
-    sim.run()  # resumes on the engine; fastpath stays off mid-flight
-    assert sink.items == 1000
+    _run_both(make_items, chain["stages"], chain["depths"],
+              chain["interval_ps"])
 
 
 def test_burst_type_error_still_raised():
-    set_fast_forward(True)
-    sim = Simulator()
-    streams = [Stream(sim, depth=2, name=f"s{i}") for i in range(2)]
-    Source(sim, streams[0], range(5))  # raw ints into a BurstKernel
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
-                lambda b: b, streams[0], streams[1])
-    Sink(sim, streams[1])
-    with pytest.raises(TypeError):
-        sim.run()
-
-
-def test_try_fast_forward_requires_components():
-    sim = Simulator()
-    assert not try_fast_forward(sim)
+    stage = BurstKernel(KernelSpec(name="k", ii=1, depth=1, unroll=1),
+                        lambda b: b)
+    for run in (run_pipeline, run_stepped):
+        with pytest.raises(TypeError, match="'k' expected Burst"):
+            run(range(5), [stage], [2, 2])  # raw ints into a BurstKernel
 
 
 def test_burst_output_type_error_still_raised():
-    set_fast_forward(True)
-    sim = Simulator()
-    streams = [Stream(sim, depth=2, name=f"s{i}") for i in range(2)]
-    Source(sim, streams[0], [Burst(i, count=2) for i in range(5)])
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
-                lambda b: b.payload, streams[0], streams[1])  # raw ints out
-    Sink(sim, streams[1])
-    with pytest.raises(TypeError, match="'k' expected Burst"):
-        sim.run()
+    stage = BurstKernel(KernelSpec(name="k", ii=1, depth=1, unroll=1),
+                        lambda b: b.payload)  # raw ints out
+    for run in (run_pipeline, run_stepped):
+        with pytest.raises(TypeError, match="'k' expected Burst"):
+            run([Burst(i, count=2) for i in range(5)], [stage], [2, 2])
 
 
-def test_type_error_leaves_every_chain_uncommitted():
-    """Every chain is solved before any is committed."""
-    set_fast_forward(True)
-    sim = Simulator()
-    source, streams, kernels, sink = _build_item_chain(sim, 10, [(1, 2)])
-    bad_in, bad_out = Stream(sim, depth=2), Stream(sim, depth=2)
-    Source(sim, bad_in, range(3))
-    BurstKernel(sim, KernelSpec(name="k", ii=1, depth=1, unroll=1),
-                lambda b: b, bad_in, bad_out)
-    Sink(sim, bad_out)
-    with pytest.raises(TypeError):
-        try_fast_forward(sim)
-    assert (sim.now, source.count, sink.received, sink.done_at_ps) == (
-        0, 0, [], None)
-    assert (kernels[0].items_in, kernels[0].busy_ps, kernels[0]._first) == (
-        0, 0, True)
-    assert streams[0].stats.puts == 0
+def test_pipeline_runs_without_simulator_or_stream(monkeypatch):
+    """The recurrence builds no simulator, stream or event."""
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("run_pipeline touched the event engine")
+
+    for cls in (Event, Simulator, Stream):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    stages = _item_chain([(2, 5)])
+    result = run_pipeline(range(10), stages, [2, 2])
+    assert result.received == list(range(10))
+
+
+def test_stream_depths_are_checked():
+    stages = _item_chain([(1, 1)])
+    with pytest.raises(ValueError, match="2 stream depths"):
+        run_pipeline(range(3), stages, [2])
+    with pytest.raises(ValueError, match=">= 1"):
+        run_pipeline(range(3), stages, [2, 0])

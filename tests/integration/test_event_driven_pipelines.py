@@ -1,31 +1,23 @@
-"""Integration: functional pipelines running live in the event engine.
+"""Integration: functional pipelines over the use-case algorithms.
 
-These tests wire several subsystems together — kernels, memory ports,
-and the use-case algorithms — and check both functional equality with
-the direct numpy paths and the expected timing behaviour.
+These tests wire several subsystems together — kernel pipelines,
+memory channel models, and the use-case algorithms — and check both
+functional equality with the direct numpy paths and the expected
+timing behaviour.
 """
 
 import numpy as np
 
-from repro.core import (
-    Burst,
-    BurstKernel,
-    KernelSpec,
-    Simulator,
-    Sink,
-    Source,
-    Stream,
-)
+from repro.core import Burst, BurstKernel, KernelSpec, run_pipeline
 from repro.fanns.pq import train_pq
 
 
 def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
-    """Distances of ``codes`` via an ADC PE array in the simulator.
+    """Distances of ``codes`` via an ADC PE array.
 
     Code chunks are dealt round-robin over ``n_pes`` lanes, each a
     source feeding one ADC kernel into its own sink.
     """
-    sim = Simulator()
     chunk = 64
     bursts = []
     for start in range(0, len(codes), chunk):
@@ -39,20 +31,16 @@ def _adc_pipeline(n_pes: int, codes: np.ndarray, table: np.ndarray, pq):
         dists = pq.adc_distances(table, part)
         return Burst(payload=(start, dists), count=len(part))
 
-    sinks = []
-    for lane in range(n_pes):
-        inp = Stream(sim, 4, f"lane{lane}")
-        out = Stream(sim, 4, f"scored{lane}")
-        Source(sim, inp, bursts[lane::n_pes])
-        BurstKernel(sim, spec, score, inp, out)
-        sinks.append(Sink(sim, out))
-    sim.run()
+    lanes = [
+        run_pipeline(bursts[lane::n_pes], [BurstKernel(spec, score)], [4, 4])
+        for lane in range(n_pes)
+    ]
 
     result = np.empty(len(codes), dtype=np.float32)
-    for sink in sinks:
-        for start, dists in (burst.payload for burst in sink.received):
+    for lane in lanes:
+        for start, dists in (burst.payload for burst in lane.received):
             result[start:start + len(dists)] = dists
-    return result, max(sink.done_at_ps for sink in sinks)
+    return result, max(lane.done_at_ps for lane in lanes)
 
 
 def test_adc_pe_array_matches_direct_adc_and_scales():
@@ -127,31 +115,23 @@ def test_distributed_distinct_count_with_sketch_merge():
 
 
 def test_memory_port_feeds_kernel_pipeline():
-    """A scan paced by a memory port upstream of a kernel: completion
-    time respects the slower of port and kernel."""
-    from repro.memory.model import AccessPattern, MemoryPort
+    """A scan paced by a memory channel upstream of a kernel: the
+    source puts one burst each time the channel has read one, and
+    completion time respects the slower of channel and kernel."""
+    from repro.memory.model import AccessPattern
     from repro.memory.technologies import ddr4_channel
 
-    sim = Simulator()
-    port = MemoryPort(sim, ddr4_channel())
-    stream = Stream(sim, 2)
-    out = Stream(sim, 2)
+    model = ddr4_channel()
     spec = KernelSpec("scan-op", ii=1, depth=4, unroll=4)
-    BurstKernel(sim, spec, lambda b: b, stream, out)
-    sink = Sink(sim, out)
-
     n_bursts, rows, row_bytes = 16, 4096, 16
+    read_ps = model.access_time_ps(rows * row_bytes, AccessPattern.SEQUENTIAL)
 
-    def reader(sim):
-        from repro.core.stream import END_OF_STREAM
-
-        for _ in range(n_bursts):
-            yield port.request(rows * row_bytes, AccessPattern.SEQUENTIAL)
-            yield stream.put(Burst(payload=None, count=rows))
-        yield stream.put(END_OF_STREAM)
-
-    sim.spawn(reader(sim))
-    sim.run()
-    memory_floor = port.model.stream_time_ps(rows * row_bytes) * n_bursts
-    assert sink.done_at_ps >= memory_floor
-    assert sink.items == n_bursts * rows
+    result = run_pipeline(
+        [Burst(payload=None, count=rows) for _ in range(n_bursts)],
+        [BurstKernel(spec, lambda b: b)], [2, 2], interval_ps=read_ps,
+    )
+    memory_floor = model.stream_time_ps(rows * row_bytes) * n_bursts
+    kernel_floor = spec.clock.cycles_to_ps(
+        spec.latency_cycles(n_bursts * rows))
+    assert result.done_at_ps >= max(memory_floor, kernel_floor)
+    assert result.items_received == n_bursts * rows

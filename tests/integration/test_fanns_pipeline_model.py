@@ -1,8 +1,8 @@
 """Integration: the FANNS analytic stage model vs a live pipeline.
 
-Builds the accelerator's five stages as actual BurstKernels connected
-by streams (one burst per query per stage, carrying that stage's work
-item count) and checks that the event-driven timing agrees with the
+Builds the accelerator's five stages as a BurstKernel pipeline over
+FIFOs (one burst per query per stage, carrying that stage's work
+item count) and checks that the pipeline's timing agrees with the
 analytic :class:`~repro.fanns.accelerator.StageTimes` on both latency
 and steady-state throughput — the same kind of model-vs-simulation
 ablation E1 does for a single kernel.
@@ -12,15 +12,7 @@ import math
 
 import pytest
 
-from repro.core import (
-    Burst,
-    BurstKernel,
-    KernelSpec,
-    Simulator,
-    Sink,
-    Source,
-    Stream,
-)
+from repro.core import Burst, BurstKernel, KernelSpec, run_pipeline
 from repro.fanns.accelerator import FannsAccelerator, FannsConfig
 from repro.fanns.ivf import build_ivfpq
 from repro.workloads.vectors import clustered_dataset
@@ -37,7 +29,7 @@ _NPROBE = 4
 
 
 def _build_event_pipeline(n_queries: int):
-    """The 5-stage FANNS pipeline as burst kernels; returns done_ps."""
+    """The 5-stage FANNS pipeline as burst kernels; returns its result."""
     accel = FannsAccelerator(_INDEX.shape, _CONFIG, list_scale=1)
     index, cfg = _INDEX, _CONFIG
     clock = cfg.clock
@@ -60,31 +52,25 @@ def _build_event_pipeline(n_queries: int):
     ]
     works = [coarse_work, select_work, lut_work, candidates, 64]
 
-    sim = Simulator()
-    streams = [Stream(sim, 2) for _ in range(len(stages) + 1)]
     queries = [
         Burst(payload=q, count=works[0]) for q in range(n_queries)
     ]
-    Source(sim, streams[0], queries)
-    for stage_index, (spec, inp, out) in enumerate(
-        zip(stages, streams[:-1], streams[1:])
-    ):
+    kernels = []
+    for stage_index, spec in enumerate(stages):
         next_work = works[stage_index + 1] if stage_index + 1 < len(works) \
             else 1
 
         def relabel(burst, next_work=next_work):
             return Burst(payload=burst.payload, count=next_work)
 
-        BurstKernel(sim, spec, relabel, inp, out)
-    sink = Sink(sim, streams[-1])
-    sim.run()
-    return accel, sink
+        kernels.append(BurstKernel(spec, relabel))
+    return accel, run_pipeline(queries, kernels, [2] * (len(stages) + 1))
 
 
 def test_event_pipeline_latency_matches_stage_model():
-    accel, sink = _build_event_pipeline(n_queries=1)
+    accel, result = _build_event_pipeline(n_queries=1)
     analytic = accel.stage_times(_NPROBE)
-    simulated = sink.done_at_ps / 1e12
+    simulated = result.done_at_ps / 1e12
     # The event pipeline additionally pays each stage's fill depth
     # (~72 cycles here), which the analytic model folds into its coarse
     # constants; the two agree within that margin.
@@ -93,10 +79,10 @@ def test_event_pipeline_latency_matches_stage_model():
 
 
 def test_event_pipeline_throughput_matches_bottleneck():
-    accel, sink = _build_event_pipeline(n_queries=40)
+    accel, result = _build_event_pipeline(n_queries=40)
     analytic = accel.stage_times(_NPROBE)
-    simulated_total = sink.done_at_ps / 1e12
+    simulated_total = result.done_at_ps / 1e12
     expected = analytic.latency_s + 39 * analytic.bottleneck_s
     assert simulated_total == pytest.approx(expected, rel=0.2)
-    assert sink.items > 0
+    assert result.items_received > 0
 

@@ -7,52 +7,47 @@ from repro.core import (
     BurstKernel,
     ClockDomain,
     KernelSpec,
-    Simulator,
-    Sink,
-    Source,
-    Stream,
+    run_pipeline,
 )
 from repro.memory.banked import BankedMemory
 from repro.memory.model import MemoryModel
-from repro.obs import Profiler, Tracer
+from repro.obs import Profiler, Tracer, set_default_tracer
 
 _GHZ = ClockDomain("1ghz", 1000)  # 1000 ps/cycle keeps the math exact
 
 
-def _pipeline(sim):
-    s1 = Stream(sim, depth=2, name="s1")
-    s2 = Stream(sim, depth=2, name="s2")
-    s3 = Stream(sim, depth=2, name="s3")
-    k1 = BurstKernel(
-        sim, KernelSpec("k1", ii=1, depth=2, clock=_GHZ, unroll=1),
-        lambda b: b, s1, s2
-    )
-    k2 = BurstKernel(
-        sim, KernelSpec("k2", ii=4, depth=4, clock=_GHZ, unroll=1),
-        lambda b: b, s2, s3
-    )
-    Source(sim, s1, [Burst(None, 8) for _ in range(3)])
-    sink = Sink(sim, s3)
-    return k1, k2, sink
-
-
 def _profiled_run():
-    """Run the pipeline on a simulator recording to a profiler's tracer."""
+    """Run the pipeline with a profiler's tracer as the default tracer.
+
+    Streams s0 -> k1 -> s1 -> k2 -> s2, each of depth 2.
+    """
     prof = Profiler()
-    sim = Simulator(tracer=prof.tracer)
-    k1, k2, sink = _pipeline(sim)
-    sim.run()
-    return prof.report(), sim, k1, k2, sink
+    set_default_tracer(prof.tracer)
+    try:
+        result = run_pipeline(
+            [Burst(None, 8) for _ in range(3)],
+            [
+                BurstKernel(KernelSpec("k1", ii=1, depth=2, clock=_GHZ,
+                                       unroll=1), lambda b: b),
+                BurstKernel(KernelSpec("k2", ii=4, depth=4, clock=_GHZ,
+                                       unroll=1), lambda b: b),
+            ],
+            [2, 2, 2],
+        )
+    finally:
+        set_default_tracer(None)
+    return prof.report(), result
 
 
 def test_two_kernel_pipeline_busy_math():
-    report, sim, k1, k2, sink = _profiled_run()
+    report, result = _profiled_run()
+    k1, k2 = result.kernels
     # k1: first burst pays full latency 2+(8-1)*1 = 9 cycles, later
     # bursts occupancy 8 cycles -> 9+8+8 = 25 cycles of 1000 ps.
     assert report.component("kernel:k1").busy_ps == 25_000
     # k2: 4+(8-1)*4 = 32 cycles first, 32 occupancy after -> 96 cycles.
     assert report.component("kernel:k2").busy_ps == 96_000
-    assert report.wall_ps == sim.now
+    assert report.wall_ps == result.done_at_ps
     # profiler busy agrees with the kernels' own accounting
     assert report.component("kernel:k1").busy_ps == k1.busy_ps
     assert report.component("kernel:k2").busy_ps == k2.busy_ps
@@ -62,11 +57,12 @@ def test_two_kernel_pipeline_busy_math():
     assert k2p.busy_fraction > 0.8
     assert k1p.stall_ps > k2p.stall_ps
     assert k1p.busy_ps + k1p.stall_ps <= report.wall_ps
-    assert sink.items == 24
+    assert result.items_received == 24
 
 
 def test_stall_accounting_matches_kernel_counters():
-    report, _, k1, k2, _ = _profiled_run()
+    report, result = _profiled_run()
+    k1, k2 = result.kernels
     assert (
         report.component("kernel:k1").stall_ps
         == k1.stall_in_ps + k1.stall_out_ps
@@ -76,11 +72,11 @@ def test_stall_accounting_matches_kernel_counters():
         == k2.stall_in_ps + k2.stall_out_ps
     )
     # backpressure from k2 shows up on the connecting stream too
-    s2 = k1.out
-    assert s2.stats.producer_stall_ps > 0
+    s1 = result.streams[1]
+    assert s1.producer_stall_ps > 0
     assert (
-        report.component("stream:s2").stall_ps
-        == s2.stats.producer_stall_ps + s2.stats.consumer_stall_ps
+        report.component("stream:s1").stall_ps
+        == s1.producer_stall_ps + s1.consumer_stall_ps
     )
 
 

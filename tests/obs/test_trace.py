@@ -8,89 +8,104 @@ import pytest
 from repro.core import (
     Burst,
     BurstKernel,
+    END_OF_STREAM,
     KernelSpec,
     Simulator,
-    Sink,
-    Source,
     Stream,
+    run_pipeline,
 )
 from repro.obs import Tracer, get_default_tracer, set_default_tracer
 from repro.obs.trace import TraceEvent
 
+_HOOKS = (
+    "sim_event_scheduled", "sim_event_fired", "process_resumed",
+    "process_finished", "stream_put", "stream_get", "stream_stall",
+    "kernel_busy", "kernel_stall", "link_transfer", "memory_access",
+    "bank_access", "bank_conflict", "instant", "complete", "new_timeline",
+)
 
-def _run_pipeline(sim, n_bursts=4, burst=16):
-    s_in = Stream(sim, depth=2, name="in")
-    s_out = Stream(sim, depth=2, name="out")
-    kernel = BurstKernel(
-        sim, KernelSpec("k", ii=2, depth=6, unroll=1), lambda b: b, s_in, s_out
+
+def _pipeline():
+    """A one-kernel burst pipeline under whatever default tracer is set."""
+    return run_pipeline(
+        [Burst(None, 16) for _ in range(4)],
+        [BurstKernel(KernelSpec("k", ii=2, depth=6, unroll=1), lambda b: b)],
+        [2, 2],
     )
-    Source(sim, s_in, [Burst(None, burst) for _ in range(n_bursts)])
-    sink = Sink(sim, s_out)
+
+
+def _run_pipeline(tracer=None):
+    """``_pipeline()``, recorded on ``tracer`` if given."""
+    set_default_tracer(tracer)
+    try:
+        return _pipeline()
+    finally:
+        set_default_tracer(None)
+
+
+def _run_engine(sim):
+    """A paced producer and a slower consumer over one depth-2 stream:
+    the consumer blocks on its first get, the producer on later puts."""
+    stream = Stream(sim, depth=2, name="q")
+    got = []
+
+    def producer():
+        for i in range(8):
+            yield sim.timeout(5)
+            yield stream.put(i)
+        yield stream.put(END_OF_STREAM)
+
+    def consumer():
+        while (item := (yield stream.get())) is not END_OF_STREAM:
+            yield sim.timeout(10)
+            got.append(item)
+
+    sim.spawn(producer(), name="producer")
+    sim.spawn(consumer(), name="consumer")
     sim.run()
-    return kernel, sink
+    return got
 
 
 def test_tracer_records_engine_and_component_activity():
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
-    kernel, sink = _run_pipeline(sim)
+    assert _run_engine(sim) == list(range(8))
+    result = _run_pipeline(tracer)
     snap = tracer.registry.snapshot()
     assert snap["sim.events.scheduled"] > 0
     assert snap["sim.events.fired"] > 0
-    assert snap["sim.process.resumes{process=k}"] > 0
+    assert snap["sim.process.resumes{process=consumer}"] > 0
+    assert snap["stream.puts{stream=q}"] == 9  # 8 items + END_OF_STREAM
+    assert snap["stream.get_blocked{stream=q}"] > 0
+    assert snap["stream.put_blocked{stream=q}"] > 0
     assert snap["kernel.items{kernel=k}"] == 64
-    assert snap["stream.puts{stream=in}"] == 5  # 4 bursts + END_OF_STREAM
     busy = tracer.busy_by_track()
-    assert busy["kernel:k"] == kernel.busy_ps > 0
+    assert busy["kernel:k"] == result.kernels[0].busy_ps > 0
+
+
+def _poison_hooks(monkeypatch):
+    def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("tracer callback invoked on an untraced run")
+
+    for hook in _HOOKS:
+        monkeypatch.setattr(Tracer, hook, poisoned)
 
 
 def test_traced_off_run_schedules_no_tracer_callbacks(monkeypatch):
-    """The obs-disabled overhead guard: with ``tracer=None`` no tracer
-    code runs at all — every hook is poisoned and the run still works."""
-
-    def poisoned(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("tracer callback invoked on an untraced run")
-
-    for hook in (
-        "sim_event_scheduled", "sim_event_fired", "process_resumed",
-        "process_finished", "stream_put", "stream_get", "stream_stall",
-        "kernel_busy", "kernel_stall", "link_transfer", "memory_access",
-        "bank_access", "bank_conflict", "instant",
-        "complete",
-    ):
-        monkeypatch.setattr(Tracer, hook, poisoned)
-    sim = Simulator()
-    assert sim._tracer is None
+    """The obs-disabled overhead guard: with no tracer, a pipeline call
+    runs no tracer code at all — every hook is poisoned."""
+    _poison_hooks(monkeypatch)
     assert get_default_tracer() is None
-    _, sink = _run_pipeline(sim)
-    assert sink.items == 64
+    assert _run_pipeline().items_received == 64
 
 
 def test_traced_off_engine_path_schedules_no_tracer_callbacks(monkeypatch):
-    """Same guard with analytic fast-forward disabled, so the stepped
-    engine — including the try_put/try_get kernel fast paths — runs
-    every event with poisoned hooks."""
-    from repro.core.fastpath import set_fast_forward
-
-    def poisoned(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("tracer callback invoked on an untraced run")
-
-    for hook in (
-        "sim_event_scheduled", "sim_event_fired", "process_resumed",
-        "process_finished", "stream_put", "stream_get", "stream_stall",
-        "kernel_busy", "kernel_stall", "link_transfer", "memory_access",
-        "bank_access", "bank_conflict", "instant",
-        "complete",
-    ):
-        monkeypatch.setattr(Tracer, hook, poisoned)
-    set_fast_forward(False)
-    try:
-        sim = Simulator()
-        assert sim._tracer is None
-        _, sink = _run_pipeline(sim)
-    finally:
-        set_fast_forward(None)
-    assert sink.items == 64
+    """Same guard on the event engine: processes over a stream whose
+    gets and puts block, stepped with every hook poisoned."""
+    _poison_hooks(monkeypatch)
+    sim = Simulator()
+    assert sim._tracer is None
+    assert _run_engine(sim) == list(range(8))
 
 
 def test_default_tracer_is_picked_up_and_releasable():
@@ -99,28 +114,68 @@ def test_default_tracer_is_picked_up_and_releasable():
     try:
         sim = Simulator()
         assert sim._tracer is tracer
-        _run_pipeline(sim)
+        _run_engine(sim)
         assert tracer.registry.snapshot()["sim.events.fired"] > 0
+        _pipeline()
+        assert tracer.registry.snapshot()["kernel.items{kernel=k}"] == 64
     finally:
         set_default_tracer(None)
     assert Simulator()._tracer is None
+    recorded = len(tracer.events)
+    _pipeline()
+    assert len(tracer.events) == recorded
 
 
 def test_trace_transparency_same_timeline_and_results():
+    assert _run_pipeline(Tracer()) == _run_pipeline()
     untraced = Simulator()
-    k1, sink1 = _run_pipeline(untraced)
+    got1 = _run_engine(untraced)
     traced = Simulator(tracer=Tracer())
-    k2, sink2 = _run_pipeline(traced)
+    got2 = _run_engine(traced)
     assert untraced.now == traced.now
-    assert sink1.items == sink2.items
-    assert k1.busy_ps == k2.busy_ps
-    assert sink1.done_at_ps == sink2.done_at_ps
+    assert got1 == got2
+
+
+def test_utilisation_is_computed_per_timeline():
+    """Two simulators on one tracer each keep a kernel busy for their
+    whole span: the kernel is 100% busy, not 200%, and each simulator
+    is its own Chrome pid."""
+    tracer = Tracer()
+    for _ in range(2):
+        sim = Simulator(tracer=tracer)
+
+        def kernel(sim=sim):
+            yield sim.timeout(1000)
+            tracer.kernel_busy("k", 0, 1000, 1)
+
+        sim.spawn(kernel(), name="k")
+        sim.run()
+    text = tracer.utilisation_summary()
+    assert "100.0%" in text and "200.0%" not in text
+    pids = {ev["pid"] for ev in tracer.to_chrome()["traceEvents"]}
+    assert pids == {1, 2}
+    assert "in 2 timelines" in text
+
+
+def test_each_pipeline_call_is_a_timeline():
+    def kernel_row(tracer):
+        (row,) = [line for line in tracer.utilisation_summary().splitlines()
+                  if line.startswith("kernel:k")]
+        return row
+
+    once, twice = Tracer(), Tracer()
+    result = _run_pipeline(once)
+    _run_pipeline(twice)
+    _run_pipeline(twice)
+    assert [len(t.timelines()) for t in (once, twice)] == [1, 2]
+    assert once.span_ps() == result.done_at_ps
+    # Twice the busy time over twice the span: the same utilisation.
+    assert kernel_row(once).split()[-1] == kernel_row(twice).split()[-1]
 
 
 def test_chrome_export_round_trips_with_wellformed_fields():
     tracer = Tracer()
-    sim = Simulator(tracer=tracer)
-    _run_pipeline(sim)
+    _run_pipeline(tracer)
     buf = io.StringIO()
     tracer.export_chrome(buf)
     doc = json.loads(buf.getvalue())
@@ -151,8 +206,7 @@ def test_chrome_export_round_trips_with_wellformed_fields():
 
 def test_chrome_export_to_file(tmp_path):
     tracer = Tracer()
-    sim = Simulator(tracer=tracer)
-    _run_pipeline(sim)
+    _run_pipeline(tracer)
     out = tmp_path / "trace.json"
     tracer.export_chrome(str(out))
     doc = json.loads(out.read_text())

@@ -15,8 +15,8 @@ Each run below executes in its own interpreter, two at a time:
   with ``--faults 0.05 --autoscale``;
 - ``run e22 --faults 0.05`` (the lowest rate at which a Farview row
   injects latency spikes; a node still crashes), ``run e19 --trace
-  OUT.json`` and ``run e1 --trace OUT.json`` (a traced run steps e1's
-  pipelines);
+  OUT.json`` and ``run e1 --trace OUT.json`` (a traced run records
+  e1's pipeline spans);
 - ``list``, ``list --json`` and ``info``.
 
 The examples are not runs: code that only an example reaches counts as
